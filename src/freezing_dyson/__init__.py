@@ -41,8 +41,10 @@ from .orthopoly import (
     dual_laguerre_system,
     eigen_tridiag,
     hermite_jacobi,
+    hermite_zeros,
     laguerre_freezing_matrix,
     laguerre_jacobi,
+    laguerre_zeros,
     primitive,
     scaled_primitive,
     spectral_measure,

@@ -22,7 +22,7 @@ from .elemsym import (
     roots_of_monic,
 )
 from .errors import DimensionMismatch, InvalidParameter, NoConvergence, NotRealRooted
-from .orthopoly import eigen_tridiag, hermite_jacobi, laguerre_jacobi
+from .orthopoly import hermite_zeros, laguerre_zeros
 
 __all__ = [
     "FFFOperator",
@@ -167,11 +167,11 @@ def hermite_roots(n: int, t: float) -> RootTuple:
     """
     if n < 1:
         raise InvalidParameter("n must be >= 1")
-    if t < 0.0:
-        raise InvalidParameter("scale t must be >= 0")
+    if not 0.0 <= t < math.inf:
+        raise InvalidParameter("scale t must be finite and >= 0")
     if n == 1:
         return RootTuple((0.0,))
-    z = eigen_tridiag(hermite_jacobi(n)).as_array()
+    z = hermite_zeros(n).as_array()
     z = 0.5 * (z - z[::-1])  # the spectrum is exactly symmetric
     return RootTuple(tuple(math.sqrt(t) * z))
 
@@ -180,11 +180,11 @@ def laguerre_roots(n: int, alpha: float, t: float) -> RootTuple:
     """``t`` times the zeros of the degree-n monic Laguerre polynomial."""
     if n < 1:
         raise InvalidParameter("n must be >= 1")
-    if alpha <= 0.0:
-        raise InvalidParameter("alpha must be positive")
-    if t < 0.0:
-        raise InvalidParameter("scale t must be >= 0")
-    z = eigen_tridiag(laguerre_jacobi(n, alpha)).as_array()
+    if not 0.0 < alpha < math.inf:
+        raise InvalidParameter("alpha must be positive and finite")
+    if not 0.0 <= t < math.inf:
+        raise InvalidParameter("scale t must be finite and >= 0")
+    z = laguerre_zeros(n, alpha).as_array()
     return RootTuple(tuple(t * z))
 
 

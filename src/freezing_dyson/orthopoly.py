@@ -9,17 +9,20 @@ carry the orthogonal systems used by the fluctuation statistics.
 Eigenvalues are computed by Sturm-sequence bisection on the sign count of the
 LDL^T pivots (the ratios of consecutive leading principal characteristic
 minors), which guarantees containment and ordering without any external
-eigensolver.  A batched variant shares the same algorithm across many
-matrices at once for Monte Carlo work.
+eigensolver.  One kernel bisects many eigenvalue indices of many matrices
+together, one Sturm count per step over all of them; this is sound because
+the count is monotone in x.  The classical Hermite and Laguerre zeros are
+cached per (n, alpha), as immutable root tuples.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elemsym import RootTuple
-from .errors import InvalidParameter
+from .errors import DimensionMismatch, InvalidParameter
 
 __all__ = [
     "JacobiMatrix",
@@ -30,6 +33,8 @@ __all__ = [
     "laguerre_freezing_matrix",
     "dual",
     "eigen_tridiag",
+    "hermite_zeros",
+    "laguerre_zeros",
     "spectral_measure",
     "christoffel_darboux_weights",
     "dual_spectral_weights_cd",
@@ -40,6 +45,8 @@ __all__ = [
 ]
 
 _SAFMIN = np.finfo(float).tiny
+# Trial points per bisection step: the index block width g is _LANES // M.
+_LANES = 4096
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,8 @@ class JacobiMatrix:
             raise InvalidParameter("Jacobi matrix needs at least one row")
         if len(off) != len(diag) - 1:
             raise InvalidParameter("off-diagonal length must be n - 1")
+        if not all(math.isfinite(v) for v in diag + off):
+            raise InvalidParameter("Jacobi matrix entries must be finite")
         if any(b <= 0.0 for b in off):
             raise InvalidParameter("off-diagonal entries must be strictly positive")
         object.__setattr__(self, "diag", diag)
@@ -115,8 +124,8 @@ def laguerre_jacobi(n: int, alpha: float) -> JacobiMatrix:
     """
     if n < 1:
         raise InvalidParameter("laguerre_jacobi needs n >= 1")
-    if alpha <= 0.0:
-        raise InvalidParameter("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise InvalidParameter("alpha must be positive and finite")
     diag = tuple(alpha + 2.0 * i for i in range(n))
     off = tuple(math.sqrt(i) * math.sqrt(alpha + i - 1.0) for i in range(1, n))
     return JacobiMatrix(diag, off)
@@ -148,54 +157,90 @@ def dual(j: JacobiMatrix) -> JacobiMatrix:
     return JacobiMatrix(j.diag[::-1], j.offdiag[::-1])
 
 
-def _count_below(diag, off2, x, pivmin):
-    """Number of eigenvalues strictly below x, per batch lane.
+def _count_below(diag_t, off2_t, x, pivmin):
+    """Number of eigenvalues strictly below x, per trial point.
 
-    Counts negative pivots of the LDL^T factorization of (J - x I); the pivots
-    are the ratios of consecutive leading principal characteristic minors.
+    ``diag_t`` is (n, M, 1) and ``off2_t`` (n-1, M, 1): entry i of all M
+    matrices (squared, for the off-diagonal) lies contiguously in row i.
+    ``x`` is (M, g), g trial points per matrix.  Counts negative pivots of
+    the LDL^T factorization of (J - x I); the pivots are the ratios of
+    consecutive leading principal characteristic minors.
     """
-    q = diag[:, 0] - x
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, diag.shape[1]):
-        q = diag[:, i] - x - off2[:, i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count += q < 0.0
+    q = np.subtract(diag_t[0], x)
+    tmp = np.empty_like(q)
+    neg = np.empty(q.shape, dtype=bool)
+    # counts never exceed n; a narrow dtype keeps the bool adds cheap
+    count = np.zeros(q.shape, dtype=np.min_scalar_type(len(diag_t)))
+    for i in range(len(diag_t)):
+        if i:
+            np.divide(off2_t[i - 1], q, out=tmp)
+            np.subtract(diag_t[i], x, out=q)
+            np.subtract(q, tmp, out=q)
+        np.abs(q, out=tmp)
+        np.less(tmp, pivmin, out=neg)
+        np.copyto(q, -pivmin, where=neg)
+        np.less(q, 0.0, out=neg)
+        np.add(count, neg.view(np.uint8), out=count)
     return count
+
+
+def _gershgorin_bounds(diag, offdiag):
+    """Per-matrix (lower, upper) Gershgorin bounds on the spectrum.
+
+    A function of its own so that its (M, n) temporaries are freed before
+    the bisection allocates its transposed copies.
+    """
+    rad = np.zeros(diag.shape)
+    rad[:, :-1] += np.abs(offdiag)
+    rad[:, 1:] += np.abs(offdiag)
+    return np.min(diag - rad, axis=1), np.max(diag + rad, axis=1)
 
 
 def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     """Eigenvalues of a batch of Jacobi matrices, ascending per row.
 
-    ``diag`` is (M, n), ``offdiag`` is (M, n-1).  Bisection runs per
-    eigenvalue index across all lanes simultaneously.
+    ``diag`` is (M, n), ``offdiag`` is (M, n-1).  Eigenvalue indices are
+    bisected in blocks of ``g = max(1, min(n, _LANES // M))``: each bisection
+    step makes one Sturm count over an (M, g) array of trial points, so a
+    single matrix bisects all n indices at once while a wide Monte Carlo
+    batch takes one index per pass.  Index k stops once all M of its
+    intervals are within ``tol`` of the matrix scale; since each (matrix,
+    index) interval follows the same halving sequence whatever the block
+    size, the result does not depend on it.
     """
     diag = np.atleast_2d(np.asarray(diag, dtype=float))
+    offdiag = np.atleast_2d(np.asarray(offdiag, dtype=float))
     m, n = diag.shape
+    if offdiag.shape != (m, n - 1):
+        raise DimensionMismatch(
+            f"offdiag has shape {offdiag.shape}, expected {(m, n - 1)} for diag {diag.shape}"
+        )
     if n == 1:
         return diag.copy()
-    offdiag = np.atleast_2d(np.asarray(offdiag, dtype=float))
-    off2 = offdiag**2
-    rad = np.zeros((m, n))
-    rad[:, :-1] += np.abs(offdiag)
-    rad[:, 1:] += np.abs(offdiag)
-    lo0 = np.min(diag - rad, axis=1)
-    hi0 = np.max(diag + rad, axis=1)
+    lo0, hi0 = _gershgorin_bounds(diag, offdiag)
     scale = np.maximum(np.maximum(np.abs(lo0), np.abs(hi0)), 1e-300)
-    width_tol = np.maximum(tol, 4.0 * np.finfo(float).eps) * scale
-    pivmin = _SAFMIN * max(1.0, float(np.max(off2)))
+    width_tol = (np.maximum(tol, 4.0 * np.finfo(float).eps) * scale)[:, None]
+    diag_t = np.ascontiguousarray(diag.T)[:, :, None]
+    off2_t = np.square(offdiag.T, order="C")[:, :, None]
+    pivmin = _SAFMIN * max(1.0, float(np.max(off2_t)))
     out = np.empty((m, n))
-    for k in range(n):
-        lo = lo0.copy()
-        hi = hi0.copy()
+    g = max(1, min(n, _LANES // m))
+    for k0 in range(0, n, g):
+        ks = np.arange(k0, min(n, k0 + g))
+        lo = np.repeat(lo0[:, None], len(ks), axis=1)
+        hi = np.repeat(hi0[:, None], len(ks), axis=1)
         for _ in range(130):
             mid = 0.5 * (lo + hi)
-            below = _count_below(diag, off2, mid, pivmin) <= k
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.all(hi - lo <= width_tol):
-                break
-        out[:, k] = 0.5 * (lo + hi)
+            below = _count_below(diag_t, off2_t, mid, pivmin) <= ks
+            np.copyto(lo, mid, where=below)
+            np.copyto(hi, mid, where=~below)
+            done = np.all(hi - lo <= width_tol, axis=0)
+            if done.any():
+                out[:, ks[done]] = 0.5 * (lo[:, done] + hi[:, done])
+                ks, lo, hi = ks[~done], lo[:, ~done], hi[:, ~done]
+                if not len(ks):
+                    break
+        out[:, ks] = 0.5 * (lo + hi)
     return out
 
 
@@ -205,6 +250,20 @@ def eigen_tridiag(j: JacobiMatrix, tol: float = 1e-14) -> RootTuple:
         np.asarray(j.diag)[None, :], np.asarray(j.offdiag)[None, :], tol=tol
     )[0]
     return RootTuple(tuple(evals))
+
+
+@functools.lru_cache(maxsize=128)
+def hermite_zeros(n: int) -> RootTuple:
+    """Zeros of the degree-n probabilist Hermite polynomial, cached:
+    ``eigen_tridiag(hermite_jacobi(n))``."""
+    return eigen_tridiag(hermite_jacobi(n))
+
+
+@functools.lru_cache(maxsize=128)
+def laguerre_zeros(n: int, alpha: float) -> RootTuple:
+    """Zeros of the degree-n monic Laguerre polynomial, cached:
+    ``eigen_tridiag(laguerre_jacobi(n, alpha))``."""
+    return eigen_tridiag(laguerre_jacobi(n, alpha))
 
 
 def _orthonormal_values(j: JacobiMatrix, points: np.ndarray) -> np.ndarray:

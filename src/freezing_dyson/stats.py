@@ -22,9 +22,8 @@ from .errors import InvalidParameter
 from .orthopoly import (
     dual_hermite_system,
     dual_laguerre_system,
-    eigen_tridiag,
-    hermite_jacobi,
-    laguerre_jacobi,
+    hermite_zeros,
+    laguerre_zeros,
     primitive,
     scaled_primitive,
 )
@@ -62,7 +61,7 @@ def build_q_matrix_gaussian(n: int) -> np.ndarray:
     """
     if n < 2:
         raise InvalidParameter("need n >= 2")
-    z = eigen_tridiag(hermite_jacobi(n)).as_array()
+    z = hermite_zeros(n).as_array()
     sys = dual_hermite_system(n)
     return np.array([sys.orthonormal_value(m, z) / math.sqrt(n) for m in range(n)])
 
@@ -74,7 +73,7 @@ def build_q_matrix_laguerre(n: int, alpha: float) -> np.ndarray:
         raise InvalidParameter("need n >= 1")
     if alpha <= 0.0:
         raise InvalidParameter("alpha must be positive")
-    z = eigen_tridiag(laguerre_jacobi(n, alpha)).as_array()
+    z = laguerre_zeros(n, alpha).as_array()
     sys = dual_laguerre_system(n, alpha)
     w = np.sqrt(z / (n * (alpha + n - 1)))
     return np.array([w * sys.orthonormal_value(m, z) for m in range(n)])
@@ -147,7 +146,7 @@ def clt_covariance_gaussian(beta: float, n: int, samples: int, seed: int) -> Cov
         raise InvalidParameter("need at least 2 samples")
     rng = np.random.default_rng(seed)
     evs = sample_gbe_batch(beta, n, samples, rng)
-    z = eigen_tridiag(hermite_jacobi(n)).as_array()
+    z = hermite_zeros(n).as_array()
     v = math.sqrt(beta / 2.0) * (evs - z)
     return _covariance_report(v, build_q_matrix_gaussian(n), beta, GAUSSIAN)
 
@@ -161,7 +160,7 @@ def clt_covariance_laguerre(
         raise InvalidParameter("need at least 2 samples")
     rng = np.random.default_rng(seed)
     evs = sample_ble_batch(beta, alpha, n, samples, rng)
-    z = eigen_tridiag(laguerre_jacobi(n, alpha)).as_array()
+    z = laguerre_zeros(n, alpha).as_array()
     v = math.sqrt(2.0 * beta) * (np.sqrt(evs) - np.sqrt(z))
     return _covariance_report(v, build_q_matrix_laguerre(n, alpha), beta, LAGUERRE)
 
@@ -217,12 +216,12 @@ def primitive_clt_check(
     rng = np.random.default_rng(seed)
     if kind == GAUSSIAN:
         evs = sample_gbe_batch(beta, n, samples, rng)
-        z = eigen_tridiag(hermite_jacobi(n)).as_array()
+        z = hermite_zeros(n).as_array()
         sys = dual_hermite_system(n)
         targets = np.array([sys.squared_norms[m] / (m + 1) for m in range(n)])
     elif kind == LAGUERRE:
         evs = sample_ble_batch(beta, alpha, n, samples, rng)
-        z = eigen_tridiag(laguerre_jacobi(n, alpha)).as_array()
+        z = laguerre_zeros(n, alpha).as_array()
         sys = dual_laguerre_system(n, alpha)
         targets = np.array(
             [(alpha + n - 1) * sys.squared_norms[m] / (m + 1) for m in range(n)]
@@ -358,7 +357,7 @@ def process_clt_check(ensemble: PathEnsemble, max_order: int) -> ProcessCltRepor
         raise InvalidParameter("order must be <= N - 1")
     n = cfg.n
     sys = dual_hermite_system(n)
-    z = eigen_tridiag(hermite_jacobi(n)).as_array()
+    z = hermite_zeros(n).as_array()
     m, r, _ = ensemble.data.shape
     times = cfg.record_times
     scale = math.sqrt(cfg.beta * n / 2.0)

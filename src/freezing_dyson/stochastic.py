@@ -187,9 +187,9 @@ def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
             np.abs(lam, out=lam)  # reflect at the hard edge
         clamp_total += clamped
         lam.sort(axis=1)
-        if np.max(np.abs(lam)) > STABILITY_BOUND:
+        if not np.max(np.abs(lam)) <= STABILITY_BOUND:
             raise StepUnstable(
-                f"coordinate exceeded {STABILITY_BOUND:g} at step {step + 1}; "
+                f"coordinate exceeded {STABILITY_BOUND:g} or became NaN at step {step + 1}; "
                 "dt is too large for this beta and N"
             )
         for slot, s in enumerate(record_steps):
@@ -221,7 +221,7 @@ def simulate_dyson(cfg: SimConfig, threads: int | None = None) -> PathEnsemble:
 
     Tuples are re-sorted after every step; output is deterministic in
     (config, seed) regardless of thread count.  Raises
-    :class:`StepUnstable` if any coordinate passes 1e8 in magnitude.
+    :class:`StepUnstable` if any coordinate passes 1e8 in magnitude or becomes NaN.
     """
     return _simulate(cfg, DYSON, threads)
 

@@ -41,6 +41,11 @@ def test_zeros_bad_params_exit_2(capsys):
     assert "error" in err
     code, _, _ = run_cli(["zeros", "--n", "2"], capsys)  # family missing
     assert code == 2
+    code, _, err = run_cli(["zeros", "--family", "hermite", "--n", "3", "--t", "nan"], capsys)
+    assert code == 2
+    assert "error" in err
+    code, _, _ = run_cli(["zeros", "--family", "laguerre", "--n", "3", "--alpha", "nan"], capsys)
+    assert code == 2
 
 
 def test_convolve_files(tmp_path, capsys):
@@ -195,6 +200,21 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
             "simulate", "--kind", "dyson", "--n", "3", "--beta", "1",
             "--t", "1e16", "--dt", "1e16", "--paths", "1", "--seed", "1",
         ],
+        capsys,
+    )
+    assert code == 3
+    assert "numerical failure" in err
+
+
+def test_nan_sde_state_exit_3(monkeypatch, capsys):
+    from freezing_dyson import stochastic
+
+    monkeypatch.setattr(
+        stochastic, "_drift_dyson", lambda lam, inv_sign, eps: (np.full_like(lam, np.nan), 0)
+    )
+    code, _, err = run_cli(
+        ["simulate", "--kind", "dyson", "--n", "3", "--beta", "2",
+         "--t", "0.01", "--dt", "0.001", "--paths", "2", "--seed", "1"],
         capsys,
     )
     assert code == 3

@@ -159,6 +159,9 @@ def test_hermite_roots_examples():
         hermite_roots(0, 1.0)
     with pytest.raises(InvalidParameter):
         hermite_roots(3, -0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            hermite_roots(3, bad)
 
 
 def test_hermite_semigroup_identity():
@@ -179,6 +182,11 @@ def test_laguerre_roots_examples():
     assert np.allclose(laguerre_roots(2, 3.0, 1.0).roots, [2.0, 6.0], atol=1e-12)
     with pytest.raises(InvalidParameter):
         laguerre_roots(2, 0.0, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            laguerre_roots(2, bad, 1.0)
+        with pytest.raises(InvalidParameter):
+            laguerre_roots(2, 1.0, bad)
 
 
 def test_laguerre_convolution_identity():

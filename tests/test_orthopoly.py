@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freezing_dyson.elemsym import RootTuple
-from freezing_dyson.errors import InvalidParameter
+from freezing_dyson.errors import DimensionMismatch, InvalidParameter
+from freezing_dyson.finfree import hermite_roots, laguerre_roots
 from freezing_dyson.orthopoly import (
+    _LANES,
     JacobiMatrix,
+    _count_below,
     OrthogonalSystem,
     christoffel_darboux_weights,
     dual,
@@ -15,8 +20,10 @@ from freezing_dyson.orthopoly import (
     eigen_tridiag,
     eigen_tridiag_batch,
     hermite_jacobi,
+    hermite_zeros,
     laguerre_freezing_matrix,
     laguerre_jacobi,
+    laguerre_zeros,
     primitive,
     scaled_primitive,
     spectral_measure,
@@ -71,6 +78,11 @@ def test_jacobi_matrix_invariants():
         JacobiMatrix((0.0, 0.0), (1.0, 1.0))
     j = JacobiMatrix((1.0, 2.0), (3.0,))
     assert np.allclose(j.dense(), [[1, 3], [3, 2]])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameter):
+            JacobiMatrix((bad, 0.0), (1.0,))
+        with pytest.raises(InvalidParameter):
+            JacobiMatrix((0.0, 0.0), (bad,))
 
 
 def test_hermite_jacobi_examples():
@@ -93,6 +105,11 @@ def test_laguerre_jacobi_examples():
     assert np.allclose(ev3, [2.0, 6.0], atol=1e-12)
     with pytest.raises(InvalidParameter):
         laguerre_jacobi(2, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            laguerre_jacobi(2, bad)
+        with pytest.raises(InvalidParameter):
+            laguerre_zeros(2, bad)
 
 
 def test_laguerre_freezing_matrix():
@@ -286,3 +303,139 @@ def test_orthogonal_system_index_errors():
         sys.coefficients(3)
     with pytest.raises(InvalidParameter):
         primitive(sys, -1)
+
+
+def per_index_bisection(diag, offdiag, tol=1e-14):
+    """The former eigensolver, one eigenvalue index at a time: the oracle the
+    blocked kernel must reproduce bit for bit."""
+    diag = np.atleast_2d(np.asarray(diag, dtype=float))
+    offdiag = np.atleast_2d(np.asarray(offdiag, dtype=float))
+    m, n = diag.shape
+    if n == 1:
+        return diag.copy()
+    off2 = offdiag**2
+    rad = np.zeros((m, n))
+    rad[:, :-1] += np.abs(offdiag)
+    rad[:, 1:] += np.abs(offdiag)
+    lo0 = np.min(diag - rad, axis=1)
+    hi0 = np.max(diag + rad, axis=1)
+    scale = np.maximum(np.maximum(np.abs(lo0), np.abs(hi0)), 1e-300)
+    width_tol = np.maximum(tol, 4.0 * np.finfo(float).eps) * scale
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off2)))
+
+    def count_below(x):
+        q = diag[:, 0] - x
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        count = (q < 0.0).astype(np.int64)
+        for i in range(1, n):
+            q = diag[:, i] - x - off2[:, i - 1] / q
+            q = np.where(np.abs(q) < pivmin, -pivmin, q)
+            count += q < 0.0
+        return count
+
+    out = np.empty((m, n))
+    for k in range(n):
+        lo = lo0.copy()
+        hi = hi0.copy()
+        for _ in range(130):
+            mid = 0.5 * (lo + hi)
+            below = count_below(mid) <= k
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+            if np.all(hi - lo <= width_tol):
+                break
+        out[:, k] = 0.5 * (lo + hi)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17, 40])
+def test_blocked_kernel_bit_identical_on_classical_matrices(n):
+    for j in (hermite_jacobi(n), laguerre_jacobi(n, 1.7), laguerre_jacobi(n, 0.3)):
+        d, o = np.array(j.diag)[None, :], np.array(j.offdiag)[None, :]
+        assert np.array_equal(eigen_tridiag_batch(d, o), per_index_bisection(d, o))
+
+
+# M below LANES (several indices per pass, with a ragged last block), at
+# LANES - 1 and LANES + 1, and above LANES (one index per pass).
+@pytest.mark.parametrize("m,n", [(7, 9), (1000, 10), (_LANES - 1, 3), (_LANES + 1, 4), (5000, 6)])
+def test_blocked_kernel_bit_identical_on_batches(m, n):
+    from freezing_dyson.stochastic import ble_tridiagonal_batch, gbe_tridiagonal_batch
+
+    rng = np.random.default_rng(m + n)
+    batches = [
+        (rng.normal(0, 2, (m, n)), rng.uniform(0.01, 3.0, (m, n - 1))),
+        gbe_tridiagonal_batch(1e4, n, m, rng),
+        ble_tridiagonal_batch(2.0, 1.5, n, m, rng),
+    ]
+    for d, o in batches:
+        assert np.array_equal(eigen_tridiag_batch(d, o), per_index_bisection(d, o))
+
+
+def test_blocked_kernel_stops_each_index_on_its_own():
+    # the two indices of this matrix converge one bisection step apart, so
+    # bisecting the first one step further would change its last bits
+    d = np.array([[-0.2776536712672873, -1.4659673863823872]])
+    o = np.array([[1.4147733840768866]])
+    assert np.array_equal(eigen_tridiag_batch(d, o), per_index_bisection(d, o))
+
+
+def test_batch_offdiag_shape_checked():
+    d = np.zeros((3, 4))
+    with pytest.raises(DimensionMismatch):
+        eigen_tridiag_batch(d, np.ones((1, 3)))  # would broadcast over the batch
+    with pytest.raises(DimensionMismatch):
+        eigen_tridiag_batch(d, np.ones((3, 4)))
+    with pytest.raises(DimensionMismatch):
+        eigen_tridiag_batch(d[:, :1], np.ones((3, 1)))
+    assert eigen_tridiag_batch(d[:, :1], np.empty((3, 0))).shape == (3, 1)
+
+
+_jacobi = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n),
+        st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jacobi, st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=30))
+def test_sturm_count_monotone_in_x(jac, xs):
+    d, o = np.array(jac[0])[:, None, None], np.array(jac[1])[:, None, None] ** 2
+    x = np.sort(np.array(xs))[None, :]
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(o, initial=0.0)))
+    counts = _count_below(d, o, x, pivmin)[0]
+    assert np.all(np.diff(counts.astype(int)) >= 0)
+    assert counts[0] >= 0 and counts[-1] <= len(jac[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jacobi)
+def test_eigenvalues_match_eigvalsh(jac):
+    j = JacobiMatrix(tuple(jac[0]), tuple(jac[1]))
+    got = eigen_tridiag(j).as_array()
+    expect = np.linalg.eigvalsh(j.dense())
+    scale = max(1.0, float(np.max(np.abs(expect))))
+    assert np.all(np.abs(got - expect) <= 1e-12 * scale)
+
+
+def test_classical_zero_caches():
+    assert hermite_zeros(7) == eigen_tridiag(hermite_jacobi(7))
+    hits = hermite_zeros.cache_info().hits
+    assert hermite_zeros(7) is hermite_zeros(7)
+    assert hermite_zeros.cache_info().hits == hits + 2
+    assert laguerre_zeros(5, 0.75) == eigen_tridiag(laguerre_jacobi(5, 0.75))
+    hits = laguerre_zeros.cache_info().hits
+    laguerre_zeros(5, 0.75)
+    assert laguerre_zeros.cache_info().hits == hits + 1
+
+
+def test_cached_zeros_not_aliased_by_callers():
+    first = hermite_roots(6, 1.0).as_array()
+    expect = first.copy()
+    first[:] = 0.0
+    assert np.array_equal(hermite_roots(6, 1.0).as_array(), expect)
+    first = laguerre_roots(6, 1.25, 1.0).as_array()
+    expect = first.copy()
+    first *= 2.0
+    assert np.array_equal(laguerre_roots(6, 1.25, 1.0).as_array(), expect)

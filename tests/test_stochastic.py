@@ -196,6 +196,20 @@ def test_step_unstable_raises():
         simulate_dyson(cfg)
 
 
+def test_nan_state_raises_step_unstable(monkeypatch):
+    from freezing_dyson import stochastic
+
+    def nan_drift(lam, *args):
+        return np.full_like(lam, np.nan), 0
+
+    monkeypatch.setattr(stochastic, "_drift_dyson", nan_drift)
+    monkeypatch.setattr(stochastic, "_drift_laguerre", nan_drift)
+    with pytest.raises(StepUnstable):
+        simulate_dyson(make_cfg())
+    with pytest.raises(StepUnstable):
+        simulate_laguerre(make_cfg(alpha=1.0, initial=RootTuple((0.5, 1.0, 2.0))))
+
+
 def test_ek_means_track_gk_quickly():
     # cheap version of the drift law: N=3, one beta, two record times
     from freezing_dyson.dynamics import gaussian_gk

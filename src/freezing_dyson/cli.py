@@ -205,7 +205,7 @@ def cmd_simulate(args) -> int:
     else:
         raise InvalidParameter(f"unknown kind {args.kind!r}")
     config = _resolved(
-        args, ["kind", "n", "beta", "t", "dt", "paths", "seed", "alpha", "format"]
+        args, ["kind", "n", "beta", "t", "dt", "paths", "seed", "alpha"]
     )
     config["record"] = list(cfg.record_times)
     # particle CSV: one recorded tuple per row, keyed by time and path
@@ -239,9 +239,7 @@ def cmd_simulate(args) -> int:
 def cmd_clt(args) -> int:
     _require(args, ["kind", "n", "beta", "samples", "seed"])
     mode = args.mode or "static"
-    config = _resolved(
-        args, ["kind", "n", "beta", "samples", "seed", "alpha", "mode", "format"]
-    )
+    config = _resolved(args, ["kind", "n", "beta", "samples", "seed", "alpha", "mode"])
     config["mode"] = mode
     if mode == "static":
         if args.kind == "gaussian":
@@ -303,9 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=True):
         p.add_argument("--out", default=None, help="output path ('-' for stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
+        if formats:
+            p.add_argument("--format", choices=["csv", "json"], default=None)
         p.add_argument("--config", default=None, help="JSON config file; flags override")
 
     p = sub.add_parser("zeros", help="classical polynomial zeros")
@@ -343,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--record", default=None, help="comma-separated record times")
     p.add_argument("--initial", default=None, help="CSV file; default all zeros")
-    common(p)
+    common(p, formats=False)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("clt", help="fluctuation covariance reports")
@@ -354,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
-    common(p)
+    common(p, formats=False)
     p.set_defaults(func=cmd_clt)
 
     p = sub.add_parser("moments", help="scale-free moment recursion")
@@ -385,7 +384,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args)
-        if args.format is None:
+        if getattr(args, "format", "csv") is None:
             args.format = "csv"
         return args.func(args)
     except (InvalidParameter, DimensionMismatch, FileNotFoundError, json.JSONDecodeError) as exc:

@@ -16,6 +16,7 @@ import numpy as np
 from .elemsym import MonicPolynomial, RootTuple, elementary_symmetric, roots_of_monic
 from .errors import InvalidParameter, NotSymmetric
 from .finfree import boxplus, hermite_roots, laguerre_roots
+from .orthopoly import _antiderivative
 
 __all__ = [
     "GkTrajectory",
@@ -31,14 +32,6 @@ __all__ = [
 
 GAUSSIAN = "gaussian"
 LAGUERRE = "laguerre"
-
-
-def _integrate(coeffs) -> np.ndarray:
-    """Antiderivative with zero constant term, ascending coefficients."""
-    c = np.asarray(coeffs, dtype=float)
-    out = np.zeros(len(c) + 1)
-    out[1:] = c / np.arange(1, len(c) + 1)
-    return out
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,7 @@ def gaussian_gk(initial: RootTuple) -> GkTrajectory:
     polys = [np.array([1.0]), np.array([e[1]])]
     for k in range(2, n + 1):
         rate = (n - k + 1) * (n - k + 2) / 2.0
-        integ = _integrate(polys[k - 2])
+        integ = _antiderivative(polys[k - 2])
         poly = -rate * integ
         poly[0] = e[k]
         polys.append(poly)
@@ -93,7 +86,7 @@ def laguerre_gk(initial: RootTuple, alpha: float) -> GkTrajectory:
     polys = [np.array([1.0])]
     for k in range(1, n + 1):
         rate = (n - k + 1) * (n - k + alpha)
-        poly = rate * _integrate(polys[k - 1])
+        poly = rate * _antiderivative(polys[k - 1])
         poly[0] = e[k]
         polys.append(poly)
     return GkTrajectory(tuple(tuple(p) for p in polys), LAGUERRE, initial, alpha)

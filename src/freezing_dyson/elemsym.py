@@ -7,6 +7,7 @@ elementary symmetric coefficients (:class:`MonicPolynomial`), which is the
 coordinate system in which the convolution and the limit dynamics are linear.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,25 +26,13 @@ __all__ = [
 ]
 
 
-def esp_values(values) -> np.ndarray:
-    """All elementary symmetric values ``(e_0, ..., e_n)`` of ``values``.
+def esp_rows(rows: np.ndarray) -> np.ndarray:
+    """Row-wise elementary symmetric values of an ``(M, n)`` array -> ``(M, n+1)``.
 
     Uses the stable incremental product recurrence (multiplying out
     ``prod_i (1 + x_i s)`` coefficient by coefficient), never subset
-    enumeration.  Accepts real or complex input.
+    enumeration.
     """
-    vals = np.asarray(values)
-    dtype = complex if np.iscomplexobj(vals) else float
-    e = np.zeros(len(vals) + 1, dtype=dtype)
-    e[0] = 1.0
-    for x in vals:
-        # RHS is evaluated before assignment, so the old e values are used.
-        e[1:] = e[1:] + x * e[:-1]
-    return e
-
-
-def esp_rows(rows: np.ndarray) -> np.ndarray:
-    """Row-wise elementary symmetric values of an ``(M, n)`` array -> ``(M, n+1)``."""
     rows = np.asarray(rows, dtype=float)
     m, n = rows.shape
     e = np.zeros((m, n + 1))
@@ -63,6 +52,8 @@ class RootTuple:
         roots = tuple(float(r) for r in self.roots)
         if len(roots) < 1:
             raise InvalidParameter("a root tuple needs at least one entry")
+        if not all(math.isfinite(r) for r in roots):
+            raise InvalidParameter("root tuple entries must be finite")
         if any(a > b for a, b in zip(roots, roots[1:])):
             raise InvalidParameter("root tuple entries must be sorted ascending")
         object.__setattr__(self, "roots", roots)
@@ -108,7 +99,7 @@ class MonicPolynomial:
 
     @classmethod
     def from_roots(cls, x: RootTuple) -> "MonicPolynomial":
-        return cls(tuple(esp_values(x.as_array())))
+        return cls(tuple(esp_rows(x.as_array()[None, :])[0]))
 
     @property
     def degree(self) -> int:
@@ -125,7 +116,7 @@ class MonicPolynomial:
 
 def elementary_symmetric(x: RootTuple) -> np.ndarray:
     """``(e_0, ..., e_N)`` of the tuple, with ``e_0 = 1``."""
-    return esp_values(x.as_array())
+    return esp_rows(x.as_array()[None, :])[0]
 
 
 def partial_esp(i: int, k: int, x: RootTuple) -> float:
@@ -141,7 +132,7 @@ def partial_esp(i: int, k: int, x: RootTuple) -> float:
         raise InvalidParameter(f"order {k} out of range 1..{n}")
     reduced = x.as_array()
     reduced = np.delete(reduced, i - 1)
-    return float(esp_values(reduced)[k - 1].real)
+    return float(esp_rows(reduced[None, :])[0, k - 1])
 
 
 def newton_esp_from_power_sums(powersums: Sequence, n: int) -> np.ndarray:

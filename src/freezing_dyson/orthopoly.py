@@ -308,6 +308,29 @@ def spectral_measure(j: JacobiMatrix, tol: float = 1e-14) -> SpectralMeasure:
     return SpectralMeasure(atoms, tuple(weights))
 
 
+def _cd_values(j: JacobiMatrix, atoms: RootTuple | None):
+    """Orthonormal ``(ptilde_(n-1), ptilde_n')`` at the atoms (default: the
+    spectrum of j), with the ``b_n := 1`` bookkeeping for the last step.
+
+    For n = 1 both are exactly 1, so both weight formulas give weight 1.
+    """
+    if atoms is None:
+        atoms = eigen_tridiag(j)
+    x = atoms.as_array()
+    a = np.asarray(j.diag)
+    b = np.concatenate([np.asarray(j.offdiag), [1.0]])
+    p_prev = np.zeros_like(x)
+    p_cur = np.ones_like(x)
+    d_prev = np.zeros_like(x)
+    d_cur = np.zeros_like(x)
+    for m in range(j.n):
+        p_nxt = ((x - a[m]) * p_cur - (b[m - 1] * p_prev if m >= 1 else 0.0)) / b[m]
+        d_nxt = (p_cur + (x - a[m]) * d_cur - (b[m - 1] * d_prev if m >= 1 else 0.0)) / b[m]
+        p_prev, p_cur = p_cur, p_nxt
+        d_prev, d_cur = d_cur, d_nxt
+    return p_prev, d_cur
+
+
 def christoffel_darboux_weights(j: JacobiMatrix, atoms: RootTuple | None = None) -> np.ndarray:
     """Spectral weights via the Christoffel-Darboux form
     ``w_i = h_(n-1) / (p_(n-1)(lambda_i) p_n'(lambda_i))``.
@@ -317,24 +340,8 @@ def christoffel_darboux_weights(j: JacobiMatrix, atoms: RootTuple | None = None)
     ``w_i = 1 / (ptilde_(n-1)(lambda_i) ptilde_n'(lambda_i))``; monic values
     grow like ``lambda^n`` and would lose the small weights to cancellation.
     """
-    if atoms is None:
-        atoms = eigen_tridiag(j)
-    x = atoms.as_array()
-    a = np.asarray(j.diag)
-    b = np.concatenate([np.asarray(j.offdiag), [1.0]])
-    n = j.n
-    if n == 1:
-        return np.ones(1)
-    p_prev = np.zeros_like(x)
-    p_cur = np.ones_like(x)
-    d_prev = np.zeros_like(x)
-    d_cur = np.zeros_like(x)
-    for m in range(n):
-        p_nxt = ((x - a[m]) * p_cur - (b[m - 1] * p_prev if m >= 1 else 0.0)) / b[m]
-        d_nxt = (p_cur + (x - a[m]) * d_cur - (b[m - 1] * d_prev if m >= 1 else 0.0)) / b[m]
-        p_prev, p_cur = p_cur, p_nxt
-        d_prev, d_cur = d_cur, d_nxt
-    return 1.0 / (p_prev * d_cur)
+    p, dp = _cd_values(j, atoms)
+    return 1.0 / (p * dp)
 
 
 def dual_spectral_weights_cd(j: JacobiMatrix, atoms: RootTuple | None = None) -> np.ndarray:
@@ -347,24 +354,8 @@ def dual_spectral_weights_cd(j: JacobiMatrix, atoms: RootTuple | None = None) ->
     small primal weights.  Evaluated through the orthonormal recurrence
     (``w*_i = ptilde_(n-1) / ptilde_n'`` with the ``b_n := 1`` bookkeeping).
     """
-    if atoms is None:
-        atoms = eigen_tridiag(j)
-    x = atoms.as_array()
-    a = np.asarray(j.diag)
-    b = np.concatenate([np.asarray(j.offdiag), [1.0]])
-    n = j.n
-    if n == 1:
-        return np.ones(1)
-    p_prev = np.zeros_like(x)
-    p_cur = np.ones_like(x)
-    d_prev = np.zeros_like(x)
-    d_cur = np.zeros_like(x)
-    for m in range(n):
-        p_nxt = ((x - a[m]) * p_cur - (b[m - 1] * p_prev if m >= 1 else 0.0)) / b[m]
-        d_nxt = (p_cur + (x - a[m]) * d_cur - (b[m - 1] * d_prev if m >= 1 else 0.0)) / b[m]
-        p_prev, p_cur = p_cur, p_nxt
-        d_prev, d_cur = d_cur, d_nxt
-    return p_prev / d_cur
+    p, dp = _cd_values(j, atoms)
+    return p / dp
 
 
 @dataclass(frozen=True)
@@ -459,8 +450,14 @@ def primitive(sys: OrthogonalSystem, m: int, orthonormal: bool = False) -> np.nd
     coeffs = sys.coefficients(m)
     if orthonormal:
         coeffs = coeffs / math.sqrt(sys.squared_norms[m])
-    out = np.zeros(len(coeffs) + 1)
-    out[1:] = coeffs / np.arange(1, len(coeffs) + 1)
+    return _antiderivative(coeffs)
+
+
+def _antiderivative(coeffs) -> np.ndarray:
+    """Antiderivative with zero constant term, ascending coefficients."""
+    c = np.asarray(coeffs, dtype=float)
+    out = np.zeros(len(c) + 1)
+    out[1:] = c / np.arange(1, len(c) + 1)
     return out
 
 

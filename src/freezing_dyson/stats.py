@@ -27,7 +27,7 @@ from .orthopoly import (
     primitive,
     scaled_primitive,
 )
-from .stochastic import PathEnsemble, sample_ble_batch, sample_gbe_batch
+from .stochastic import DYSON, PathEnsemble, sample_ble_batch, sample_gbe_batch
 
 __all__ = [
     "CovarianceReport",
@@ -302,7 +302,7 @@ def ek_drift_report(ensemble: PathEnsemble, bias_factor: float = 5.0) -> EkDrift
     check of both simulators.
     """
     cfg = ensemble.config
-    if ensemble.kind == "dyson":
+    if ensemble.kind == DYSON:
         traj = gaussian_gk(cfg.initial)
     else:
         traj = laguerre_gk(cfg.initial, cfg.alpha)
@@ -349,7 +349,7 @@ def process_clt_check(ensemble: PathEnsemble, max_order: int) -> ProcessCltRepor
     ``Qtilde_n(t, x) = t^((n+1)/2) Q_n(x / sqrt(t))``.
     """
     cfg = ensemble.config
-    if ensemble.kind != "dyson":
+    if ensemble.kind != DYSON:
         raise InvalidParameter("process-level statistics are defined for the Dyson engine")
     if any(abs(v) > 0.0 for v in cfg.initial.roots):
         raise InvalidParameter("process-level statistics assume the zero initial condition")

@@ -11,13 +11,10 @@ ensemble metadata.
 
 Randomness is organized as counter-based per-path streams: path p draws its
 entire noise panel from a generator seeded by ``SeedSequence(seed).spawn(p)``,
-so results are bit-identical no matter how paths are blocked or how many
-worker threads run.
+so results are bit-identical no matter how paths are blocked.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +56,10 @@ class SimConfig:
     alpha: float | None = None
 
     def __post_init__(self):
+        rec = tuple(float(t) for t in self.record_times)
+        alpha = () if self.alpha is None else (self.alpha,)
+        if not all(math.isfinite(v) for v in (self.beta, self.dt, self.t_end, *alpha, *rec)):
+            raise InvalidParameter("beta, dt, t_end, alpha and record_times must be finite")
         if self.beta < 1.0:
             raise InvalidParameter("SDE simulation needs beta >= 1")
         if self.n < 1 or self.initial.n != self.n:
@@ -69,7 +70,6 @@ class SimConfig:
             raise InvalidParameter("paths must be >= 1")
         if self.t_end < 0.0:
             raise InvalidParameter("t_end must be >= 0")
-        rec = tuple(float(t) for t in self.record_times)
         if not rec:
             rec = (self.t_end,)
         if any(b < a for a, b in zip(rec, rec[1:])):
@@ -103,18 +103,6 @@ class PathEnsemble:
 
     def records(self, path: int, slot: int) -> RootTuple:
         return RootTuple(tuple(self.data[path, slot]))
-
-
-def _worker_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("FREEZING_DYSON_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InvalidParameter(f"FREEZING_DYSON_THREADS is not an integer: {env!r}")
-    return 1
 
 
 def _block_size(paths: int, n_steps: int, n: int) -> int:
@@ -154,7 +142,7 @@ def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
     """Simulate paths [lo, hi); returns (data block, clamp count).
 
     Each path draws its full noise panel in one call from its own generator,
-    making the block decomposition and thread count immaterial to the output.
+    making the block decomposition immaterial to the output.
     """
     n, dt = cfg.n, cfg.dt
     n_steps = cfg.n_steps
@@ -198,35 +186,30 @@ def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
     return out, clamp_total
 
 
-def _simulate(cfg: SimConfig, kind: str, threads: int | None) -> PathEnsemble:
+def _simulate(cfg: SimConfig, kind: str) -> PathEnsemble:
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.paths)
     block = _block_size(cfg.paths, cfg.n_steps, cfg.n)
-    ranges = [(lo, min(lo + block, cfg.paths)) for lo in range(0, cfg.paths, block)]
-    workers = _worker_count(threads)
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda r: _simulate_block(cfg, kind, children, *r), ranges)
-            )
-    else:
-        results = [_simulate_block(cfg, kind, children, lo, hi) for lo, hi in ranges]
+    results = [
+        _simulate_block(cfg, kind, children, lo, min(lo + block, cfg.paths))
+        for lo in range(0, cfg.paths, block)
+    ]
     data = np.concatenate([r[0] for r in results], axis=0)
     clamps = sum(r[1] for r in results)
     return PathEnsemble(data, cfg, kind, clamps)
 
 
-def simulate_dyson(cfg: SimConfig, threads: int | None = None) -> PathEnsemble:
+def simulate_dyson(cfg: SimConfig) -> PathEnsemble:
     """Euler-Maruyama paths of the beta Dyson system
     ``d lambda_i = sqrt(2/beta) db_i + sum_(j != i) dt / (lambda_i - lambda_j)``.
 
     Tuples are re-sorted after every step; output is deterministic in
-    (config, seed) regardless of thread count.  Raises
+    (config, seed).  Raises
     :class:`StepUnstable` if any coordinate passes 1e8 in magnitude or becomes NaN.
     """
-    return _simulate(cfg, DYSON, threads)
+    return _simulate(cfg, DYSON)
 
 
-def simulate_laguerre(cfg: SimConfig, threads: int | None = None) -> PathEnsemble:
+def simulate_laguerre(cfg: SimConfig) -> PathEnsemble:
     """Euler-Maruyama paths of the beta Laguerre system
     ``d lambda_i = (2/sqrt(beta)) sqrt(lambda_i) db_i + alpha dt
     + sum_(j != i) 2 lambda_i dt / (lambda_i - lambda_j)``.
@@ -238,7 +221,7 @@ def simulate_laguerre(cfg: SimConfig, threads: int | None = None) -> PathEnsembl
         raise InvalidParameter("Laguerre simulation needs alpha > 0")
     if cfg.initial.roots[0] < 0.0:
         raise InvalidParameter("Laguerre initial data must be nonnegative")
-    return _simulate(cfg, LAGUERRE, threads)
+    return _simulate(cfg, LAGUERRE)
 
 
 def chi_sample(k_dof: float, rng: np.random.Generator) -> float:

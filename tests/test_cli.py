@@ -59,6 +59,17 @@ def test_convolve_files(tmp_path, capsys):
     assert np.allclose(vals, [-math.sqrt(2), math.sqrt(2)], atol=1e-12)
 
 
+def test_convolve_non_finite_tuple_exit_2(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    b.write_text("-1,1\n")
+    for row in ("nan,1\n", "-1,inf\n"):
+        a.write_text(row)
+        code, _, err = run_cli(["convolve", "--a", str(a), "--b", str(b)], capsys)
+        assert code == 2
+        assert "finite" in err
+
+
 def test_convolve_zero_tuple_identity(tmp_path, capsys):
     a = tmp_path / "a.csv"
     z = tmp_path / "z.csv"
@@ -219,3 +230,41 @@ def test_nan_sde_state_exit_3(monkeypatch, capsys):
     )
     assert code == 3
     assert "numerical failure" in err
+
+
+SIMULATE_ARGV = [
+    "simulate", "--kind", "dyson", "--n", "2", "--beta", "2", "--t", "0.01",
+    "--dt", "0.001", "--paths", "2", "--seed", "1",
+]
+
+
+@pytest.mark.parametrize("flag", ["--dt", "--t", "--beta", "--alpha", "--record"])
+def test_simulate_non_finite_exit_2(flag, capsys):
+    argv = list(SIMULATE_ARGV)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = "nan"
+    else:
+        argv += [flag, "inf"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "finite" in err
+
+
+def test_simulate_and_clt_have_no_format(tmp_path, capsys):
+    clt_argv = [
+        "clt", "--kind", "gaussian", "--n", "2", "--beta", "10000",
+        "--samples", "200", "--seed", "3",
+    ]
+    for argv in (SIMULATE_ARGV, clt_argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"format": "json"}))
+        code, _, err = run_cli(argv + ["--config", str(cfgfile)], capsys)
+        assert code == 2
+        assert "unknown config key 'format'" in err
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert '"format"' not in out.read_text()  # metadata echoes no format
+    capsys.readouterr()

@@ -30,6 +30,11 @@ def test_root_tuple_invariants():
     t = RootTuple.from_values([3, -1, 2])
     assert t.roots == (-1.0, 2.0, 3.0)
     assert t.n == 3
+    for bad in [(math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (-math.inf, 0.0)]:
+        with pytest.raises(InvalidParameter):
+            RootTuple(bad)
+        with pytest.raises(InvalidParameter):
+            RootTuple.from_values(bad)
 
 
 def test_elementary_symmetric_trivial_examples():

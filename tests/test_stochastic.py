@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from freezing_dyson import stochastic
 from freezing_dyson.elemsym import RootTuple, esp_rows
 from freezing_dyson.errors import InvalidParameter, StepUnstable
 from freezing_dyson.finfree import hermite_roots, laguerre_roots
@@ -46,6 +47,12 @@ def test_sim_config_validation():
         make_cfg(record_times=(0.5, 0.25))  # unsorted
     with pytest.raises(InvalidParameter):
         make_cfg(initial=RootTuple((0.0, 1.0)))  # wrong length
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("beta", "dt", "t_end", "alpha"):
+            with pytest.raises(InvalidParameter):
+                make_cfg(**{field: bad})
+        with pytest.raises(InvalidParameter):
+            make_cfg(record_times=(0.25, bad))
 
 
 def test_zero_horizon_returns_initial():
@@ -64,27 +71,33 @@ def test_zero_horizon_returns_initial():
 
 def test_reproducible_across_thread_counts():
     cfg = make_cfg(paths=32, t_end=0.1, record_times=(0.05, 0.1))
-    a = simulate_dyson(cfg, threads=1)
-    b = simulate_dyson(cfg, threads=4)
-    assert np.array_equal(a.data, b.data)
-    assert a.clamp_events == b.clamp_events
-    c = simulate_dyson(cfg, threads=1)
+    a = simulate_dyson(cfg)
+    c = simulate_dyson(cfg)
     assert np.array_equal(a.data, c.data)
-    d = simulate_dyson(
-        make_cfg(paths=32, t_end=0.1, seed=124, record_times=(0.05, 0.1)), threads=1
-    )
+    assert a.clamp_events == c.clamp_events
+    d = simulate_dyson(make_cfg(paths=32, t_end=0.1, seed=124, record_times=(0.05, 0.1)))
     assert not np.array_equal(a.data, d.data)
 
 
-def test_thread_env_var_cap(monkeypatch):
-    cfg = make_cfg(paths=32, t_end=0.1, record_times=(0.05, 0.1))
-    base = simulate_dyson(cfg, threads=1)
-    monkeypatch.setenv("FREEZING_DYSON_THREADS", "3")
-    via_env = simulate_dyson(cfg)
-    assert np.array_equal(base.data, via_env.data)
-    monkeypatch.setenv("FREEZING_DYSON_THREADS", "nope")
-    with pytest.raises(InvalidParameter):
-        simulate_dyson(cfg)
+@pytest.mark.parametrize(
+    "sim, extra",
+    [
+        (simulate_dyson, {}),
+        (simulate_laguerre, {"alpha": 1.5, "initial": RootTuple((0.0, 0.0, 0.0))}),
+    ],
+    ids=["dyson", "laguerre"],
+)
+def test_output_invariant_to_block_count(sim, extra, monkeypatch):
+    cfg = make_cfg(paths=32, beta=1.0, t_end=0.1, record_times=(0.05, 0.1), **extra)
+    assert stochastic._block_size(cfg.paths, cfg.n_steps, cfg.n) == cfg.paths
+    one_block = sim(cfg)
+    # a budget of 10 paths' noise panels splits the 32 paths into 4 blocks
+    monkeypatch.setattr(stochastic, "_NOISE_BLOCK_BYTES", 10 * cfg.n_steps * cfg.n * 8)
+    assert stochastic._block_size(cfg.paths, cfg.n_steps, cfg.n) == 10
+    blocked = sim(cfg)
+    assert np.array_equal(one_block.data, blocked.data)
+    assert one_block.clamp_events == blocked.clamp_events
+    assert one_block.clamp_events > 0  # the clamp count is summed across blocks
 
 
 def test_recorded_tuples_are_sorted_and_laguerre_nonneg():

@@ -90,6 +90,14 @@ def _emit_tuple(args, command: str, config: dict, roots: RootTuple):
     _write_text(args.out, text)
 
 
+def _floats(tokens, source: str) -> list:
+    """Parse number tokens; a malformed one is a usage error."""
+    try:
+        return [float(tok) for tok in tokens]
+    except ValueError as exc:
+        raise InvalidParameter(f"{source}: {exc}") from None
+
+
 def read_root_tuple(path: str) -> RootTuple:
     """Read a one-row CSV root tuple; unsorted input is re-sorted with a warning."""
     with open(path, encoding="utf-8") as fh:
@@ -97,7 +105,7 @@ def read_root_tuple(path: str) -> RootTuple:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            values = [float(tok) for tok in line.split(",") if tok.strip()]
+            values = _floats((tok for tok in line.split(",") if tok.strip()), path)
             if not values:
                 continue
             if any(b < a for a, b in zip(values, values[1:])):
@@ -179,9 +187,7 @@ def cmd_limit(args) -> int:
 
 def cmd_simulate(args) -> int:
     _require(args, ["kind", "n", "beta", "t", "dt", "paths", "seed"])
-    record = (
-        tuple(float(v) for v in args.record.split(",")) if args.record else (args.t,)
-    )
+    record = tuple(_floats(args.record.split(","), "--record")) if args.record else (args.t,)
     initial = (
         read_root_tuple(args.initial)
         if args.initial
@@ -364,17 +370,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args):
+def _config_value(action: argparse.Action, key: str, value):
+    """Convert a config-file value as argparse converts its flag's text."""
+    if value is None:
+        return None
+    if action.nargs == 0:  # store_true flags
+        if not isinstance(value, bool):
+            raise InvalidParameter(f"config key {key!r} must be true or false")
+        return value
+    try:
+        value = (action.type or str)(str(value))
+    except ValueError:
+        raise InvalidParameter(f"config key {key!r}: invalid value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise InvalidParameter(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return value
+
+
+def _apply_config_file(args, parser: argparse.ArgumentParser):
     if getattr(args, "config", None) is None:
         return
     with open(args.config, encoding="utf-8") as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
         raise InvalidParameter("config file must hold a JSON object")
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subcommands.choices[args.command]._actions}
     for key, value in values.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions or not hasattr(args, attr):
             raise InvalidParameter(f"unknown config key {key!r}")
+        value = _config_value(actions[attr], key, value)
         if getattr(args, attr) is None or getattr(args, attr) is False:
             setattr(args, attr, value)
 
@@ -383,7 +409,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         if getattr(args, "format", "csv") is None:
             args.format = "csv"
         return args.func(args)

@@ -9,9 +9,20 @@ sqrt(dt) floor reproduces the exact two-particle collision solution
 one-step diffusion scale.  Clamp activations are counted and reported as
 ensemble metadata.
 
-Randomness is organized as counter-based per-path streams: path p draws its
-entire noise panel from a generator seeded by ``SeedSequence(seed).spawn(p)``,
-so results are bit-identical no matter how paths are blocked.
+Randomness is organized as per-path streams: path p owns one generator,
+seeded by child p of ``SeedSequence(seed).spawn(paths)``, and draws its noise
+from it in chunks of ``_NOISE_CHUNK_STEPS`` steps.  Successive draws continue
+one stream, so results are bit-identical however the paths are blocked and
+however long the chunks are, and a block's memory is bounded by chunk length
+times block width rather than by the horizon.
+
+Paths are integrated in blocks, lane-major: a block of b paths holds its
+state as an (n, b) array, particle by path, and its n(n-1)/2 pair gaps as
+packed rows of b lanes, so every array operation runs over contiguous rows of
+paths.  The drift sums follow the order in which numpy's pairwise summation
+adds a row of n terms, so the output equals the path-major formulation with
+``np.sum(axis=-1)`` bit for bit; the tests keep that formulation as the
+oracle.
 """
 
 import math
@@ -35,7 +46,8 @@ __all__ = [
 
 EPS_GAP = 1e-8
 STABILITY_BOUND = 1e8
-_NOISE_BLOCK_BYTES = 1 << 26  # per-block noise panel budget (64 MB)
+_NOISE_CHUNK_STEPS = 128  # steps of noise each path draws per generator call
+_BLOCK_BYTES = 1 << 26  # working-memory budget of one block of paths (64 MB)
 
 DYSON = "dyson"
 LAGUERRE = "laguerre"
@@ -43,7 +55,12 @@ LAGUERRE = "laguerre"
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Complete, reproducible description of one simulation run."""
+    """Complete, reproducible description of one simulation run.
+
+    ``t_end`` and every record time must be whole multiples of ``dt`` (to a
+    relative 1e-9), so that each recorded row is labelled with the time the
+    integration actually reached.
+    """
 
     beta: float
     n: int
@@ -76,6 +93,10 @@ class SimConfig:
             raise InvalidParameter("record_times must be sorted ascending")
         if rec[0] < 0.0 or rec[-1] > self.t_end + 1e-12:
             raise InvalidParameter("record_times must lie within [0, t_end]")
+        for t in (self.t_end, *rec):
+            steps = t / self.dt
+            if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
+                raise InvalidParameter(f"time {t:g} is not on the grid of dt = {self.dt:g}")
         object.__setattr__(self, "record_times", rec)
 
     @property
@@ -83,7 +104,7 @@ class SimConfig:
         return int(round(self.t_end / self.dt))
 
     def record_steps(self) -> list:
-        """Step indices of the record times, snapped to the dt grid."""
+        """Step indices of the record times."""
         return [min(self.n_steps, int(round(t / self.dt))) for t in self.record_times]
 
 
@@ -105,84 +126,204 @@ class PathEnsemble:
         return RootTuple(tuple(self.data[path, slot]))
 
 
+def _path_bytes(n_steps: int, n: int) -> int:
+    """Working memory of one path in a block: its noise chunk, drawn and then
+    transposed, and its share of the pair buffers."""
+    return 8 * n * (2 * min(max(n_steps, 1), _NOISE_CHUNK_STEPS) + 3 * n)
+
+
 def _block_size(paths: int, n_steps: int, n: int) -> int:
-    per_path = max(1, n_steps * n * 8)
-    return max(1, min(paths, _NOISE_BLOCK_BYTES // per_path))
+    return max(1, min(paths, _BLOCK_BYTES // _path_bytes(n_steps, n)))
 
 
-def _inverse_gaps(lam: np.ndarray, inv_sign: np.ndarray, eps_eff: float):
-    """Signed clamped inverse pair gaps ``+-1/max(|gap|, eps)``; counts clamps."""
-    d = lam[:, :, None] - lam[:, None, :]
-    ad = np.abs(d)
-    clamped = int(np.count_nonzero(ad[:, inv_sign > 0] < eps_eff))
-    np.maximum(ad, eps_eff, out=ad)
-    return inv_sign / ad, clamped
+class _PairWork:
+    """Pair index tables and reusable buffers for one block of b paths.
+
+    The pairs i > j are packed row by row into P = n(n-1)/2 rows of b lanes.
+    ``ext`` holds a packed pair quantity q, then -q, then a zero row, and one
+    ``take`` through ``expand`` lays them out as the drift terms ``terms[j, i]``
+    of particle i, with q at i > j, -q at i < j and 0.0 at i == j.
+    """
+
+    def __init__(self, n: int, b: int):
+        hi, lo = np.tril_indices(n, -1)
+        p = len(hi)
+        self.hi, self.lo = hi, lo
+        pos = np.full((n, n), 2 * p)
+        pos[hi, lo] = np.arange(p)
+        pos[lo, hi] = p + np.arange(p)
+        self.expand = pos.T.ravel()
+        self.lam_hi = np.empty((p, b))
+        self.lam_lo = np.empty((p, b))
+        self.mask = np.empty((p, b), dtype=bool)
+        self.ext = np.zeros((2 * p + 1, b))
+        self.packed, self.negated = self.ext[:p], self.ext[p : 2 * p]
+        self.terms = np.empty((n, n, b))
+
+    def expanded(self) -> np.ndarray:
+        np.negative(self.packed, out=self.negated)
+        self.ext.take(self.expand, axis=0, out=self.terms.reshape(len(self.expand), -1), mode="clip")
+        return self.terms
 
 
-def _drift_dyson(lam: np.ndarray, inv_sign: np.ndarray, eps_eff: float):
-    inv, clamped = _inverse_gaps(lam, inv_sign, eps_eff)
-    return np.sum(inv, axis=2), clamped
+def _inverse_gaps(lam: np.ndarray, eps_eff: float, work: _PairWork) -> int:
+    """Fill ``work.packed`` with ``1/max(lam_i - lam_j, eps)`` for the pairs
+    i > j of a column-sorted (n, b) state; return the number clamped.
+
+    Sorted columns make ``lam_i - lam_j`` equal to ``|lam_i - lam_j|``, so an
+    entry is the path-major term ``sign(i-j)/max(|lam_i - lam_j|, eps)`` at
+    (i, j) bit for bit, and its negation the term at (j, i): -1/x is -(1/x).
+    """
+    gap = work.packed
+    lam.take(work.hi, axis=0, out=work.lam_hi, mode="clip")
+    lam.take(work.lo, axis=0, out=work.lam_lo, mode="clip")
+    np.subtract(work.lam_hi, work.lam_lo, out=gap)
+    np.less(gap, eps_eff, out=work.mask)
+    clamped = int(np.count_nonzero(work.mask))
+    np.maximum(gap, eps_eff, out=gap)
+    np.divide(1.0, gap, out=gap)
+    return clamped
 
 
-def _drift_laguerre(lam: np.ndarray, alpha: float, inv_sign: np.ndarray, eps_eff: float):
+def _pairwise_sum(t: np.ndarray, lo: int, m: int) -> np.ndarray:
+    """Sum ``t[lo:lo+m]`` over axis 0 in the order of numpy's pairwise_sum.
+
+    That is the order in which ``np.sum(axis=-1)`` adds one contiguous row:
+    left to right below 8 terms, eight running accumulators folded as a tree
+    up to 128 terms, and halves split at a multiple of 8 above that.  numpy
+    starts its accumulators from the first terms where this starts from 0.0,
+    or the reverse, which can only change the sign of a zero sum.
+    """
+    if m < 8:
+        return np.add.reduce(t[lo : lo + m], axis=0)
+    if m <= 128:
+        stop = lo + m - m % 8
+        r = np.add.reduce(t[lo:stop].reshape(-1, 8, *t.shape[1:]), axis=0)
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        res = r[0] + r[1]
+        for j in range(stop, lo + m):
+            res += t[j]
+        return res
+    half = m // 2 - (m // 2) % 8
+    return _pairwise_sum(t, lo, half) + _pairwise_sum(t, lo + half, m - half)
+
+
+def _drift_dyson(lam: np.ndarray, eps_eff: float, work: _PairWork):
+    """Dyson repulsion ``sum_j 1/(lam_i - lam_j)`` of a column-sorted (n, b)
+    state.  Its only zero term is the +0.0 diagonal one, so the sign of zero
+    that ``_pairwise_sum`` leaves open never arises."""
+    clamped = _inverse_gaps(lam, eps_eff, work)
+    return _pairwise_sum(work.expanded(), 0, lam.shape[0]), clamped
+
+
+def _drift_laguerre(lam: np.ndarray, alpha: float, eps_eff: float, work: _PairWork):
     """Laguerre repulsion written as ``2 l_i/(l_i-l_j) = 1 + (l_i+l_j)/(l_i-l_j)``.
 
     Only the antisymmetric second part is singular, so only it sees the
     clamp; the pairwise trace drift then stays exactly 2 per pair and the
     first elementary symmetric coordinate keeps its exact drift
-    ``N (alpha + N - 1)`` even through clamped near-collisions.
+    ``N (alpha + N - 1)`` even through clamped near-collisions.  Adding
+    ``alpha + N - 1 > 0`` hides the sign of a zero pair sum.
     """
-    n = lam.shape[1]
-    inv, clamped = _inverse_gaps(lam, inv_sign, eps_eff)
-    s = lam[:, :, None] + lam[:, None, :]
-    return alpha + (n - 1) + np.sum(s * inv, axis=2), clamped
+    n = lam.shape[0]
+    clamped = _inverse_gaps(lam, eps_eff, work)
+    np.add(work.lam_hi, work.lam_lo, out=work.lam_hi)
+    np.multiply(work.lam_hi, work.packed, out=work.packed)
+    drift = _pairwise_sum(work.expanded(), 0, n)
+    drift += alpha + (n - 1)
+    return drift, clamped
+
+
+def _sort_in_bounds(frame: np.ndarray) -> bool:
+    """Sort the particles ``frame[1:-1]`` of every path column in place; False
+    if a coordinate is NaN or beyond ``STABILITY_BOUND`` in magnitude.
+
+    ``frame[0]`` and ``frame[-1]`` hold -STABILITY_BOUND and +STABILITY_BOUND,
+    so one neighbour test finds every column that is out of order, out of
+    bounds or holds a NaN (``~(a >= b)`` is true for NaN).  Only those are
+    sorted, by the row sort a path-major state uses, and NaN sorts last.
+    """
+    ok = frame[1:] >= frame[:-1]
+    if ok.all():
+        return True
+    lam = frame[1:-1]
+    cols = np.flatnonzero(~ok.all(axis=0))
+    rows = lam[:, cols].T.copy()
+    rows.sort(axis=1)
+    lam[:, cols] = rows.T
+    return rows[:, 0].min() >= -STABILITY_BOUND and rows[:, -1].max() <= STABILITY_BOUND
 
 
 def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
     """Simulate paths [lo, hi); returns (data block, clamp count).
 
-    Each path draws its full noise panel in one call from its own generator,
-    making the block decomposition immaterial to the output.
+    The state is lane-major, shape (n, b): particle by path, so every ufunc
+    runs over contiguous rows of b paths.  Each path owns one generator for
+    the whole block and draws its noise in chunks of ``_NOISE_CHUNK_STEPS``
+    steps; successive draws continue one stream, so neither the chunk length
+    nor the block decomposition changes the output.
     """
     n, dt = cfg.n, cfg.dt
     n_steps = cfg.n_steps
     record_steps = cfg.record_steps()
     b = hi - lo
-    noise = np.empty((b, n_steps, n))
-    for p in range(lo, hi):
-        gen = np.random.Generator(np.random.PCG64(children[p]))
-        noise[p - lo] = gen.standard_normal((n_steps, n))
+    gens = [np.random.Generator(np.random.PCG64(children[p])) for p in range(lo, hi)]
+    chunk = min(n_steps, _NOISE_CHUNK_STEPS)
+    drawn = np.empty((b, chunk, n))
+    noise = np.empty((chunk, n, b))
 
-    lam = np.tile(cfg.initial.as_array(), (b, 1))
-    lam.sort(axis=1)
+    frame = np.empty((n + 2, b))
+    frame[0], frame[-1] = -STABILITY_BOUND, STABILITY_BOUND
+    lam = frame[1:-1]
+    lam[:] = np.sort(cfg.initial.as_array())[:, None]
     out = np.empty((b, len(record_steps), n))
     for slot, s in enumerate(record_steps):
         if s == 0:
-            out[:, slot] = lam
-    # sign matrix by index order: +1 above the diagonal row-wise (i > j)
-    inv_sign = np.sign(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
+            out[:, slot] = lam.T
+    work = _PairWork(n, b)
+    diffusion = np.empty((n, b))
     eps_eff = max(EPS_GAP, math.sqrt(dt))
     sqdt = math.sqrt(dt)
+    dyson_scale = math.sqrt(2.0 / cfg.beta) * sqdt
+    laguerre_scale = 2.0 / math.sqrt(cfg.beta)
     clamp_total = 0
-    for step in range(n_steps):
+    step = 0
+    while step < n_steps:
+        k = min(chunk, n_steps - step)
+        for col, gen in enumerate(gens):
+            gen.standard_normal((k, n), out=drawn[col, :k])
         if kind == DYSON:
-            drift, clamped = _drift_dyson(lam, inv_sign, eps_eff)
-            lam = lam + drift * dt + math.sqrt(2.0 / cfg.beta) * sqdt * noise[:, step]
+            np.multiply(dyson_scale, drawn[:, :k].transpose(1, 2, 0), out=noise[:k])
         else:
-            drift, clamped = _drift_laguerre(lam, cfg.alpha, inv_sign, eps_eff)
-            diffusion = (2.0 / math.sqrt(cfg.beta)) * np.sqrt(np.maximum(lam, 0.0))
-            lam = lam + drift * dt + diffusion * sqdt * noise[:, step]
-            np.abs(lam, out=lam)  # reflect at the hard edge
-        clamp_total += clamped
-        lam.sort(axis=1)
-        if not np.max(np.abs(lam)) <= STABILITY_BOUND:
-            raise StepUnstable(
-                f"coordinate exceeded {STABILITY_BOUND:g} or became NaN at step {step + 1}; "
-                "dt is too large for this beta and N"
-            )
-        for slot, s in enumerate(record_steps):
-            if s == step + 1:
-                out[:, slot] = lam
+            noise[:k] = drawn[:, :k].transpose(1, 2, 0)
+        for z in noise[:k]:
+            step += 1
+            if kind == DYSON:
+                drift, clamped = _drift_dyson(lam, eps_eff, work)
+                drift *= dt
+                lam += drift
+                lam += z
+            else:
+                drift, clamped = _drift_laguerre(lam, cfg.alpha, eps_eff, work)
+                np.maximum(lam, 0.0, out=diffusion)
+                np.sqrt(diffusion, out=diffusion)
+                diffusion *= laguerre_scale
+                diffusion *= sqdt
+                diffusion *= z
+                drift *= dt
+                lam += drift
+                lam += diffusion
+                np.abs(lam, out=lam)  # reflect at the hard edge
+            clamp_total += clamped
+            if not _sort_in_bounds(frame):
+                raise StepUnstable(
+                    f"coordinate exceeded {STABILITY_BOUND:g} or became NaN at step {step}; "
+                    "dt is too large for this beta and N"
+                )
+            for slot, s in enumerate(record_steps):
+                if s == step:
+                    out[:, slot] = lam.T
     return out, clamp_total
 
 

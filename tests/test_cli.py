@@ -268,3 +268,56 @@ def test_simulate_and_clt_have_no_format(tmp_path, capsys):
         assert main(argv + ["--out", str(out)]) == 0
         assert '"format"' not in out.read_text()  # metadata echoes no format
     capsys.readouterr()
+
+
+def test_simulate_malformed_record_exit_2(capsys):
+    code, _, err = run_cli(SIMULATE_ARGV + ["--record", "0.005,abc"], capsys)
+    assert code == 2
+    assert "--record" in err and "abc" in err
+
+
+def test_convolve_malformed_tuple_exit_2(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    a.write_text("x,1\n")
+    b = tmp_path / "b.csv"
+    b.write_text("0,1\n")
+    code, _, err = run_cli(["convolve", "--a", str(a), "--b", str(b)], capsys)
+    assert code == 2
+    assert "a.csv" in err
+
+
+def test_config_values_converted_by_flag_type(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"family": "hermite", "n": "3", "t": "2"}))
+    code, out, _ = run_cli(["zeros", "--config", str(cfgfile)], capsys)
+    assert code == 0
+    assert len(body_rows(out)[0].split(",")) == 3
+    assert json.loads(out.splitlines()[0][2:])["config"]["n"] == 3
+    bad = [
+        ("zeros", {"family": "hermite", "n": "three"}),
+        ("zeros", {"family": "hermite", "n": 2.5}),
+        ("zeros", {"family": "hermite", "n": True}),
+        ("zeros", {"family": "jacobi", "n": 2}),
+        ("limit", {"kind": "gaussian", "t": 1.0, "verify_ode": "yes"}),
+    ]
+    for command, values in bad:
+        cfgfile.write_text(json.dumps(values))
+        code, _, err = run_cli([command, "--config", str(cfgfile)], capsys)
+        assert code == 2, values
+        assert "config key" in err
+
+
+@pytest.mark.parametrize(
+    "extra", [["--dt", "0.3", "--t", "1"], ["--record", "0.0005,0.01"]], ids=["t", "record"]
+)
+def test_simulate_off_grid_time_exit_2(extra, capsys):
+    argv = list(SIMULATE_ARGV)
+    for flag, value in zip(extra[::2], extra[1::2]):
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "grid" in err
+    assert out == ""

@@ -53,6 +53,14 @@ def test_sim_config_validation():
                 make_cfg(**{field: bad})
         with pytest.raises(InvalidParameter):
             make_cfg(record_times=(0.25, bad))
+    # horizons and record times off the dt grid (0.5 = 1.67 steps of 0.3)
+    with pytest.raises(InvalidParameter, match="grid"):
+        make_cfg(dt=0.3, record_times=())
+    with pytest.raises(InvalidParameter, match="grid"):
+        make_cfg(record_times=(0.2505, 0.5))
+    with pytest.raises(InvalidParameter, match="grid"):
+        make_cfg(t_end=1e10, dt=1e-300, record_times=())  # t_end / dt overflows
+    assert make_cfg(t_end=1.0, dt=0.1, record_times=(0.3, 1.0)).record_steps() == [3, 10]
 
 
 def test_zero_horizon_returns_initial():
@@ -91,8 +99,8 @@ def test_output_invariant_to_block_count(sim, extra, monkeypatch):
     cfg = make_cfg(paths=32, beta=1.0, t_end=0.1, record_times=(0.05, 0.1), **extra)
     assert stochastic._block_size(cfg.paths, cfg.n_steps, cfg.n) == cfg.paths
     one_block = sim(cfg)
-    # a budget of 10 paths' noise panels splits the 32 paths into 4 blocks
-    monkeypatch.setattr(stochastic, "_NOISE_BLOCK_BYTES", 10 * cfg.n_steps * cfg.n * 8)
+    # a budget of 10 paths' working memory splits the 32 paths into 4 blocks
+    monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 10 * stochastic._path_bytes(cfg.n_steps, cfg.n))
     assert stochastic._block_size(cfg.paths, cfg.n_steps, cfg.n) == 10
     blocked = sim(cfg)
     assert np.array_equal(one_block.data, blocked.data)
@@ -330,3 +338,132 @@ def test_sample_ble_rejects_bad_params():
     rng = np.random.default_rng(1)
     with pytest.raises(InvalidParameter):
         sample_gbe_batch(0.0, 3, 10, rng)
+
+
+def path_major_drift(lam, kind, alpha, inv_sign, eps_eff):
+    """The former path-major drift, on a (paths, n) state with the full
+    (paths, n, n) pair tensor summed by ``np.sum(axis=2)``."""
+    d = lam[:, :, None] - lam[:, None, :]
+    ad = np.abs(d)
+    clamped = int(np.count_nonzero(ad[:, inv_sign > 0] < eps_eff))
+    np.maximum(ad, eps_eff, out=ad)
+    inv = inv_sign / ad
+    if kind == stochastic.DYSON:
+        return np.sum(inv, axis=2), clamped
+    n = lam.shape[1]
+    s = lam[:, :, None] + lam[:, None, :]
+    return alpha + (n - 1) + np.sum(s * inv, axis=2), clamped
+
+
+def path_major_simulation(cfg, kind):
+    """The former engine: one noise panel per path drawn in a single call, a
+    (paths, n) state re-sorted row by row after every step.  The oracle the
+    lane-major engine must reproduce bit for bit, clamp count included."""
+    n, dt = cfg.n, cfg.dt
+    n_steps = cfg.n_steps
+    record_steps = cfg.record_steps()
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.paths)
+    noise = np.empty((cfg.paths, n_steps, n))
+    for p in range(cfg.paths):
+        gen = np.random.Generator(np.random.PCG64(children[p]))
+        noise[p] = gen.standard_normal((n_steps, n))
+    lam = np.tile(cfg.initial.as_array(), (cfg.paths, 1))
+    lam.sort(axis=1)
+    out = np.empty((cfg.paths, len(record_steps), n))
+    for slot, s in enumerate(record_steps):
+        if s == 0:
+            out[:, slot] = lam
+    inv_sign = np.sign(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
+    eps_eff = max(stochastic.EPS_GAP, math.sqrt(dt))
+    sqdt = math.sqrt(dt)
+    clamp_total = 0
+    for step in range(n_steps):
+        drift, clamped = path_major_drift(lam, kind, cfg.alpha, inv_sign, eps_eff)
+        if kind == stochastic.DYSON:
+            lam = lam + drift * dt + math.sqrt(2.0 / cfg.beta) * sqdt * noise[:, step]
+        else:
+            diffusion = (2.0 / math.sqrt(cfg.beta)) * np.sqrt(np.maximum(lam, 0.0))
+            lam = lam + drift * dt + diffusion * sqdt * noise[:, step]
+            np.abs(lam, out=lam)
+        clamp_total += clamped
+        lam.sort(axis=1)
+        assert np.max(np.abs(lam)) <= stochastic.STABILITY_BOUND
+        for slot, s in enumerate(record_steps):
+            if s == step + 1:
+                out[:, slot] = lam
+    return out, clamp_total
+
+
+def oracle_cfg(kind, n, start, t_end=0.3, record_times=(0.0, 0.1, 0.1, 0.3), paths=5):
+    """beta = 1 and dt = 1e-3: 300 steps, crossings and (from zero) clamps."""
+    if start == "zeros":
+        initial = RootTuple((0.0,) * n)
+    else:
+        spread = np.sort(np.random.default_rng(n).uniform(0.0, 0.5 * n, n))
+        initial = RootTuple(tuple(spread if kind == stochastic.LAGUERRE else spread - 0.25 * n))
+    alpha = 1.5 if kind == stochastic.LAGUERRE else None
+    return SimConfig(beta=1.0, n=n, t_end=t_end, dt=1e-3, initial=initial, seed=1000 + n,
+                     paths=paths, record_times=record_times, alpha=alpha)
+
+
+SIMULATORS = {stochastic.DYSON: simulate_dyson, stochastic.LAGUERRE: simulate_laguerre}
+
+
+def assert_matches_oracle(cfg, kind):
+    ens = SIMULATORS[kind](cfg)
+    data, clamps = path_major_simulation(cfg, kind)
+    assert np.array_equal(ens.data, data)
+    assert ens.clamp_events == clamps
+    return ens
+
+
+# 300 steps is not a multiple of the chunk length; n = 8, 9, 16, 17 and 130
+# take the accumulator tree of numpy's pairwise sum, 130 its split in halves
+@pytest.mark.parametrize("kind", [stochastic.DYSON, stochastic.LAGUERRE])
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 8, 9, 16, 17, 130])
+@pytest.mark.parametrize("start", ["spread", "zeros"])
+def test_engine_bit_identical_to_path_major_oracle(kind, n, start):
+    if n == 130:
+        cfg = oracle_cfg(kind, n, start, t_end=0.02, record_times=(0.0, 0.01, 0.01, 0.02), paths=2)
+    else:
+        cfg = oracle_cfg(kind, n, start)
+    assert cfg.n_steps % stochastic._NOISE_CHUNK_STEPS != 0
+    ens = assert_matches_oracle(cfg, kind)
+    if start == "zeros" and n > 1:
+        assert ens.clamp_events > 0
+
+
+@pytest.mark.parametrize("kind", [stochastic.DYSON, stochastic.LAGUERRE])
+@pytest.mark.parametrize("t_end", [0.0, 0.05])
+def test_engine_bit_identical_on_short_horizons(kind, t_end):
+    # no step at all, and fewer steps than one noise chunk
+    cfg = oracle_cfg(kind, 4, "zeros", t_end=t_end, record_times=(0.0, t_end, t_end))
+    assert cfg.n_steps < stochastic._NOISE_CHUNK_STEPS
+    assert_matches_oracle(cfg, kind)
+
+
+@pytest.mark.parametrize("kind", [stochastic.DYSON, stochastic.LAGUERRE])
+def test_output_invariant_to_noise_chunk_length(kind, monkeypatch):
+    cfg = oracle_cfg(kind, 5, "zeros", paths=7)
+    ref = SIMULATORS[kind](cfg)
+    for chunk in (1, 7, cfg.n_steps, cfg.n_steps + 50):
+        monkeypatch.setattr(stochastic, "_NOISE_CHUNK_STEPS", chunk)
+        ens = SIMULATORS[kind](cfg)
+        assert np.array_equal(ens.data, ref.data)
+        assert ens.clamp_events == ref.clamp_events
+
+
+@pytest.mark.parametrize("kind", [stochastic.DYSON, stochastic.LAGUERRE])
+def test_nan_in_one_middle_particle_raises_step_unstable(kind, monkeypatch):
+    # the NaN sits between finite neighbours of one path, not at a column end
+    name = "_drift_dyson" if kind == stochastic.DYSON else "_drift_laguerre"
+    real = getattr(stochastic, name)
+
+    def drift_with_nan(lam, *args):
+        drift, clamped = real(lam, *args)
+        drift[lam.shape[0] // 2, 1] = np.nan
+        return drift, clamped
+
+    monkeypatch.setattr(stochastic, name, drift_with_nan)
+    with pytest.raises(StepUnstable, match="at step 1;"):
+        SIMULATORS[kind](oracle_cfg(kind, 5, "spread"))

@@ -63,7 +63,6 @@ from .dynamics import (
 from .stochastic import (
     PathEnsemble,
     SimConfig,
-    chi_sample,
     sample_ble,
     sample_gbe,
     simulate_dyson,

@@ -3,13 +3,14 @@
 Subcommands: zeros, convolve, limit, simulate, clt, moments.  Parameters come
 from flags and/or a JSON config file (flags win); every output begins with a
 metadata block echoing the fully resolved configuration, the seed and the
-library version, so re-running with the same metadata reproduces the file
-bit-exactly.  Exit codes: 0 success, 2 usage or parameter error, 3 numerical
-failure.
+library, numpy and Python versions, so re-running with the same metadata
+reproduces the file bit-exactly.  Exit codes: 0 success, 2 usage or parameter
+error, 3 numerical failure.
 """
 
 import argparse
 import json
+import platform
 import sys
 
 import numpy as np
@@ -58,14 +59,18 @@ def _write_text(path: str | None, text: str):
 
 
 def _meta(command: str, config: dict) -> dict:
-    return {"command": command, "config": config, "version": __version__}
+    # generator streams and float formatting depend on numpy and Python
+    return {
+        "command": command,
+        "config": config,
+        "version": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
 
 
-def _csv_tuple_output(command: str, config: dict, rows) -> str:
-    lines = [f"# {json.dumps(_meta(command, config), sort_keys=True)}"]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _meta_line(command: str, config: dict) -> str:
+    return f"# {json.dumps(_meta(command, config), sort_keys=True)}"
 
 
 def _json_output(command: str, config: dict, payload: dict) -> str:
@@ -82,11 +87,12 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _emit_tuple(args, command: str, config: dict, roots: RootTuple):
+def _emit_row(args, command: str, config: dict, key: str, values):
+    """Write one row of numbers, as a CSV line or under ``key`` in JSON."""
     if args.format == "json":
-        text = _json_output(command, config, {"roots": list(roots.roots)})
+        text = _json_output(command, config, {key: list(values)})
     else:
-        text = _csv_tuple_output(command, config, [roots.roots])
+        text = _meta_line(command, config) + "\n" + ",".join(_fmt(v) for v in values) + "\n"
     _write_text(args.out, text)
 
 
@@ -130,14 +136,12 @@ def cmd_zeros(args) -> int:
     t = 1.0 if args.t is None else args.t
     if args.family == "hermite":
         roots = hermite_roots(args.n, t)
-    elif args.family == "laguerre":
+    else:
         _require(args, ["alpha"])
         roots = laguerre_roots(args.n, args.alpha, t)
-    else:
-        raise InvalidParameter(f"unknown family {args.family!r}")
     config = _resolved(args, ["family", "n", "alpha", "t", "format"])
     config["t"] = t
-    _emit_tuple(args, "zeros", config, roots)
+    _emit_row(args, "zeros", config, "roots", roots.roots)
     return 0
 
 
@@ -148,7 +152,7 @@ def cmd_convolve(args) -> int:
         raise DimensionMismatch("dimension mismatch")
     roots = boxplus(ta, tb)
     config = _resolved(args, ["a", "b", "format"])
-    _emit_tuple(args, "convolve", config, roots)
+    _emit_row(args, "convolve", config, "roots", roots.roots)
     return 0
 
 
@@ -161,7 +165,7 @@ def cmd_limit(args) -> int:
     if args.kind == "gaussian":
         closed = gaussian_limit_closed(initial, args.t)
         traj = gaussian_gk(initial)
-    elif args.kind == "laguerre":
+    else:
         _require(args, ["alpha"])
         traj = laguerre_gk(initial, args.alpha)
         try:
@@ -170,8 +174,6 @@ def cmd_limit(args) -> int:
             if args.closed_form:
                 raise
             closed = None  # fall back to the ODE route below
-    else:
-        raise InvalidParameter(f"unknown kind {args.kind!r}")
     if closed is None:
         result = limit_roots(traj, args.t)
     else:
@@ -181,7 +183,7 @@ def cmd_limit(args) -> int:
         discrepancy = float(np.max(np.abs(ode.as_array() - result.as_array())))
         print(f"max route discrepancy: {_fmt(discrepancy)}", file=sys.stderr)
         config["route_discrepancy"] = discrepancy
-    _emit_tuple(args, "limit", config, result)
+    _emit_row(args, "limit", config, "roots", result.roots)
     return 0
 
 
@@ -206,21 +208,21 @@ def cmd_simulate(args) -> int:
     )
     if args.kind == "dyson":
         ens = simulate_dyson(cfg)
-    elif args.kind == "laguerre":
-        ens = simulate_laguerre(cfg)
     else:
-        raise InvalidParameter(f"unknown kind {args.kind!r}")
+        ens = simulate_laguerre(cfg)
     config = _resolved(
         args, ["kind", "n", "beta", "t", "dt", "paths", "seed", "alpha"]
     )
     config["record"] = list(cfg.record_times)
-    # particle CSV: one recorded tuple per row, keyed by time and path
-    lines = [f"# {json.dumps(_meta('simulate', config), sort_keys=True)}"]
+    config["initial"] = list(initial.roots)
+    # particle CSV: one recorded tuple per row, keyed by time and path; the
+    # %-template formats each value as _fmt does
+    lines = [_meta_line("simulate", config)]
     lines.append("# columns: time,path," + ",".join(f"x{i+1}" for i in range(cfg.n)))
+    row = "%.17g,%d" + ",%.17g" * cfg.n
     for slot, t in enumerate(cfg.record_times):
-        for p in range(cfg.paths):
-            row = [t, p] + list(ens.data[p, slot])
-            lines.append(",".join(_fmt(v) if i != 1 else str(int(v)) for i, v in enumerate(row)))
+        for p, x in enumerate(ens.data[:, slot].tolist()):
+            lines.append(row % (t, p, *x))
     _write_text(args.out, "\n".join(lines) + "\n")
     # JSON summary: e_k means against the exact g_k(t)
     rep = ek_drift_report(ens)
@@ -244,19 +246,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_clt(args) -> int:
     _require(args, ["kind", "n", "beta", "samples", "seed"])
+    if args.kind == "laguerre":
+        _require(args, ["alpha"])
     mode = args.mode or "static"
     config = _resolved(args, ["kind", "n", "beta", "samples", "seed", "alpha", "mode"])
     config["mode"] = mode
     if mode == "static":
         if args.kind == "gaussian":
             rep = clt_covariance_gaussian(args.beta, args.n, args.samples, args.seed)
-        elif args.kind == "laguerre":
-            _require(args, ["alpha"])
+        else:
             rep = clt_covariance_laguerre(
                 args.beta, args.n, args.alpha, args.samples, args.seed
             )
-        else:
-            raise InvalidParameter(f"unknown kind {args.kind!r}")
         payload = {
             "sigma_hat": rep.sigma_hat,
             "rotated": rep.rotated,
@@ -268,10 +269,9 @@ def cmd_clt(args) -> int:
             "diag_pass": rep.diag_pass(),
             "offdiag_pass": rep.offdiag_pass(),
         }
-    elif mode == "primitive":
-        alpha = args.alpha if args.alpha is not None else 1.0
+    else:
         rep = primitive_clt_check(
-            args.beta, args.n, args.samples, args.seed, args.kind, alpha=alpha
+            args.beta, args.n, args.samples, args.seed, args.kind, alpha=args.alpha
         )
         payload = {
             "variances": rep.variances,
@@ -282,8 +282,6 @@ def cmd_clt(args) -> int:
             "variance_pass": rep.variance_pass(),
             "independence_pass": rep.independence_pass(),
         }
-    else:
-        raise InvalidParameter(f"unknown clt mode {mode!r}")
     _write_text(args.out, _json_output("clt", config, payload))
     return 0
 
@@ -292,11 +290,7 @@ def cmd_moments(args) -> int:
     _require(args, ["n", "max"])
     ms = moment_sequence(args.n, args.max)
     config = _resolved(args, ["n", "max", "format"])
-    if args.format == "json":
-        text = _json_output("moments", config, {"u": list(ms.u)})
-    else:
-        text = _csv_tuple_output("moments", config, [ms.u])
-    _write_text(args.out, text)
+    _emit_row(args, "moments", config, "u", ms.u)
     return 0
 
 

@@ -77,8 +77,8 @@ def gaussian_gk(initial: RootTuple) -> GkTrajectory:
 def laguerre_gk(initial: RootTuple, alpha: float) -> GkTrajectory:
     """Trajectories of the freezing Laguerre system:
     ``g_k' = (N-k+1)(N-k+alpha) g_(k-1)``."""
-    if alpha <= 0.0:
-        raise InvalidParameter("alpha must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise InvalidParameter("alpha must be positive and finite")
     if initial.roots[0] < 0.0:
         raise InvalidParameter("Laguerre initial data must be nonnegative")
     n = initial.n
@@ -92,12 +92,13 @@ def laguerre_gk(initial: RootTuple, alpha: float) -> GkTrajectory:
     return GkTrajectory(tuple(tuple(p) for p in polys), LAGUERRE, initial, alpha)
 
 
-def limit_roots(traj: GkTrajectory, t: float, tol: float | None = None) -> RootTuple:
+def limit_roots(traj: GkTrajectory, t: float) -> RootTuple:
     """Ordered limit positions at time t: the roots of the polynomial whose
-    signed elementary symmetric coefficients are ``g_k(t)``."""
+    signed elementary symmetric coefficients are ``g_k(t)``, found by
+    :func:`roots_of_monic` (1e-12 relative zero threshold)."""
     if t < 0.0:
         raise InvalidParameter("time must be >= 0")
-    return roots_of_monic(MonicPolynomial(tuple(traj.coefficients_at(t))), tol=tol)
+    return roots_of_monic(MonicPolynomial(tuple(traj.coefficients_at(t))))
 
 
 def gaussian_limit_closed(initial: RootTuple, t: float) -> RootTuple:

@@ -70,10 +70,6 @@ class RootTuple:
     def as_array(self) -> np.ndarray:
         return np.array(self.roots, dtype=float)
 
-    def scaled(self, factor: float) -> "RootTuple":
-        """Entrywise scaling; re-sorts when the factor is negative."""
-        return RootTuple.from_values(factor * r for r in self.roots)
-
     def shifted(self, offset: float) -> "RootTuple":
         return RootTuple(tuple(r + offset for r in self.roots))
 
@@ -239,7 +235,7 @@ def _bisect(coeffs, lo, hi, flo):
     return 0.5 * (a + b)
 
 
-def _real_roots(coeffs, rel_tol):
+def _real_roots(coeffs):
     """Roots of a real-rooted monic polynomial, by recursive derivative interlacing.
 
     Roots of the derivative (found recursively) split the line into intervals
@@ -250,9 +246,9 @@ def _real_roots(coeffs, rel_tol):
     d = len(coeffs) - 1
     if d == 1:
         return [-coeffs[1]]
-    theta = rel_tol * max(1.0, max(abs(c) for c in coeffs))
+    theta = 1e-12 * max(1.0, max(abs(c) for c in coeffs))
     deriv = [c * (d - k) / d for k, c in enumerate(coeffs[:-1])]
-    crit = _real_roots(deriv, rel_tol)
+    crit = _real_roots(deriv)
     bound = _root_bound(coeffs)
     pts = [-bound] + crit + [bound]
     fvals = [_horner(coeffs, x) for x in pts]
@@ -278,19 +274,16 @@ def _real_roots(coeffs, rel_tol):
     return roots
 
 
-def roots_of_monic(p: MonicPolynomial, tol: float | None = None) -> RootTuple:
+def roots_of_monic(p: MonicPolynomial) -> RootTuple:
     """All N real roots of a real-rooted monic polynomial, sorted ascending.
 
-    Repeated roots are returned with multiplicity.  ``tol`` is the
-    zero-detection threshold used for multiplicity reporting and for deciding
-    that a required sign change is genuinely missing; it defaults to
-    ``1e-12 * max(1, max |alpha_k|)``.  Bisection itself always refines to
-    machine precision, so each returned root is within ``tol`` of a true one.
+    Repeated roots are returned with multiplicity.  The zero-detection
+    threshold, used for multiplicity reporting and for deciding that a
+    required sign change is genuinely missing, is ``1e-12`` relative to the
+    coefficient scale at every level of the derivative recursion.  Bisection
+    itself always refines to machine precision.
 
     Raises :class:`NotRealRooted` when an interlacing interval carries no sign
-    change and neither endpoint is a root within ``tol``.
+    change and neither endpoint is a root within that threshold.
     """
-    coeffs = [float(c) for c in p.monomial_coefficients()]
-    scale = max(1.0, max(abs(c) for c in coeffs))
-    rel_tol = 1e-12 if tol is None else tol / scale
-    return RootTuple(tuple(_real_roots(coeffs, rel_tol)))
+    return RootTuple(tuple(_real_roots([float(c) for c in p.monomial_coefficients()])))

@@ -74,16 +74,16 @@ def convolve_esp(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
     return out
 
 
-def boxplus(a: RootTuple, b: RootTuple, tol: float | None = None) -> RootTuple:
+def boxplus(a: RootTuple, b: RootTuple) -> RootTuple:
     """Finite free convolution of two N-tuples, sorted ascending.
 
     Computed entirely in elementary symmetric coordinates; roots are recovered
-    once at the end.  ``tol`` is passed through to the root solver.
+    once at the end by :func:`roots_of_monic`.
     """
     if a.n != b.n:
         raise DimensionMismatch(f"tuple sizes differ: {a.n} vs {b.n}")
     ec = convolve_esp(elementary_symmetric(a), elementary_symmetric(b))
-    return roots_of_monic(MonicPolynomial(tuple(ec)), tol=tol)
+    return roots_of_monic(MonicPolynomial(tuple(ec)))
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def fff_invert(op: FFFOperator) -> MonicPolynomial:
     return MonicPolynomial(alpha)
 
 
-def fff_product_convolution(a: RootTuple, b: RootTuple, tol: float | None = None) -> RootTuple:
+def fff_product_convolution(a: RootTuple, b: RootTuple) -> RootTuple:
     """Finite free convolution via truncated operator multiplication.
 
     Independent of :func:`boxplus` (different arithmetic path); the two must
@@ -156,7 +156,7 @@ def fff_product_convolution(a: RootTuple, b: RootTuple, tol: float | None = None
     if a.n != b.n:
         raise DimensionMismatch(f"tuple sizes differ: {a.n} vs {b.n}")
     op = fff(MonicPolynomial.from_roots(a)).multiply(fff(MonicPolynomial.from_roots(b)))
-    return roots_of_monic(fff_invert(op), tol=tol)
+    return roots_of_monic(fff_invert(op))
 
 
 def hermite_roots(n: int, t: float) -> RootTuple:
@@ -210,29 +210,30 @@ class MKLift:
         return np.array([np.sum(sv**k) for k in range(1, self.n + 1)])
 
 
-def _durand_kerner(coeffs_desc, tol, max_iter=500, restarts=5):
+def _durand_kerner(coeffs_desc):
     """All complex roots of a monic polynomial by simultaneous iteration.
 
-    Converges when the largest per-root step drops below tol, or when every
-    residual |p(z_i)| sits at the float evaluation-noise floor (root clusters
-    of multiplicity m cannot be pinned tighter than (eps*scale)^(1/m) by any
-    double-precision method).  Retries with randomly perturbed starting
-    circles (deterministic generator) up to ``restarts`` times.
+    Converges when the largest per-root step drops below 1e-12 relative to
+    the starting radius, or when every residual |p(z_i)| sits at the float
+    evaluation-noise floor (root clusters of multiplicity m cannot be pinned
+    tighter than (eps*scale)^(1/m) by any double-precision method).  Runs at
+    most 500 iterations per attempt, and retries with randomly perturbed
+    starting circles (deterministic generator) up to 5 times.
     """
     c = np.asarray(coeffs_desc, dtype=complex)
     d = len(c) - 1
     radius = 1.0 + max(abs(v) for v in c[1:]) if d > 0 else 1.0
     rng = np.random.default_rng(0x5EED)
-    step_tol = tol * max(1.0, radius)
+    step_tol = 1e-12 * max(1.0, radius)
     cabs = np.abs(c)
-    for attempt in range(restarts + 1):
+    for attempt in range(6):
         if attempt == 0:
             angles = 2.0 * np.pi * (np.arange(d) + 0.25) / d
             z = radius * np.exp(1j * angles)
         else:
             angles = 2.0 * np.pi * rng.random(d)
             z = radius * rng.uniform(0.3, 1.0, d) * np.exp(1j * angles)
-        for _ in range(max_iter):
+        for _ in range(500):
             pvals = np.polyval(c, z)
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, 1.0)
@@ -246,12 +247,10 @@ def _durand_kerner(coeffs_desc, tol, max_iter=500, restarts=5):
             noise_floor = 8.0 * np.finfo(float).eps * np.polyval(cabs, np.abs(z))
             if np.all(np.abs(np.polyval(c, z)) <= noise_floor):
                 return z
-    raise NoConvergence(
-        f"simultaneous root iteration failed after {restarts + 1} attempts"
-    )
+    raise NoConvergence("simultaneous root iteration failed after 6 attempts")
 
 
-def markov_krein_lift(a: RootTuple, tol: float = 1e-12) -> MKLift:
+def markov_krein_lift(a: RootTuple) -> MKLift:
     """Complex tuple s with ``(1/N) sum_i (z - s_i)^N = prod_i (z - a_i)``.
 
     Solves ``binom(N,k) mean(s^k) = e_k(a)`` for the power sums of s, converts
@@ -263,15 +262,15 @@ def markov_krein_lift(a: RootTuple, tol: float = 1e-12) -> MKLift:
     psums = np.array([n * e[k] / math.comb(n, k) for k in range(1, n + 1)])
     es = newton_esp_from_power_sums(psums, n)
     coeffs = [(-1.0) ** k * es[k] for k in range(n + 1)]
-    roots = _durand_kerner(coeffs, tol)
+    roots = _durand_kerner(coeffs)
     order = np.lexsort((roots.imag, roots.real))
     return MKLift(tuple(roots[order]), n)
 
 
-def markov_krein_project(lift: MKLift, tol: float = 1e-8) -> RootTuple:
+def markov_krein_project(lift: MKLift) -> RootTuple:
     """Inverse of the lift: rebuild ``e_k = binom(N,k) mean(s^k)`` and solve.
 
-    Imaginary residues below ``tol`` (relative to the coefficient scale) are
+    Imaginary residues below ``1e-8`` (relative to the coefficient scale) are
     dropped; anything larger, or a non-real-rooted reconstruction, raises
     :class:`NotRealRooted`.
     """
@@ -282,6 +281,6 @@ def markov_krein_project(lift: MKLift, tol: float = 1e-8) -> RootTuple:
     for k in range(1, n + 1):
         e[k] = math.comb(n, k) * psums[k - 1] / n
     scale = max(1.0, float(np.max(np.abs(e))))
-    if float(np.max(np.abs(e.imag))) > tol * scale:
-        raise NotRealRooted("reconstructed coefficients are not real within tol")
+    if float(np.max(np.abs(e.imag))) > 1e-8 * scale:
+        raise NotRealRooted("reconstructed coefficients are not real within 1e-8")
     return roots_of_monic(MonicPolynomial(tuple(e.real)))

@@ -99,10 +99,6 @@ class SpectralMeasure:
             raise InvalidParameter("weights must sum to 1 within 1e-10")
         object.__setattr__(self, "weights", w)
 
-    def moment(self, order: int) -> float:
-        atoms = self.atoms.as_array()
-        return float(np.sum(np.asarray(self.weights) * atoms**order))
-
 
 def hermite_jacobi(n: int) -> JacobiMatrix:
     """Finite Jacobi matrix with zero diagonal and off-diagonal sqrt(1..n-1).
@@ -196,7 +192,7 @@ def _gershgorin_bounds(diag, offdiag):
     return np.min(diag - rad, axis=1), np.max(diag + rad, axis=1)
 
 
-def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray, tol: float = 1e-14) -> np.ndarray:
+def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     """Eigenvalues of a batch of Jacobi matrices, ascending per row.
 
     ``diag`` is (M, n), ``offdiag`` is (M, n-1).  Eigenvalue indices are
@@ -204,7 +200,7 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray, tol: float = 1e-1
     step makes one Sturm count over an (M, g) array of trial points, so a
     single matrix bisects all n indices at once while a wide Monte Carlo
     batch takes one index per pass.  Index k stops once all M of its
-    intervals are within ``tol`` of the matrix scale; since each (matrix,
+    intervals are within 1e-14 of the matrix scale; since each (matrix,
     index) interval follows the same halving sequence whatever the block
     size, the result does not depend on it.
     """
@@ -219,7 +215,7 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray, tol: float = 1e-1
         return diag.copy()
     lo0, hi0 = _gershgorin_bounds(diag, offdiag)
     scale = np.maximum(np.maximum(np.abs(lo0), np.abs(hi0)), 1e-300)
-    width_tol = (np.maximum(tol, 4.0 * np.finfo(float).eps) * scale)[:, None]
+    width_tol = (1e-14 * scale)[:, None]
     diag_t = np.ascontiguousarray(diag.T)[:, :, None]
     off2_t = np.square(offdiag.T, order="C")[:, :, None]
     pivmin = _SAFMIN * max(1.0, float(np.max(off2_t)))
@@ -244,11 +240,9 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray, tol: float = 1e-1
     return out
 
 
-def eigen_tridiag(j: JacobiMatrix, tol: float = 1e-14) -> RootTuple:
-    """All eigenvalues, ascending, each within ``tol * (matrix norm)`` of exact."""
-    evals = eigen_tridiag_batch(
-        np.asarray(j.diag)[None, :], np.asarray(j.offdiag)[None, :], tol=tol
-    )[0]
+def eigen_tridiag(j: JacobiMatrix) -> RootTuple:
+    """All eigenvalues, ascending, each within ``1e-14 * (matrix norm)`` of exact."""
+    evals = eigen_tridiag_batch(np.asarray(j.diag)[None, :], np.asarray(j.offdiag)[None, :])[0]
     return RootTuple(tuple(evals))
 
 
@@ -296,10 +290,11 @@ def _orthonormal_values(j: JacobiMatrix, points: np.ndarray) -> np.ndarray:
     return vals, logcorr
 
 
-def spectral_measure(j: JacobiMatrix, tol: float = 1e-14) -> SpectralMeasure:
-    """Spectral measure of J: atoms are the eigenvalues, weights the squared
-    first eigenvector components ``w_i = 1 / sum_m ptilde_m(lambda_i)^2``."""
-    atoms = eigen_tridiag(j, tol=tol)
+def spectral_measure(j: JacobiMatrix) -> SpectralMeasure:
+    """Spectral measure of J: atoms are the eigenvalues (:func:`eigen_tridiag`,
+    to 1e-14 of the matrix norm), weights the squared first eigenvector
+    components ``w_i = 1 / sum_m ptilde_m(lambda_i)^2``."""
+    atoms = eigen_tridiag(j)
     if j.n == 1:
         return SpectralMeasure(atoms, (1.0,))
     vals, logcorr = _orthonormal_values(j, atoms.as_array())
@@ -444,13 +439,10 @@ def dual_laguerre_system(n: int, alpha: float) -> OrthogonalSystem:
     return OrthogonalSystem.from_jacobi(dual(laguerre_jacobi(n, alpha)))
 
 
-def primitive(sys: OrthogonalSystem, m: int, orthonormal: bool = False) -> np.ndarray:
-    """Antiderivative of q_m (or of the orthonormal qhat_m) with zero constant
-    term, as ascending coefficients."""
-    coeffs = sys.coefficients(m)
-    if orthonormal:
-        coeffs = coeffs / math.sqrt(sys.squared_norms[m])
-    return _antiderivative(coeffs)
+def primitive(sys: OrthogonalSystem, m: int) -> np.ndarray:
+    """Antiderivative of the monic q_m with zero constant term, as ascending
+    coefficients."""
+    return _antiderivative(sys.coefficients(m))
 
 
 def _antiderivative(coeffs) -> np.ndarray:

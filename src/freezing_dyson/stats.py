@@ -113,7 +113,7 @@ class CovarianceReport:
 
 def _covariance_report(v: np.ndarray, q: np.ndarray, beta: float, kind: str) -> CovarianceReport:
     m, n = v.shape
-    sigma = np.cov(v.T, ddof=1)
+    sigma = np.atleast_2d(np.cov(v.T, ddof=1))
     sigma = 0.5 * (sigma + sigma.T)
     rotated = q @ sigma @ q.T
     u = v @ q.T
@@ -142,8 +142,8 @@ def _covariance_report(v: np.ndarray, q: np.ndarray, beta: float, kind: str) -> 
 def clt_covariance_gaussian(beta: float, n: int, samples: int, seed: int) -> CovarianceReport:
     """Covariance of ``sqrt(beta/2) (lambda - z^H)`` over GbE samples, rotated
     by the Hermite-dual Q; the diagonal targets ``1/(n+1)``."""
-    if samples < 2:
-        raise InvalidParameter("need at least 2 samples")
+    if samples < 2 or seed < 0:
+        raise InvalidParameter("need at least 2 samples and a seed >= 0")
     rng = np.random.default_rng(seed)
     evs = sample_gbe_batch(beta, n, samples, rng)
     z = hermite_zeros(n).as_array()
@@ -156,8 +156,8 @@ def clt_covariance_laguerre(
 ) -> CovarianceReport:
     """Covariance of ``sqrt(2 beta) (sqrt(lambda) - sqrt(z))`` over Laguerre
     beta ensemble samples, rotated by the Laguerre-dual Q."""
-    if samples < 2:
-        raise InvalidParameter("need at least 2 samples")
+    if samples < 2 or seed < 0:
+        raise InvalidParameter("need at least 2 samples and a seed >= 0")
     rng = np.random.default_rng(seed)
     evs = sample_ble_batch(beta, alpha, n, samples, rng)
     z = laguerre_zeros(n, alpha).as_array()
@@ -213,6 +213,8 @@ def primitive_clt_check(
     the Laguerre zeros, targets ``(alpha + N - 1) <q_m, q_m> / (m+1)``.
     Cross-order covariances target zero.
     """
+    if samples < 2 or seed < 0:
+        raise InvalidParameter("need at least 2 samples and a seed >= 0")
     rng = np.random.default_rng(seed)
     if kind == GAUSSIAN:
         evs = sample_gbe_batch(beta, n, samples, rng)
@@ -258,9 +260,6 @@ class MomentProcessEstimate:
     times: tuple
     s_hat: np.ndarray  # (times, orders+1)
     stderr: np.ndarray
-
-    def order(self, n: int) -> np.ndarray:
-        return self.s_hat[:, n]
 
 
 def moment_process_estimate(ensemble: PathEnsemble, max_order: int) -> MomentProcessEstimate:

@@ -41,7 +41,6 @@ __all__ = [
     "simulate_laguerre",
     "sample_gbe",
     "sample_ble",
-    "chi_sample",
 ]
 
 EPS_GAP = 1e-8
@@ -83,8 +82,8 @@ class SimConfig:
             raise InvalidParameter("initial tuple must have length n >= 1")
         if self.dt <= 0.0:
             raise InvalidParameter("dt must be positive")
-        if self.paths < 1:
-            raise InvalidParameter("paths must be >= 1")
+        if self.paths < 1 or self.seed < 0:
+            raise InvalidParameter("paths must be >= 1 and seed >= 0")
         if self.t_end < 0.0:
             raise InvalidParameter("t_end must be >= 0")
         if not rec:
@@ -121,9 +120,6 @@ class PathEnsemble:
     config: SimConfig
     kind: str
     clamp_events: int
-
-    def records(self, path: int, slot: int) -> RootTuple:
-        return RootTuple(tuple(self.data[path, slot]))
 
 
 def _path_bytes(n_steps: int, n: int) -> int:
@@ -365,20 +361,13 @@ def simulate_laguerre(cfg: SimConfig) -> PathEnsemble:
     return _simulate(cfg, LAGUERRE)
 
 
-def chi_sample(k_dof: float, rng: np.random.Generator) -> float:
-    """One draw of the chi distribution with ``k_dof`` degrees of freedom.
+def _chi_matrix(dofs: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """(size, len(dofs)) chi draws, one column per degrees-of-freedom value.
 
-    Computed as the square root of a gamma(k/2, scale 2) draw; the generator's
+    Each is the square root of a gamma(k/2, scale 2) draw; the generator's
     gamma sampler is the Marsaglia-Tsang rejection method, valid for every
     positive (including non-integer) shape.
     """
-    if k_dof <= 0.0:
-        raise InvalidParameter("degrees of freedom must be positive")
-    return math.sqrt(2.0 * rng.standard_gamma(k_dof / 2.0))
-
-
-def _chi_matrix(dofs: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, len(dofs)) chi draws, one column per degrees-of-freedom value."""
     out = np.empty((size, len(dofs)))
     for j, dof in enumerate(dofs):
         out[:, j] = np.sqrt(2.0 * rng.standard_gamma(dof / 2.0, size))
@@ -397,8 +386,8 @@ def gbe_tridiagonal_batch(beta: float, n: int, size: int, rng: np.random.Generat
 
 def sample_gbe_batch(beta: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """(size, n) sorted eigenvalue samples of the Gaussian beta ensemble."""
-    if beta <= 0.0:
-        raise InvalidParameter("beta must be positive")
+    if not 0.0 < beta < math.inf or n < 1:
+        raise InvalidParameter("beta must be positive and finite, and n >= 1")
     diag, off = gbe_tridiagonal_batch(beta, n, size, rng)
     return eigen_tridiag_batch(diag, off)
 
@@ -432,8 +421,8 @@ def ble_tridiagonal_batch(beta: float, alpha: float, n: int, size: int, rng):
 
 def sample_ble_batch(beta: float, alpha: float, n: int, size: int, rng) -> np.ndarray:
     """(size, n) sorted eigenvalue samples of the beta Laguerre ensemble."""
-    if beta <= 0.0 or alpha <= 0.0:
-        raise InvalidParameter("beta and alpha must be positive")
+    if not (0.0 < beta < math.inf and 0.0 < alpha < math.inf) or n < 1:
+        raise InvalidParameter("beta and alpha must be positive and finite, and n >= 1")
     diag, off = ble_tridiagonal_batch(beta, alpha, n, size, rng)
     evs = eigen_tridiag_batch(diag, off)
     # Gram-matrix spectrum: clip the roundoff of exact zeros

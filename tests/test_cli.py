@@ -1,10 +1,17 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freezing_dyson.cli import main, read_root_tuple
+from freezing_dyson import cli
+from freezing_dyson.cli import _fmt, main, read_root_tuple
 
 
 def run_cli(argv, capsys):
@@ -187,6 +194,70 @@ def test_clt_static_json(tmp_path):
     assert doc["diag_pass"] is True
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "laguerre"])
+def test_clt_primitive_json(kind, tmp_path):
+    out = tmp_path / "clt.json"
+    argv = [
+        "clt", "--kind", kind, "--mode", "primitive", "--n", "3", "--beta", "10000",
+        "--samples", "2000", "--seed", "5", "--alpha", "2.5", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == {
+        "meta", "variances", "targets", "var_stderr", "correlations", "samples",
+        "variance_pass", "independence_pass",
+    }
+    assert doc["meta"]["config"]["mode"] == "primitive"
+    assert doc["meta"]["config"]["alpha"] == 2.5
+    assert len(doc["variances"]) == 3 and doc["samples"] == 2000
+
+
+@pytest.mark.parametrize("mode", ["static", "primitive"])
+def test_clt_laguerre_without_alpha_exit_2(mode, tmp_path, capsys):
+    out = tmp_path / "clt.json"
+    code, _, err = run_cli(
+        ["clt", "--kind", "laguerre", "--mode", mode, "--n", "3", "--beta", "10000",
+         "--samples", "200", "--seed", "5", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "--alpha" in err
+    assert not out.exists()
+
+
+def test_simulate_csv_matches_per_value_formatting(tmp_path, monkeypatch):
+    # the row template must write every value exactly as _fmt does, including
+    # signed zeros, subnormals and values that need all 17 digits
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.0 / 3.0, -0.1, 1e22, 123.0]
+    rng = np.random.default_rng(3)
+    real = cli.simulate_dyson
+    ensembles = []
+
+    def fake(cfg):
+        ens = real(cfg)
+        data = rng.choice(special, ens.data.shape) * rng.choice([1.0, np.pi], ens.data.shape)
+        data[0, 0] = rng.standard_normal(cfg.n) * 10.0 ** rng.uniform(-300, 20, cfg.n)
+        ensembles.append(dataclasses.replace(ens, data=data))
+        return ensembles[-1]
+
+    monkeypatch.setattr(cli, "simulate_dyson", fake)
+    out = tmp_path / "sim.csv"
+    argv = [
+        "simulate", "--kind", "dyson", "--n", "4", "--beta", "2", "--t", "0.1",
+        "--dt", "0.01", "--paths", "30", "--seed", "1", "--record", "0,0.05,0.1",
+        "--out", str(out),
+    ]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 0
+    data = ensembles[0].data
+    expect = [
+        ",".join([_fmt(t), str(p)] + [_fmt(v) for v in data[p, slot]])
+        for slot, t in enumerate((0.0, 0.05, 0.1))
+        for p in range(30)
+    ]
+    assert out.read_bytes().split(b"\n", 2)[2] == ("\n".join(expect) + "\n").encode()
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"family": "hermite", "n": 2, "t": 1.0}))
@@ -196,13 +267,30 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert len(vals) == 3  # flag overrides config n=2
 
 
-def test_metadata_header_echoes_resolved_config(capsys):
+def test_metadata_header_echoes_resolved_config(tmp_path, capsys):
     code, out, _ = run_cli(["zeros", "--family", "hermite", "--n", "2"], capsys)
     meta = json.loads(out.splitlines()[0][2:])
     assert meta["command"] == "zeros"
     assert meta["config"]["n"] == 2
     assert meta["config"]["t"] == 1.0
     assert meta["version"]
+    assert meta["numpy"] == np.__version__
+    assert meta["python"] == platform.python_version()
+    # simulate echoes the tuple it started from, given or default
+    init = tmp_path / "init.csv"
+    init.write_text("-0.5,0.25\n")
+    out = tmp_path / "sim.csv"
+    argv = [
+        "simulate", "--kind", "dyson", "--n", "2", "--beta", "2", "--t", "0.01",
+        "--dt", "0.001", "--paths", "2", "--seed", "1", "--out", str(out),
+    ]
+    for extra, initial in (([], [0.0, 0.0]), (["--initial", str(init)], [-0.5, 0.25])):
+        assert main(argv + extra) == 0
+        meta = json.loads(out.read_text().splitlines()[0][2:])
+        assert meta["config"]["initial"] == initial
+        assert meta["numpy"] == np.__version__
+        summary = json.loads((tmp_path / "sim.csv.summary.json").read_text())
+        assert summary["meta"]["config"]["initial"] == initial
 
 
 def test_numerical_failure_exit_3(tmp_path, capsys):
@@ -321,3 +409,92 @@ def test_simulate_off_grid_time_exit_2(extra, capsys):
     assert code == 2
     assert "grid" in err
     assert out == ""
+
+
+# The fuzz test starts from a valid run of each subcommand and replaces up to
+# three flags with values from small pools: valid, boundary, zero, negative,
+# nan, inf, non-numeric and missing (None).  Sizes stay small (n <= 12, at
+# most 50 paths or samples, at most 10 SDE steps) so each run takes
+# milliseconds.
+COUNTS = ["3", "1", "12", "0", "-2", "nan", "x", None]
+SIZES = ["2", "50", "1", "0", "-1", "inf", "x", None]
+REALS = ["1.5", "1e-300", "1e300", "0", "-1", "nan", "inf", "x", None]
+SEEDS = ["7", "0", "-1", "1e3", "x", None]
+FUZZ_FILES = {
+    "pair.csv": "-1,1\n",
+    "triple.csv": "0.5,1,2\n",
+    "zeros.csv": "0,0,0\n",
+    "nan.csv": "nan,1,2\n",
+    "word.csv": "x,1\n",
+    "empty.csv": "",
+}
+TUPLES = sorted(FUZZ_FILES) + ["missing.csv", None]
+FUZZ_RUNS = {  # subcommand: {flag: (valid value, pool)}
+    "zeros": {
+        "--family": ("laguerre", ["hermite", "jacobi", None]), "--n": ("3", COUNTS),
+        "--alpha": ("1.5", REALS), "--t": ("1.5", REALS),
+        "--format": ("json", ["csv", "xml", None]),
+    },
+    "convolve": {
+        "--a": ("pair.csv", TUPLES), "--b": ("pair.csv", TUPLES), "--format": ("json", [None]),
+    },
+    "limit": {
+        "--kind": ("laguerre", ["gaussian", "dyson", None]), "--initial": ("triple.csv", TUPLES),
+        "--t": ("1.5", REALS), "--alpha": ("3.5", REALS),
+        "--verify-ode": (True, [False]), "--closed-form": (False, [True]),
+    },
+    "moments": {"--n": ("3", COUNTS), "--max": ("4", ["60", "61", "0", "-1", "x", None])},
+    "simulate": {
+        "--kind": ("laguerre", ["dyson", None]), "--n": ("3", ["2", "12", "0", "-1", "x", None]),
+        "--beta": ("2", ["1", "0.5", "1e300", "0", "-1", "nan", "inf", "x", None]),
+        "--t": ("0.1", ["0.05", "0", "-0.1", "nan", "inf", "x", None]),
+        "--dt": ("0.01", ["0.1", "0.03", "0", "-0.01", "nan", "inf", "x", None]),
+        "--paths": ("3", SIZES), "--seed": ("7", SEEDS), "--alpha": ("1.5", REALS),
+        "--record": ("0,0.05", ["0.1,0.05", "-1", "nan", "", "x", None]),
+        "--initial": ("triple.csv", TUPLES),
+    },
+    "clt": {
+        "--kind": ("laguerre", ["gaussian", None]),
+        "--mode": ("primitive", ["static", "dynamic", None]),
+        "--n": ("3", COUNTS), "--beta": ("1e4", ["2"] + REALS[2:]), "--samples": ("50", SIZES),
+        "--seed": ("7", SEEDS), "--alpha": ("1.5", REALS),
+    },
+}
+
+
+def _fuzz_argv(draw, files):
+    command = draw(st.sampled_from(sorted(FUZZ_RUNS)))
+    flags = FUZZ_RUNS[command]
+    values = {flag: valid for flag, (valid, _) in flags.items()}
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        values[flag] = draw(st.sampled_from(flags[flag][1]))
+    argv = [command]
+    for flag, value in values.items():
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, str):
+            argv += [flag, str(files / value) if value.endswith(".csv") else value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    files = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_FILES.items():
+        (files / name).write_text(text)
+    return files
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(fuzz_files, data):
+    argv = data.draw(st.composite(_fuzz_argv)(fuzz_files), label="argv")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with np.errstate(all="ignore"):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the flag text
+                code = exc.code
+    assert code in (0, 2, 3), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

@@ -102,8 +102,9 @@ def test_laguerre_gk_ode_identity():
 
 
 def test_laguerre_gk_rejects_bad_input():
-    with pytest.raises(InvalidParameter):
-        laguerre_gk(RootTuple((0.0, 1.0)), 0.0)
+    for alpha in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidParameter):
+            laguerre_gk(RootTuple((0.0, 1.0)), alpha)
     with pytest.raises(InvalidParameter):
         laguerre_gk(RootTuple((-1.0, 1.0)), 1.0)
 

@@ -283,8 +283,6 @@ def test_primitive_examples():
     assert np.allclose(primitive(sys, 0), [0.0, 1.0])  # Q_0 = x
     assert np.allclose(primitive(sys, 1), [0.0, 0.0, 0.5])  # Q_1 = x^2/2
     assert np.allclose(primitive(sys, 2), [0.0, -3.0, 0.0, 1.0 / 3.0])  # x^3/3 - 3x
-    qhat1 = primitive(sys, 1, orthonormal=True)
-    assert np.allclose(qhat1, [0.0, 0.0, 0.5 / math.sqrt(3)])
 
 
 def test_scaled_primitive_examples():

@@ -74,6 +74,28 @@ def test_clt_covariance_laguerre_small():
     assert rep.kind == "laguerre"
 
 
+def test_clt_reports_reject_bad_samples_and_seed():
+    reports = [
+        lambda samples, seed: clt_covariance_gaussian(1e4, 3, samples, seed),
+        lambda samples, seed: clt_covariance_laguerre(1e4, 3, 1.5, samples, seed),
+        lambda samples, seed: primitive_clt_check(1e4, 3, samples, seed, "gaussian"),
+        lambda samples, seed: primitive_clt_check(1e4, 3, samples, seed, "laguerre", alpha=1.5),
+    ]
+    for report in reports:
+        for samples, seed in ((0, 1), (1, 1), (10, -1)):
+            with pytest.raises(InvalidParameter):
+                report(samples, seed)
+    with pytest.raises(InvalidParameter):
+        primitive_clt_check(1e4, 0, 10, 1, "gaussian")
+
+
+def test_clt_covariance_laguerre_single_particle():
+    rep = clt_covariance_laguerre(beta=1e4, n=1, alpha=2.0, samples=2000, seed=3)
+    assert rep.sigma_hat.shape == rep.rotated.shape == (1, 1)
+    assert rep.target_diag.tolist() == [1.0]
+    assert rep.off_diag_max == 0.0
+
+
 def test_primitive_clt_gaussian_order0_exact():
     # X_0 = sqrt(beta N / 2) * mean(lambda): exactly standard normal
     rep = primitive_clt_check(beta=100.0, n=4, samples=30000, seed=9, kind="gaussian")

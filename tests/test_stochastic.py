@@ -9,7 +9,7 @@ from freezing_dyson.errors import InvalidParameter, StepUnstable
 from freezing_dyson.finfree import hermite_roots, laguerre_roots
 from freezing_dyson.stochastic import (
     SimConfig,
-    chi_sample,
+    _chi_matrix,
     sample_ble,
     sample_ble_batch,
     sample_gbe,
@@ -41,6 +41,8 @@ def test_sim_config_validation():
         make_cfg(dt=0.0)
     with pytest.raises(InvalidParameter):
         make_cfg(paths=0)
+    with pytest.raises(InvalidParameter):
+        make_cfg(seed=-1)  # SeedSequence takes nonnegative integers only
     with pytest.raises(InvalidParameter):
         make_cfg(record_times=(0.6,))  # beyond t_end
     with pytest.raises(InvalidParameter):
@@ -260,13 +262,11 @@ def test_ek_means_track_gk_quickly():
 def test_chi_sample_moments():
     rng = np.random.default_rng(11)
     for k in (0.7, 2.0, 5.3):
-        draws = np.array([chi_sample(k, rng) for _ in range(60000)])
+        draws = _chi_matrix(np.array([k]), rng, 60000)[:, 0]
         assert np.all(draws > 0.0)
         mean_sq = np.mean(draws**2) / k
         stderr = math.sqrt(2.0 / k) / math.sqrt(len(draws))
         assert abs(mean_sq - 1.0) < max(4.0 * stderr, 0.005)
-    with pytest.raises(InvalidParameter):
-        chi_sample(0.0, rng)
 
 
 def test_chi_sample_k2_is_exponential():
@@ -274,7 +274,7 @@ def test_chi_sample_k2_is_exponential():
     # critical value 1.63/sqrt(n)
     rng = np.random.default_rng(13)
     n = 100000
-    draws = np.sort(np.array([chi_sample(2.0, rng) for _ in range(n)]) ** 2)
+    draws = np.sort(_chi_matrix(np.array([2.0]), rng, n)[:, 0] ** 2)
     cdf = 1.0 - np.exp(-draws / 2.0)
     grid = np.arange(1, n + 1) / n
     ks = max(np.max(np.abs(cdf - grid)), np.max(np.abs(cdf - (grid - 1.0 / n))))
@@ -338,6 +338,13 @@ def test_sample_ble_rejects_bad_params():
     rng = np.random.default_rng(1)
     with pytest.raises(InvalidParameter):
         sample_gbe_batch(0.0, 3, 10, rng)
+    bad = ((math.nan, 1.0, 3), (math.inf, 1.0, 3), (2.0, math.inf, 3), (2.0, 1.0, 0))
+    for beta, alpha, n in bad:
+        with pytest.raises(InvalidParameter):
+            sample_ble_batch(beta, alpha, n, 10, rng)
+        if alpha == 1.0:
+            with pytest.raises(InvalidParameter):
+                sample_gbe_batch(beta, n, 10, rng)
 
 
 def path_major_drift(lam, kind, alpha, inv_sign, eps_eff):

@@ -9,6 +9,7 @@ error, 3 numerical failure.
 """
 
 import argparse
+import functools
 import json
 import platform
 import sys
@@ -151,7 +152,8 @@ def cmd_convolve(args) -> int:
     if ta.n != tb.n:
         raise DimensionMismatch("dimension mismatch")
     roots = boxplus(ta, tb)
-    config = _resolved(args, ["a", "b", "format"])
+    config = _resolved(args, ["format"])
+    config["a"], config["b"] = list(ta.roots), list(tb.roots)
     _emit_row(args, "convolve", config, "roots", roots.roots)
     return 0
 
@@ -159,9 +161,8 @@ def cmd_convolve(args) -> int:
 def cmd_limit(args) -> int:
     _require(args, ["kind", "initial", "t"])
     initial = read_root_tuple(args.initial)
-    config = _resolved(
-        args, ["kind", "initial", "t", "alpha", "verify_ode", "closed_form", "format"]
-    )
+    config = _resolved(args, ["kind", "t", "alpha", "verify_ode", "closed_form", "format"])
+    config["initial"] = list(initial.roots)
     if args.kind == "gaussian":
         closed = gaussian_limit_closed(initial, args.t)
         traj = gaussian_gk(initial)
@@ -294,7 +295,11 @@ def cmd_moments(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once and shared by every caller in the
+    process.  ``parse_args`` returns a fresh ``Namespace`` on each call, and
+    nothing mutates the parser after it is built."""
     parser = argparse.ArgumentParser(
         prog="freezing-dyson",
         description="Finite free convolution and freezing-limit toolkit",

@@ -9,7 +9,6 @@ coordinate system in which the convolution and the limit dynamics are linear.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -169,11 +168,19 @@ def _root_bound(coeffs_desc) -> float:
 
 
 def _exact_sign(coeffs, x):
-    """Sign of the polynomial at x, evaluated in exact rational arithmetic."""
-    acc = Fraction(0)
-    fx = Fraction(x)
-    for c in coeffs:
-        acc = acc * fx + Fraction(c)
+    """Sign of the polynomial at x, evaluated exactly on Python ints.
+
+    Floats are dyadic rationals: with x = p/q and every coefficient c_k = C_k/L
+    over one power-of-two denominator L, the integer
+    ``q^d L P(x) = sum_k C_k p^(d-k) q^k`` has the sign of P(x).
+    """
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    top = max(den.bit_length() for _, den in ratios)  # L = 2**(top - 1)
+    p, q = x.as_integer_ratio()
+    qbits = q.bit_length() - 1
+    acc = 0
+    for k, (num, den) in enumerate(ratios):
+        acc = acc * p + (num << (top - den.bit_length() + qbits * k))
     return (acc > 0) - (acc < 0)
 
 
@@ -199,7 +206,7 @@ def _bisect(coeffs, lo, hi, flo):
     # Float bisection lands where the *computed* sign flips, which can sit
     # eps*E/|p'| away from the true root for ill-conditioned coefficients.
     # When that estimate exceeds the accuracy target, re-bisect with exact
-    # rational signs inside a rewidened bracket.
+    # signs inside a rewidened bracket.
     d = len(coeffs) - 1
     eval_scale = _horner([abs(c) for c in coeffs], abs(mid))
     dp = abs(_horner([c * (d - k) for k, c in enumerate(coeffs[:-1])], mid))

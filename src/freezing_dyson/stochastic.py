@@ -94,7 +94,7 @@ class SimConfig:
             raise InvalidParameter("record_times must lie within [0, t_end]")
         for t in (self.t_end, *rec):
             steps = t / self.dt
-            if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
+            if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
                 raise InvalidParameter(f"time {t:g} is not on the grid of dt = {self.dt:g}")
         object.__setattr__(self, "record_times", rec)
 
@@ -396,6 +396,8 @@ def sample_gbe(beta: float, n: int, seed: int) -> RootTuple:
     """One Gaussian beta ensemble draw: sorted eigenvalues of the tridiagonal
     model with N(0, 2)/sqrt(beta) diagonal and chi_((N-i) beta)/sqrt(beta)
     off-diagonal."""
+    if seed < 0:
+        raise InvalidParameter("seed must be >= 0")
     rng = np.random.default_rng(seed)
     evs = sample_gbe_batch(beta, n, 1, rng)[0]
     return RootTuple(tuple(evs))
@@ -431,6 +433,8 @@ def sample_ble_batch(beta: float, alpha: float, n: int, size: int, rng) -> np.nd
 
 def sample_ble(beta: float, alpha: float, n: int, seed: int) -> RootTuple:
     """One beta Laguerre ensemble draw: sorted eigenvalues of B^T B."""
+    if seed < 0:
+        raise InvalidParameter("seed must be >= 0")
     rng = np.random.default_rng(seed)
     evs = sample_ble_batch(beta, alpha, n, 1, rng)[0]
     return RootTuple(tuple(evs))

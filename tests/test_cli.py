@@ -291,6 +291,51 @@ def test_metadata_header_echoes_resolved_config(tmp_path, capsys):
         assert meta["numpy"] == np.__version__
         summary = json.loads((tmp_path / "sim.csv.summary.json").read_text())
         assert summary["meta"]["config"]["initial"] == initial
+    # limit and convolve echo the tuples they read, not the file paths
+    code, out, _ = run_cli(
+        ["limit", "--kind", "gaussian", "--initial", str(init), "--t", "0.5"], capsys
+    )
+    assert code == 0
+    assert json.loads(out.splitlines()[0][2:])["config"]["initial"] == [-0.5, 0.25]
+    code, out, _ = run_cli(
+        ["convolve", "--a", str(init), "--b", str(init), "--format", "json"], capsys
+    )
+    assert code == 0
+    config = json.loads(out)["meta"]["config"]
+    assert config["a"] == config["b"] == [-0.5, 0.25]
+
+
+def test_shared_parser_leaks_no_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+
+    def echoed(out):
+        return json.loads(out.splitlines()[0][2:])["config"]
+
+    init = tmp_path / "init.csv"
+    init.write_text("-1,1\n")
+    limit = ["limit", "--kind", "gaussian", "--initial", str(init), "--t", "0.5"]
+    code, out, _ = run_cli(limit + ["--verify-ode"], capsys)
+    assert code == 0 and echoed(out)["verify_ode"] is True
+    code, out, _ = run_cli(limit, capsys)
+    assert code == 0 and echoed(out)["verify_ode"] is False
+    assert "route_discrepancy" not in echoed(out)
+    # config-file values do not carry over to a later flags-only run
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"family": "hermite", "n": 2, "t": 2.0, "format": "json"}))
+    code, out, _ = run_cli(["zeros", "--config", str(cfgfile)], capsys)
+    assert code == 0 and json.loads(out)["meta"]["config"]["t"] == 2.0
+    code, out, _ = run_cli(["zeros", "--family", "laguerre", "--n", "3", "--alpha", "1.5"], capsys)
+    assert code == 0
+    assert echoed(out) == {"family": "laguerre", "n": 3, "alpha": 1.5, "t": 1.0, "format": "csv"}
+    # usage errors, from argparse and from a missing parameter, then a valid run
+    with pytest.raises(SystemExit) as exc:
+        main(["limit", "--kind", "dyson"])
+    assert exc.value.code == 2
+    code, _, err = run_cli(["zeros", "--family", "hermite"], capsys)
+    assert code == 2 and "--n" in err
+    code, out, _ = run_cli(["zeros", "--family", "hermite", "--n", "2"], capsys)
+    assert code == 0
+    assert echoed(out) == {"family": "hermite", "n": 2, "alpha": None, "t": 1.0, "format": "csv"}
 
 
 def test_numerical_failure_exit_3(tmp_path, capsys):
@@ -396,7 +441,9 @@ def test_config_values_converted_by_flag_type(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "extra", [["--dt", "0.3", "--t", "1"], ["--record", "0.0005,0.01"]], ids=["t", "record"]
+    "extra",
+    [["--dt", "0.3", "--t", "1"], ["--record", "0.0005,0.01"], ["--dt", "1e16", "--t", "0.1"]],
+    ids=["t", "record", "below-one-step"],
 )
 def test_simulate_off_grid_time_exit_2(extra, capsys):
     argv = list(SIMULATE_ARGV)

@@ -1,12 +1,16 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from freezing_dyson.elemsym import (
     MonicPolynomial,
     RootTuple,
+    _exact_sign,
     elementary_symmetric,
     newton_esp_from_power_sums,
     partial_esp,
@@ -230,3 +234,42 @@ def test_root_round_trip_well_conditioned_hits_spec_tolerance():
         back = roots_of_monic(MonicPolynomial.from_roots(x))
         scale = np.maximum(1.0, np.abs(vals))
         assert np.all(np.abs(back.as_array() - vals) / scale < 1e-9)
+
+
+def exact_sign_oracle(coeffs, x):
+    # independent oracle: Horner in Fraction arithmetic
+    acc = Fraction(0)
+    for c in coeffs:
+        acc = acc * Fraction(x) + Fraction(c)
+    return (acc > 0) - (acc < 0)
+
+
+@st.composite
+def sign_cases(draw):
+    """Monic float coefficients of degree 1..12, some zeroed, and a point x at
+    a root, one ulp either side of it, at 0, subnormal, or anywhere."""
+    d = draw(st.integers(1, 12))
+    # integer roots give exact zeros; other floats give cancelling sums near a root
+    root = st.integers(-6, 6).map(float) | st.floats(-8.0, 8.0)
+    roots = draw(st.lists(root, min_size=d, max_size=d))
+    coeffs = [1.0] + [float(c) for c in np.poly(roots)[1:]]
+    for k in draw(st.sets(st.integers(1, d), max_size=d)):
+        coeffs[k] = 0.0
+    r = draw(st.sampled_from(roots))
+    x = draw(
+        st.sampled_from([r, math.nextafter(r, math.inf), math.nextafter(r, -math.inf), 0.0])
+        | st.floats(-2.2e-308, 2.2e-308, allow_subnormal=True)
+        | st.floats(-1e6, 1e6)
+    )
+    return coeffs, x
+
+
+@settings(max_examples=500, deadline=None)
+@given(sign_cases())
+@example(([1.0, -3.0, 2.0], 2.0))  # exact zero
+@example(([1.0, -3.0, 2.0], 1.5))
+@example(([1.0, 0.0, 0.0, 0.0], -5e-324))  # smallest subnormal, cubed
+def test_exact_sign_matches_fraction_oracle(case):
+    coeffs, x = case
+    assert _exact_sign(coeffs, x) == exact_sign_oracle(coeffs, x)
+

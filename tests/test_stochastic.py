@@ -62,6 +62,11 @@ def test_sim_config_validation():
         make_cfg(record_times=(0.2505, 0.5))
     with pytest.raises(InvalidParameter, match="grid"):
         make_cfg(t_end=1e10, dt=1e-300, record_times=())  # t_end / dt overflows
+    # nonzero times that round to 0 steps
+    with pytest.raises(InvalidParameter, match="grid"):
+        make_cfg(t_end=0.1, dt=1e16, record_times=())
+    with pytest.raises(InvalidParameter, match="grid"):
+        make_cfg(record_times=(1e-15, 0.5))
     assert make_cfg(t_end=1.0, dt=0.1, record_times=(0.3, 1.0)).record_steps() == [3, 10]
 
 
@@ -335,6 +340,10 @@ def test_sample_ble_freezing_limit():
 def test_sample_ble_rejects_bad_params():
     with pytest.raises(InvalidParameter):
         sample_ble(2.0, 0.0, 3, seed=1)
+    with pytest.raises(InvalidParameter, match="seed"):
+        sample_ble(2.0, 1.0, 3, seed=-1)
+    with pytest.raises(InvalidParameter, match="seed"):
+        sample_gbe(2.0, 3, seed=-1)
     rng = np.random.default_rng(1)
     with pytest.raises(InvalidParameter):
         sample_gbe_batch(0.0, 3, 10, rng)

@@ -6,13 +6,14 @@ and Laguerre families enter through explicit finite Jacobi matrices whose
 spectra are the polynomial zeros; their *duals* (index-reversed matrices)
 carry the orthogonal systems used by the fluctuation statistics.
 
-Eigenvalues are computed by Sturm-sequence bisection on the sign count of the
-LDL^T pivots (the ratios of consecutive leading principal characteristic
-minors), which guarantees containment and ordering without any external
-eigensolver.  One kernel bisects many eigenvalue indices of many matrices
-together, one Sturm count per step over all of them; this is sound because
-the count is monotone in x.  The classical Hermite and Laguerre zeros are
-cached per (n, alpha), as immutable root tuples.
+Single matrices (the classical Hermite and Laguerre zeros, spectral
+measures, and the oracle the batches are tested against) are solved by
+Sturm-sequence bisection on the sign count of the LDL^T pivots (the ratios of
+consecutive leading principal characteristic minors), which guarantees
+containment and ordering; all n indices of a matrix are bisected together,
+sound because the count is monotone in x.  Monte Carlo batches use LAPACK's
+``eigvalsh``, backward stable to a small multiple of n * eps * (matrix norm).
+The classical zeros are cached per (n, alpha), as immutable root tuples.
 """
 
 import functools
@@ -44,9 +45,8 @@ __all__ = [
     "scaled_primitive",
 ]
 
-_SAFMIN = np.finfo(float).tiny
-# Trial points per bisection step: the index block width g is _LANES // M.
-_LANES = 4096
+# Float64 elements of one chunk of dense matrices in eigen_tridiag_batch (1 MB).
+_CHUNK_ELEMS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -153,24 +153,19 @@ def dual(j: JacobiMatrix) -> JacobiMatrix:
     return JacobiMatrix(j.diag[::-1], j.offdiag[::-1])
 
 
-def _count_below(diag_t, off2_t, x, pivmin):
-    """Number of eigenvalues strictly below x, per trial point.
-
-    ``diag_t`` is (n, M, 1) and ``off2_t`` (n-1, M, 1): entry i of all M
-    matrices (squared, for the off-diagonal) lies contiguously in row i.
-    ``x`` is (M, g), g trial points per matrix.  Counts negative pivots of
-    the LDL^T factorization of (J - x I); the pivots are the ratios of
-    consecutive leading principal characteristic minors.
-    """
-    q = np.subtract(diag_t[0], x)
+def _count_below(diag, off2, x, pivmin):
+    """Number of eigenvalues below each trial point x of the matrix with
+    diagonal ``diag`` and squared off-diagonal ``off2``: the count of negative
+    pivots of the LDL^T factorization of (J - x I)."""
+    q = np.subtract(diag[0], x)
     tmp = np.empty_like(q)
     neg = np.empty(q.shape, dtype=bool)
     # counts never exceed n; a narrow dtype keeps the bool adds cheap
-    count = np.zeros(q.shape, dtype=np.min_scalar_type(len(diag_t)))
-    for i in range(len(diag_t)):
+    count = np.zeros(q.shape, dtype=np.min_scalar_type(len(diag)))
+    for i in range(len(diag)):
         if i:
-            np.divide(off2_t[i - 1], q, out=tmp)
-            np.subtract(diag_t[i], x, out=q)
+            np.divide(off2[i - 1], q, out=tmp)
+            np.subtract(diag[i], x, out=q)
             np.subtract(q, tmp, out=q)
         np.abs(q, out=tmp)
         np.less(tmp, pivmin, out=neg)
@@ -180,29 +175,15 @@ def _count_below(diag_t, off2_t, x, pivmin):
     return count
 
 
-def _gershgorin_bounds(diag, offdiag):
-    """Per-matrix (lower, upper) Gershgorin bounds on the spectrum.
-
-    A function of its own so that its (M, n) temporaries are freed before
-    the bisection allocates its transposed copies.
-    """
-    rad = np.zeros(diag.shape)
-    rad[:, :-1] += np.abs(offdiag)
-    rad[:, 1:] += np.abs(offdiag)
-    return np.min(diag - rad, axis=1), np.max(diag + rad, axis=1)
-
-
 def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     """Eigenvalues of a batch of Jacobi matrices, ascending per row.
 
-    ``diag`` is (M, n), ``offdiag`` is (M, n-1).  Eigenvalue indices are
-    bisected in blocks of ``g = max(1, min(n, _LANES // M))``: each bisection
-    step makes one Sturm count over an (M, g) array of trial points, so a
-    single matrix bisects all n indices at once while a wide Monte Carlo
-    batch takes one index per pass.  Index k stops once all M of its
-    intervals are within 1e-14 of the matrix scale; since each (matrix,
-    index) interval follows the same halving sequence whatever the block
-    size, the result does not depend on it.
+    ``diag`` is (M, n), ``offdiag`` is (M, n-1).  LAPACK's ``eigvalsh`` runs
+    on dense copies built in chunks of about ``_CHUNK_ELEMS`` floats, so the
+    working memory is bounded whatever M is.  Being backward stable, each
+    eigenvalue is within a small multiple of n * eps * (matrix norm) of the
+    Sturm bisection of :func:`eigen_tridiag` (which gives the classical
+    zeros and is the tests' oracle), but not bit-identical to it.
     """
     diag = np.atleast_2d(np.asarray(diag, dtype=float))
     offdiag = np.atleast_2d(np.asarray(offdiag, dtype=float))
@@ -213,37 +194,53 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
         )
     if n == 1:
         return diag.copy()
-    lo0, hi0 = _gershgorin_bounds(diag, offdiag)
-    scale = np.maximum(np.maximum(np.abs(lo0), np.abs(hi0)), 1e-300)
-    width_tol = (1e-14 * scale)[:, None]
-    diag_t = np.ascontiguousarray(diag.T)[:, :, None]
-    off2_t = np.square(offdiag.T, order="C")[:, :, None]
-    pivmin = _SAFMIN * max(1.0, float(np.max(off2_t)))
+    step = max(1, _CHUNK_ELEMS // (n * n))
+    # eigvalsh reads only the lower triangle, so the buffer's upper part
+    # stays zero and only the two written diagonals change between chunks
+    dense = np.zeros((min(m, step), n, n))
+    i = np.arange(n)
     out = np.empty((m, n))
-    g = max(1, min(n, _LANES // m))
-    for k0 in range(0, n, g):
-        ks = np.arange(k0, min(n, k0 + g))
-        lo = np.repeat(lo0[:, None], len(ks), axis=1)
-        hi = np.repeat(hi0[:, None], len(ks), axis=1)
-        for _ in range(130):
-            mid = 0.5 * (lo + hi)
-            below = _count_below(diag_t, off2_t, mid, pivmin) <= ks
-            np.copyto(lo, mid, where=below)
-            np.copyto(hi, mid, where=~below)
-            done = np.all(hi - lo <= width_tol, axis=0)
-            if done.any():
-                out[:, ks[done]] = 0.5 * (lo[:, done] + hi[:, done])
-                ks, lo, hi = ks[~done], lo[:, ~done], hi[:, ~done]
-                if not len(ks):
-                    break
-        out[:, ks] = 0.5 * (lo + hi)
+    for s in range(0, m, step):
+        t = dense[: min(step, m - s)]
+        t[:, i, i] = diag[s : s + step]
+        t[:, i[1:], i[:-1]] = offdiag[s : s + step]
+        out[s : s + step] = np.linalg.eigvalsh(t, UPLO="L")
     return out
 
 
 def eigen_tridiag(j: JacobiMatrix) -> RootTuple:
-    """All eigenvalues, ascending, each within ``1e-14 * (matrix norm)`` of exact."""
-    evals = eigen_tridiag_batch(np.asarray(j.diag)[None, :], np.asarray(j.offdiag)[None, :])[0]
-    return RootTuple(tuple(evals))
+    """All eigenvalues, ascending, each within ``1e-14 * (matrix norm)`` of exact.
+
+    Sturm bisection of every index at once from the Gershgorin interval, one
+    count per step over n trial points; index k stops as soon as its own
+    interval is within 1e-14 of the matrix scale.
+    """
+    if j.n == 1:
+        return RootTuple(j.diag)
+    n, diag, offdiag = j.n, np.asarray(j.diag), np.asarray(j.offdiag)
+    rad = np.zeros(n)
+    rad[:-1] += np.abs(offdiag)
+    rad[1:] += np.abs(offdiag)
+    lo0, hi0 = np.min(diag - rad), np.max(diag + rad)
+    width_tol = 1e-14 * max(abs(lo0), abs(hi0), 1e-300)
+    off2 = np.square(offdiag)
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off2)))
+    out = np.empty(n)
+    ks = np.arange(n)
+    lo, hi = np.full(n, lo0), np.full(n, hi0)
+    for _ in range(130):
+        mid = 0.5 * (lo + hi)
+        below = _count_below(diag, off2, mid, pivmin) <= ks
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=~below)
+        done = hi - lo <= width_tol
+        if done.any():
+            out[ks[done]] = 0.5 * (lo[done] + hi[done])
+            ks, lo, hi = ks[~done], lo[~done], hi[~done]
+            if not len(ks):
+                break
+    out[ks] = 0.5 * (lo + hi)
+    return RootTuple(tuple(out))
 
 
 @functools.lru_cache(maxsize=128)

@@ -90,12 +90,14 @@ class SimConfig:
             rec = (self.t_end,)
         if any(b < a for a, b in zip(rec, rec[1:])):
             raise InvalidParameter("record_times must be sorted ascending")
-        if rec[0] < 0.0 or rec[-1] > self.t_end + 1e-12:
+        if rec[0] < 0.0:
             raise InvalidParameter("record_times must lie within [0, t_end]")
         for t in (self.t_end, *rec):
             steps = t / self.dt
             if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
                 raise InvalidParameter(f"time {t:g} is not on the grid of dt = {self.dt:g}")
+        if round(rec[-1] / self.dt) > self.n_steps:
+            raise InvalidParameter(f"record time {rec[-1]:g} lies beyond t_end = {self.t_end:g}")
         object.__setattr__(self, "record_times", rec)
 
     @property
@@ -104,7 +106,7 @@ class SimConfig:
 
     def record_steps(self) -> list:
         """Step indices of the record times."""
-        return [min(self.n_steps, int(round(t / self.dt))) for t in self.record_times]
+        return [int(round(t / self.dt)) for t in self.record_times]
 
 
 @dataclass(frozen=True)

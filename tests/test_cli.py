@@ -409,6 +409,17 @@ def test_simulate_malformed_record_exit_2(capsys):
     assert "--record" in err and "abc" in err
 
 
+def test_simulate_record_past_t_end_exit_2(capsys):
+    argv = [
+        "simulate", "--kind", "dyson", "--n", "2", "--beta", "2", "--t", "1e-9",
+        "--dt", "1e-12", "--paths", "2", "--seed", "1", "--record", "1.001e-9",
+    ]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "beyond t_end" in err
+    assert out == ""
+
+
 def test_convolve_malformed_tuple_exit_2(tmp_path, capsys):
     a = tmp_path / "a.csv"
     a.write_text("x,1\n")

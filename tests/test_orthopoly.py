@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from freezing_dyson.elemsym import RootTuple
 from freezing_dyson.errors import DimensionMismatch, InvalidParameter
 from freezing_dyson.finfree import hermite_roots, laguerre_roots
+from freezing_dyson.stochastic import ble_tridiagonal_batch, gbe_tridiagonal_batch
 from freezing_dyson.orthopoly import (
-    _LANES,
+    _CHUNK_ELEMS,
     JacobiMatrix,
     _count_below,
     OrthogonalSystem,
@@ -304,19 +305,15 @@ def test_orthogonal_system_index_errors():
 
 
 def per_index_bisection(diag, offdiag, tol=1e-14):
-    """The former eigensolver, one eigenvalue index at a time: the oracle the
-    blocked kernel must reproduce bit for bit."""
+    """The former eigensolver, one eigenvalue index at a time, vectorized over
+    the rows of a batch: the oracle of both eigensolvers."""
     diag = np.atleast_2d(np.asarray(diag, dtype=float))
     offdiag = np.atleast_2d(np.asarray(offdiag, dtype=float))
     m, n = diag.shape
     if n == 1:
         return diag.copy()
     off2 = offdiag**2
-    rad = np.zeros((m, n))
-    rad[:, :-1] += np.abs(offdiag)
-    rad[:, 1:] += np.abs(offdiag)
-    lo0 = np.min(diag - rad, axis=1)
-    hi0 = np.max(diag + rad, axis=1)
+    lo0, hi0 = gershgorin_bounds(diag, offdiag)
     scale = np.maximum(np.maximum(np.abs(lo0), np.abs(hi0)), 1e-300)
     width_tol = np.maximum(tol, 4.0 * np.finfo(float).eps) * scale
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off2)))
@@ -346,19 +343,94 @@ def per_index_bisection(diag, offdiag, tol=1e-14):
     return out
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 17, 40])
+def scalar_bisection(j, tol=1e-14):
+    """per_index_bisection of one matrix in Python floats: the same IEEE
+    operations in the same order, without numpy's per-call cost, so that the
+    Sturm kernel can be held bit for bit to it up to n = 80."""
+    d, b = j.diag, j.offdiag
+    n = j.n
+    if n == 1:
+        return np.array(d)
+    off2 = [v * v for v in b]
+    lo0, hi0 = (float(v[0]) for v in gershgorin_bounds(np.array([d]), np.array([b])))
+    width_tol = max(tol, 4.0 * np.finfo(float).eps) * max(abs(lo0), abs(hi0), 1e-300)
+    pivmin = float(np.finfo(float).tiny) * max(1.0, max(off2))
+
+    def count_below(x):
+        count = 0
+        for i in range(n):
+            q = d[i] - x - off2[i - 1] / q if i else d[0] - x
+            if abs(q) < pivmin:
+                q = -pivmin
+            count += q < 0.0
+        return count
+
+    out = np.empty(n)
+    for k in range(n):
+        lo, hi = lo0, hi0
+        for _ in range(130):
+            mid = 0.5 * (lo + hi)
+            if count_below(mid) <= k:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= width_tol:
+                break
+        out[k] = 0.5 * (lo + hi)
+    return out
+
+
+def gershgorin_bounds(diag, offdiag):
+    rad = np.zeros(diag.shape)
+    rad[:, :-1] += np.abs(offdiag)
+    rad[:, 1:] += np.abs(offdiag)
+    return np.min(diag - rad, axis=1), np.max(diag + rad, axis=1)
+
+
+def backward_error_bound(diag, offdiag):
+    """Per-row distance allowed between eigvalsh and bisection: the
+    bisection's own width 1e-14 s plus the eigensolver's backward error
+    8 n eps s, with s the Gershgorin scale of the matrix."""
+    lo, hi = gershgorin_bounds(diag, offdiag)
+    s = np.maximum(np.abs(lo), np.abs(hi))
+    return (1e-14 + 8 * diag.shape[1] * np.finfo(float).eps) * s
+
+
+LAGUERRE_ALPHAS = (0.3, 1.0, 1.7, 2.5)
+
+
+# eigen_tridiag, and through it the zero caches, bisects all indices of a
+# matrix together, stopping each on its own; it must reproduce the
+# one-index-at-a-time oracle bit for bit.  The numpy oracle runs at the sizes
+# it has always covered; the rest of the sweep to n = 80 uses its Python-float
+# twin, since the numpy one would take minutes there.
+@pytest.mark.parametrize("n", range(2, 81))
 def test_blocked_kernel_bit_identical_on_classical_matrices(n):
-    for j in (hermite_jacobi(n), laguerre_jacobi(n, 1.7), laguerre_jacobi(n, 0.3)):
+    cases = [(hermite_zeros(n), hermite_jacobi(n))]
+    cases += [(laguerre_zeros(n, a), laguerre_jacobi(n, a)) for a in LAGUERRE_ALPHAS]
+    for zeros, j in cases:
+        if n in (2, 3, 8, 17, 40):
+            expect = per_index_bisection(np.array([j.diag]), np.array([j.offdiag]))[0]
+        else:
+            expect = scalar_bisection(j)
+        assert np.array_equal(zeros.as_array(), expect)
+
+
+def test_scalar_oracle_is_per_index_bisection():
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 6, 11):
+        j = JacobiMatrix(tuple(rng.normal(0, 2, n)), tuple(rng.uniform(0.01, 3.0, n - 1)))
         d, o = np.array(j.diag)[None, :], np.array(j.offdiag)[None, :]
-        assert np.array_equal(eigen_tridiag_batch(d, o), per_index_bisection(d, o))
+        assert np.array_equal(scalar_bisection(j), per_index_bisection(d, o)[0])
 
 
-# M below LANES (several indices per pass, with a ragged last block), at
-# LANES - 1 and LANES + 1, and above LANES (one index per pass).
-@pytest.mark.parametrize("m,n", [(7, 9), (1000, 10), (_LANES - 1, 3), (_LANES + 1, 4), (5000, 6)])
-def test_blocked_kernel_bit_identical_on_batches(m, n):
-    from freezing_dyson.stochastic import ble_tridiagonal_batch, gbe_tridiagonal_batch
-
+# M within one chunk of dense matrices, spanning two (a ragged second one),
+# and n = 1, which needs no eigensolver.
+@pytest.mark.parametrize(
+    "m,n",
+    [(7, 9), (1000, 10), (4095, 3), (4097, 4), (5000, 6), (_CHUNK_ELEMS // 20**2 + 73, 20), (50, 1)],
+)
+def test_batch_within_backward_error_of_bisection(m, n):
     rng = np.random.default_rng(m + n)
     batches = [
         (rng.normal(0, 2, (m, n)), rng.uniform(0.01, 3.0, (m, n - 1))),
@@ -366,7 +438,10 @@ def test_blocked_kernel_bit_identical_on_batches(m, n):
         ble_tridiagonal_batch(2.0, 1.5, n, m, rng),
     ]
     for d, o in batches:
-        assert np.array_equal(eigen_tridiag_batch(d, o), per_index_bisection(d, o))
+        got = eigen_tridiag_batch(d, o)
+        assert got.shape == (m, n)
+        err = np.abs(got - per_index_bisection(d, o))
+        assert np.all(err <= backward_error_bound(d, o)[:, None])
 
 
 def test_blocked_kernel_stops_each_index_on_its_own():
@@ -374,7 +449,34 @@ def test_blocked_kernel_stops_each_index_on_its_own():
     # bisecting the first one step further would change its last bits
     d = np.array([[-0.2776536712672873, -1.4659673863823872]])
     o = np.array([[1.4147733840768866]])
-    assert np.array_equal(eigen_tridiag_batch(d, o), per_index_bisection(d, o))
+    got = eigen_tridiag(JacobiMatrix(tuple(d[0]), tuple(o[0]))).as_array()
+    assert np.array_equal(got, per_index_bisection(d, o)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["gbe", "ble"]),
+    st.floats(0.5, 1e4),
+    st.floats(0.1, 5.0),
+    st.integers(1, 24),
+    st.integers(0, 2**32 - 1),
+)
+def test_batch_eigenvalues_certified_by_sturm_counts(kind, beta, alpha, n, seed):
+    # exactly k eigenvalues lie below the k-th one, to within the bound
+    rng = np.random.default_rng(seed)
+    if kind == "gbe":
+        d, o = gbe_tridiagonal_batch(beta, n, 16, rng)
+    else:
+        d, o = ble_tridiagonal_batch(beta, alpha, n, 16, rng)
+    lam = eigen_tridiag_batch(d, o)
+    delta = backward_error_bound(d, o)
+    k = np.arange(n)
+    for row in range(len(d)):
+        off2 = o[row] ** 2
+        pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off2, initial=0.0)))
+        below = _count_below(d[row], off2, lam[row] - delta[row], pivmin)
+        upto = _count_below(d[row], off2, lam[row] + delta[row], pivmin)
+        assert np.all(below <= k) and np.all(k < upto)
 
 
 def test_batch_offdiag_shape_checked():
@@ -399,10 +501,10 @@ _jacobi = st.integers(1, 12).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(_jacobi, st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=30))
 def test_sturm_count_monotone_in_x(jac, xs):
-    d, o = np.array(jac[0])[:, None, None], np.array(jac[1])[:, None, None] ** 2
-    x = np.sort(np.array(xs))[None, :]
+    d, o = np.array(jac[0]), np.array(jac[1]) ** 2
+    x = np.sort(np.array(xs))
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(o, initial=0.0)))
-    counts = _count_below(d, o, x, pivmin)[0]
+    counts = _count_below(d, o, x, pivmin)
     assert np.all(np.diff(counts.astype(int)) >= 0)
     assert counts[0] >= 0 and counts[-1] <= len(jac[0])
 

@@ -70,6 +70,14 @@ def test_sim_config_validation():
     assert make_cfg(t_end=1.0, dt=0.1, record_times=(0.3, 1.0)).record_steps() == [3, 10]
 
 
+def test_record_time_one_step_past_t_end_rejected():
+    # 1.001e-9 is within an absolute 1e-12 of t_end but one dt step beyond it
+    with pytest.raises(InvalidParameter, match="beyond t_end"):
+        make_cfg(t_end=1e-9, dt=1e-12, record_times=(1.001e-9,))
+    cfg = make_cfg(t_end=1e-9, dt=1e-12, record_times=(0.999e-9, 1e-9))
+    assert cfg.record_steps() == [999, 1000] and cfg.n_steps == 1000
+
+
 def test_zero_horizon_returns_initial():
     cfg = make_cfg(t_end=0.0, record_times=(0.0,))
     for sim in (simulate_dyson,):

@@ -184,33 +184,71 @@ def _exact_sign(coeffs, x):
     return (acc > 0) - (acc < 0)
 
 
+def _horner_dp(coeffs, x):
+    """``(p(x), p'(x))`` in one Horner pass."""
+    p = dp = 0.0
+    for c in coeffs:
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp
+
+
 def _bisect(coeffs, lo, hi, flo):
+    """The root of the polynomial in a sign bracket [lo, hi] holding one root.
+
+    The float stage evaluates p and p' together at safeguarded Newton trial
+    points: the Newton iterate when it lies strictly inside the bracket and
+    its step is at most half the step before last, the midpoint otherwise.
+    Newton closes in from one side, so a step shorter than half the stopping
+    width is lengthened to half the width, and while the trial points stay on
+    one side of the root a rejected Newton step gives way to twice the last
+    step (rounding noise can hide the sign of p over a few widths).  The
+    stage stops, as plain bisection did, at an exact zero or at a sign
+    bracket no wider than ``1e-15 * max(1, |lo|, |hi|)``.
+    """
     lo0, hi0 = lo, hi
     neg = flo < 0.0
+    x = 0.5 * (lo + hi)
+    step = step_old = hi - lo
+    at_lo = None
     for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        fx, dfx = _horner_dp(coeffs, x)
+        if fx == 0.0:
+            lo = hi = x
             break
-        fm = _horner(coeffs, mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm < 0.0) == neg:
-            lo = mid
+        was_lo, at_lo = at_lo, (fx < 0.0) == neg
+        if at_lo:
+            lo = x
         else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
+            hi = x
+        width = 1e-15 * max(1.0, abs(lo), abs(hi))
+        if hi - lo <= width:
             break
+        if abs(fx + fx) <= abs(step_old * dfx):
+            dx = -fx / dfx
+            if abs(dx) < 0.5 * width:
+                dx = math.copysign(0.5 * width, dx)
+        elif was_lo == at_lo:
+            dx = 2.0 * step if at_lo else -2.0 * step
+        else:
+            dx = 0.0
+        if dx and lo < x + dx < hi:
+            x += dx
+            step_old, step = step, abs(dx)
+        else:
+            x = 0.5 * (lo + hi)
+            if x <= lo or x >= hi:
+                break
+            step_old, step = step, x - lo
     mid = 0.5 * (lo + hi)
 
-    # Float bisection lands where the *computed* sign flips, which can sit
+    # The float stage lands where the *computed* sign flips, which can sit
     # eps*E/|p'| away from the true root for ill-conditioned coefficients.
     # When that estimate exceeds the accuracy target, re-bisect with exact
     # signs inside a rewidened bracket.
-    d = len(coeffs) - 1
+    dp = _horner_dp(coeffs, mid)[1]
     eval_scale = _horner([abs(c) for c in coeffs], abs(mid))
-    dp = abs(_horner([c * (d - k) for k, c in enumerate(coeffs[:-1])], mid))
-    err_est = 2e-16 * eval_scale / max(dp, 1e-300)
+    err_est = 2e-16 * eval_scale / max(abs(dp), 1e-300)
     target = 1e-13 * max(1.0, abs(mid))
     if err_est <= target:
         return mid

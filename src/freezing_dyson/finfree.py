@@ -78,7 +78,15 @@ def boxplus(a: RootTuple, b: RootTuple) -> RootTuple:
     """Finite free convolution of two N-tuples, sorted ascending.
 
     Computed entirely in elementary symmetric coordinates; roots are recovered
-    once at the end by :func:`roots_of_monic`.
+    once at the end by :func:`roots_of_monic`.  Accuracy falls with N, since
+    the float coefficients lose the roots' conditioning: against
+    ``hermite_roots(N, 2)``, ``boxplus(hermite_roots(N, 1), hermite_roots(N, 1))``
+    is off by about 5e-15 relative at N = 12, 5e-13 at N = 20, 6e-11 at
+    N = 30 and 2e-8 at N = 40.  The supported scale has a floor: the zero
+    threshold of :func:`roots_of_monic` is absolute, so roots spread over less
+    than about 0.1 (N = 8..12) or 1e-3 (N = 4) merge into false multiple
+    roots (at a spread of 1e-4, errors of 30-70%).  Large scales keep about
+    1e-14 relative (checked to 1e6).
     """
     if a.n != b.n:
         raise DimensionMismatch(f"tuple sizes differ: {a.n} vs {b.n}")

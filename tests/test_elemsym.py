@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from freezing_dyson.elemsym import (
     MonicPolynomial,
     RootTuple,
+    _bisect,
     _exact_sign,
+    _horner,
+    _real_roots,
+    _root_bound,
     elementary_symmetric,
     newton_esp_from_power_sums,
     partial_esp,
@@ -273,3 +277,145 @@ def test_exact_sign_matches_fraction_oracle(case):
     coeffs, x = case
     assert _exact_sign(coeffs, x) == exact_sign_oracle(coeffs, x)
 
+
+
+# The root finder as it stood before its float stage took Newton trial
+# points: plain bisection to the same exit rule, then the same error estimate
+# and exact-sign fallback.  It records every bracket it settles, with the
+# path that settled it, so the Newton stage can be held to it bracket by
+# bracket.
+def bisection_bisect(coeffs, lo, hi, flo):
+    """(root, path, err_est); path is "float", "exact" (exact bisection down
+    to adjacent floats or an exact zero) or "other"."""
+    lo0, hi0 = lo, hi
+    neg = flo < 0.0
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        fm = _horner(coeffs, mid)
+        if fm == 0.0:
+            lo = hi = mid
+            break
+        if (fm < 0.0) == neg:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
+            break
+    mid = 0.5 * (lo + hi)
+    d = len(coeffs) - 1
+    eval_scale = _horner([abs(c) for c in coeffs], abs(mid))
+    dp = abs(_horner([c * (d - k) for k, c in enumerate(coeffs[:-1])], mid))
+    err_est = 2e-16 * eval_scale / max(dp, 1e-300)
+    if err_est <= 1e-13 * max(1.0, abs(mid)):
+        return mid, "float", err_est
+    delta = 4.0 * err_est + (hi - lo)
+    a, b = max(lo0, mid - delta), min(hi0, mid + delta)
+    sa, sb = _exact_sign(coeffs, a), _exact_sign(coeffs, b)
+    if sa == 0:
+        return a, "exact", err_est
+    if sb == 0:
+        return b, "exact", err_est
+    if sa == sb:
+        a, b = lo0, hi0
+        sa, sb = _exact_sign(coeffs, a), _exact_sign(coeffs, b)
+        if sa == 0 or sb == 0 or sa == sb:
+            return mid, "other", err_est
+    for _ in range(120):
+        m = 0.5 * (a + b)
+        if m <= a or m >= b:
+            return 0.5 * (a + b), "exact", err_est
+        sm = _exact_sign(coeffs, m)
+        if sm == 0:
+            return m, "exact", err_est
+        if sm == sa:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b), "other", err_est
+
+
+def bisection_real_roots(coeffs, settled):
+    """The interlacing recursion around bisection_bisect; appends
+    (coeffs, lo, hi, flo, root, path, err_est) to settled per bracket."""
+    d = len(coeffs) - 1
+    if d == 1:
+        return [-coeffs[1]]
+    theta = 1e-12 * max(1.0, max(abs(c) for c in coeffs))
+    deriv = [c * (d - k) / d for k, c in enumerate(coeffs[:-1])]
+    pts = [-_root_bound(coeffs)] + bisection_real_roots(deriv, settled) + [_root_bound(coeffs)]
+    fvals = [_horner(coeffs, x) for x in pts]
+    roots = []
+    for m in range(d):
+        lo, hi = pts[m], pts[m + 1]
+        flo, fhi = fvals[m], fvals[m + 1]
+        zlo, zhi = abs(flo) <= theta, abs(fhi) <= theta
+        if zlo and zhi:
+            roots.append(lo if abs(flo) <= abs(fhi) else hi)
+        elif zlo:
+            roots.append(lo)
+        elif zhi:
+            roots.append(hi)
+        elif (flo < 0.0) != (fhi < 0.0):
+            root, path, err_est = bisection_bisect(coeffs, lo, hi, flo)
+            settled.append((coeffs, lo, hi, flo, root, path, err_est))
+            roots.append(root)
+        else:
+            raise NotRealRooted(f"no sign change in [{lo!r}, {hi!r}]")
+    roots.sort()
+    return roots
+
+
+@st.composite
+def real_rooted_coeffs(draw, max_degree):
+    """Monic float coefficients of degree 1..max_degree whose roots come in
+    groups of up to three around distinct centres in [-3, 3]: repeated,
+    clustered (spread 1e-3) or spread out."""
+    n = draw(st.integers(1, max_degree))
+    centres = draw(
+        st.lists(st.integers(-3, 3).map(float) | st.floats(-3.0, 3.0), min_size=n, max_size=n,
+                 unique=True)
+    )
+    roots = []
+    for centre in centres:
+        spread = draw(st.sampled_from([0.0, 1e-3, 1e-1, 1.0]))
+        k = draw(st.integers(1, min(3, n - len(roots))))
+        roots += [centre + spread * draw(st.floats(-1.0, 1.0)) for _ in range(k)]
+        if len(roots) == n:
+            break
+    poly = MonicPolynomial.from_roots(RootTuple.from_values(roots))
+    return [float(c) for c in poly.monomial_coefficients()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(real_rooted_coeffs(12))
+@example([1.0, -3.0, 2.0])
+@example([1.0, -6.0, 12.0, -8.0])  # (x - 2)^3
+def test_newton_stage_matches_bisection_oracle(coeffs):
+    # Both stages stop on a computed sign change within the stopping width,
+    # and computed signs are noise within about d * err_est of the root
+    # (Horner's error bound), so two such roots differ by at most the width
+    # plus twice that band; exact bisection ends on the same adjacent floats
+    # from any bracket, so the exact fallback's roots are identical.  Past
+    # degree 8, repeated roots can defeat the zero threshold of the
+    # recursion; the brackets settled before that are still compared.
+    settled = []
+    try:
+        bisection_real_roots(coeffs, settled)
+    except NotRealRooted:
+        pass
+    d = len(coeffs) - 1
+    for c, lo, hi, flo, old, path, err_est in settled:
+        new = _bisect(c, lo, hi, flo)
+        if path == "float":
+            assert abs(new - old) <= 1e-15 * max(1.0, abs(old)) + 2 * d * err_est
+        elif path == "exact":
+            assert new == old
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_rooted_coeffs(8))
+def test_real_roots_raise_nothing_up_to_degree_8(coeffs):
+    roots = _real_roots(coeffs)  # raises NotRealRooted on a missing sign change
+    assert len(roots) == len(coeffs) - 1 and roots == sorted(roots)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freezing_dyson.elemsym import MonicPolynomial, RootTuple, elementary_symmetric
 from freezing_dyson.errors import DimensionMismatch, InvalidParameter, NotRealRooted
@@ -92,6 +94,49 @@ def test_boxplus_commutative_and_shift_equivariant():
         lhs = boxplus(a.shifted(s), b).as_array()
         rhs = boxplus(a, b).as_array() + s
         assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+@st.composite
+def boxplus_pairs(draw):
+    """(a, b) of size 1..12: a has entries anywhere in [-5, 5], repeats
+    allowed; b has gaps of 0.1 to 1, so a boxplus b has simple roots."""
+    n = draw(st.integers(1, 12))
+    a = draw(st.lists(st.integers(-5, 5).map(float) | st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=n - 1, max_size=n - 1))
+    b = np.cumsum([draw(st.floats(-5.0, 5.0))] + gaps)
+    return RootTuple.from_values(a), RootTuple.from_values(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxplus_pairs())
+def test_boxplus_commutative_real_rooted_and_mesh_preserving(pair):
+    a, b = pair
+    ab = boxplus(a, b)  # raises NotRealRooted if a sign change goes missing
+    assert ab == boxplus(b, a)
+    assert ab.n == a.n
+    # the root gaps of a boxplus b are at least b's (Leake & Ryder, "On the
+    # further structure of the finite free convolutions")
+    if a.n > 1:
+        mesh = np.min(np.diff(b.as_array()))
+        assert np.min(np.diff(ab.as_array())) >= (1.0 - 1e-6) * mesh
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxplus_pairs())
+def test_boxplus_zero_tuple_identity_within_round_trip_floor(pair):
+    # convolve_esp with the zero tuple returns a's coefficients exactly, so
+    # the identity holds as well as a round trip through float coefficients:
+    # 1e-9 relative, or the conditioning floor eps * E(x) / |p'(x)| (times a
+    # safety factor 20 n) where that is larger
+    _, a = pair
+    x = a.as_array()
+    n = a.n
+    got = boxplus(a, RootTuple((0.0,) * n)).as_array()
+    coeffs = np.poly(x)
+    scale = np.polyval(np.abs(coeffs), np.abs(x))
+    dp = np.abs(np.polyval(np.polyder(coeffs), x))
+    floor = 20 * n * 2.3e-16 * scale / np.maximum(dp, 1e-300)
+    assert np.all(np.abs(got - x) <= np.maximum(1e-9 * np.maximum(1.0, np.abs(x)), floor))
 
 
 def test_boxplus_dimension_mismatch():

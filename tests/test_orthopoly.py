@@ -474,8 +474,8 @@ def test_batch_eigenvalues_certified_by_sturm_counts(kind, beta, alpha, n, seed)
     for row in range(len(d)):
         off2 = o[row] ** 2
         pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off2, initial=0.0)))
-        below = _count_below(d[row], off2, lam[row] - delta[row], pivmin)
-        upto = _count_below(d[row], off2, lam[row] + delta[row], pivmin)
+        below = [_count_below(d[row], off2, x, pivmin) for x in lam[row] - delta[row]]
+        upto = [_count_below(d[row], off2, x, pivmin) for x in lam[row] + delta[row]]
         assert np.all(below <= k) and np.all(k < upto)
 
 
@@ -504,7 +504,7 @@ def test_sturm_count_monotone_in_x(jac, xs):
     d, o = np.array(jac[0]), np.array(jac[1]) ** 2
     x = np.sort(np.array(xs))
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(o, initial=0.0)))
-    counts = _count_below(d, o, x, pivmin)
+    counts = np.array([_count_below(d, o, v, pivmin) for v in x])
     assert np.all(np.diff(counts.astype(int)) >= 0)
     assert counts[0] >= 0 and counts[-1] <= len(jac[0])
 
@@ -517,6 +517,17 @@ def test_eigenvalues_match_eigvalsh(jac):
     expect = np.linalg.eigvalsh(j.dense())
     scale = max(1.0, float(np.max(np.abs(expect))))
     assert np.all(np.abs(got - expect) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200, 1e300])
+def test_eigen_tridiag_accurate_at_extreme_scales(s):
+    # squared off-diagonals leave the float range past about 1e+-154; the
+    # kernel bisects an exact power-of-two rescaling of J instead
+    base = JacobiMatrix((1.0, -3.0, 2.0), (2.0, 0.5))
+    expect = np.linalg.eigvalsh(base.dense())
+    j = JacobiMatrix(tuple(s * a for a in base.diag), tuple(s * b for b in base.offdiag))
+    got = eigen_tridiag(j).as_array() / s
+    assert np.all(np.abs(got - expect) <= 1e-14 * np.max(np.abs(expect)))
 
 
 def test_classical_zero_caches():

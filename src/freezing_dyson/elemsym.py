@@ -284,7 +284,7 @@ def _real_roots(coeffs):
     """Roots of a real-rooted monic polynomial, by recursive derivative interlacing.
 
     Roots of the derivative (found recursively) split the line into intervals
-    each holding exactly one root; bisection settles each interval.  An
+    each holding exactly one root; :func:`_bisect` settles each interval.  An
     interval endpoint whose polynomial value sits within the zero threshold is
     reported as a (possibly multiple) root.
     """
@@ -324,9 +324,11 @@ def roots_of_monic(p: MonicPolynomial) -> RootTuple:
 
     Repeated roots are returned with multiplicity.  The zero-detection
     threshold, used for multiplicity reporting and for deciding that a
-    required sign change is genuinely missing, is ``1e-12`` relative to the
-    coefficient scale at every level of the derivative recursion.  Bisection
-    itself always refines to machine precision.
+    required sign change is genuinely missing, is ``1e-12 * max(1, max |c_k|)``
+    at every level of the derivative recursion: absolute once the
+    coefficients fall below 1, so roots spread over much less than 1 can
+    merge into a false multiple root.  The search inside each interlacing
+    interval always refines to machine precision.
 
     Raises :class:`NotRealRooted` when an interlacing interval carries no sign
     change and neither endpoint is a root within that threshold.

@@ -15,7 +15,8 @@ at a time, after an exact scaling of the matrix by a power of two; at the
 sizes used here (n <= 24) that beats array code, whose per-call cost would
 be paid at every step, and past about n = 40 it is slower (see
 :func:`eigen_tridiag`).  Monte Carlo batches use LAPACK's
-``eigvalsh``, backward stable to a small multiple of n * eps * (matrix norm).
+``eigvalsh``, backward stable to a small multiple of n * eps * (matrix norm),
+and spectral-measure weights come from the eigenvectors of LAPACK's ``eigh``.
 The classical zeros are cached per (n, alpha), as immutable root tuples.
 """
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elemsym import RootTuple
-from .errors import DimensionMismatch, InvalidParameter
+from .errors import DimensionMismatch, InvalidParameter, NoConvergence
 
 __all__ = [
     "JacobiMatrix",
@@ -203,7 +204,10 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
         t = dense[: min(step, m - s)]
         t[:, i, i] = diag[s : s + step]
         t[:, i[1:], i[:-1]] = offdiag[s : s + step]
-        out[s : s + step] = np.linalg.eigvalsh(t, UPLO="L")
+        try:
+            out[s : s + step] = np.linalg.eigvalsh(t, UPLO="L")
+        except np.linalg.LinAlgError as exc:  # non-finite entries, e.g. overflowed chi draws
+            raise NoConvergence(f"tridiagonal eigenvalues: {exc}") from exc
     return out
 
 
@@ -264,47 +268,20 @@ def laguerre_zeros(n: int, alpha: float) -> RootTuple:
     return eigen_tridiag(laguerre_jacobi(n, alpha))
 
 
-def _orthonormal_values(j: JacobiMatrix, points: np.ndarray) -> np.ndarray:
-    """Values of the orthonormal recurrence polynomials, shape (n, len(points)).
-
-    Rescales every 10 steps if magnitudes pass 1e100 (squared norms grow
-    factorially); returns values together with a per-point log correction.
-    """
-    a = np.asarray(j.diag)
-    b = np.asarray(j.offdiag)
-    x = np.asarray(points, dtype=float)
-    n = j.n
-    vals = np.empty((n, len(x)))
-    logcorr = np.zeros(len(x))
-    prev = np.zeros(len(x))
-    cur = np.ones(len(x))
-    vals[0] = cur
-    for m in range(1, n):
-        nxt = ((x - a[m - 1]) * cur - (b[m - 2] * prev if m >= 2 else 0.0)) / b[m - 1]
-        prev, cur = cur, nxt
-        if m % 10 == 0:
-            mag = np.maximum(np.abs(prev), np.abs(cur))
-            big = mag > 1e100
-            if np.any(big):
-                factor = np.where(big, 1.0 / mag, 1.0)
-                prev = prev * factor
-                cur = cur * factor
-                logcorr += np.log(np.where(big, mag, 1.0))
-        vals[m] = cur
-    return vals, logcorr
-
-
 def spectral_measure(j: JacobiMatrix) -> SpectralMeasure:
     """Spectral measure of J: atoms are the eigenvalues (:func:`eigen_tridiag`,
-    to 1e-14 of the matrix norm), weights the squared first eigenvector
-    components ``w_i = 1 / sum_m ptilde_m(lambda_i)^2``."""
+    to 1e-14 of the matrix norm), weights the squared first components of the
+    orthonormal eigenvectors (Golub-Welsch), taken from LAPACK's ``eigh``.
+
+    The eigenvector matrix is orthogonal to working precision, so the weights
+    sum to 1 within a few ulps at any n; both solvers order ascending, and the
+    positive off-diagonal makes the eigenvalues distinct.
+    """
     atoms = eigen_tridiag(j)
     if j.n == 1:
         return SpectralMeasure(atoms, (1.0,))
-    vals, logcorr = _orthonormal_values(j, atoms.as_array())
-    ssum = np.sum(vals**2, axis=0)
-    weights = np.exp(-2.0 * logcorr) / ssum
-    return SpectralMeasure(atoms, tuple(weights))
+    vecs = np.linalg.eigh(j.dense())[1]
+    return SpectralMeasure(atoms, tuple(vecs[0] ** 2))
 
 
 def _cd_values(j: JacobiMatrix, atoms: RootTuple | None):

@@ -23,6 +23,17 @@ paths.  The drift sums follow the order in which numpy's pairwise summation
 adds a row of n terms, so the output equals the path-major formulation with
 ``np.sum(axis=-1)`` bit for bit; the tests keep that formulation as the
 oracle.
+
+A step makes one gather and one reduction before its drift: a single
+``take`` reads the endpoints of every pair and of two sentinel pairs (the
+lowest particle against -STABILITY_BOUND, the highest against
++STABILITY_BOUND), and the smallest of the resulting gaps decides what
+guard work the step needs.  At least the floor: the state is sorted, finite,
+in bounds and unclamped, and there is none.  At least 0: the state is sorted
+and in bounds, and only the clamps are counted.  Negative or NaN: the
+columns out of order are re-sorted, their bounds checked and their gaps
+gathered again.  The check of step s thus runs at the start of step s+1,
+and once more after the last step.
 """
 
 import math
@@ -47,6 +58,7 @@ EPS_GAP = 1e-8
 STABILITY_BOUND = 1e8
 _NOISE_CHUNK_STEPS = 128  # steps of noise each path draws per generator call
 _BLOCK_BYTES = 1 << 26  # working-memory budget of one block of paths (64 MB)
+_TRANSPOSE_LANES = 64  # paths per slice of the noise transpose
 
 DYSON = "dyson"
 LAGUERRE = "laguerre"
@@ -126,8 +138,12 @@ class PathEnsemble:
 
 def _path_bytes(n_steps: int, n: int) -> int:
     """Working memory of one path in a block: its noise chunk, drawn and then
-    transposed, and its share of the pair buffers."""
-    return 8 * n * (2 * min(max(n_steps, 1), _NOISE_CHUNK_STEPS) + 3 * n)
+    transposed, and its share of the pair buffers (``_PairWork``): 2(P+2)
+    gathered endpoints, P+2 gaps with P negations and a zero, n*n drift terms
+    and a P-entry clamp mask, for P = n(n-1)/2 pairs."""
+    p = n * (n - 1) // 2
+    chunk = min(max(n_steps, 1), _NOISE_CHUNK_STEPS)
+    return 8 * (2 * chunk * n + (2 * p + 4) + (2 * p + 3) + n * n) + p
 
 
 def _block_size(paths: int, n_steps: int, n: int) -> int:
@@ -137,48 +153,75 @@ def _block_size(paths: int, n_steps: int, n: int) -> int:
 class _PairWork:
     """Pair index tables and reusable buffers for one block of b paths.
 
-    The pairs i > j are packed row by row into P = n(n-1)/2 rows of b lanes.
-    ``ext`` holds a packed pair quantity q, then -q, then a zero row, and one
-    ``take`` through ``expand`` lays them out as the drift terms ``terms[j, i]``
-    of particle i, with q at i > j, -q at i < j and 0.0 at i == j.
+    The pairs i > j are packed row by row into P = n(n-1)/2 rows of b lanes,
+    followed by two sentinel pairs: particle 0 against the row at
+    -STABILITY_BOUND and the row at +STABILITY_BOUND against particle n-1.
+    ``gather`` reads the upper endpoints of these P+2 pairs from the
+    (n+2, b) frame into ``ends[:P+2]`` and the lower ones into ``ends[P+2:]``
+    with one ``take``, and writes their differences to ``ext[:P+2]``.
+
+    ``ext`` then holds a packed pair quantity q, the two sentinel gaps, -q and
+    a zero row, and one ``take`` through ``expand`` lays q out as the drift
+    terms ``terms[j, i]`` of particle i, with q at i > j, -q at i < j and 0.0
+    at i == j.
     """
 
     def __init__(self, n: int, b: int):
         hi, lo = np.tril_indices(n, -1)
         p = len(hi)
-        self.hi, self.lo = hi, lo
-        pos = np.full((n, n), 2 * p)
+        self.ends_index = np.concatenate([hi + 1, [1, n + 1], lo + 1, [0, n]])
+        pos = np.full((n, n), 2 * p + 2)
         pos[hi, lo] = np.arange(p)
-        pos[lo, hi] = p + np.arange(p)
+        pos[lo, hi] = p + 2 + np.arange(p)
         self.expand = pos.T.ravel()
-        self.lam_hi = np.empty((p, b))
-        self.lam_lo = np.empty((p, b))
+        self.ends = np.empty((2 * p + 4, b))
+        self.ends_hi, self.ends_lo = self.ends[: p + 2], self.ends[p + 2 :]
+        self.lam_hi, self.lam_lo = self.ends[:p], self.ends[p + 2 : 2 * p + 2]
         self.mask = np.empty((p, b), dtype=bool)
-        self.ext = np.zeros((2 * p + 1, b))
-        self.packed, self.negated = self.ext[:p], self.ext[p : 2 * p]
+        self.ext = np.zeros((2 * p + 3, b))
+        self.gaps = self.ext[: p + 2]
+        self.gaps_flat = self.gaps.reshape(-1)  # a 1-D reduce skips axis handling
+        self.packed, self.negated = self.ext[:p], self.ext[p + 2 : 2 * p + 2]
         self.terms = np.empty((n, n, b))
+        self.term_rows = self.terms.reshape(n * n, b)
+        self.min_gap = 0.0
+
+    def gather(self, frame: np.ndarray) -> float:
+        """Fill ``gaps`` from ``frame`` and return the smallest, NaN if any is."""
+        frame.take(self.ends_index, axis=0, out=self.ends, mode="clip")
+        np.subtract(self.ends_hi, self.ends_lo, out=self.gaps)
+        self.min_gap = float(np.minimum.reduce(self.gaps_flat))
+        return self.min_gap
+
+    def gather_columns(self, frame: np.ndarray, cols: np.ndarray) -> None:
+        """Refill ``ends`` and ``gaps`` in the path columns ``cols`` only."""
+        half = len(self.gaps)
+        ends = frame[:, cols].take(self.ends_index, axis=0)
+        self.ends[:, cols] = ends
+        self.gaps[:, cols] = ends[:half] - ends[half:]
 
     def expanded(self) -> np.ndarray:
         np.negative(self.packed, out=self.negated)
-        self.ext.take(self.expand, axis=0, out=self.terms.reshape(len(self.expand), -1), mode="clip")
+        self.ext.take(self.expand, axis=0, out=self.term_rows, mode="clip")
         return self.terms
 
 
-def _inverse_gaps(lam: np.ndarray, eps_eff: float, work: _PairWork) -> int:
-    """Fill ``work.packed`` with ``1/max(lam_i - lam_j, eps)`` for the pairs
-    i > j of a column-sorted (n, b) state; return the number clamped.
+def _inverse_gaps(eps_eff: float, work: _PairWork) -> int:
+    """Overwrite the gathered pair gaps ``lam_i - lam_j`` (i > j) of a
+    column-sorted state with ``1/max(lam_i - lam_j, eps)``; return the number
+    clamped.
 
     Sorted columns make ``lam_i - lam_j`` equal to ``|lam_i - lam_j|``, so an
     entry is the path-major term ``sign(i-j)/max(|lam_i - lam_j|, eps)`` at
     (i, j) bit for bit, and its negation the term at (j, i): -1/x is -(1/x).
+    A smallest gap of at least ``eps`` leaves nothing to clamp.
     """
     gap = work.packed
-    lam.take(work.hi, axis=0, out=work.lam_hi, mode="clip")
-    lam.take(work.lo, axis=0, out=work.lam_lo, mode="clip")
-    np.subtract(work.lam_hi, work.lam_lo, out=gap)
-    np.less(gap, eps_eff, out=work.mask)
-    clamped = int(np.count_nonzero(work.mask))
-    np.maximum(gap, eps_eff, out=gap)
+    clamped = 0
+    if work.min_gap < eps_eff:
+        np.less(gap, eps_eff, out=work.mask)
+        clamped = int(np.count_nonzero(work.mask))
+        np.maximum(gap, eps_eff, out=gap)
     np.divide(1.0, gap, out=gap)
     return clamped
 
@@ -209,9 +252,10 @@ def _pairwise_sum(t: np.ndarray, lo: int, m: int) -> np.ndarray:
 
 def _drift_dyson(lam: np.ndarray, eps_eff: float, work: _PairWork):
     """Dyson repulsion ``sum_j 1/(lam_i - lam_j)`` of a column-sorted (n, b)
-    state.  Its only zero term is the +0.0 diagonal one, so the sign of zero
-    that ``_pairwise_sum`` leaves open never arises."""
-    clamped = _inverse_gaps(lam, eps_eff, work)
+    state whose gaps ``work`` has gathered.  Its only zero term is the +0.0
+    diagonal one, so the sign of zero that ``_pairwise_sum`` leaves open never
+    arises."""
+    clamped = _inverse_gaps(eps_eff, work)
     return _pairwise_sum(work.expanded(), 0, lam.shape[0]), clamped
 
 
@@ -225,7 +269,7 @@ def _drift_laguerre(lam: np.ndarray, alpha: float, eps_eff: float, work: _PairWo
     ``alpha + N - 1 > 0`` hides the sign of a zero pair sum.
     """
     n = lam.shape[0]
-    clamped = _inverse_gaps(lam, eps_eff, work)
+    clamped = _inverse_gaps(eps_eff, work)
     np.add(work.lam_hi, work.lam_lo, out=work.lam_hi)
     np.multiply(work.lam_hi, work.packed, out=work.packed)
     drift = _pairwise_sum(work.expanded(), 0, n)
@@ -233,24 +277,49 @@ def _drift_laguerre(lam: np.ndarray, alpha: float, eps_eff: float, work: _PairWo
     return drift, clamped
 
 
-def _sort_in_bounds(frame: np.ndarray) -> bool:
-    """Sort the particles ``frame[1:-1]`` of every path column in place; False
-    if a coordinate is NaN or beyond ``STABILITY_BOUND`` in magnitude.
+def _sort_in_bounds(frame: np.ndarray):
+    """Sort the particles ``frame[1:-1]`` of every path column that is out of
+    order in place; return those columns' indices and whether all their
+    coordinates are finite and within ``STABILITY_BOUND`` in magnitude.
 
     ``frame[0]`` and ``frame[-1]`` hold -STABILITY_BOUND and +STABILITY_BOUND,
     so one neighbour test finds every column that is out of order, out of
-    bounds or holds a NaN (``~(a >= b)`` is true for NaN).  Only those are
-    sorted, by the row sort a path-major state uses, and NaN sorts last.
+    bounds or holds a NaN (``~(a >= b)`` is true for NaN); the others are
+    sorted and in bounds already.  Only those are sorted, by the row sort a
+    path-major state uses, and NaN sorts last.  At least one column must fail
+    the test.
     """
-    ok = frame[1:] >= frame[:-1]
-    if ok.all():
-        return True
     lam = frame[1:-1]
-    cols = np.flatnonzero(~ok.all(axis=0))
+    cols = np.flatnonzero(~(frame[1:] >= frame[:-1]).all(axis=0))
     rows = lam[:, cols].T.copy()
     rows.sort(axis=1)
     lam[:, cols] = rows.T
-    return rows[:, 0].min() >= -STABILITY_BOUND and rows[:, -1].max() <= STABILITY_BOUND
+    return cols, bool(rows[:, 0].min() >= -STABILITY_BOUND and rows[:, -1].max() <= STABILITY_BOUND)
+
+
+def _check_state(frame: np.ndarray, work: _PairWork, step: int) -> None:
+    """Gather the gaps of the state reached at ``step``, sorting any column
+    that is out of order; raise :class:`StepUnstable` if the state is NaN or
+    out of bounds.
+
+    One reduction decides.  The smallest gap, the two sentinel gaps
+    included, is at least 0 exactly when every column is sorted and within
+    +-STABILITY_BOUND (a rounded difference keeps the sign of the exact one,
+    and ``NaN >= 0`` is false), and at least ``eps_eff`` when, besides, no
+    pair needs a clamp.  Only a negative or NaN gap runs the full check,
+    which re-sorts and re-gathers just the columns out of order.  The start
+    (step 0) raises nothing: a start beyond the bounds fails the check after
+    step 1.
+    """
+    if work.gather(frame) >= 0.0:
+        return
+    cols, in_bounds = _sort_in_bounds(frame)
+    if step and not in_bounds:
+        raise StepUnstable(
+            f"coordinate exceeded {STABILITY_BOUND:g} or became NaN at step {step}; "
+            "dt is too large for this beta and N"
+        )
+    work.gather_columns(frame, cols)
 
 
 def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
@@ -260,11 +329,25 @@ def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
     runs over contiguous rows of b paths.  Each path owns one generator for
     the whole block and draws its noise in chunks of ``_NOISE_CHUNK_STEPS``
     steps; successive draws continue one stream, so neither the chunk length
-    nor the block decomposition changes the output.
+    nor the block decomposition changes the output.  Each chunk is transposed
+    to step-major in slices of ``_TRANSPOSE_LANES`` paths, which keeps the
+    strided reads within cache.
+
+    Each step starts with ``_check_state``: one ``take`` gathers the
+    endpoints of every pair and of the two sentinel pairs, one ``subtract``
+    gives their gaps, and one reduction of the smallest gap certifies that
+    the state the previous step left is sorted and in bounds, and, at or
+    above the floor, unclamped.  Only a gap below the floor makes the drift
+    count clamps, and only a negative or NaN one re-sorts columns and checks
+    the bounds.  So the check of step s runs at the start of step s+1,
+    before a record row is stored, and once more after the last step.
     """
     n, dt = cfg.n, cfg.dt
     n_steps = cfg.n_steps
     record_steps = cfg.record_steps()
+    slots = {}
+    for slot, s in enumerate(record_steps):
+        slots.setdefault(s, []).append(slot)
     b = hi - lo
     gens = [np.random.Generator(np.random.PCG64(children[p])) for p in range(lo, hi)]
     chunk = min(n_steps, _NOISE_CHUNK_STEPS)
@@ -276,9 +359,6 @@ def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
     lam = frame[1:-1]
     lam[:] = np.sort(cfg.initial.as_array())[:, None]
     out = np.empty((b, len(record_steps), n))
-    for slot, s in enumerate(record_steps):
-        if s == 0:
-            out[:, slot] = lam.T
     work = _PairWork(n, b)
     diffusion = np.empty((n, b))
     eps_eff = max(EPS_GAP, math.sqrt(dt))
@@ -287,15 +367,23 @@ def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
     laguerre_scale = 2.0 / math.sqrt(cfg.beta)
     clamp_total = 0
     step = 0
+    for slot in slots.pop(0, ()):
+        out[:, slot] = lam.T
     while step < n_steps:
         k = min(chunk, n_steps - step)
         for col, gen in enumerate(gens):
             gen.standard_normal((k, n), out=drawn[col, :k])
-        if kind == DYSON:
-            np.multiply(dyson_scale, drawn[:, :k].transpose(1, 2, 0), out=noise[:k])
-        else:
-            noise[:k] = drawn[:, :k].transpose(1, 2, 0)
+        for c in range(0, b, _TRANSPOSE_LANES):
+            lanes = slice(c, c + _TRANSPOSE_LANES)
+            panel = drawn[lanes, :k].transpose(1, 2, 0)
+            if kind == DYSON:
+                np.multiply(dyson_scale, panel, out=noise[:k, :, lanes])
+            else:
+                noise[:k, :, lanes] = panel
         for z in noise[:k]:
+            _check_state(frame, work, step)
+            for slot in slots.get(step, ()):
+                out[:, slot] = lam.T
             step += 1
             if kind == DYSON:
                 drift, clamped = _drift_dyson(lam, eps_eff, work)
@@ -314,14 +402,9 @@ def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
                 lam += diffusion
                 np.abs(lam, out=lam)  # reflect at the hard edge
             clamp_total += clamped
-            if not _sort_in_bounds(frame):
-                raise StepUnstable(
-                    f"coordinate exceeded {STABILITY_BOUND:g} or became NaN at step {step}; "
-                    "dt is too large for this beta and N"
-                )
-            for slot, s in enumerate(record_steps):
-                if s == step:
-                    out[:, slot] = lam.T
+    _check_state(frame, work, step)
+    for slot in slots.get(step, ()):
+        out[:, slot] = lam.T
     return out, clamp_total
 
 

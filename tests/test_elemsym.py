@@ -419,3 +419,25 @@ def test_newton_stage_matches_bisection_oracle(coeffs):
 def test_real_roots_raise_nothing_up_to_degree_8(coeffs):
     roots = _real_roots(coeffs)  # raises NotRealRooted on a missing sign change
     assert len(roots) == len(coeffs) - 1 and roots == sorted(roots)
+
+
+@st.composite
+def spread_roots(draw):
+    """2..8 distinct roots with gaps of 0.1 to 2: the supported scale."""
+    n = draw(st.integers(2, 8))
+    gaps = draw(st.lists(st.floats(0.1, 2.0), min_size=n - 1, max_size=n - 1))
+    return RootTuple.from_values(np.cumsum([draw(st.floats(-5.0, 5.0))] + gaps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spread_roots())
+def test_derivative_roots_strictly_interlace(x):
+    # p'/deg p is monic with alpha_k scaled by (deg - k)/deg; by Rolle its
+    # roots sit one in each open gap between consecutive roots of p
+    p = MonicPolynomial.from_roots(x)
+    d = p.degree
+    dp = MonicPolynomial(tuple(a * (d - k) / d for k, a in enumerate(p.alpha[:-1])))
+    r = roots_of_monic(p).as_array()
+    q = roots_of_monic(dp).as_array()
+    assert len(q) == d - 1
+    assert np.all(r[:-1] < q) and np.all(q < r[1:])

@@ -550,3 +550,15 @@ def test_cached_zeros_not_aliased_by_callers():
     expect = first.copy()
     first *= 2.0
     assert np.array_equal(laguerre_roots(6, 1.25, 1.0).as_array(), expect)
+
+
+def test_spectral_measure_weights_sum_to_one_on_random_jacobi_matrices():
+    # the forward orthonormal recurrence missed the sum by up to 0.93 on 50
+    # of these 300 draws (smallest n = 15); eigenvector components do not
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        j = JacobiMatrix(rng.normal(0, 3, n), rng.uniform(1e-3, 5, n - 1))
+        sm = spectral_measure(j)  # raises InvalidParameter if the sum misses 1 by 1e-10
+        assert abs(sum(sm.weights) - 1.0) < 1e-13
+        assert min(sm.weights) >= 0.0

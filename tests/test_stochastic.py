@@ -491,3 +491,47 @@ def test_nan_in_one_middle_particle_raises_step_unstable(kind, monkeypatch):
     monkeypatch.setattr(stochastic, name, drift_with_nan)
     with pytest.raises(StepUnstable, match="at step 1;"):
         SIMULATORS[kind](oracle_cfg(kind, 5, "spread"))
+
+
+@pytest.mark.parametrize("kind", [stochastic.DYSON, stochastic.LAGUERRE])
+@pytest.mark.parametrize(
+    "fault, bad_step",
+    [("nan", 37), ("nan", 300), ("far", 37), ("far", 100)],
+)
+def test_step_unstable_names_the_step_that_failed(kind, fault, bad_step, monkeypatch):
+    # the state a step leaves is checked at the start of the next step, or
+    # after the last one; the message still names the step that broke it,
+    # at a record step (100), between records (37) and at the end (300)
+    name = "_drift_dyson" if kind == stochastic.DYSON else "_drift_laguerre"
+    real = getattr(stochastic, name)
+    cfg = oracle_cfg(kind, 5, "spread", record_times=(0.0, 0.1))
+    assert cfg.n_steps == 300 and cfg.record_steps() == [0, 100]
+    calls = []
+
+    def faulty_drift(lam, *args):
+        drift, clamped = real(lam, *args)
+        calls.append(None)
+        if len(calls) == bad_step:
+            drift[-1, 1] = np.nan if fault == "nan" else 10 * stochastic.STABILITY_BOUND / cfg.dt
+        return drift, clamped
+
+    monkeypatch.setattr(stochastic, name, faulty_drift)
+    with pytest.raises(StepUnstable, match=f"at step {bad_step};"):
+        SIMULATORS[kind](cfg)
+
+
+@pytest.mark.parametrize("kind", [stochastic.DYSON, stochastic.LAGUERRE])
+@pytest.mark.parametrize("below", [0, 1])
+def test_gap_at_the_clamp_floor_matches_oracle(kind, below):
+    # dt = 2**-10 makes the floor eps = sqrt(dt) = 2**-5 exact: a start gap
+    # of exactly eps needs no clamp, one ulp below it must be clamped
+    eps = 2.0**-5
+    gap = eps if not below else np.nextafter(eps, 0.0)
+    cfg = SimConfig(beta=4.0, n=3, t_end=8 * 2.0**-10, dt=2.0**-10,
+                    initial=RootTuple((0.0, gap, 1.0)), seed=5, paths=6,
+                    record_times=(2.0**-10, 8 * 2.0**-10),
+                    alpha=1.5 if kind == stochastic.LAGUERRE else None)
+    assert max(stochastic.EPS_GAP, math.sqrt(cfg.dt)) == eps
+    ens = assert_matches_oracle(cfg, kind)
+    if below:
+        assert ens.clamp_events >= cfg.paths

@@ -13,9 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elemsym import MonicPolynomial, RootTuple, elementary_symmetric, roots_of_monic
+from .elemsym import (
+    MonicPolynomial,
+    RootTuple,
+    elementary_symmetric,
+    esp_rows,
+    roots_of_monic,
+)
 from .errors import InvalidParameter, NotSymmetric
-from .finfree import boxplus, hermite_roots, laguerre_roots
+from .finfree import boxplus, convolve_esp, hermite_roots, laguerre_roots
 from .orthopoly import _antiderivative
 
 __all__ = [
@@ -131,16 +137,32 @@ def symmetric_square_map(y: RootTuple) -> RootTuple:
     return RootTuple.from_values(0.5 * top**2)
 
 
+def _even_esp(squares: np.ndarray) -> np.ndarray:
+    """Signed elementary symmetric coefficients of the symmetric tuple
+    ``(+-sqrt(s_i))``, built from its squares ``s`` without a square root:
+    ``e_(2m) = (-1)^m e_m(s)``, and every odd entry is exactly 0."""
+    e = esp_rows(squares[None, :])[0]
+    out = np.zeros(2 * len(e) - 1)
+    out[::2] = e * (-1.0) ** np.arange(len(e))
+    return out
+
+
 def laguerre_limit_closed(initial: RootTuple, alpha: float, t: float) -> RootTuple:
     """Closed form of the freezing Laguerre limit for ``alpha > N - 1/2``.
 
-    Lifts the initial tuple to the symmetric 2N-tuple ``(+-sqrt(2 a_i))``,
-    runs the size-2N Gaussian closed form, halves the squared top half, and
-    convolves with ``t``-scaled Laguerre zeros of parameter
-    ``alpha - N + 1/2``.  Must agree with the polynomial-ODE route.
+    The paper's recipe: lift the initial tuple to the symmetric 2N-tuple
+    ``(+-sqrt(2 a_i))``, run the size-2N Gaussian closed form, halve the
+    squared top half, and convolve with ``t``-scaled Laguerre zeros of
+    parameter ``alpha - N + 1/2``.  Must agree with the polynomial-ODE route.
 
-    The symmetric lift uses ``sqrt(2 a_i)`` so that the squared-half map
-    reproduces the initial data exactly at t = 0.
+    Every step but the last stays in elementary symmetric coordinates, where
+    the lift and the size-2N Hermite zeros are even polynomials built from
+    their squares (:func:`_even_esp`).  Their convolution is even too, and if
+    its coefficients are ``c`` then the squared half ``x^2/2`` of its roots
+    has ``e_m = (-1/2)^m c_(2m)``, an exact power-of-two scaling.  So the
+    route makes one degree-N root solve and none at degree 2N.  The lift's
+    squares are ``2 a_i`` so that the squared half is the initial data at
+    t = 0.
     """
     n = initial.n
     if alpha <= n - 0.5:
@@ -152,11 +174,11 @@ def laguerre_limit_closed(initial: RootTuple, alpha: float, t: float) -> RootTup
         raise InvalidParameter("Laguerre initial data must be nonnegative")
     if t < 0.0:
         raise InvalidParameter("time must be >= 0")
-    up = np.sqrt(2.0 * initial.as_array())
-    sym = RootTuple(tuple(np.concatenate([-up[::-1], up])))
-    y = gaussian_limit_closed(sym, t)
-    half = symmetric_square_map(y)
-    return boxplus(half, laguerre_roots(n, alpha - n + 0.5, t))
+    lift = _even_esp(2.0 * initial.as_array())
+    herm = _even_esp(hermite_roots(2 * n, t).as_array()[n:] ** 2)
+    half = convolve_esp(lift, herm)[::2] * (-0.5) ** np.arange(n + 1)
+    lag = elementary_symmetric(laguerre_roots(n, alpha - n + 0.5, t))
+    return roots_of_monic(MonicPolynomial(tuple(convolve_esp(half, lag))))
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,22 @@ def test_limit_laguerre_closed_form_rejection(tmp_path, capsys):
     assert np.allclose(vals, laguerre_roots(2, 1.5, 1.0).roots, atol=1e-9)
 
 
+def test_limit_laguerre_verify_ode_at_small_t(tmp_path, capsys):
+    # the closed route once raised NotSymmetric (exit 3) on this start
+    init = tmp_path / "init.csv"
+    init.write_text("0.36,1.49,1.56,2.42,3.03,3.17,3.21\n")
+    code, _, err = run_cli(
+        [
+            "limit", "--kind", "laguerre", "--initial", str(init),
+            "--t", "1e-4", "--alpha", "6.98", "--verify-ode",
+        ],
+        capsys,
+    )
+    assert code == 0
+    disc = float(err.split("max route discrepancy:")[1].strip().splitlines()[0])
+    assert disc < 1e-8
+
+
 def test_moments_csv(capsys):
     code, out, _ = run_cli(["moments", "--n", "3", "--max", "4"], capsys)
     assert code == 0

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freezing_dyson.dynamics import (
+    _even_esp,
     gaussian_gk,
     gaussian_limit_closed,
     laguerre_gk,
@@ -212,6 +215,82 @@ def test_laguerre_routes_agree_random():
             ode = limit_roots(traj, t).as_array()
             closed = laguerre_limit_closed(a, alpha, t).as_array()
             assert np.max(np.abs(ode - closed)) < 1e-8
+
+
+def test_laguerre_limit_closed_answers_at_small_t():
+    # clustered start at small t: the roots of the old degree-2N lift came
+    # out asymmetric by more than 1e-9 and the route raised NotSymmetric
+    a = RootTuple((0.36, 1.49, 1.56, 2.42, 3.03, 3.17, 3.21))
+    alpha = 6.98
+    traj = laguerre_gk(a, alpha)
+    for t in (1e-6, 1e-4):
+        ode = limit_roots(traj, t).as_array()
+        closed = laguerre_limit_closed(a, alpha, t).as_array()
+        assert np.max(np.abs(ode - closed)) < 1e-9
+
+
+@st.composite
+def laguerre_cases(draw):
+    """(start, alpha, t): n <= 8, the zero tuple or sorted values from a base
+    in [0, 4] with gaps in {0.1, 0.5, 1, 2}, alpha - (n - 1/2) in [1e-3, 3]
+    and t in [0.01, 4]."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        start = RootTuple((0.0,) * n)
+    else:
+        gaps = draw(st.lists(st.sampled_from((0.1, 0.5, 1.0, 2.0)), min_size=n - 1, max_size=n - 1))
+        start = RootTuple(tuple(np.cumsum([draw(st.floats(0.0, 4.0))] + gaps)))
+    alpha = n - 0.5 + draw(st.floats(1e-3, 3.0))
+    return start, alpha, draw(st.floats(0.01, 4.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(laguerre_cases())
+def test_laguerre_routes_agree_property(case):
+    start, alpha, t = case
+    traj = laguerre_gk(start, alpha)
+    ode = limit_roots(traj, t).as_array()
+    closed = laguerre_limit_closed(start, alpha, t).as_array()
+    assert np.max(np.abs(ode - closed)) < 1e-8 * max(1.0, float(np.max(np.abs(ode))))
+    # at t = 0 every coefficient step is exact (power-of-two scalings and
+    # convolutions with (1, 0, ..., 0)), so the route is the start's own
+    # coefficient round trip: within 1e-10, or the conditioning floor
+    # eps * E(x) / |p'(x)| (times a safety factor 20 n) where that is larger,
+    # since a cluster such as 4.0, 4.1, ..., 4.7 loses 6e-5 to it
+    at0 = laguerre_limit_closed(start, alpha, 0.0)
+    assert at0 == limit_roots(traj, 0.0)
+    x = start.as_array()
+    coeffs = np.poly(x)
+    dp = np.abs(np.polyval(np.polyder(coeffs), x))
+    floor = 20 * x.size * 2.3e-16 * np.polyval(np.abs(coeffs), x) / np.maximum(dp, 1e-300)
+    assert np.all(np.abs(at0.as_array() - x) <= np.maximum(1e-10, floor))
+
+
+def test_even_esp_matches_the_lifted_tuple():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        s = np.sort(rng.uniform(0.0, 5.0, int(rng.integers(1, 10))))
+        e = _even_esp(s)
+        assert np.all(e[1::2] == 0.0)
+        up = np.sqrt(s)
+        lifted = elementary_symmetric(RootTuple.from_values(np.concatenate([-up, up])))
+        assert np.max(np.abs(e - lifted)) < 1e-13 * np.max(np.abs(e))
+
+
+def test_squared_hermite_half_matches_explicit_coefficients():
+    # the top half of the 2n Hermite zeros, squared: e_m equals the He_(2n)
+    # coefficient (2n)! / (m! (2n-2m)! 2^m) t^m
+    for n in range(1, 13):
+        for t in (0.3, 1.0, 2.5):
+            squares = hermite_roots(2 * n, t).as_array()[n:] ** 2
+            got = elementary_symmetric(RootTuple.from_values(squares))
+            expect = np.array([
+                math.factorial(2 * n)
+                / (math.factorial(m) * math.factorial(2 * n - 2 * m) * 2**m)
+                * t**m
+                for m in range(n + 1)
+            ])
+            assert np.max(np.abs(got - expect) / expect) < 1e-12
 
 
 def test_laguerre_limit_closed_rejects_small_alpha():

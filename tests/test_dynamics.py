@@ -238,7 +238,8 @@ def laguerre_cases(draw):
     if draw(st.booleans()):
         start = RootTuple((0.0,) * n)
     else:
-        gaps = draw(st.lists(st.sampled_from((0.1, 0.5, 1.0, 2.0)), min_size=n - 1, max_size=n - 1))
+        gap = st.sampled_from((0.1, 0.5, 1.0, 2.0))
+        gaps = draw(st.lists(gap, min_size=n - 1, max_size=n - 1))
         start = RootTuple(tuple(np.cumsum([draw(st.floats(0.0, 4.0))] + gaps)))
     alpha = n - 0.5 + draw(st.floats(1e-3, 3.0))
     return start, alpha, draw(st.floats(0.01, 4.0))

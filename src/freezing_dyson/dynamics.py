@@ -157,12 +157,14 @@ def laguerre_limit_closed(initial: RootTuple, alpha: float, t: float) -> RootTup
 
     Every step but the last stays in elementary symmetric coordinates, where
     the lift and the size-2N Hermite zeros are even polynomials built from
-    their squares (:func:`_even_esp`).  Their convolution is even too, and if
-    its coefficients are ``c`` then the squared half ``x^2/2`` of its roots
-    has ``e_m = (-1/2)^m c_(2m)``, an exact power-of-two scaling.  So the
-    route makes one degree-N root solve and none at degree 2N.  The lift's
-    squares are ``2 a_i`` so that the squared half is the initial data at
-    t = 0.
+    their squares (:func:`_even_esp`).  Both are taken 1/sqrt(2) times the
+    recipe's, with squares ``a_i`` and ``h_j^2 / 2``, so that their
+    convolution, which is even too, has roots ``y / sqrt(2)`` and the halved
+    squares ``y^2 / 2`` are plain squares.  If its coefficients are ``c``
+    these have ``e_m = (-1)^m c_(2m)``, a sign change only.  So the route
+    makes one degree-N root solve and none at degree 2N, and at t = 0 its
+    coefficients are those of the initial data bit for bit, subnormal
+    entries included.
     """
     n = initial.n
     if alpha <= n - 0.5:
@@ -174,9 +176,9 @@ def laguerre_limit_closed(initial: RootTuple, alpha: float, t: float) -> RootTup
         raise InvalidParameter("Laguerre initial data must be nonnegative")
     if t < 0.0:
         raise InvalidParameter("time must be >= 0")
-    lift = _even_esp(2.0 * initial.as_array())
-    herm = _even_esp(hermite_roots(2 * n, t).as_array()[n:] ** 2)
-    half = convolve_esp(lift, herm)[::2] * (-0.5) ** np.arange(n + 1)
+    lift = _even_esp(initial.as_array())
+    herm = _even_esp(hermite_roots(2 * n, t).as_array()[n:] ** 2 / 2.0)
+    half = convolve_esp(lift, herm)[::2] * (-1.0) ** np.arange(n + 1)
     lag = elementary_symmetric(laguerre_roots(n, alpha - n + 0.5, t))
     return roots_of_monic(MonicPolynomial(tuple(convolve_esp(half, lag))))
 

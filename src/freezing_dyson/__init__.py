@@ -18,7 +18,6 @@ from .errors import (
     InvalidParameter,
     NoConvergence,
     NotRealRooted,
-    NotSymmetric,
     StepUnstable,
 )
 from .finfree import (
@@ -58,7 +57,6 @@ from .dynamics import (
     laguerre_limit_closed,
     limit_roots,
     moment_sequence,
-    symmetric_square_map,
 )
 from .stochastic import (
     PathEnsemble,

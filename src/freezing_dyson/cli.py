@@ -31,7 +31,6 @@ from .errors import (
     InvalidParameter,
     NoConvergence,
     NotRealRooted,
-    NotSymmetric,
     StepUnstable,
 )
 from .finfree import boxplus, hermite_roots, laguerre_roots
@@ -415,7 +414,7 @@ def main(argv=None) -> int:
     except (InvalidParameter, DimensionMismatch, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (NotRealRooted, StepUnstable, NoConvergence, NotSymmetric) as exc:
+    except (NotRealRooted, StepUnstable, NoConvergence) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 

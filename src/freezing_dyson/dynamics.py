@@ -20,7 +20,7 @@ from .elemsym import (
     esp_rows,
     roots_of_monic,
 )
-from .errors import InvalidParameter, NotSymmetric
+from .errors import InvalidParameter
 from .finfree import boxplus, convolve_esp, hermite_roots, laguerre_roots
 from .orthopoly import _antiderivative
 
@@ -32,7 +32,6 @@ __all__ = [
     "limit_roots",
     "gaussian_limit_closed",
     "laguerre_limit_closed",
-    "symmetric_square_map",
     "moment_sequence",
 ]
 
@@ -101,7 +100,8 @@ def laguerre_gk(initial: RootTuple, alpha: float) -> GkTrajectory:
 def limit_roots(traj: GkTrajectory, t: float) -> RootTuple:
     """Ordered limit positions at time t: the roots of the polynomial whose
     signed elementary symmetric coefficients are ``g_k(t)``, found by
-    :func:`roots_of_monic` (1e-12 relative zero threshold)."""
+    :func:`roots_of_monic` (each the float nearest the exact root of those
+    float coefficients)."""
     if t < 0.0:
         raise InvalidParameter("time must be >= 0")
     return roots_of_monic(MonicPolynomial(tuple(traj.coefficients_at(t))))
@@ -114,27 +114,6 @@ def gaussian_limit_closed(initial: RootTuple, t: float) -> RootTuple:
     if t < 0.0:
         raise InvalidParameter("time must be >= 0")
     return boxplus(initial, hermite_roots(initial.n, t))
-
-
-def symmetric_square_map(y: RootTuple) -> RootTuple:
-    """Halved squares of the upper half of a symmetric tuple.
-
-    For even size 2N, returns the sorted ``(y_(N+1)^2/2, ..., y_(2N)^2/2)``;
-    for odd size 2N+1 the middle coordinate must vanish and is excluded.
-    Raises :class:`NotSymmetric` when ``y_i != -y_(size-i+1)`` within 1e-9.
-    """
-    vals = y.as_array()
-    size = len(vals)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))) if size else 1.0)
-    if np.max(np.abs(vals + vals[::-1])) > tol:
-        raise NotSymmetric("tuple is not symmetric about zero within 1e-9")
-    half = size // 2
-    if size % 2 == 1 and size > 1 and abs(vals[half]) > tol:
-        raise NotSymmetric("middle coordinate of an odd symmetric tuple must vanish")
-    if size == 1:
-        raise InvalidParameter("need at least two coordinates")
-    top = vals[size - half :]
-    return RootTuple.from_values(0.5 * top**2)
 
 
 def _even_esp(squares: np.ndarray) -> np.ndarray:

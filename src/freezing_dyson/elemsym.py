@@ -106,7 +106,7 @@ class MonicPolynomial:
         return signs * np.asarray(self.alpha)
 
     def __call__(self, x):
-        return _horner(self.monomial_coefficients(), x)
+        return np.polyval(self.monomial_coefficients(), x)
 
 
 def elementary_symmetric(x: RootTuple) -> np.ndarray:
@@ -149,188 +149,237 @@ def newton_esp_from_power_sums(powersums: Sequence, n: int) -> np.ndarray:
     return e
 
 
-def _horner(coeffs_desc, x):
-    """Evaluate a polynomial given coefficients in descending powers."""
-    acc = 0.0
-    for c in coeffs_desc:
-        acc = acc * x + c
+def _scaled_ints(coeffs):
+    """Integer coefficients ``L c_k``, L the floats' common power-of-two denominator."""
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    top = max(den.bit_length() for _, den in ratios)
+    return [num << (top - den.bit_length()) for num, den in ratios]
+
+
+def _scaled_value(ints, num, den):
+    """``den^d P(num/den)`` for the integer coefficients of P and ``den`` a
+    power of two: an integer with the sign of ``P(num/den)``."""
+    shift = den.bit_length() - 1
+    acc = 0
+    for k, c in enumerate(ints):
+        acc = acc * num + (c << (shift * k))
     return acc
 
 
-def _root_bound(coeffs_desc) -> float:
-    """Upper bound on root magnitudes of a monic polynomial (Cauchy/Fujiwara)."""
-    tail = [abs(c) for c in coeffs_desc[1:]]
-    if not tail or max(tail) == 0.0:
-        return 1.0
-    cauchy = 1.0 + max(tail)
-    fujiwara = 2.0 * max(a ** (1.0 / k) for k, a in enumerate(tail, start=1) if a > 0.0)
-    return min(cauchy, fujiwara)
+def _exact_sign(ints, x):
+    """Sign at the float x of the polynomial with integer coefficients ``ints``."""
+    v = _scaled_value(ints, *x.as_integer_ratio())
+    return (v > 0) - (v < 0)
 
 
-def _exact_sign(coeffs, x):
-    """Sign of the polynomial at x, evaluated exactly on Python ints.
-
-    Floats are dyadic rationals: with x = p/q and every coefficient c_k = C_k/L
-    over one power-of-two denominator L, the integer
-    ``q^d L P(x) = sum_k C_k p^(d-k) q^k`` has the sign of P(x).
-    """
-    ratios = [c.as_integer_ratio() for c in coeffs]
-    top = max(den.bit_length() for _, den in ratios)  # L = 2**(top - 1)
-    p, q = x.as_integer_ratio()
-    qbits = q.bit_length() - 1
-    acc = 0
-    for k, (num, den) in enumerate(ratios):
-        acc = acc * p + (num << (top - den.bit_length() + qbits * k))
-    return (acc > 0) - (acc < 0)
-
-
-def _horner_dp(coeffs, x):
-    """``(p(x), p'(x))`` in one Horner pass."""
-    p = dp = 0.0
-    for c in coeffs:
-        dp = dp * x + p
-        p = p * x + c
-    return p, dp
-
-
-def _bisect(coeffs, lo, hi, flo):
-    """The root of the polynomial in a sign bracket [lo, hi] holding one root.
-
-    The float stage evaluates p and p' together at safeguarded Newton trial
-    points: the Newton iterate when it lies strictly inside the bracket and
-    its step is at most half the step before last, the midpoint otherwise.
-    Newton closes in from one side, so a step shorter than half the stopping
-    width is lengthened to half the width, and while the trial points stay on
-    one side of the root a rejected Newton step gives way to twice the last
-    step (rounding noise can hide the sign of p over a few widths).  The
-    stage stops, as plain bisection did, at an exact zero or at a sign
-    bracket no wider than ``1e-15 * max(1, |lo|, |hi|)``.
-    """
-    lo0, hi0 = lo, hi
-    neg = flo < 0.0
-    x = 0.5 * (lo + hi)
-    step = step_old = hi - lo
-    at_lo = None
-    for _ in range(90):
-        fx, dfx = _horner_dp(coeffs, x)
-        if fx == 0.0:
-            lo = hi = x
-            break
-        was_lo, at_lo = at_lo, (fx < 0.0) == neg
-        if at_lo:
-            lo = x
-        else:
-            hi = x
-        width = 1e-15 * max(1.0, abs(lo), abs(hi))
-        if hi - lo <= width:
-            break
-        if abs(fx + fx) <= abs(step_old * dfx):
-            dx = -fx / dfx
-            if abs(dx) < 0.5 * width:
-                dx = math.copysign(0.5 * width, dx)
-        elif was_lo == at_lo:
-            dx = 2.0 * step if at_lo else -2.0 * step
-        else:
-            dx = 0.0
-        if dx and lo < x + dx < hi:
-            x += dx
-            step_old, step = step, abs(dx)
-        else:
-            x = 0.5 * (lo + hi)
-            if x <= lo or x >= hi:
-                break
-            step_old, step = step, x - lo
-    mid = 0.5 * (lo + hi)
-
-    # The float stage lands where the *computed* sign flips, which can sit
-    # eps*E/|p'| away from the true root for ill-conditioned coefficients.
-    # When that estimate exceeds the accuracy target, re-bisect with exact
-    # signs inside a rewidened bracket.
-    dp = _horner_dp(coeffs, mid)[1]
-    eval_scale = _horner([abs(c) for c in coeffs], abs(mid))
-    err_est = 2e-16 * eval_scale / max(abs(dp), 1e-300)
-    target = 1e-13 * max(1.0, abs(mid))
-    if err_est <= target:
-        return mid
-
-    delta = 4.0 * err_est + (hi - lo)
-    a, b = max(lo0, mid - delta), min(hi0, mid + delta)
-    sa, sb = _exact_sign(coeffs, a), _exact_sign(coeffs, b)
-    if sa == 0:
-        return a
-    if sb == 0:
-        return b
-    if sa == sb:
-        a, b = lo0, hi0
-        sa, sb = _exact_sign(coeffs, a), _exact_sign(coeffs, b)
-        if sa == 0 or sb == 0 or sa == sb:
-            # crossing is below exact resolution (near-multiple root): keep mid
-            return mid
-    for _ in range(120):
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            break
-        sm = _exact_sign(coeffs, m)
+def _refine(ints, a, b, sa):
+    """The float nearest the root in the sign bracket [a, b]: exact bisection
+    down to adjacent floats, then one sign at their exact midpoint."""
+    while True:
+        m = 0.5 * a + 0.5 * b
+        if not a < m < b:
+            (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+            v = _scaled_value(ints, na * db + nb * da, 2 * da * db)
+            return b if (v > 0) - (v < 0) == sa else a
+        sm = _exact_sign(ints, m)
         if sm == 0:
             return m
-        if sm == sa:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+        a, b = (m, b) if sm == sa else (a, m)
 
 
-def _real_roots(coeffs):
-    """Roots of a real-rooted monic polynomial, by recursive derivative interlacing.
+def _seeds(coeffs):
+    """Companion-matrix eigenvalues, one solve per well-separated root scale.
 
-    Roots of the derivative (found recursively) split the line into intervals
-    each holding exactly one root; :func:`_bisect` settles each interval.  An
-    interval endpoint whose polynomial value sits within the zero threshold is
-    reported as a (possibly multiple) root.
+    Each edge of the upper hull of the points ``(k, log2 |c_k|)`` (the
+    Newton polygon) counts the roots of one size, 2 to its slope.  Where the
+    slope drops by more than 26 (half the float mantissa), the roots on
+    either side are solved apart, each from its own run of coefficients
+    rescaled to size 1, so that roots far smaller than the largest keep
+    their relative accuracy.  Sorted by real part.
     """
-    d = len(coeffs) - 1
-    if d == 1:
-        return [-coeffs[1]]
-    theta = 1e-12 * max(1.0, max(abs(c) for c in coeffs))
-    deriv = [c * (d - k) / d for k, c in enumerate(coeffs[:-1])]
-    crit = _real_roots(deriv)
-    bound = _root_bound(coeffs)
-    pts = [-bound] + crit + [bound]
-    fvals = [_horner(coeffs, x) for x in pts]
-    roots = []
-    for m in range(d):
-        lo, hi = pts[m], pts[m + 1]
-        flo, fhi = fvals[m], fvals[m + 1]
-        zlo, zhi = abs(flo) <= theta, abs(fhi) <= theta
-        if zlo and zhi:
-            roots.append(lo if abs(flo) <= abs(fhi) else hi)
-        elif zlo:
-            roots.append(lo)
-        elif zhi:
-            roots.append(hi)
-        elif (flo < 0.0) != (fhi < 0.0):
-            roots.append(_bisect(coeffs, lo, hi, flo))
-        else:
-            raise NotRealRooted(
-                "no sign change in interval "
-                f"[{lo!r}, {hi!r}] (values {flo!r}, {fhi!r}, threshold {theta!r})"
-            )
-    roots.sort()
+    points = [(k, math.frexp(c)[1]) for k, c in enumerate(coeffs) if c]
+    hull = []
+    for k, e in points:
+        while len(hull) > 1 and (
+            (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+            <= (e - hull[-2][1]) * (hull[-1][0] - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append((k, e))
+    slopes = [(e2 - e1) / (k2 - k1) for (k1, e1), (k2, e2) in zip(hull, hull[1:])]
+    cuts = [i for i in range(len(slopes)) if i == 0 or slopes[i - 1] - slopes[i] > 26]
+    z = [0j] * (len(coeffs) - 1 - points[-1][0])
+    for i, j in zip(cuts, cuts[1:] + [len(slopes)]):
+        (k1, e1), (k2, e2) = hull[i], hull[j]
+        s = round((e2 - e1) / (k2 - k1))
+        run = np.ldexp(coeffs[k1 : k2 + 1], s * (k1 - np.arange(k1, k2 + 1)) - e1)
+        companion = np.diag(np.ones(k2 - k1 - 1), -1)
+        companion[0] = -run[1:] / run[0]
+        y = np.linalg.eigvals(companion)
+        z.extend(np.ldexp(y.real, s) + 1j * np.ldexp(y.imag, s))
+    z = np.array(z, complex)
+    if not np.all(np.isfinite(z)):
+        raise NotRealRooted("companion-matrix eigenvalues are not finite")
+    return z[np.argsort(z.real, kind="stable")]
+
+
+def _certified_roots(ints, coeffs, z):
+    """The roots certified around the seeds z, sorted by real part.
+
+    Around each seed's real part a bracket starts a few ulps wide and grows
+    inside the seed's cell (the midpoints to its neighbours, a root bound at
+    the ends) until the exact signs at its ends differ or one is zero.
+    Every probed point with sign zero, and every pair of consecutive probed
+    points with opposite signs, holds a root; when there are d of them, each
+    holds exactly one and all d roots are found.
+    """
+    # twice the Cauchy bound 1 + max |c_k|, which rounds to max |c_k| past 2^53
+    bound = min(2.0 * max(1.0, *(abs(c) for c in coeffs[1:])), np.finfo(float).max)
+    seeds = z.real.tolist()
+    ends = [-bound] + [0.5 * a + 0.5 * b for a, b in zip(seeds, seeds[1:])] + [bound]
+    signs = {}
+    for x, lo, hi in zip(seeds, ends, ends[1:]):
+        x = min(max(x, lo), hi)
+        w = 4.0 * math.ulp(x)
+        while True:
+            a, b = max(lo, x - w), min(hi, x + w)
+            for y in (a, b):
+                if y not in signs:
+                    signs[y] = _exact_sign(ints, y)
+            if signs[a] * signs[b] <= 0 or (a == lo and b == hi):
+                break
+            w *= 4.0
+    probes = sorted(signs.items())
+    roots = [x for x, s in probes if s == 0]
+    pairs = zip(probes, probes[1:])
+    return roots + [_refine(ints, a, b, sa) for (a, sa), (b, sb) in pairs if sa * sb < 0]
+
+
+def _clusters(z, roots):
+    """Per cluster of the seeds z, its seed mask and the certified roots it owns.
+
+    Seeds closer than four times the larger of their imaginary parts are in
+    one cluster (so are equal seeds): rounding that pushes m roots off the
+    real line spreads them around a circle whose size the imaginary parts
+    show.  A cluster owns the roots nearest its seeds.
+    """
+    height = np.abs(z.imag)
+    reach = np.abs(z[:, None] - z[None, :]) <= 4.0 * np.maximum(height[:, None], height[None, :])
+    while not np.array_equal(reach, step := reach @ reach):
+        reach = step
+    owner = [int(np.argmin(np.abs(z - r))) for r in roots]
+    return [
+        (reach[i], [r for r, j in zip(roots, owner) if reach[i, j]])
+        for i in range(len(z))
+        if not reach[i, :i].any()
+    ]
+
+
+def _roots_or_centroids(exact):
+    """Roots of a monic square-free factor with Fraction coefficients:
+    certified roots, and centroids where rounding pushed a cluster of roots
+    off the real line.
+
+    A cluster that does not own one certified root per seed is seeded again
+    from the factor shifted exactly to the cluster's centroid, where its
+    roots are small and solved at their own scale.  One that still does not
+    comes back as the mean of its seeds' real parts, once per seed, if that
+    mean's relative backward error ``|p(x)| / sum_k |c_k| |x|^(d-k)`` is at
+    most ``8 d 2^-53``, each ``|c_k|`` (k > 0) counted with its underflow
+    ``2^-1074``; otherwise its roots are not real.
+    """
+    from fractions import Fraction
+
+    scale = math.lcm(*(c.denominator for c in exact))
+    ints, coeffs = [int(c * scale) for c in exact], [float(c) for c in exact]
+    z = _seeds(coeffs)
+    roots = _certified_roots(ints, coeffs, z)
+    d = len(z)
+    if len(roots) < d:
+        for members, found in _clusters(z, roots):
+            m = int(members.sum())
+            if len(found) != m:
+                c, q = Fraction(np.mean(z.real[members])), list(exact)
+                for i in range(d):  # Taylor shift: q(y) = p(c + y)
+                    for j in range(1, d + 1 - i):
+                        q[j] += c * q[j - 1]
+                try:
+                    y = _seeds([float(v) for v in q])
+                except OverflowError:  # the shifted factor leaves the float range
+                    continue
+                z[members] = float(c) + y[np.argsort(np.abs(y), kind="stable")[:m]]
+        z = z[np.argsort(z.real, kind="stable")]
+        roots = _certified_roots(ints, coeffs, z)
+    if len(roots) == d:
+        return roots
+    out = []
+    for members, found in _clusters(z, roots):
+        m = int(members.sum())
+        if len(found) != m:
+            x = float(np.mean(z.real[members]))
+            num, den = x.as_integer_ratio()
+            value = abs(_scaled_value(ints, num, den)) << 1074
+            env = _scaled_value([abs(c) for c in ints], abs(num), den) << 1021
+            underflow = ints[0] * _scaled_value([0] + [1] * d, abs(num), den)
+            if value > 8 * d * (env + underflow):
+                raise NotRealRooted(f"roots near {x!r} are not real within rounding")
+            found = [x] * m
+        out += found
+    return out
+
+
+def _square_free_roots(coeffs):
+    """Roots through the exact square-free chain of the float polynomial.
+
+    With ``g_0 = p`` and ``g_(j+1) = gcd(g_j, g_j')``, the square-free
+    ``g_j / g_(j+1)`` holds once each root of multiplicity above j (Yun), so
+    solving every level returns each root with its multiplicity.  The chain
+    runs on Fractions.
+    """
+    from fractions import Fraction
+
+    def divide(f, g):  # quotient and remainder by a monic g
+        f, n = list(f), len(f) - len(g) + 1
+        for i in range(n):
+            for j in range(1, len(g)):
+                f[i + j] -= f[i] * g[j]
+        rem = f[n:]
+        while rem and rem[0] == 0:
+            rem.pop(0)
+        return f[:n], rem
+
+    g, roots = [Fraction(c) for c in coeffs], []
+    while len(g) > 1:
+        s, h = g, [c * (len(g) - 1 - k) for k, c in enumerate(g[:-1])]
+        while h:  # Euclid: g becomes the monic gcd(g, g')
+            h = [c / h[0] for c in h]
+            g, h = h, divide(g, h)[1]
+        g = [c / g[0] for c in g]
+        roots += _roots_or_centroids(divide(s, g)[0])
     return roots
 
 
 def roots_of_monic(p: MonicPolynomial) -> RootTuple:
     """All N real roots of a real-rooted monic polynomial, sorted ascending.
 
-    Repeated roots are returned with multiplicity.  The zero-detection
-    threshold, used for multiplicity reporting and for deciding that a
-    required sign change is genuinely missing, is ``1e-12 * max(1, max |c_k|)``
-    at every level of the derivative recursion: absolute once the
-    coefficients fall below 1, so roots spread over much less than 1 can
-    merge into a false multiple root.  The search inside each interlacing
-    interval always refines to machine precision.
+    Companion-matrix eigenvalues (as ``np.roots`` takes them, one solve per
+    well-separated root scale) seed exact sign brackets, which exact
+    bisection shrinks to adjacent floats.  N disjoint sign brackets prove
+    that each root is found exactly once, and each root returned is then the
+    float nearest the exact root of the given float coefficients.  Otherwise
+    the exact square-free factors are solved the same way, each root once
+    per multiplicity; a cluster of roots that rounding pushed off the real
+    line comes back as its centroid, once per root, when that centroid's
+    relative backward error is within ``8 N 2^-53``.
 
-    Raises :class:`NotRealRooted` when an interlacing interval carries no sign
-    change and neither endpoint is a root within that threshold.
+    Raises :class:`NotRealRooted` when a coefficient is not finite or some
+    roots are not real within that backward error.
     """
-    return RootTuple(tuple(_real_roots([float(c) for c in p.monomial_coefficients()])))
+    coeffs = [float(c) for c in p.monomial_coefficients()]
+    for k, c in enumerate(coeffs):
+        if not math.isfinite(c):
+            raise NotRealRooted(f"coefficient c_{k} = {c!r} is not finite")
+    roots = _certified_roots(_scaled_ints(coeffs), coeffs, _seeds(coeffs))
+    if len(roots) < p.degree:
+        roots = _square_free_roots(coeffs)
+    return RootTuple(tuple(sorted(roots)))

@@ -17,10 +17,6 @@ class NotRealRooted(FreezingDysonError):
     """A polynomial expected to be real-rooted is not (within tolerance)."""
 
 
-class NotSymmetric(FreezingDysonError):
-    """A tuple expected to be symmetric about zero is not."""
-
-
 class NoConvergence(FreezingDysonError):
     """An iterative solver failed to converge after its retry policy."""
 

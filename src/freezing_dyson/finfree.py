@@ -21,7 +21,7 @@ from .elemsym import (
     newton_esp_from_power_sums,
     roots_of_monic,
 )
-from .errors import DimensionMismatch, InvalidParameter, NoConvergence, NotRealRooted
+from .errors import DimensionMismatch, InvalidParameter, NotRealRooted
 from .orthopoly import hermite_zeros, laguerre_zeros
 
 __all__ = [
@@ -82,11 +82,10 @@ def boxplus(a: RootTuple, b: RootTuple) -> RootTuple:
     the float coefficients lose the roots' conditioning: against
     ``hermite_roots(N, 2)``, ``boxplus(hermite_roots(N, 1), hermite_roots(N, 1))``
     is off by about 5e-15 relative at N = 12, 5e-13 at N = 20, 6e-11 at
-    N = 30 and 2e-8 at N = 40.  The supported scale has a floor: the zero
-    threshold of :func:`roots_of_monic` is absolute, so roots spread over less
-    than about 0.1 (N = 8..12) or 1e-3 (N = 4) merge into false multiple
-    roots (at a spread of 1e-4, errors of 30-70%).  Large scales keep about
-    1e-14 relative (checked to 1e6).
+    N = 30 and 2e-8 at N = 40.  The error is relative at every scale: the
+    roots are the exact roots of the float coefficients, so a small spread
+    costs nothing (``boxplus(a, a)`` with ``a = hermite_roots(4, 1e-8)`` is
+    within 1e-14 relative of ``hermite_roots(4, 2e-8)``).
     """
     if a.n != b.n:
         raise DimensionMismatch(f"tuple sizes differ: {a.n} vs {b.n}")
@@ -218,59 +217,19 @@ class MKLift:
         return np.array([np.sum(sv**k) for k in range(1, self.n + 1)])
 
 
-def _durand_kerner(coeffs_desc):
-    """All complex roots of a monic polynomial by simultaneous iteration.
-
-    Converges when the largest per-root step drops below 1e-12 relative to
-    the starting radius, or when every residual |p(z_i)| sits at the float
-    evaluation-noise floor (root clusters of multiplicity m cannot be pinned
-    tighter than (eps*scale)^(1/m) by any double-precision method).  Runs at
-    most 500 iterations per attempt, and retries with randomly perturbed
-    starting circles (deterministic generator) up to 5 times.
-    """
-    c = np.asarray(coeffs_desc, dtype=complex)
-    d = len(c) - 1
-    radius = 1.0 + max(abs(v) for v in c[1:]) if d > 0 else 1.0
-    rng = np.random.default_rng(0x5EED)
-    step_tol = 1e-12 * max(1.0, radius)
-    cabs = np.abs(c)
-    for attempt in range(6):
-        if attempt == 0:
-            angles = 2.0 * np.pi * (np.arange(d) + 0.25) / d
-            z = radius * np.exp(1j * angles)
-        else:
-            angles = 2.0 * np.pi * rng.random(d)
-            z = radius * rng.uniform(0.3, 1.0, d) * np.exp(1j * angles)
-        for _ in range(500):
-            pvals = np.polyval(c, z)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            denom = np.prod(diff, axis=1)
-            if np.any(np.abs(denom) < 1e-280):
-                break
-            delta = pvals / denom
-            z = z - delta
-            if np.max(np.abs(delta)) < step_tol:
-                return z
-            noise_floor = 8.0 * np.finfo(float).eps * np.polyval(cabs, np.abs(z))
-            if np.all(np.abs(np.polyval(c, z)) <= noise_floor):
-                return z
-    raise NoConvergence("simultaneous root iteration failed after 6 attempts")
-
-
 def markov_krein_lift(a: RootTuple) -> MKLift:
     """Complex tuple s with ``(1/N) sum_i (z - s_i)^N = prod_i (z - a_i)``.
 
     Solves ``binom(N,k) mean(s^k) = e_k(a)`` for the power sums of s, converts
-    to elementary symmetric values by Newton's identities, then finds the
-    complex roots by simultaneous iteration.
+    to elementary symmetric values by Newton's identities, then takes the
+    complex roots as companion-matrix eigenvalues (``np.roots``).
     """
     n = a.n
     e = elementary_symmetric(a)
     psums = np.array([n * e[k] / math.comb(n, k) for k in range(1, n + 1)])
     es = newton_esp_from_power_sums(psums, n)
     coeffs = [(-1.0) ** k * es[k] for k in range(n + 1)]
-    roots = _durand_kerner(coeffs)
+    roots = np.roots(coeffs).astype(complex)
     order = np.lexsort((roots.imag, roots.real))
     return MKLift(tuple(roots[order]), n)
 

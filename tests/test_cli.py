@@ -121,6 +121,23 @@ def test_limit_gaussian_zero_initial(tmp_path, capsys):
     assert disc < 1e-8
 
 
+def test_limit_gaussian_zero_start_small_t_matches_hermite_zeros(tmp_path, capsys):
+    # both routes once returned a false triple root here, with a route
+    # discrepancy of 3e-20 that --verify-ode could not flag
+    init = tmp_path / "init.csv"
+    init.write_text("0,0,0,0\n")
+    code, out, _ = run_cli(
+        ["limit", "--kind", "gaussian", "--initial", str(init), "--t", "1e-10", "--verify-ode"],
+        capsys,
+    )
+    assert code == 0
+    got = np.array([float(v) for v in body_rows(out)[0].split(",")])
+    code, out, _ = run_cli(["zeros", "--family", "hermite", "--n", "4", "--t", "1e-10"], capsys)
+    assert code == 0
+    expect = np.array([float(v) for v in body_rows(out)[0].split(",")])
+    assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-14
+
+
 def test_limit_laguerre_closed_form_rejection(tmp_path, capsys):
     init = tmp_path / "init.csv"
     init.write_text("0,0\n")
@@ -147,7 +164,7 @@ def test_limit_laguerre_closed_form_rejection(tmp_path, capsys):
 
 
 def test_limit_laguerre_verify_ode_at_small_t(tmp_path, capsys):
-    # the closed route once raised NotSymmetric (exit 3) on this start
+    # the closed route once exited 3 on this start
     init = tmp_path / "init.csv"
     init.write_text("0.36,1.49,1.56,2.42,3.03,3.17,3.21\n")
     code, _, err = run_cli(

@@ -13,10 +13,9 @@ from freezing_dyson.dynamics import (
     laguerre_limit_closed,
     limit_roots,
     moment_sequence,
-    symmetric_square_map,
 )
 from freezing_dyson.elemsym import RootTuple, elementary_symmetric
-from freezing_dyson.errors import InvalidParameter, NotSymmetric
+from freezing_dyson.errors import InvalidParameter
 from freezing_dyson.finfree import hermite_roots, laguerre_roots
 from freezing_dyson.orthopoly import eigen_tridiag, hermite_jacobi
 
@@ -173,15 +172,12 @@ def test_symmetry_preserved_by_gaussian_limit():
             assert all(abs(e[k]) < 1e-10 * scale for k in range(1, out.n + 1, 2))
 
 
-def test_symmetric_square_map_examples():
-    assert np.allclose(
-        symmetric_square_map(RootTuple((-2.0, -1.0, 1.0, 2.0))).roots, [0.5, 2.0]
-    )
-    # odd size: middle excluded
-    assert np.allclose(symmetric_square_map(RootTuple((-1.0, 0.0, 1.0))).roots, [0.5])
-    assert symmetric_square_map(RootTuple((0.0, 0.0, 0.0, 0.0))).roots == (0.0, 0.0)
-    with pytest.raises(NotSymmetric):
-        symmetric_square_map(RootTuple((-1.0, 2.0)))
+def test_gaussian_ode_route_from_zero_start_at_small_t():
+    # the ODE route once merged these roots, spread over 5e-5, into a false
+    # triple root (-1e-5, -1e-5, -1e-5, 1e-5)
+    got = limit_roots(gaussian_gk(RootTuple((0.0,) * 4)), 1e-10).as_array()
+    expect = hermite_roots(4, 1e-10).as_array()
+    assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-14
 
 
 def test_laguerre_limit_closed_zero_init():
@@ -219,7 +215,7 @@ def test_laguerre_routes_agree_random():
 
 def test_laguerre_limit_closed_answers_at_small_t():
     # clustered start at small t: the roots of the old degree-2N lift came
-    # out asymmetric by more than 1e-9 and the route raised NotSymmetric
+    # out asymmetric by more than 1e-9 and the route raised
     a = RootTuple((0.36, 1.49, 1.56, 2.42, 3.03, 3.17, 3.21))
     alpha = 6.98
     traj = laguerre_gk(a, alpha)

@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 from freezing_dyson.elemsym import (
     MonicPolynomial,
     RootTuple,
-    _bisect,
     _exact_sign,
-    _horner,
-    _real_roots,
-    _root_bound,
+    _scaled_ints,
     elementary_symmetric,
     newton_esp_from_power_sums,
     partial_esp,
@@ -180,19 +177,63 @@ def test_roots_of_monic_hermite3():
 
 def test_roots_of_monic_double_root():
     r = roots_of_monic(MonicPolynomial((1.0, 2.0, 1.0)))
-    assert np.allclose(r.roots, [1.0, 1.0], atol=1e-9)
+    assert r.roots == (1.0, 1.0)
 
 
 def test_roots_of_monic_triple_root():
     # (x-2)^3: alpha_k = e_k(2,2,2)
     r = roots_of_monic(MonicPolynomial((1.0, 6.0, 12.0, 8.0)))
-    assert np.allclose(r.roots, [2.0, 2.0, 2.0], atol=1e-6)
+    assert r.roots == (2.0, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("centre", [4.0, 3.0])
+def test_roots_of_monic_exact_multiple_roots(centre):
+    # x^8 (x - centre)^4 has exact float coefficients; its repeated roots come
+    # back exactly through the square-free factors
+    roots = (0.0,) * 8 + (centre,) * 4
+    r = roots_of_monic(MonicPolynomial.from_roots(RootTuple(roots)))
+    assert r.roots == roots
+
+
+@pytest.mark.parametrize(
+    "groups", [((0.3, 8), (1.7, 8)), ((0.7, 5), (0.9, 2))], ids=["8+8", "5+2"]
+)
+def test_roots_of_monic_clusters_come_back_as_centroids(groups):
+    # rounding pushes these multiple roots off the real line (float
+    # coefficients from np.poly); each cluster returns its centroid, where
+    # the seeds' own real parts are off by up to 4.5e-2
+    centres = [c for c, m in groups for _ in range(m)]
+    alpha = np.poly(centres) * (-1.0) ** np.arange(len(centres) + 1)
+    r = roots_of_monic(MonicPolynomial(tuple(alpha))).as_array()
+    assert np.max(np.abs(r - np.sort(centres))) < 1e-9
+
+
+def test_roots_of_monic_small_spread_round_trip():
+    # roots far below 1 in size are not merged into a multiple root
+    x = RootTuple(tuple(1e-3 * np.array([-1.5, 0.2, 1.0, 3.0])))
+    back = roots_of_monic(MonicPolynomial.from_roots(x)).as_array()
+    assert np.max(np.abs(back - x.as_array())) < 1e-18
 
 
 def test_roots_of_monic_rejects_complex_pair():
     # x^2 + 1 has no real roots
     with pytest.raises(NotRealRooted):
         roots_of_monic(MonicPolynomial((1.0, 0.0, 1.0)))
+
+
+def test_roots_of_monic_raises_not_real_rooted_past_the_float_range():
+    # re-seeding the cluster near 1e84 shifts the polynomial beyond the float
+    # range; that must end in NotRealRooted, not an OverflowError
+    alpha = (1.0, -2.00001, -1.1863463822137624e-114, 2.0100790491550437e299,
+             5.206613293447182e16, 1e-10, 1e-09)
+    with pytest.raises(NotRealRooted):
+        roots_of_monic(MonicPolynomial(alpha))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_roots_of_monic_names_non_finite_coefficients(bad):
+    with pytest.raises(NotRealRooted, match=r"coefficient c_2 = .* is not finite"):
+        roots_of_monic(MonicPolynomial((1.0, 0.5, bad)))
 
 
 def root_condition_floor(vals):
@@ -275,96 +316,8 @@ def sign_cases(draw):
 @example(([1.0, 0.0, 0.0, 0.0], -5e-324))  # smallest subnormal, cubed
 def test_exact_sign_matches_fraction_oracle(case):
     coeffs, x = case
-    assert _exact_sign(coeffs, x) == exact_sign_oracle(coeffs, x)
+    assert _exact_sign(_scaled_ints(coeffs), x) == exact_sign_oracle(coeffs, x)
 
-
-
-# The root finder as it stood before its float stage took Newton trial
-# points: plain bisection to the same exit rule, then the same error estimate
-# and exact-sign fallback.  It records every bracket it settles, with the
-# path that settled it, so the Newton stage can be held to it bracket by
-# bracket.
-def bisection_bisect(coeffs, lo, hi, flo):
-    """(root, path, err_est); path is "float", "exact" (exact bisection down
-    to adjacent floats or an exact zero) or "other"."""
-    lo0, hi0 = lo, hi
-    neg = flo < 0.0
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = _horner(coeffs, mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm < 0.0) == neg:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            break
-    mid = 0.5 * (lo + hi)
-    d = len(coeffs) - 1
-    eval_scale = _horner([abs(c) for c in coeffs], abs(mid))
-    dp = abs(_horner([c * (d - k) for k, c in enumerate(coeffs[:-1])], mid))
-    err_est = 2e-16 * eval_scale / max(dp, 1e-300)
-    if err_est <= 1e-13 * max(1.0, abs(mid)):
-        return mid, "float", err_est
-    delta = 4.0 * err_est + (hi - lo)
-    a, b = max(lo0, mid - delta), min(hi0, mid + delta)
-    sa, sb = _exact_sign(coeffs, a), _exact_sign(coeffs, b)
-    if sa == 0:
-        return a, "exact", err_est
-    if sb == 0:
-        return b, "exact", err_est
-    if sa == sb:
-        a, b = lo0, hi0
-        sa, sb = _exact_sign(coeffs, a), _exact_sign(coeffs, b)
-        if sa == 0 or sb == 0 or sa == sb:
-            return mid, "other", err_est
-    for _ in range(120):
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            return 0.5 * (a + b), "exact", err_est
-        sm = _exact_sign(coeffs, m)
-        if sm == 0:
-            return m, "exact", err_est
-        if sm == sa:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b), "other", err_est
-
-
-def bisection_real_roots(coeffs, settled):
-    """The interlacing recursion around bisection_bisect; appends
-    (coeffs, lo, hi, flo, root, path, err_est) to settled per bracket."""
-    d = len(coeffs) - 1
-    if d == 1:
-        return [-coeffs[1]]
-    theta = 1e-12 * max(1.0, max(abs(c) for c in coeffs))
-    deriv = [c * (d - k) / d for k, c in enumerate(coeffs[:-1])]
-    pts = [-_root_bound(coeffs)] + bisection_real_roots(deriv, settled) + [_root_bound(coeffs)]
-    fvals = [_horner(coeffs, x) for x in pts]
-    roots = []
-    for m in range(d):
-        lo, hi = pts[m], pts[m + 1]
-        flo, fhi = fvals[m], fvals[m + 1]
-        zlo, zhi = abs(flo) <= theta, abs(fhi) <= theta
-        if zlo and zhi:
-            roots.append(lo if abs(flo) <= abs(fhi) else hi)
-        elif zlo:
-            roots.append(lo)
-        elif zhi:
-            roots.append(hi)
-        elif (flo < 0.0) != (fhi < 0.0):
-            root, path, err_est = bisection_bisect(coeffs, lo, hi, flo)
-            settled.append((coeffs, lo, hi, flo, root, path, err_est))
-            roots.append(root)
-        else:
-            raise NotRealRooted(f"no sign change in [{lo!r}, {hi!r}]")
-    roots.sort()
-    return roots
 
 
 @st.composite
@@ -392,33 +345,39 @@ def real_rooted_coeffs(draw, max_degree):
 @given(real_rooted_coeffs(12))
 @example([1.0, -3.0, 2.0])
 @example([1.0, -6.0, 12.0, -8.0])  # (x - 2)^3
-def test_newton_stage_matches_bisection_oracle(coeffs):
-    # Both stages stop on a computed sign change within the stopping width,
-    # and computed signs are noise within about d * err_est of the root
-    # (Horner's error bound), so two such roots differ by at most the width
-    # plus twice that band; exact bisection ends on the same adjacent floats
-    # from any bracket, so the exact fallback's roots are identical.  Past
-    # degree 8, repeated roots can defeat the zero threshold of the
-    # recursion; the brackets settled before that are still compared.
-    settled = []
-    try:
-        bisection_real_roots(coeffs, settled)
-    except NotRealRooted:
-        pass
+@example([1.0, -1.0, -1.0, 1.0, -1.401298464324817e-45, 1.2057640645543755e-263])
+@example([1.0, -3.0, 1.0, 3.0, -2.0, 2.802596928649634e-45])  # two roots within an ulp of 1
+@example([1.0, -1e-3, -1.0, 1e-3, -1.401298464324817e-51, 1.2057640645543754e-272])
+def test_returned_roots_are_certified(coeffs):
+    # Every returned root is an exact zero, or the float nearest a sign
+    # change between it and an adjacent float, by exact Fraction signs.  The
+    # only other roots allowed are centroids of clusters the seeds do not
+    # separate, within the documented backward error (float rounding of each
+    # coefficient, underflow included).
     d = len(coeffs) - 1
-    for c, lo, hi, flo, old, path, err_est in settled:
-        new = _bisect(c, lo, hi, flo)
-        if path == "float":
-            assert abs(new - old) <= 1e-15 * max(1.0, abs(old)) + 2 * d * err_est
-        elif path == "exact":
-            assert new == old
+    roots = roots_of_monic(MonicPolynomial(tuple(c * (-1) ** k for k, c in enumerate(coeffs))))
+    for r in roots.roots:
+        lo, hi = math.nextafter(r, -math.inf), math.nextafter(r, math.inf)
+        s_lo, s, s_hi = (exact_sign_oracle(coeffs, x) for x in (lo, r, hi))
+        if s == 0:
+            continue
+        other = lo if s_lo * s < 0 else hi if s * s_hi < 0 else None
+        if other is not None:
+            mid = (Fraction(r) + Fraction(other)) / 2
+            if exact_sign_oracle(coeffs, mid) != s:
+                continue
+        value = sum(Fraction(c) * Fraction(r) ** (d - k) for k, c in enumerate(coeffs))
+        scale = sum(abs(Fraction(c) * Fraction(r) ** (d - k)) for k, c in enumerate(coeffs))
+        floor = sum(abs(Fraction(r)) ** (d - k) for k in range(1, d + 1)) / 2**1074
+        assert abs(value) <= 8 * d * (scale / 2**53 + floor)
 
 
 @settings(max_examples=200, deadline=None)
-@given(real_rooted_coeffs(8))
-def test_real_roots_raise_nothing_up_to_degree_8(coeffs):
-    roots = _real_roots(coeffs)  # raises NotRealRooted on a missing sign change
-    assert len(roots) == len(coeffs) - 1 and roots == sorted(roots)
+@given(real_rooted_coeffs(12))
+def test_roots_of_monic_raises_nothing_up_to_degree_12(coeffs):
+    alpha = tuple(c * (-1) ** k for k, c in enumerate(coeffs))
+    roots = roots_of_monic(MonicPolynomial(alpha)).roots  # raises NotRealRooted on failure
+    assert len(roots) == len(coeffs) - 1
 
 
 @st.composite

@@ -219,6 +219,14 @@ def test_hermite_semigroup_identity():
                 assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
+def test_boxplus_keeps_relative_accuracy_at_small_scale():
+    # roots spread over 1e-4 once merged into false multiple roots (32% off)
+    a = hermite_roots(4, 1e-8)
+    got = boxplus(a, a).as_array()
+    expect = hermite_roots(4, 2e-8).as_array()
+    assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-14
+
+
 def test_laguerre_roots_examples():
     assert np.allclose(laguerre_roots(1, 2.0, 1.0).roots, [2.0])
     assert np.allclose(

@@ -17,6 +17,7 @@ from .errors import (
     FreezingDysonError,
     InvalidParameter,
     NoConvergence,
+    NonFiniteOutput,
     NotRealRooted,
     StepUnstable,
 )

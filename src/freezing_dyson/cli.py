@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     InvalidParameter,
     NoConvergence,
+    NonFiniteOutput,
     NotRealRooted,
     StepUnstable,
 )
@@ -73,9 +74,23 @@ def _meta_line(command: str, config: dict) -> str:
     return f"# {json.dumps(_meta(command, config), sort_keys=True)}"
 
 
+def _check_finite(value, name=None) -> None:
+    """Raise :class:`NonFiniteOutput` naming the first field of ``value``, a
+    dict of numbers, arrays, lists and dicts, that holds a NaN or an infinity."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, key)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _check_finite(item, name)
+    elif isinstance(value, (float, np.floating, np.ndarray)) and not np.isfinite(value).all():
+        raise NonFiniteOutput(f"output field {name!r} is not finite")
+
+
 def _json_output(command: str, config: dict, payload: dict) -> str:
     doc = {"meta": _meta(command, config)}
     doc.update(payload)
+    _check_finite(doc)
     return json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
@@ -92,6 +107,7 @@ def _emit_row(args, command: str, config: dict, key: str, values):
     if args.format == "json":
         text = _json_output(command, config, {key: list(values)})
     else:
+        _check_finite({**config, key: values})
         text = _meta_line(command, config) + "\n" + ",".join(_fmt(v) for v in values) + "\n"
     _write_text(args.out, text)
 
@@ -171,13 +187,11 @@ def cmd_limit(args) -> int:
         try:
             closed = laguerre_limit_closed(initial, args.alpha, args.t)
         except InvalidParameter:
-            if args.closed_form:
+            # --verify-ode compares the two routes, so it needs both
+            if args.closed_form or args.verify_ode:
                 raise
             closed = None  # fall back to the ODE route below
-    if closed is None:
-        result = limit_roots(traj, args.t)
-    else:
-        result = closed
+    result = limit_roots(traj, args.t) if closed is None else closed
     if args.verify_ode:
         ode = limit_roots(traj, args.t)
         discrepancy = float(np.max(np.abs(ode.as_array() - result.as_array())))
@@ -223,7 +237,6 @@ def cmd_simulate(args) -> int:
     for slot, t in enumerate(cfg.record_times):
         for p, x in enumerate(ens.data[:, slot].tolist()):
             lines.append(row % (t, p, *x))
-    _write_text(args.out, "\n".join(lines) + "\n")
     # JSON summary: e_k means against the exact g_k(t)
     rep = ek_drift_report(ens)
     summary = {
@@ -237,6 +250,7 @@ def cmd_simulate(args) -> int:
         "clamp_events": ens.clamp_events,
     }
     text = _json_output("simulate-summary", config, summary)
+    _write_text(args.out, "\n".join(lines) + "\n")  # once the summary is checked
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
     else:
@@ -410,11 +424,16 @@ def main(argv=None) -> int:
         _apply_config_file(args, parser)
         if getattr(args, "format", "csv") is None:
             args.format = "csv"
-        return args.func(args)
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise InvalidParameter(f"--{name.replace('_', '-')} must be finite")
+        # overflow and NaN surface as the checks' own errors, not as warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (InvalidParameter, DimensionMismatch, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (NotRealRooted, StepUnstable, NoConvergence) as exc:
+    except (NotRealRooted, StepUnstable, NoConvergence, NonFiniteOutput) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 

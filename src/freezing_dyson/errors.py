@@ -23,3 +23,7 @@ class NoConvergence(FreezingDysonError):
 
 class StepUnstable(FreezingDysonError):
     """An SDE integration step produced coordinates beyond the stability bound."""
+
+
+class NonFiniteOutput(FreezingDysonError):
+    """A value the CLI was about to write is NaN or infinite."""

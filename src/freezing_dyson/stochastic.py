@@ -19,10 +19,9 @@ times block width rather than by the horizon.
 Paths are integrated in blocks, lane-major: a block of b paths holds its
 state as an (n, b) array, particle by path, and its n(n-1)/2 pair gaps as
 packed rows of b lanes, so every array operation runs over contiguous rows of
-paths.  The drift sums follow the order in which numpy's pairwise summation
-adds a row of n terms, so the output equals the path-major formulation with
-``np.sum(axis=-1)`` bit for bit; the tests keep that formulation as the
-oracle.
+paths.  The drift terms of a particle are added left to right, and the noise
+is scaled once as it is drawn; the tests keep a path-major formulation in
+the same order as the oracle, which the output equals bit for bit.
 
 A step makes one gather and one reduction before its drift: a single
 ``take`` reads the endpoints of every pair and of two sentinel pairs (the
@@ -226,37 +225,11 @@ def _inverse_gaps(eps_eff: float, work: _PairWork) -> int:
     return clamped
 
 
-def _pairwise_sum(t: np.ndarray, lo: int, m: int) -> np.ndarray:
-    """Sum ``t[lo:lo+m]`` over axis 0 in the order of numpy's pairwise_sum.
-
-    That is the order in which ``np.sum(axis=-1)`` adds one contiguous row:
-    left to right below 8 terms, eight running accumulators folded as a tree
-    up to 128 terms, and halves split at a multiple of 8 above that.  numpy
-    starts its accumulators from the first terms where this starts from 0.0,
-    or the reverse, which can only change the sign of a zero sum.
-    """
-    if m < 8:
-        return np.add.reduce(t[lo : lo + m], axis=0)
-    if m <= 128:
-        stop = lo + m - m % 8
-        r = np.add.reduce(t[lo:stop].reshape(-1, 8, *t.shape[1:]), axis=0)
-        r = r[0::2] + r[1::2]
-        r = r[0::2] + r[1::2]
-        res = r[0] + r[1]
-        for j in range(stop, lo + m):
-            res += t[j]
-        return res
-    half = m // 2 - (m // 2) % 8
-    return _pairwise_sum(t, lo, half) + _pairwise_sum(t, lo + half, m - half)
-
-
 def _drift_dyson(lam: np.ndarray, eps_eff: float, work: _PairWork):
     """Dyson repulsion ``sum_j 1/(lam_i - lam_j)`` of a column-sorted (n, b)
-    state whose gaps ``work`` has gathered.  Its only zero term is the +0.0
-    diagonal one, so the sign of zero that ``_pairwise_sum`` leaves open never
-    arises."""
+    state whose gaps ``work`` has gathered."""
     clamped = _inverse_gaps(eps_eff, work)
-    return _pairwise_sum(work.expanded(), 0, lam.shape[0]), clamped
+    return np.add.reduce(work.expanded(), axis=0), clamped
 
 
 def _drift_laguerre(lam: np.ndarray, alpha: float, eps_eff: float, work: _PairWork):
@@ -265,15 +238,13 @@ def _drift_laguerre(lam: np.ndarray, alpha: float, eps_eff: float, work: _PairWo
     Only the antisymmetric second part is singular, so only it sees the
     clamp; the pairwise trace drift then stays exactly 2 per pair and the
     first elementary symmetric coordinate keeps its exact drift
-    ``N (alpha + N - 1)`` even through clamped near-collisions.  Adding
-    ``alpha + N - 1 > 0`` hides the sign of a zero pair sum.
+    ``N (alpha + N - 1)`` even through clamped near-collisions.
     """
-    n = lam.shape[0]
     clamped = _inverse_gaps(eps_eff, work)
     np.add(work.lam_hi, work.lam_lo, out=work.lam_hi)
     np.multiply(work.lam_hi, work.packed, out=work.packed)
-    drift = _pairwise_sum(work.expanded(), 0, n)
-    drift += alpha + (n - 1)
+    drift = np.add.reduce(work.expanded(), axis=0)
+    drift += alpha + (lam.shape[0] - 1)
     return drift, clamped
 
 
@@ -329,9 +300,10 @@ def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
     runs over contiguous rows of b paths.  Each path owns one generator for
     the whole block and draws its noise in chunks of ``_NOISE_CHUNK_STEPS``
     steps; successive draws continue one stream, so neither the chunk length
-    nor the block decomposition changes the output.  Each chunk is transposed
-    to step-major in slices of ``_TRANSPOSE_LANES`` paths, which keeps the
-    strided reads within cache.
+    nor the block decomposition changes the output.  Each chunk is scaled by
+    its diffusion constant times sqrt(dt) as it is transposed to step-major,
+    in slices of ``_TRANSPOSE_LANES`` paths that keep the strided reads within
+    cache.
 
     Each step starts with ``_check_state``: one ``take`` gathers the
     endpoints of every pair and of the two sentinel pairs, one ``subtract``
@@ -362,9 +334,8 @@ def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
     work = _PairWork(n, b)
     diffusion = np.empty((n, b))
     eps_eff = max(EPS_GAP, math.sqrt(dt))
-    sqdt = math.sqrt(dt)
-    dyson_scale = math.sqrt(2.0 / cfg.beta) * sqdt
-    laguerre_scale = 2.0 / math.sqrt(cfg.beta)
+    diffusion_constant = math.sqrt(2.0 / cfg.beta) if kind == DYSON else 2.0 / math.sqrt(cfg.beta)
+    noise_scale = diffusion_constant * math.sqrt(dt)
     clamp_total = 0
     step = 0
     for slot in slots.pop(0, ()):
@@ -376,10 +347,7 @@ def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
         for c in range(0, b, _TRANSPOSE_LANES):
             lanes = slice(c, c + _TRANSPOSE_LANES)
             panel = drawn[lanes, :k].transpose(1, 2, 0)
-            if kind == DYSON:
-                np.multiply(dyson_scale, panel, out=noise[:k, :, lanes])
-            else:
-                noise[:k, :, lanes] = panel
+            np.multiply(noise_scale, panel, out=noise[:k, :, lanes])
         for z in noise[:k]:
             _check_state(frame, work, step)
             for slot in slots.get(step, ()):
@@ -394,8 +362,6 @@ def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
                 drift, clamped = _drift_laguerre(lam, cfg.alpha, eps_eff, work)
                 np.maximum(lam, 0.0, out=diffusion)
                 np.sqrt(diffusion, out=diffusion)
-                diffusion *= laguerre_scale
-                diffusion *= sqdt
                 diffusion *= z
                 drift *= dt
                 lam += drift

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import platform
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +163,28 @@ def test_limit_laguerre_closed_form_rejection(tmp_path, capsys):
     from freezing_dyson.finfree import laguerre_roots
 
     assert np.allclose(vals, laguerre_roots(2, 1.5, 1.0).roots, atol=1e-9)
+
+
+def test_limit_verify_ode_needs_the_closed_form(tmp_path, capsys, monkeypatch):
+    # alpha <= N - 1/2 puts the closed form out of its domain: --verify-ode
+    # once compared the ODE route with itself and reported a discrepancy of 0
+    init = tmp_path / "init.csv"
+    init.write_text("0.5,1.0\n")
+    argv = ["limit", "--kind", "laguerre", "--initial", str(init), "--alpha", "1.5", "--t", "1"]
+    ode_calls = []
+    real = cli.limit_roots
+    monkeypatch.setattr(cli, "limit_roots", lambda *a: ode_calls.append(a) or real(*a))
+    code, out, err = run_cli(argv + ["--verify-ode"], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: closed form needs alpha > N - 1/2 (got alpha=1.5, N=2); "
+        "the ODE route has no such restriction"
+    ]
+    # without either flag the ODE route stands in, and runs once
+    ode_calls.clear()
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == "" and len(ode_calls) == 1
+    assert "route_discrepancy" not in out
 
 
 def test_limit_laguerre_verify_ode_at_small_t(tmp_path, capsys):
@@ -395,6 +419,40 @@ def test_clt_overflowing_chi_degrees_of_freedom_exit_3(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["moments", "--n", "1000000000000", "--max", "60"], "'u'"),
+        (["clt", "--kind", "gaussian", "--mode", "primitive", "--n", "3", "--beta", "1e-300",
+          "--samples", "50", "--seed", "7"], "'variances'"),
+        (["limit", "--kind", "gaussian", "--initial", "BIG", "--t", "1"], "c_2 = inf"),
+    ],
+    ids=["moments-overflow", "clt-nan-variances", "limit-overflowing-esp"],
+)
+def test_non_finite_output_exit_3_without_warnings(argv, field, tmp_path, capsys):
+    # each once exited 0 with inf or NaN in its output, or printed numpy's
+    # RuntimeWarning lines ahead of its error
+    big = tmp_path / "big.csv"
+    big.write_text("1e200,2e200\n")
+    argv = [str(big) if a == "BIG" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure:") and field in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_unused_non_finite_flag_exit_2(fmt, capsys):
+    # --alpha is not used by the Hermite zeros, but the metadata echoes it
+    code, out, err = run_cli(
+        ["zeros", "--family", "hermite", "--n", "3", "--alpha", "nan", "--format", fmt], capsys
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --alpha must be finite\n"
+
+
 def test_nan_sde_state_exit_3(monkeypatch, capsys):
     from freezing_dyson import stochastic
 
@@ -594,10 +652,11 @@ def test_cli_fuzz_exit_codes(fuzz_files, data):
     argv = data.draw(st.composite(_fuzz_argv)(fuzz_files), label="argv")
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        with np.errstate(all="ignore"):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the flag text
-                code = exc.code
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flag text
+            code = exc.code
     assert code in (0, 2, 3), (argv, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+    if code == 0:  # a successful run writes finite numbers only
+        assert not re.search(r"(?i)\b(nan|inf|infinity)\b", stdout.getvalue()), argv

@@ -272,6 +272,33 @@ def test_ek_means_track_gk_quickly():
             assert abs(np.mean(ek[:, k]) - target) < tol
 
 
+def test_dyson_ek_law_holds_at_any_dt():
+    # e_k is symmetric and affine in each coordinate, and the noise has mean
+    # 0, so one Euler step has E[e_k(lam') | lam] = e_k(lam + b(lam) dt) for
+    # the engine's clamped drift b, at any dt.  The compensated sum
+    # S_k = e_k(lam_M) - sum_m [e_k(lam_m + b_m dt) - e_k(lam_m)] therefore
+    # has mean e_k(lam_0) with no Euler bias budget.  b is recomputed here
+    # from the recorded states, independently of the engine's arithmetic.
+    n, dt, steps = 4, 0.01, 50
+    initial = RootTuple((-1.2, -0.4, 0.3, 1.1))
+    cfg = SimConfig(beta=4.0, n=n, t_end=steps * dt, dt=dt, initial=initial, seed=5,
+                    paths=20000, record_times=tuple(m * dt for m in range(steps + 1)))
+    data = simulate_dyson(cfg).data
+    lam = data[:, :-1].reshape(-1, n)
+    eps = max(stochastic.EPS_GAP, math.sqrt(dt))
+    drift = np.zeros_like(lam)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                drift[:, i] += np.sign(i - j) / np.maximum(np.abs(lam[:, i] - lam[:, j]), eps)
+    increments = (esp_rows(lam + drift * dt) - esp_rows(lam)).reshape(cfg.paths, steps, n + 1)
+    s = esp_rows(data[:, -1]) - increments.sum(axis=1)
+    target = esp_rows(initial.as_array()[None, :])[0]
+    stderr = np.std(s, axis=0, ddof=1) / math.sqrt(cfg.paths)
+    z = (np.mean(s, axis=0) - target)[1:] / stderr[1:]
+    assert np.all(np.abs(z) <= 3.0), z
+
+
 def test_chi_sample_moments():
     rng = np.random.default_rng(11)
     for k in (0.7, 2.0, 5.3):
@@ -365,24 +392,29 @@ def test_sample_ble_rejects_bad_params():
 
 
 def path_major_drift(lam, kind, alpha, inv_sign, eps_eff):
-    """The former path-major drift, on a (paths, n) state with the full
-    (paths, n, n) pair tensor summed by ``np.sum(axis=2)``."""
+    """The path-major drift, on a (paths, n) state with the full
+    (paths, n, n) pair tensor summed over j from left to right."""
     d = lam[:, :, None] - lam[:, None, :]
     ad = np.abs(d)
     clamped = int(np.count_nonzero(ad[:, inv_sign > 0] < eps_eff))
     np.maximum(ad, eps_eff, out=ad)
-    inv = inv_sign / ad
-    if kind == stochastic.DYSON:
-        return np.sum(inv, axis=2), clamped
+    terms = inv_sign / ad
     n = lam.shape[1]
-    s = lam[:, :, None] + lam[:, None, :]
-    return alpha + (n - 1) + np.sum(s * inv, axis=2), clamped
+    if kind == stochastic.LAGUERRE:
+        terms *= lam[:, :, None] + lam[:, None, :]
+    drift = np.zeros(lam.shape)
+    for j in range(n):
+        drift += terms[:, :, j]
+    if kind == stochastic.DYSON:
+        return drift, clamped
+    return alpha + (n - 1) + drift, clamped
 
 
 def path_major_simulation(cfg, kind):
-    """The former engine: one noise panel per path drawn in a single call, a
-    (paths, n) state re-sorted row by row after every step.  The oracle the
-    lane-major engine must reproduce bit for bit, clamp count included."""
+    """The path-major engine: one noise panel per path drawn in a single
+    call, a (paths, n) state re-sorted row by row after every step.  The
+    oracle the lane-major engine must reproduce bit for bit, clamp count
+    included."""
     n, dt = cfg.n, cfg.dt
     n_steps = cfg.n_steps
     record_steps = cfg.record_steps()
@@ -406,8 +438,8 @@ def path_major_simulation(cfg, kind):
         if kind == stochastic.DYSON:
             lam = lam + drift * dt + math.sqrt(2.0 / cfg.beta) * sqdt * noise[:, step]
         else:
-            diffusion = (2.0 / math.sqrt(cfg.beta)) * np.sqrt(np.maximum(lam, 0.0))
-            lam = lam + drift * dt + diffusion * sqdt * noise[:, step]
+            scaled = 2.0 / math.sqrt(cfg.beta) * sqdt * noise[:, step]
+            lam = lam + drift * dt + np.sqrt(np.maximum(lam, 0.0)) * scaled
             np.abs(lam, out=lam)
         clamp_total += clamped
         lam.sort(axis=1)
@@ -442,7 +474,7 @@ def assert_matches_oracle(cfg, kind):
 
 
 # 300 steps is not a multiple of the chunk length; n = 8, 9, 16, 17 and 130
-# take the accumulator tree of numpy's pairwise sum, 130 its split in halves
+# are sizes at which numpy's own sum would add in another order
 @pytest.mark.parametrize("kind", [stochastic.DYSON, stochastic.LAGUERRE])
 @pytest.mark.parametrize("n", [1, 2, 4, 7, 8, 9, 16, 17, 130])
 @pytest.mark.parametrize("start", ["spread", "zeros"])

@@ -11,6 +11,7 @@ error, 3 numerical failure.
 import argparse
 import functools
 import json
+import math
 import platform
 import sys
 
@@ -83,7 +84,9 @@ def _check_finite(value, name=None) -> None:
     elif isinstance(value, (list, tuple)):
         for item in value:
             _check_finite(item, name)
-    elif isinstance(value, (float, np.floating, np.ndarray)) and not np.isfinite(value).all():
+    elif isinstance(value, (float, np.floating, np.ndarray)) and not (
+        np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)
+    ):
         raise NonFiniteOutput(f"output field {name!r} is not finite")
 
 

@@ -9,6 +9,7 @@ closed form through finite free convolution with classical polynomial zeros.
 Their agreement is one of the central correctness checks of the library.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +103,8 @@ def limit_roots(traj: GkTrajectory, t: float) -> RootTuple:
     signed elementary symmetric coefficients are ``g_k(t)``, found by
     :func:`roots_of_monic` (each the float nearest the exact root of those
     float coefficients)."""
-    if t < 0.0:
-        raise InvalidParameter("time must be >= 0")
+    if not 0.0 <= t < math.inf:
+        raise InvalidParameter(f"time must be finite and >= 0 (got {t})")
     return roots_of_monic(MonicPolynomial(tuple(traj.coefficients_at(t))))
 
 
@@ -111,8 +112,8 @@ def gaussian_limit_closed(initial: RootTuple, t: float) -> RootTuple:
     """Closed form of the freezing Dyson limit: the finite free convolution of
     the initial tuple with sqrt(t)-scaled Hermite zeros.  Must agree with the
     polynomial-ODE route."""
-    if t < 0.0:
-        raise InvalidParameter("time must be >= 0")
+    if not 0.0 <= t < math.inf:
+        raise InvalidParameter(f"time must be finite and >= 0 (got {t})")
     return boxplus(initial, hermite_roots(initial.n, t))
 
 
@@ -153,8 +154,8 @@ def laguerre_limit_closed(initial: RootTuple, alpha: float, t: float) -> RootTup
         )
     if initial.roots[0] < 0.0:
         raise InvalidParameter("Laguerre initial data must be nonnegative")
-    if t < 0.0:
-        raise InvalidParameter("time must be >= 0")
+    if not 0.0 <= t < math.inf:
+        raise InvalidParameter(f"time must be finite and >= 0 (got {t})")
     lift = _even_esp(initial.as_array())
     herm = _even_esp(hermite_roots(2 * n, t).as_array()[n:] ** 2 / 2.0)
     half = convolve_esp(lift, herm)[::2] * (-1.0) ** np.arange(n + 1)

@@ -6,23 +6,18 @@ and Laguerre families enter through explicit finite Jacobi matrices whose
 spectra are the polynomial zeros; their *duals* (index-reversed matrices)
 carry the orthogonal systems used by the fluctuation statistics.
 
-Single matrices (the classical Hermite and Laguerre zeros, spectral
-measures, and the oracle the batches are tested against) are solved by
-Sturm-sequence bisection on the sign count of the LDL^T pivots (the ratios of
-consecutive leading principal characteristic minors), which guarantees
-containment and ordering.  The kernel is scalar, on Python floats, one index
-at a time, after an exact scaling of the matrix by a power of two; at the
-sizes used here (n <= 24) that beats array code, whose per-call cost would
-be paid at every step, and past about n = 40 it is slower (see
-:func:`eigen_tridiag`).  Monte Carlo batches use LAPACK's
-``eigvalsh``, backward stable to a small multiple of n * eps * (matrix norm),
-and spectral-measure weights come from the eigenvectors of LAPACK's ``eigh``.
+Every spectrum comes from LAPACK: ``eigvalsh`` for the eigenvalues, batched
+over many matrices (:func:`eigen_tridiag_batch`; a single matrix is a batch
+of one), and ``eigh`` where spectral measures need the eigenvectors.  Both are
+backward stable, to a small multiple of n * eps * (matrix norm); the tests
+certify each classical Hermite and Laguerre zero within 1e-14 * max|z| of
+the exact zero by exact signs of the exact characteristic polynomial.  The
+results are bit-reproducible under one numpy/LAPACK build, like the samplers.
 The classical zeros are cached per (n, alpha), as immutable root tuples.
 """
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +93,8 @@ class SpectralMeasure:
         w = tuple(float(v) for v in self.weights)
         if len(w) != self.atoms.n:
             raise InvalidParameter("one weight per atom required")
-        if any(v < -1e-12 for v in w):
-            raise InvalidParameter("weights must be nonnegative")
+        if not all(v >= -1e-12 for v in w):
+            raise InvalidParameter("weights must be nonnegative and not NaN")
         if abs(sum(w) - 1.0) > 1e-10:
             raise InvalidParameter("weights must sum to 1 within 1e-10")
         object.__setattr__(self, "weights", w)
@@ -158,32 +153,15 @@ def dual(j: JacobiMatrix) -> JacobiMatrix:
     return JacobiMatrix(j.diag[::-1], j.offdiag[::-1])
 
 
-def _count_below(diag, off2, x, pivmin):
-    """Number of eigenvalues below x of the matrix with diagonal ``diag`` and
-    squared off-diagonal ``off2``: the count of negative pivots of the LDL^T
-    factorization of (J - x I), each pivot floored in magnitude at pivmin."""
-    q = diag[0] - x
-    if abs(q) < pivmin:
-        q = -pivmin
-    count = 1 if q < 0.0 else 0
-    for i in range(1, len(diag)):
-        q = diag[i] - x - off2[i - 1] / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
-            count += 1
-    return count
-
-
 def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     """Eigenvalues of a batch of Jacobi matrices, ascending per row.
 
     ``diag`` is (M, n), ``offdiag`` is (M, n-1).  LAPACK's ``eigvalsh`` runs
     on dense copies built in chunks of about ``_CHUNK_ELEMS`` floats, so the
     working memory is bounded whatever M is.  Being backward stable, each
-    eigenvalue is within a small multiple of n * eps * (matrix norm) of the
-    Sturm bisection of :func:`eigen_tridiag` (which gives the classical
-    zeros and is the tests' oracle), but not bit-identical to it.
+    eigenvalue is within a small multiple of n * eps * (matrix norm) of
+    exact; the classical zeros are within 1e-14 * max|z|.  Bit-reproducible
+    under one numpy/LAPACK build (the CLI metadata records numpy's version).
     """
     diag = np.atleast_2d(np.asarray(diag, dtype=float))
     offdiag = np.atleast_2d(np.asarray(offdiag, dtype=float))
@@ -212,46 +190,8 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
 
 
 def eigen_tridiag(j: JacobiMatrix) -> RootTuple:
-    """All eigenvalues, ascending, each within ``1e-14 * (matrix norm)`` of exact.
-
-    Sturm bisection of each index in turn from the Gershgorin interval;
-    index k stops as soon as its own interval is within 1e-14 of the matrix
-    scale.  The matrix is first scaled by 2^-e, e the binary exponent of its
-    largest entry: the scaling is exact, keeps the squared off-diagonal clear
-    of overflow and underflow at any scale, and is undone on the results.
-    The cost grows like n^2 times the number of bisection steps.  On a 2-vCPU
-    host (Python 3.11) one matrix takes about 0.1 ms at n = 2, 0.7 ms at
-    n = 8, 4 ms at n = 24 and 50 ms at n = 80; the numpy kernel this
-    replaced took about 1, 2.5, 8 and 30 ms, so it was faster past about
-    n = 40.  The classical zero caches pay this once per (n, alpha).
-    """
-    n = j.n
-    if n == 1:
-        return RootTuple(j.diag)
-    e = math.frexp(max(map(abs, j.diag + j.offdiag)))[1]
-    diag = [math.ldexp(a, -e) for a in j.diag]
-    off = [math.ldexp(b, -e) for b in j.offdiag]
-    rad = off + [0.0]
-    for i in range(1, n):
-        rad[i] += off[i - 1]
-    lo0 = min(a - r for a, r in zip(diag, rad))
-    hi0 = max(a + r for a, r in zip(diag, rad))
-    width_tol = 1e-14 * max(abs(lo0), abs(hi0), 1e-300)
-    off2 = [b * b for b in off]
-    pivmin = sys.float_info.min * max(1.0, max(off2))
-    out = []
-    for k in range(n):
-        lo, hi = lo0, hi0
-        for _ in range(130):
-            mid = 0.5 * (lo + hi)
-            if _count_below(diag, off2, mid, pivmin) <= k:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= width_tol:
-                break
-        out.append(math.ldexp(0.5 * (lo + hi), e))
-    return RootTuple(tuple(out))
+    """All eigenvalues, ascending: :func:`eigen_tridiag_batch` of the one matrix."""
+    return RootTuple(tuple(eigen_tridiag_batch(np.array([j.diag]), np.array([j.offdiag]))[0]))
 
 
 @functools.lru_cache(maxsize=128)
@@ -269,19 +209,16 @@ def laguerre_zeros(n: int, alpha: float) -> RootTuple:
 
 
 def spectral_measure(j: JacobiMatrix) -> SpectralMeasure:
-    """Spectral measure of J: atoms are the eigenvalues (:func:`eigen_tridiag`,
-    to 1e-14 of the matrix norm), weights the squared first components of the
-    orthonormal eigenvectors (Golub-Welsch), taken from LAPACK's ``eigh``.
+    """Spectral measure of J from one LAPACK ``eigh``: atoms are the
+    eigenvalues, weights the squared first components of the orthonormal
+    eigenvectors (Golub-Welsch).
 
     The eigenvector matrix is orthogonal to working precision, so the weights
-    sum to 1 within a few ulps at any n; both solvers order ascending, and the
-    positive off-diagonal makes the eigenvalues distinct.
+    sum to 1 within a few ulps at any n; the positive off-diagonal makes the
+    eigenvalues distinct.
     """
-    atoms = eigen_tridiag(j)
-    if j.n == 1:
-        return SpectralMeasure(atoms, (1.0,))
-    vecs = np.linalg.eigh(j.dense())[1]
-    return SpectralMeasure(atoms, tuple(vecs[0] ** 2))
+    vals, vecs = np.linalg.eigh(j.dense())
+    return SpectralMeasure(RootTuple(tuple(vals)), tuple(vecs[0] ** 2))
 
 
 def _cd_values(j: JacobiMatrix, atoms: RootTuple | None):
@@ -435,9 +372,9 @@ def _antiderivative(coeffs) -> np.ndarray:
 
 
 def scaled_primitive(sys: OrthogonalSystem, m: int, t: float, x):
-    """Time-scaled primitive ``t^((m+1)/2) Q_m(x / sqrt(t))``, for t > 0."""
-    if t <= 0.0:
-        raise InvalidParameter("scaled_primitive needs t > 0")
+    """Time-scaled primitive ``t^((m+1)/2) Q_m(x / sqrt(t))``, for 0 < t < inf."""
+    if not 0.0 < t < math.inf:
+        raise InvalidParameter("scaled_primitive needs 0 < t < inf")
     q = primitive(sys, m)
     xv = np.asarray(x, dtype=float) / math.sqrt(t)
     val = t ** ((m + 1) / 2.0) * np.polynomial.polynomial.polyval(xv, q)

@@ -128,6 +128,20 @@ def test_limit_roots_examples():
         limit_roots(traj, -0.1)
 
 
+def test_non_finite_time_rejected_by_name():
+    start = RootTuple((0.5, 1.0, 2.0))
+    routes = (
+        lambda t: limit_roots(gaussian_gk(start), t),
+        lambda t: limit_roots(laguerre_gk(start, 5.0), t),
+        lambda t: gaussian_limit_closed(start, t),
+        lambda t: laguerre_limit_closed(start, 5.0, t),
+    )
+    for route in routes:
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameter, match="time must be finite"):
+                route(t)
+
+
 def test_gaussian_limit_closed_examples():
     got = gaussian_limit_closed(RootTuple((0.0, 0.0, 0.0)), 4.0).as_array()
     assert np.allclose(got, [-2 * SQRT3, 0.0, 2 * SQRT3], atol=1e-10)

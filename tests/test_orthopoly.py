@@ -1,19 +1,21 @@
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freezing_dyson.elemsym import RootTuple
+from freezing_dyson.elemsym import RootTuple, _exact_sign
 from freezing_dyson.errors import DimensionMismatch, InvalidParameter
 from freezing_dyson.finfree import hermite_roots, laguerre_roots
 from freezing_dyson.stochastic import ble_tridiagonal_batch, gbe_tridiagonal_batch
 from freezing_dyson.orthopoly import (
     _CHUNK_ELEMS,
     JacobiMatrix,
-    _count_below,
     OrthogonalSystem,
+    SpectralMeasure,
     christoffel_darboux_weights,
     dual,
     dual_hermite_system,
@@ -183,6 +185,16 @@ def test_spectral_measure_hermite2():
     assert np.allclose(sm.weights, [0.5, 0.5], atol=1e-12)
 
 
+def test_spectral_measure_rejects_nan_and_negative_weights():
+    atoms = RootTuple((0.0, 1.0))
+    for bad in ((math.nan, math.nan), (math.nan, 1.0), (-0.5, 1.5)):
+        with pytest.raises(InvalidParameter, match="nonnegative"):
+            SpectralMeasure(atoms, bad)
+    with pytest.raises(InvalidParameter, match="sum to 1"):
+        SpectralMeasure(atoms, (math.inf, 0.0))
+    assert SpectralMeasure(atoms, (0.25, 0.75)).weights == (0.25, 0.75)
+
+
 def test_weight_formulas_agree_random():
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -292,8 +304,9 @@ def test_scaled_primitive_examples():
     assert np.allclose(scaled_primitive(sys, 0, 0.7, xs), xs)
     assert np.allclose(scaled_primitive(sys, 1, 2.3, xs), xs**2 / 2)
     assert np.allclose(scaled_primitive(sys, 2, 1.7, xs), xs**3 / 3 - 3 * 1.7 * xs)
-    with pytest.raises(InvalidParameter):
-        scaled_primitive(sys, 0, 0.0, 1.0)
+    for t in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameter, match="0 < t < inf"):
+            scaled_primitive(sys, 1, t, 1.0)
 
 
 def test_orthogonal_system_index_errors():
@@ -304,9 +317,27 @@ def test_orthogonal_system_index_errors():
         primitive(sys, -1)
 
 
+def _count_below(diag, off2, x, pivmin):
+    """Number of eigenvalues below x of the matrix with diagonal ``diag`` and
+    squared off-diagonal ``off2``: the count of negative pivots of the LDL^T
+    factorization of (J - x I), each pivot floored in magnitude at pivmin."""
+    q = diag[0] - x
+    if abs(q) < pivmin:
+        q = -pivmin
+    count = 1 if q < 0.0 else 0
+    for i in range(1, len(diag)):
+        q = diag[i] - x - off2[i - 1] / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q < 0.0:
+            count += 1
+    return count
+
+
 def per_index_bisection(diag, offdiag, tol=1e-14):
-    """The former eigensolver, one eigenvalue index at a time, vectorized over
-    the rows of a batch: the oracle of both eigensolvers."""
+    """Sturm bisection of each eigenvalue index on its own bracket from the
+    Gershgorin interval, all rows and indices of a batch at once: the oracle
+    of the LAPACK eigensolver."""
     diag = np.atleast_2d(np.asarray(diag, dtype=float))
     offdiag = np.atleast_2d(np.asarray(offdiag, dtype=float))
     m, n = diag.shape
@@ -315,69 +346,29 @@ def per_index_bisection(diag, offdiag, tol=1e-14):
     off2 = offdiag**2
     lo0, hi0 = gershgorin_bounds(diag, offdiag)
     scale = np.maximum(np.maximum(np.abs(lo0), np.abs(hi0)), 1e-300)
-    width_tol = np.maximum(tol, 4.0 * np.finfo(float).eps) * scale
+    width_tol = np.maximum(tol, 4.0 * np.finfo(float).eps) * scale[:, None]
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off2)))
 
-    def count_below(x):
-        q = diag[:, 0] - x
+    def count_below(x):  # per row and index, x of shape (m, n)
+        q = diag[:, :1] - x
         q = np.where(np.abs(q) < pivmin, -pivmin, q)
         count = (q < 0.0).astype(np.int64)
         for i in range(1, n):
-            q = diag[:, i] - x - off2[:, i - 1] / q
+            q = diag[:, i, None] - x - off2[:, i - 1, None] / q
             q = np.where(np.abs(q) < pivmin, -pivmin, q)
             count += q < 0.0
         return count
 
-    out = np.empty((m, n))
-    for k in range(n):
-        lo = lo0.copy()
-        hi = hi0.copy()
-        for _ in range(130):
-            mid = 0.5 * (lo + hi)
-            below = count_below(mid) <= k
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.all(hi - lo <= width_tol):
-                break
-        out[:, k] = 0.5 * (lo + hi)
-    return out
-
-
-def scalar_bisection(j, tol=1e-14):
-    """per_index_bisection of one matrix in Python floats: the same IEEE
-    operations in the same order, without numpy's per-call cost, so that the
-    Sturm kernel can be held bit for bit to it up to n = 80."""
-    d, b = j.diag, j.offdiag
-    n = j.n
-    if n == 1:
-        return np.array(d)
-    off2 = [v * v for v in b]
-    lo0, hi0 = (float(v[0]) for v in gershgorin_bounds(np.array([d]), np.array([b])))
-    width_tol = max(tol, 4.0 * np.finfo(float).eps) * max(abs(lo0), abs(hi0), 1e-300)
-    pivmin = float(np.finfo(float).tiny) * max(1.0, max(off2))
-
-    def count_below(x):
-        count = 0
-        for i in range(n):
-            q = d[i] - x - off2[i - 1] / q if i else d[0] - x
-            if abs(q) < pivmin:
-                q = -pivmin
-            count += q < 0.0
-        return count
-
-    out = np.empty(n)
-    for k in range(n):
-        lo, hi = lo0, hi0
-        for _ in range(130):
-            mid = 0.5 * (lo + hi)
-            if count_below(mid) <= k:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= width_tol:
-                break
-        out[k] = 0.5 * (lo + hi)
-    return out
+    lo = np.repeat(lo0[:, None], n, axis=1)
+    hi = np.repeat(hi0[:, None], n, axis=1)
+    for _ in range(130):
+        mid = 0.5 * (lo + hi)
+        below = count_below(mid) <= np.arange(n)
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if np.all(hi - lo <= width_tol):
+            break
+    return 0.5 * (lo + hi)
 
 
 def gershgorin_bounds(diag, offdiag):
@@ -399,29 +390,44 @@ def backward_error_bound(diag, offdiag):
 LAGUERRE_ALPHAS = (0.3, 1.0, 1.7, 2.5)
 
 
-# eigen_tridiag, and through it the zero caches, bisects all indices of a
-# matrix together, stopping each on its own; it must reproduce the
-# one-index-at-a-time oracle bit for bit.  The numpy oracle runs at the sizes
-# it has always covered; the rest of the sweep to n = 80 uses its Python-float
-# twin, since the numpy one would take minutes there.
+@functools.lru_cache(maxsize=None)
+def exact_char_polys(alpha):
+    """Characteristic polynomials p_0..p_80 of the exact classical Jacobi
+    matrices, from the recurrence p_(m+1) = (x - a_m) p_m - b_m^2 p_(m-1) on
+    Fractions: a_m = 0, b_m^2 = m (Hermite, alpha None), or a_m = alpha + 2m,
+    b_m^2 = m (alpha + m - 1) (Laguerre, alpha the dyadic float).  Each is
+    returned as descending integer coefficients, scaled by the common
+    denominator, which does not change its signs."""
+    a = None if alpha is None else Fraction(alpha)
+    prev, cur = [], [Fraction(1)]
+    polys = [[1]]
+    for m in range(80):
+        shift, b2 = (0, m) if a is None else (a + 2 * m, m * (a + m - 1))
+        nxt = cur + [Fraction(0)]
+        for i, c in enumerate(cur):
+            nxt[i + 1] -= shift * c
+        for i, c in enumerate(prev):
+            nxt[i + 2] -= b2 * c
+        prev, cur = cur, nxt
+        den = math.lcm(*(c.denominator for c in cur))
+        polys.append([int(c * den) for c in cur])
+    return polys
+
+
+# The documented guarantee of the classical zeros: each within 1e-14 max|z|
+# of an exact zero.  The brackets z_k -+ 1e-14 max|z| are disjoint and each
+# holds a sign change of the exact degree-n polynomial, so each holds exactly
+# one of its n zeros.
 @pytest.mark.parametrize("n", range(2, 81))
-def test_blocked_kernel_bit_identical_on_classical_matrices(n):
-    cases = [(hermite_zeros(n), hermite_jacobi(n))]
-    cases += [(laguerre_zeros(n, a), laguerre_jacobi(n, a)) for a in LAGUERRE_ALPHAS]
-    for zeros, j in cases:
-        if n in (2, 3, 8, 17, 40):
-            expect = per_index_bisection(np.array([j.diag]), np.array([j.offdiag]))[0]
-        else:
-            expect = scalar_bisection(j)
-        assert np.array_equal(zeros.as_array(), expect)
-
-
-def test_scalar_oracle_is_per_index_bisection():
-    rng = np.random.default_rng(21)
-    for n in (2, 3, 6, 11):
-        j = JacobiMatrix(tuple(rng.normal(0, 2, n)), tuple(rng.uniform(0.01, 3.0, n - 1)))
-        d, o = np.array(j.diag)[None, :], np.array(j.offdiag)[None, :]
-        assert np.array_equal(scalar_bisection(j), per_index_bisection(d, o)[0])
+def test_classical_zeros_certified_by_exact_signs(n):
+    cases = [(hermite_zeros(n), None)] + [(laguerre_zeros(n, a), a) for a in LAGUERRE_ALPHAS]
+    for zeros, alpha in cases:
+        ints = exact_char_polys(alpha)[n]
+        z = zeros.as_array()
+        tol = 1e-14 * np.max(np.abs(z))
+        lo, hi = (z - tol).tolist(), (z + tol).tolist()
+        assert all(h < l for h, l in zip(hi, lo[1:]))
+        assert all(_exact_sign(ints, l) * _exact_sign(ints, h) == -1 for l, h in zip(lo, hi))
 
 
 # M within one chunk of dense matrices, spanning two (a ragged second one),
@@ -442,15 +448,6 @@ def test_batch_within_backward_error_of_bisection(m, n):
         assert got.shape == (m, n)
         err = np.abs(got - per_index_bisection(d, o))
         assert np.all(err <= backward_error_bound(d, o)[:, None])
-
-
-def test_blocked_kernel_stops_each_index_on_its_own():
-    # the two indices of this matrix converge one bisection step apart, so
-    # bisecting the first one step further would change its last bits
-    d = np.array([[-0.2776536712672873, -1.4659673863823872]])
-    o = np.array([[1.4147733840768866]])
-    got = eigen_tridiag(JacobiMatrix(tuple(d[0]), tuple(o[0]))).as_array()
-    assert np.array_equal(got, per_index_bisection(d, o)[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -512,11 +509,10 @@ def test_sturm_count_monotone_in_x(jac, xs):
 @settings(max_examples=60, deadline=None)
 @given(_jacobi)
 def test_eigenvalues_match_eigvalsh(jac):
-    j = JacobiMatrix(tuple(jac[0]), tuple(jac[1]))
-    got = eigen_tridiag(j).as_array()
-    expect = np.linalg.eigvalsh(j.dense())
-    scale = max(1.0, float(np.max(np.abs(expect))))
-    assert np.all(np.abs(got - expect) <= 1e-12 * scale)
+    # eigen_tridiag is eigvalsh on one matrix: hold it to the Sturm oracle
+    d, o = np.array([jac[0]]), np.array([jac[1]])
+    got = eigen_tridiag(JacobiMatrix(tuple(jac[0]), tuple(jac[1]))).as_array()
+    assert np.all(np.abs(got - per_index_bisection(d, o)[0]) <= backward_error_bound(d, o)[0])
 
 
 @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200, 1e300])

@@ -272,6 +272,18 @@ def test_ek_means_track_gk_quickly():
             assert abs(np.mean(ek[:, k]) - target) < tol
 
 
+def ek_law_z(cfg, data, drift_of):
+    """z-scores of mean S_k - e_k(lam_0), k = 1..n, for paths ``data``
+    recorded at every step and the drift ``drift_of`` recomputed from the
+    recorded states (see test_dyson_ek_law_holds_at_any_dt)."""
+    lam = data[:, :-1].reshape(-1, cfg.n)
+    increments = esp_rows(lam + drift_of(lam) * cfg.dt) - esp_rows(lam)
+    s = esp_rows(data[:, -1]) - increments.reshape(cfg.paths, -1, cfg.n + 1).sum(axis=1)
+    target = esp_rows(cfg.initial.as_array()[None, :])[0]
+    stderr = np.std(s, axis=0, ddof=1) / math.sqrt(cfg.paths)
+    return (np.mean(s, axis=0) - target)[1:] / stderr[1:]
+
+
 def test_dyson_ek_law_holds_at_any_dt():
     # e_k is symmetric and affine in each coordinate, and the noise has mean
     # 0, so one Euler step has E[e_k(lam') | lam] = e_k(lam + b(lam) dt) for
@@ -280,22 +292,49 @@ def test_dyson_ek_law_holds_at_any_dt():
     # has mean e_k(lam_0) with no Euler bias budget.  b is recomputed here
     # from the recorded states, independently of the engine's arithmetic.
     n, dt, steps = 4, 0.01, 50
-    initial = RootTuple((-1.2, -0.4, 0.3, 1.1))
-    cfg = SimConfig(beta=4.0, n=n, t_end=steps * dt, dt=dt, initial=initial, seed=5,
+    cfg = SimConfig(beta=4.0, n=n, t_end=steps * dt, dt=dt,
+                    initial=RootTuple((-1.2, -0.4, 0.3, 1.1)), seed=5,
                     paths=20000, record_times=tuple(m * dt for m in range(steps + 1)))
-    data = simulate_dyson(cfg).data
-    lam = data[:, :-1].reshape(-1, n)
     eps = max(stochastic.EPS_GAP, math.sqrt(dt))
-    drift = np.zeros_like(lam)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                drift[:, i] += np.sign(i - j) / np.maximum(np.abs(lam[:, i] - lam[:, j]), eps)
-    increments = (esp_rows(lam + drift * dt) - esp_rows(lam)).reshape(cfg.paths, steps, n + 1)
-    s = esp_rows(data[:, -1]) - increments.sum(axis=1)
-    target = esp_rows(initial.as_array()[None, :])[0]
-    stderr = np.std(s, axis=0, ddof=1) / math.sqrt(cfg.paths)
-    z = (np.mean(s, axis=0) - target)[1:] / stderr[1:]
+
+    def drift_of(lam):
+        drift = np.zeros_like(lam)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    drift[:, i] += np.sign(i - j) / np.maximum(np.abs(lam[:, i] - lam[:, j]), eps)
+        return drift
+
+    z = ek_law_z(cfg, simulate_dyson(cfg).data, drift_of)
+    assert np.all(np.abs(z) <= 3.0), z
+
+
+def test_laguerre_ek_law_holds_at_any_dt():
+    # the same identity for Laguerre noise (2/sqrt(beta)) sqrt(lam_i) z_i,
+    # which holds on every step that does not reflect at 0.  A start far
+    # from 0 with a large alpha keeps every step clear of it, and the
+    # path-major oracle, which reproduces these paths bit for bit, counts no
+    # reflection.  The drift is alpha + sum_(j != i) [1 + (lam_i + lam_j) /
+    # (lam_i - lam_j)], its gaps floored at the engine's clamp.
+    n, dt, steps, alpha = 4, 0.01, 50, 20.0
+    cfg = SimConfig(beta=4.0, n=n, t_end=steps * dt, dt=dt,
+                    initial=RootTuple((5.0, 7.0, 9.0, 11.0)), seed=5, paths=10000,
+                    record_times=tuple(m * dt for m in range(steps + 1)), alpha=alpha)
+    data = simulate_laguerre(cfg).data
+    oracle, _, reflected = path_major_simulation(cfg, stochastic.LAGUERRE)
+    assert np.array_equal(data, oracle) and reflected == 0
+    eps = max(stochastic.EPS_GAP, math.sqrt(dt))
+
+    def drift_of(lam):
+        drift = np.full_like(lam, alpha + (n - 1))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    pair = (lam[:, i] + lam[:, j]) / np.maximum(np.abs(lam[:, i] - lam[:, j]), eps)
+                    drift[:, i] += np.sign(i - j) * pair
+        return drift
+
+    z = ek_law_z(cfg, data, drift_of)
     assert np.all(np.abs(z) <= 3.0), z
 
 
@@ -414,7 +453,8 @@ def path_major_simulation(cfg, kind):
     """The path-major engine: one noise panel per path drawn in a single
     call, a (paths, n) state re-sorted row by row after every step.  The
     oracle the lane-major engine must reproduce bit for bit, clamp count
-    included."""
+    included.  Also returns how many coordinates the Laguerre steps
+    reflected at 0."""
     n, dt = cfg.n, cfg.dt
     n_steps = cfg.n_steps
     record_steps = cfg.record_steps()
@@ -432,7 +472,7 @@ def path_major_simulation(cfg, kind):
     inv_sign = np.sign(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
     eps_eff = max(stochastic.EPS_GAP, math.sqrt(dt))
     sqdt = math.sqrt(dt)
-    clamp_total = 0
+    clamp_total = reflected = 0
     for step in range(n_steps):
         drift, clamped = path_major_drift(lam, kind, cfg.alpha, inv_sign, eps_eff)
         if kind == stochastic.DYSON:
@@ -440,6 +480,7 @@ def path_major_simulation(cfg, kind):
         else:
             scaled = 2.0 / math.sqrt(cfg.beta) * sqdt * noise[:, step]
             lam = lam + drift * dt + np.sqrt(np.maximum(lam, 0.0)) * scaled
+            reflected += int(np.count_nonzero(lam < 0.0))
             np.abs(lam, out=lam)
         clamp_total += clamped
         lam.sort(axis=1)
@@ -447,7 +488,7 @@ def path_major_simulation(cfg, kind):
         for slot, s in enumerate(record_steps):
             if s == step + 1:
                 out[:, slot] = lam
-    return out, clamp_total
+    return out, clamp_total, reflected
 
 
 def oracle_cfg(kind, n, start, t_end=0.3, record_times=(0.0, 0.1, 0.1, 0.3), paths=5):
@@ -467,7 +508,7 @@ SIMULATORS = {stochastic.DYSON: simulate_dyson, stochastic.LAGUERRE: simulate_la
 
 def assert_matches_oracle(cfg, kind):
     ens = SIMULATORS[kind](cfg)
-    data, clamps = path_major_simulation(cfg, kind)
+    data, clamps, _ = path_major_simulation(cfg, kind)
     assert np.array_equal(ens.data, data)
     assert ens.clamp_events == clamps
     return ens

@@ -430,6 +430,24 @@ def test_classical_zeros_certified_by_exact_signs(n):
         assert all(_exact_sign(ints, l) * _exact_sign(ints, h) == -1 for l, h in zip(lo, hi))
 
 
+# The blocked kernel, eigen_tridiag_batch, builds its dense matrices chunk by
+# chunk in one reused buffer.  A classical matrix anywhere in a batch that
+# spans two chunks (at either end of each, the second one ragged) must give
+# the cached zeros bit for bit, whatever rows surround it.
+@pytest.mark.parametrize("n", range(2, 81))
+def test_blocked_kernel_bit_identical_on_classical_matrices(n):
+    step = _CHUNK_ELEMS // (n * n)
+    d, o = gbe_tridiagonal_batch(2.0, n, step + 7, np.random.default_rng(n))
+    cases = [(hermite_zeros(n), hermite_jacobi(n))]
+    cases += [(laguerre_zeros(n, a), laguerre_jacobi(n, a)) for a in LAGUERRE_ALPHAS]
+    rows = (0, step - 1, step, step + 3, step + 6)
+    for row, (_, j) in zip(rows, cases):
+        d[row], o[row] = j.diag, j.offdiag
+    got = eigen_tridiag_batch(d, o)
+    for row, (zeros, _) in zip(rows, cases):
+        assert np.array_equal(got[row], zeros.as_array())
+
+
 # M within one chunk of dense matrices, spanning two (a ragged second one),
 # and n = 1, which needs no eigensolver.
 @pytest.mark.parametrize(

@@ -140,8 +140,9 @@ def read_root_tuple(path: str) -> RootTuple:
     raise InvalidParameter(f"no tuple row found in {path}")
 
 
-def _resolved(args, names) -> dict:
-    return {name: getattr(args, name) for name in names}
+def _echoed(args) -> dict:
+    """The parsed parameters, as the metadata block echoes them."""
+    return {k: v for k, v in vars(args).items() if k not in ("out", "config", "func", "command")}
 
 
 def _require(args, names):
@@ -158,7 +159,7 @@ def cmd_zeros(args) -> int:
     else:
         _require(args, ["alpha"])
         roots = laguerre_roots(args.n, args.alpha, t)
-    config = _resolved(args, ["family", "n", "alpha", "t", "format"])
+    config = _echoed(args)
     config["t"] = t
     _emit_row(args, "zeros", config, "roots", roots.roots)
     return 0
@@ -170,7 +171,7 @@ def cmd_convolve(args) -> int:
     if ta.n != tb.n:
         raise DimensionMismatch("dimension mismatch")
     roots = boxplus(ta, tb)
-    config = _resolved(args, ["format"])
+    config = _echoed(args)
     config["a"], config["b"] = list(ta.roots), list(tb.roots)
     _emit_row(args, "convolve", config, "roots", roots.roots)
     return 0
@@ -179,7 +180,7 @@ def cmd_convolve(args) -> int:
 def cmd_limit(args) -> int:
     _require(args, ["kind", "initial", "t"])
     initial = read_root_tuple(args.initial)
-    config = _resolved(args, ["kind", "t", "alpha", "verify_ode", "closed_form", "format"])
+    config = _echoed(args)
     config["initial"] = list(initial.roots)
     if args.kind == "gaussian":
         closed = gaussian_limit_closed(initial, args.t)
@@ -227,9 +228,7 @@ def cmd_simulate(args) -> int:
         ens = simulate_dyson(cfg)
     else:
         ens = simulate_laguerre(cfg)
-    config = _resolved(
-        args, ["kind", "n", "beta", "t", "dt", "paths", "seed", "alpha"]
-    )
+    config = _echoed(args)
     config["record"] = list(cfg.record_times)
     config["initial"] = list(initial.roots)
     # particle CSV: one recorded tuple per row, keyed by time and path; the
@@ -266,7 +265,7 @@ def cmd_clt(args) -> int:
     if args.kind == "laguerre":
         _require(args, ["alpha"])
     mode = args.mode or "static"
-    config = _resolved(args, ["kind", "n", "beta", "samples", "seed", "alpha", "mode"])
+    config = _echoed(args)
     config["mode"] = mode
     if mode == "static":
         if args.kind == "gaussian":
@@ -306,7 +305,7 @@ def cmd_clt(args) -> int:
 def cmd_moments(args) -> int:
     _require(args, ["n", "max"])
     ms = moment_sequence(args.n, args.max)
-    config = _resolved(args, ["n", "max", "format"])
+    config = _echoed(args)
     _emit_row(args, "moments", config, "u", ms.u)
     return 0
 

@@ -9,7 +9,6 @@ closed form through finite free convolution with classical polynomial zeros.
 Their agreement is one of the central correctness checks of the library.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from .elemsym import (
     esp_rows,
     roots_of_monic,
 )
-from .errors import InvalidParameter
+from .errors import InvalidParameter, check_int, check_real
 from .finfree import boxplus, convolve_esp, hermite_roots, laguerre_roots
 from .orthopoly import _antiderivative
 
@@ -36,9 +35,6 @@ __all__ = [
     "moment_sequence",
 ]
 
-GAUSSIAN = "gaussian"
-LAGUERRE = "laguerre"
-
 
 @dataclass(frozen=True)
 class GkTrajectory:
@@ -49,9 +45,6 @@ class GkTrajectory:
     """
 
     coeff_polys: tuple
-    kind: str
-    initial: RootTuple
-    alpha: float | None = None
 
     @property
     def n(self) -> int:
@@ -77,14 +70,13 @@ def gaussian_gk(initial: RootTuple) -> GkTrajectory:
         poly = -rate * integ
         poly[0] = e[k]
         polys.append(poly)
-    return GkTrajectory(tuple(tuple(p) for p in polys[: n + 1]), GAUSSIAN, initial)
+    return GkTrajectory(tuple(tuple(p) for p in polys[: n + 1]))
 
 
 def laguerre_gk(initial: RootTuple, alpha: float) -> GkTrajectory:
     """Trajectories of the freezing Laguerre system:
     ``g_k' = (N-k+1)(N-k+alpha) g_(k-1)``."""
-    if not 0.0 < alpha < np.inf:
-        raise InvalidParameter("alpha must be positive and finite")
+    check_real("alpha", alpha, 0.0)
     if initial.roots[0] < 0.0:
         raise InvalidParameter("Laguerre initial data must be nonnegative")
     n = initial.n
@@ -95,7 +87,7 @@ def laguerre_gk(initial: RootTuple, alpha: float) -> GkTrajectory:
         poly = rate * _antiderivative(polys[k - 1])
         poly[0] = e[k]
         polys.append(poly)
-    return GkTrajectory(tuple(tuple(p) for p in polys), LAGUERRE, initial, alpha)
+    return GkTrajectory(tuple(tuple(p) for p in polys))
 
 
 def limit_roots(traj: GkTrajectory, t: float) -> RootTuple:
@@ -103,8 +95,7 @@ def limit_roots(traj: GkTrajectory, t: float) -> RootTuple:
     signed elementary symmetric coefficients are ``g_k(t)``, found by
     :func:`roots_of_monic` (each the float nearest the exact root of those
     float coefficients)."""
-    if not 0.0 <= t < math.inf:
-        raise InvalidParameter(f"time must be finite and >= 0 (got {t})")
+    check_real("time", t, 0.0, inclusive=True)
     return roots_of_monic(MonicPolynomial(tuple(traj.coefficients_at(t))))
 
 
@@ -112,8 +103,7 @@ def gaussian_limit_closed(initial: RootTuple, t: float) -> RootTuple:
     """Closed form of the freezing Dyson limit: the finite free convolution of
     the initial tuple with sqrt(t)-scaled Hermite zeros.  Must agree with the
     polynomial-ODE route."""
-    if not 0.0 <= t < math.inf:
-        raise InvalidParameter(f"time must be finite and >= 0 (got {t})")
+    check_real("time", t, 0.0, inclusive=True)
     return boxplus(initial, hermite_roots(initial.n, t))
 
 
@@ -147,6 +137,7 @@ def laguerre_limit_closed(initial: RootTuple, alpha: float, t: float) -> RootTup
     entries included.
     """
     n = initial.n
+    check_real("alpha", alpha, 0.0)
     if alpha <= n - 0.5:
         raise InvalidParameter(
             f"closed form needs alpha > N - 1/2 (got alpha={alpha}, N={n}); "
@@ -154,8 +145,7 @@ def laguerre_limit_closed(initial: RootTuple, alpha: float, t: float) -> RootTup
         )
     if initial.roots[0] < 0.0:
         raise InvalidParameter("Laguerre initial data must be nonnegative")
-    if not 0.0 <= t < math.inf:
-        raise InvalidParameter(f"time must be finite and >= 0 (got {t})")
+    check_real("time", t, 0.0, inclusive=True)
     lift = _even_esp(initial.as_array())
     herm = _even_esp(hermite_roots(2 * n, t).as_array()[n:] ** 2 / 2.0)
     half = convolve_esp(lift, herm)[::2] * (-1.0) ** np.arange(n + 1)
@@ -183,9 +173,9 @@ def moment_sequence(n_sys: int, max_order: int) -> MomentSequence:
     ``u_(2m) = -(2m-1) u_(2m-2) + N sum_(j<m) u_(2j) u_(2m-2-2j)``,
     odd entries zero.  ``u_k`` equals the k-th moment of the uniform measure
     on the degree-N Hermite zeros."""
-    if n_sys < 1:
-        raise InvalidParameter("system size must be >= 1")
-    if max_order < 0 or max_order > 60:
+    check_int("n_sys", n_sys, 1)
+    check_int("max_order", max_order, 0)
+    if max_order > 60:
         raise InvalidParameter("max_order must lie in 0..60 (growth control)")
     u = [0.0] * (max_order + 1)
     u[0] = 1.0

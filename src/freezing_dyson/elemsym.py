@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, NotRealRooted
+from .errors import InvalidParameter, NotRealRooted, check_int
 
 __all__ = [
     "RootTuple",
@@ -121,10 +121,10 @@ def partial_esp(i: int, k: int, x: RootTuple) -> float:
     ``i``-th entry removed.
     """
     n = x.n
-    if not 1 <= i <= n:
-        raise InvalidParameter(f"coordinate index {i} out of range 1..{n}")
-    if not 1 <= k <= n:
-        raise InvalidParameter(f"order {k} out of range 1..{n}")
+    check_int("i", i, 1)
+    check_int("k", k, 1)
+    if max(i, k) > n:
+        raise InvalidParameter(f"index i={i} or order k={k} out of range 1..{n}")
     reduced = x.as_array()
     reduced = np.delete(reduced, i - 1)
     return float(esp_rows(reduced[None, :])[0, k - 1])
@@ -135,6 +135,7 @@ def newton_esp_from_power_sums(powersums: Sequence, n: int) -> np.ndarray:
 
     ``k e_k = sum_{j=1..k} (-1)^(j-1) e_(k-j) p_j``.  Entries may be complex.
     """
+    check_int("n", n, 0)
     p = np.asarray(powersums)
     if len(p) < n:
         raise InvalidParameter(f"need {n} power sums, got {len(p)}")

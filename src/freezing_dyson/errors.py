@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the parameter domain checks."""
+
+import math
+
+import numpy as np
 
 
 class FreezingDysonError(Exception):
@@ -27,3 +31,18 @@ class StepUnstable(FreezingDysonError):
 
 class NonFiniteOutput(FreezingDysonError):
     """A value the CLI was about to write is NaN or infinite."""
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise InvalidParameter unless ``value`` is an integer, not bool, >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise InvalidParameter(f"{name} must be an integer >= {low} (got {value!r})")
+
+
+def check_real(name: str, value, low: float, inclusive: bool = False) -> None:
+    """Raise InvalidParameter unless ``value`` is a finite real, not bool, > ``low``
+    (>= when ``inclusive``)."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and -math.inf < value < math.inf
+    if isinstance(value, bool) or not real or value < low or (value == low and not inclusive):
+        op = ">=" if inclusive else ">"
+        raise InvalidParameter(f"{name} must be finite and {op} {low:g} (got {value!r})")

@@ -21,7 +21,7 @@ from .elemsym import (
     newton_esp_from_power_sums,
     roots_of_monic,
 )
-from .errors import DimensionMismatch, InvalidParameter, NotRealRooted
+from .errors import DimensionMismatch, InvalidParameter, NotRealRooted, check_int, check_real
 from .orthopoly import hermite_zeros, laguerre_zeros
 
 __all__ = [
@@ -172,10 +172,8 @@ def hermite_roots(n: int, t: float) -> RootTuple:
     Zeros come from the Jacobi matrix spectrum (the coefficient formula
     overflows for large n) and are symmetrized exactly about zero.
     """
-    if n < 1:
-        raise InvalidParameter("n must be >= 1")
-    if not 0.0 <= t < math.inf:
-        raise InvalidParameter("scale t must be finite and >= 0")
+    check_int("n", n, 1)
+    check_real("t", t, 0.0, inclusive=True)
     if n == 1:
         return RootTuple((0.0,))
     z = hermite_zeros(n).as_array()
@@ -185,12 +183,7 @@ def hermite_roots(n: int, t: float) -> RootTuple:
 
 def laguerre_roots(n: int, alpha: float, t: float) -> RootTuple:
     """``t`` times the zeros of the degree-n monic Laguerre polynomial."""
-    if n < 1:
-        raise InvalidParameter("n must be >= 1")
-    if not 0.0 < alpha < math.inf:
-        raise InvalidParameter("alpha must be positive and finite")
-    if not 0.0 <= t < math.inf:
-        raise InvalidParameter("scale t must be finite and >= 0")
+    check_real("t", t, 0.0, inclusive=True)
     z = laguerre_zeros(n, alpha).as_array()
     return RootTuple(tuple(t * z))
 
@@ -208,6 +201,7 @@ class MKLift:
     n: int
 
     def __post_init__(self):
+        check_int("n", self.n, 1)
         if len(self.s) != self.n:
             raise InvalidParameter("lift needs exactly n entries")
         object.__setattr__(self, "s", tuple(complex(v) for v in self.s))

@@ -13,7 +13,8 @@ backward stable, to a small multiple of n * eps * (matrix norm); the tests
 certify each classical Hermite and Laguerre zero within 1e-14 * max|z| of
 the exact zero by exact signs of the exact characteristic polynomial.  The
 results are bit-reproducible under one numpy/LAPACK build, like the samplers.
-The classical zeros are cached per (n, alpha), as immutable root tuples.
+The classical zeros are cached per (n, alpha) and their types, as immutable
+root tuples, so that a cached ``1`` never answers for ``True``.
 """
 
 import functools
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elemsym import RootTuple
-from .errors import DimensionMismatch, InvalidParameter, NoConvergence
+from .errors import DimensionMismatch, InvalidParameter, NoConvergence, check_int, check_real
 
 __all__ = [
     "JacobiMatrix",
@@ -106,8 +107,7 @@ def hermite_jacobi(n: int) -> JacobiMatrix:
     Its characteristic polynomial is the degree-n probabilist Hermite
     polynomial, so its eigenvalues are the Hermite zeros.
     """
-    if n < 2:
-        raise InvalidParameter("hermite_jacobi needs n >= 2")
+    check_int("n", n, 2)
     return JacobiMatrix((0.0,) * n, tuple(math.sqrt(i) for i in range(1, n)))
 
 
@@ -118,10 +118,8 @@ def laguerre_jacobi(n: int, alpha: float) -> JacobiMatrix:
     ``sqrt(i)*sqrt(alpha+i-1)`` for ``i = 1..n-1``; eigenvalues are the zeros
     of the degree-n monic Laguerre polynomial with parameter alpha.
     """
-    if n < 1:
-        raise InvalidParameter("laguerre_jacobi needs n >= 1")
-    if not 0.0 < alpha < math.inf:
-        raise InvalidParameter("alpha must be positive and finite")
+    check_int("n", n, 1)
+    check_real("alpha", alpha, 0.0)
     diag = tuple(alpha + 2.0 * i for i in range(n))
     off = tuple(math.sqrt(i) * math.sqrt(alpha + i - 1.0) for i in range(1, n))
     return JacobiMatrix(diag, off)
@@ -135,10 +133,8 @@ def laguerre_freezing_matrix(n: int, alpha: float) -> JacobiMatrix:
     ``(sqrt(n-1), ..., 1)``.  The product is tridiagonal with the same
     spectrum as :func:`laguerre_jacobi` (the Laguerre zeros).
     """
-    if n < 1:
-        raise InvalidParameter("laguerre_freezing_matrix needs n >= 1")
-    if alpha <= 0.0:
-        raise InvalidParameter("alpha must be positive")
+    check_int("n", n, 1)
+    check_real("alpha", alpha, 0.0)
     bdiag = [math.sqrt(alpha + n - 1.0 - i) for i in range(n)]
     bsub = [math.sqrt(n - 1.0 - i) for i in range(n - 1)]
     diag = tuple(
@@ -194,14 +190,14 @@ def eigen_tridiag(j: JacobiMatrix) -> RootTuple:
     return RootTuple(tuple(eigen_tridiag_batch(np.array([j.diag]), np.array([j.offdiag]))[0]))
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=128, typed=True)
 def hermite_zeros(n: int) -> RootTuple:
     """Zeros of the degree-n probabilist Hermite polynomial, cached:
     ``eigen_tridiag(hermite_jacobi(n))``."""
     return eigen_tridiag(hermite_jacobi(n))
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=128, typed=True)
 def laguerre_zeros(n: int, alpha: float) -> RootTuple:
     """Zeros of the degree-n monic Laguerre polynomial, cached:
     ``eigen_tridiag(laguerre_jacobi(n, alpha))``."""
@@ -328,7 +324,8 @@ class OrthogonalSystem:
         return cur
 
     def _check_index(self, m: int):
-        if not 0 <= m <= self.n - 1:
+        check_int("m", m, 0)
+        if m > self.n - 1:
             raise InvalidParameter(f"polynomial order {m} out of range 0..{self.n - 1}")
 
 
@@ -339,8 +336,6 @@ def dual_hermite_system(n: int) -> OrthogonalSystem:
     uniform measure on the Hermite zeros, with squared norms
     ``prod_(i=1..m) (n - i)``.
     """
-    if n < 2:
-        raise InvalidParameter("dual_hermite_system needs n >= 2")
     return OrthogonalSystem.from_jacobi(dual(hermite_jacobi(n)))
 
 
@@ -350,10 +345,6 @@ def dual_laguerre_system(n: int, alpha: float) -> OrthogonalSystem:
     Orthogonal under the zero-weighted measure with weights
     ``z_i / (n (alpha + n - 1))`` on the Laguerre zeros.
     """
-    if n < 1:
-        raise InvalidParameter("dual_laguerre_system needs n >= 1")
-    if alpha <= 0.0:
-        raise InvalidParameter("alpha must be positive")
     return OrthogonalSystem.from_jacobi(dual(laguerre_jacobi(n, alpha)))
 
 
@@ -373,8 +364,7 @@ def _antiderivative(coeffs) -> np.ndarray:
 
 def scaled_primitive(sys: OrthogonalSystem, m: int, t: float, x):
     """Time-scaled primitive ``t^((m+1)/2) Q_m(x / sqrt(t))``, for 0 < t < inf."""
-    if not 0.0 < t < math.inf:
-        raise InvalidParameter("scaled_primitive needs 0 < t < inf")
+    check_real("t", t, 0.0)
     q = primitive(sys, m)
     xv = np.asarray(x, dtype=float) / math.sqrt(t)
     val = t ** ((m + 1) / 2.0) * np.polynomial.polynomial.polyval(xv, q)

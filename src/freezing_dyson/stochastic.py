@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elemsym import RootTuple
-from .errors import InvalidParameter, StepUnstable
+from .errors import InvalidParameter, StepUnstable, check_int, check_real
 from .orthopoly import eigen_tridiag_batch
 
 __all__ = [
@@ -83,26 +83,21 @@ class SimConfig:
     alpha: float | None = None
 
     def __post_init__(self):
-        rec = tuple(float(t) for t in self.record_times)
-        alpha = () if self.alpha is None else (self.alpha,)
-        if not all(math.isfinite(v) for v in (self.beta, self.dt, self.t_end, *alpha, *rec)):
-            raise InvalidParameter("beta, dt, t_end, alpha and record_times must be finite")
-        if self.beta < 1.0:
-            raise InvalidParameter("SDE simulation needs beta >= 1")
-        if self.n < 1 or self.initial.n != self.n:
-            raise InvalidParameter("initial tuple must have length n >= 1")
-        if self.dt <= 0.0:
-            raise InvalidParameter("dt must be positive")
-        if self.paths < 1 or self.seed < 0:
-            raise InvalidParameter("paths must be >= 1 and seed >= 0")
-        if self.t_end < 0.0:
-            raise InvalidParameter("t_end must be >= 0")
-        if not rec:
-            rec = (self.t_end,)
+        check_real("beta", self.beta, 1.0, inclusive=True)
+        check_int("n", self.n, 1)
+        if self.initial.n != self.n:
+            raise InvalidParameter("initial tuple must have length n")
+        check_real("t_end", self.t_end, 0.0, inclusive=True)
+        check_real("dt", self.dt, 0.0)
+        check_int("seed", self.seed, 0)
+        check_int("paths", self.paths, 1)
+        if self.alpha is not None:  # checked where it is used; only finite here
+            check_real("alpha", self.alpha, -math.inf)
+        for t in self.record_times:
+            check_real("record time", t, 0.0, inclusive=True)
+        rec = tuple(float(t) for t in self.record_times) or (self.t_end,)
         if any(b < a for a, b in zip(rec, rec[1:])):
             raise InvalidParameter("record_times must be sorted ascending")
-        if rec[0] < 0.0:
-            raise InvalidParameter("record_times must lie within [0, t_end]")
         for t in (self.t_end, *rec):
             steps = t / self.dt
             if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
@@ -405,8 +400,7 @@ def simulate_laguerre(cfg: SimConfig) -> PathEnsemble:
     Negative coordinates are reflected to their absolute value after each
     step, keeping the paths entrywise nonnegative.
     """
-    if cfg.alpha is None or cfg.alpha <= 0.0:
-        raise InvalidParameter("Laguerre simulation needs alpha > 0")
+    check_real("alpha", cfg.alpha, 0.0)
     if cfg.initial.roots[0] < 0.0:
         raise InvalidParameter("Laguerre initial data must be nonnegative")
     return _simulate(cfg, LAGUERRE)
@@ -437,8 +431,9 @@ def gbe_tridiagonal_batch(beta: float, n: int, size: int, rng: np.random.Generat
 
 def sample_gbe_batch(beta: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """(size, n) sorted eigenvalue samples of the Gaussian beta ensemble."""
-    if not 0.0 < beta < math.inf or n < 1:
-        raise InvalidParameter("beta must be positive and finite, and n >= 1")
+    check_real("beta", beta, 0.0)
+    check_int("n", n, 1)
+    check_int("size", size, 0)
     diag, off = gbe_tridiagonal_batch(beta, n, size, rng)
     return eigen_tridiag_batch(diag, off)
 
@@ -447,11 +442,8 @@ def sample_gbe(beta: float, n: int, seed: int) -> RootTuple:
     """One Gaussian beta ensemble draw: sorted eigenvalues of the tridiagonal
     model with N(0, 2)/sqrt(beta) diagonal and chi_((N-i) beta)/sqrt(beta)
     off-diagonal."""
-    if seed < 0:
-        raise InvalidParameter("seed must be >= 0")
-    rng = np.random.default_rng(seed)
-    evs = sample_gbe_batch(beta, n, 1, rng)[0]
-    return RootTuple(tuple(evs))
+    check_int("seed", seed, 0)
+    return RootTuple(tuple(sample_gbe_batch(beta, n, 1, np.random.default_rng(seed))[0]))
 
 
 def ble_tridiagonal_batch(beta: float, alpha: float, n: int, size: int, rng):
@@ -474,8 +466,10 @@ def ble_tridiagonal_batch(beta: float, alpha: float, n: int, size: int, rng):
 
 def sample_ble_batch(beta: float, alpha: float, n: int, size: int, rng) -> np.ndarray:
     """(size, n) sorted eigenvalue samples of the beta Laguerre ensemble."""
-    if not (0.0 < beta < math.inf and 0.0 < alpha < math.inf) or n < 1:
-        raise InvalidParameter("beta and alpha must be positive and finite, and n >= 1")
+    check_real("beta", beta, 0.0)
+    check_real("alpha", alpha, 0.0)
+    check_int("n", n, 1)
+    check_int("size", size, 0)
     diag, off = ble_tridiagonal_batch(beta, alpha, n, size, rng)
     evs = eigen_tridiag_batch(diag, off)
     # Gram-matrix spectrum: clip the roundoff of exact zeros
@@ -484,8 +478,5 @@ def sample_ble_batch(beta: float, alpha: float, n: int, size: int, rng) -> np.nd
 
 def sample_ble(beta: float, alpha: float, n: int, seed: int) -> RootTuple:
     """One beta Laguerre ensemble draw: sorted eigenvalues of B^T B."""
-    if seed < 0:
-        raise InvalidParameter("seed must be >= 0")
-    rng = np.random.default_rng(seed)
-    evs = sample_ble_batch(beta, alpha, n, 1, rng)[0]
-    return RootTuple(tuple(evs))
+    check_int("seed", seed, 0)
+    return RootTuple(tuple(sample_ble_batch(beta, alpha, n, 1, np.random.default_rng(seed))[0]))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -360,6 +361,44 @@ def test_metadata_header_echoes_resolved_config(tmp_path, capsys):
     assert code == 0
     config = json.loads(out)["meta"]["config"]
     assert config["a"] == config["b"] == [-0.5, 0.25]
+
+
+def test_metadata_echoes_every_parsed_parameter(tmp_path, capsys):
+    # the echoed keys are the subcommand's flags, so a new flag cannot be
+    # left out of the reproducibility record
+    init = tmp_path / "init.csv"
+    init.write_text("0.5,1.5\n")
+    out = tmp_path / "run.out"
+    runs = [
+        (["zeros", "--family", "hermite", "--n", "2"], set()),
+        (["convolve", "--a", str(init), "--b", str(init)], set()),
+        (["limit", "--kind", "gaussian", "--initial", str(init), "--t", "0.5"], set()),
+        (
+            ["limit", "--kind", "gaussian", "--initial", str(init), "--t", "0.5", "--verify-ode"],
+            {"route_discrepancy"},
+        ),
+        (
+            ["simulate", "--kind", "dyson", "--n", "2", "--beta", "2", "--t", "0.01",
+             "--dt", "0.001", "--paths", "2", "--seed", "1", "--out", str(out)],
+            set(),
+        ),
+        (
+            ["clt", "--kind", "gaussian", "--n", "2", "--beta", "100", "--samples", "20",
+             "--seed", "1", "--out", str(out)],
+            set(),
+        ),
+        (["moments", "--n", "2", "--max", "4"], set()),
+    ]
+    parser = cli.build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for argv, extra in runs:
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 0
+        text = out.read_text() if "--out" in argv else stdout
+        first = text.splitlines()[0]
+        meta = json.loads(first[2:]) if first.startswith("# ") else json.loads(text)["meta"]
+        dests = {a.dest for a in subcommands.choices[argv[0]]._actions}
+        assert set(meta["config"]) == dests - {"help", "out", "config"} | extra, argv[0]
 
 
 def test_shared_parser_leaks_no_state(tmp_path, capsys):

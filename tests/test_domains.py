@@ -1,0 +1,272 @@
+"""Every integer and real parameter of the public entry points is checked by
+type and domain, and a value outside it raises InvalidParameter naming the
+parameter."""
+
+import math
+
+import numpy as np
+import pytest
+
+from freezing_dyson.dynamics import (
+    gaussian_gk,
+    gaussian_limit_closed,
+    laguerre_gk,
+    laguerre_limit_closed,
+    limit_roots,
+    moment_sequence,
+)
+from freezing_dyson.elemsym import RootTuple, newton_esp_from_power_sums, partial_esp
+from freezing_dyson.errors import InvalidParameter
+from freezing_dyson.finfree import MKLift, hermite_roots, laguerre_roots
+from freezing_dyson.orthopoly import (
+    dual_hermite_system,
+    dual_laguerre_system,
+    hermite_jacobi,
+    hermite_zeros,
+    laguerre_freezing_matrix,
+    laguerre_jacobi,
+    laguerre_zeros,
+    primitive,
+    scaled_primitive,
+)
+from freezing_dyson.stats import (
+    build_q_matrix_gaussian,
+    build_q_matrix_laguerre,
+    clt_covariance_gaussian,
+    clt_covariance_laguerre,
+    moment_process_estimate,
+    primitive_clt_check,
+    process_clt_check,
+)
+from freezing_dyson.stochastic import (
+    SimConfig,
+    sample_ble,
+    sample_ble_batch,
+    sample_gbe,
+    sample_gbe_batch,
+    simulate_dyson,
+    simulate_laguerre,
+)
+
+START = RootTuple((0.5, 1.0, 2.0))
+SYSTEM = dual_hermite_system(3)
+CONFIG = dict(
+    beta=4.0, n=2, t_end=0.5, dt=0.25, initial=RootTuple((0.0, 0.0)),
+    seed=1, paths=3, record_times=(0.25, 0.5), alpha=None,
+)
+ENSEMBLE = simulate_dyson(SimConfig(**CONFIG))
+
+
+def _config(**changes):
+    return SimConfig(**{**CONFIG, **changes})
+
+
+# Each entry point as a callable of keyword arguments, with arguments inside
+# its domain; every real one is a dyadic rational, so that np.float32 holds
+# it exactly.
+ENTRY_POINTS = {
+    "partial_esp": (partial_esp, dict(i=1, k=2, x=START)),
+    "newton_esp_from_power_sums": (newton_esp_from_power_sums, dict(powersums=[1.0, 2.0], n=2)),
+    "hermite_roots": (hermite_roots, dict(n=3, t=0.5)),
+    "laguerre_roots": (laguerre_roots, dict(n=3, alpha=1.5, t=0.5)),
+    "MKLift": (MKLift, dict(s=(1.0, 2.0), n=2)),
+    "hermite_jacobi": (hermite_jacobi, dict(n=3)),
+    "laguerre_jacobi": (laguerre_jacobi, dict(n=3, alpha=1.5)),
+    "laguerre_freezing_matrix": (laguerre_freezing_matrix, dict(n=3, alpha=1.5)),
+    "hermite_zeros": (hermite_zeros, dict(n=3)),
+    "laguerre_zeros": (laguerre_zeros, dict(n=3, alpha=1.5)),
+    "dual_hermite_system": (dual_hermite_system, dict(n=3)),
+    "dual_laguerre_system": (dual_laguerre_system, dict(n=3, alpha=1.5)),
+    "primitive": (primitive, dict(sys=SYSTEM, m=1)),
+    "scaled_primitive": (scaled_primitive, dict(sys=SYSTEM, m=1, t=0.5, x=1.0)),
+    "OrthogonalSystem.value": (SYSTEM.value, dict(m=1, x=1.0)),
+    "OrthogonalSystem.orthonormal_value": (SYSTEM.orthonormal_value, dict(m=1, x=1.0)),
+    "OrthogonalSystem.coefficients": (SYSTEM.coefficients, dict(m=1)),
+    "laguerre_gk": (laguerre_gk, dict(initial=START, alpha=1.5)),
+    "limit_roots": (limit_roots, dict(traj=gaussian_gk(START), t=0.5)),
+    "gaussian_limit_closed": (gaussian_limit_closed, dict(initial=START, t=0.5)),
+    "laguerre_limit_closed": (laguerre_limit_closed, dict(initial=START, alpha=4.5, t=0.5)),
+    "moment_sequence": (moment_sequence, dict(n_sys=3, max_order=4)),
+    "SimConfig": (_config, {}),
+    "SimConfig.record_times": (lambda t: _config(record_times=(t,)), dict(t=0.25)),
+    "simulate_laguerre": (
+        lambda alpha: simulate_laguerre(_config(initial=RootTuple((0.5, 1.0)), alpha=alpha)),
+        dict(alpha=1.5),
+    ),
+    "sample_gbe": (sample_gbe, dict(beta=2.0, n=3, seed=1)),
+    "sample_ble": (sample_ble, dict(beta=2.0, alpha=1.5, n=3, seed=1)),
+    "sample_gbe_batch": (
+        lambda **kw: sample_gbe_batch(rng=np.random.default_rng(1), **kw),
+        dict(beta=2.0, n=3, size=4),
+    ),
+    "sample_ble_batch": (
+        lambda **kw: sample_ble_batch(rng=np.random.default_rng(1), **kw),
+        dict(beta=2.0, alpha=1.5, n=3, size=4),
+    ),
+    "build_q_matrix_gaussian": (build_q_matrix_gaussian, dict(n=3)),
+    "build_q_matrix_laguerre": (build_q_matrix_laguerre, dict(n=3, alpha=1.5)),
+    "clt_covariance_gaussian": (
+        clt_covariance_gaussian, dict(beta=2.0, n=3, samples=8, seed=1)
+    ),
+    "clt_covariance_laguerre": (
+        clt_covariance_laguerre, dict(beta=2.0, n=3, alpha=1.5, samples=8, seed=1)
+    ),
+    "primitive_clt_check": (
+        primitive_clt_check,
+        dict(beta=2.0, n=3, samples=8, seed=1, kind="laguerre", alpha=1.5),
+    ),
+    "moment_process_estimate": (moment_process_estimate, dict(ensemble=ENSEMBLE, max_order=2)),
+    "process_clt_check": (process_clt_check, dict(ensemble=ENSEMBLE, max_order=1)),
+}
+
+# (entry point, parameter, the name its message gives)
+INTEGER_PARAMETERS = [
+    ("partial_esp", "i", "i"),
+    ("partial_esp", "k", "k"),
+    ("newton_esp_from_power_sums", "n", "n"),
+    ("hermite_roots", "n", "n"),
+    ("laguerre_roots", "n", "n"),
+    ("MKLift", "n", "n"),
+    ("hermite_jacobi", "n", "n"),
+    ("laguerre_jacobi", "n", "n"),
+    ("laguerre_freezing_matrix", "n", "n"),
+    ("hermite_zeros", "n", "n"),
+    ("laguerre_zeros", "n", "n"),
+    ("dual_hermite_system", "n", "n"),
+    ("dual_laguerre_system", "n", "n"),
+    ("primitive", "m", "m"),
+    ("scaled_primitive", "m", "m"),
+    ("OrthogonalSystem.value", "m", "m"),
+    ("OrthogonalSystem.orthonormal_value", "m", "m"),
+    ("OrthogonalSystem.coefficients", "m", "m"),
+    ("moment_sequence", "n_sys", "n_sys"),
+    ("moment_sequence", "max_order", "max_order"),
+    ("SimConfig", "n", "n"),
+    ("SimConfig", "seed", "seed"),
+    ("SimConfig", "paths", "paths"),
+    ("sample_gbe", "n", "n"),
+    ("sample_gbe", "seed", "seed"),
+    ("sample_ble", "n", "n"),
+    ("sample_ble", "seed", "seed"),
+    ("sample_gbe_batch", "n", "n"),
+    ("sample_gbe_batch", "size", "size"),
+    ("sample_ble_batch", "n", "n"),
+    ("sample_ble_batch", "size", "size"),
+    ("build_q_matrix_gaussian", "n", "n"),
+    ("build_q_matrix_laguerre", "n", "n"),
+    ("clt_covariance_gaussian", "n", "n"),
+    ("clt_covariance_gaussian", "samples", "samples"),
+    ("clt_covariance_gaussian", "seed", "seed"),
+    ("clt_covariance_laguerre", "n", "n"),
+    ("clt_covariance_laguerre", "samples", "samples"),
+    ("clt_covariance_laguerre", "seed", "seed"),
+    ("primitive_clt_check", "n", "n"),
+    ("primitive_clt_check", "samples", "samples"),
+    ("primitive_clt_check", "seed", "seed"),
+    ("moment_process_estimate", "max_order", "max_order"),
+    ("process_clt_check", "max_order", "max_order"),
+]
+
+REAL_PARAMETERS = [
+    ("hermite_roots", "t", "t"),
+    ("laguerre_roots", "alpha", "alpha"),
+    ("laguerre_roots", "t", "t"),
+    ("laguerre_jacobi", "alpha", "alpha"),
+    ("laguerre_freezing_matrix", "alpha", "alpha"),
+    ("laguerre_zeros", "alpha", "alpha"),
+    ("dual_laguerre_system", "alpha", "alpha"),
+    ("scaled_primitive", "t", "t"),
+    ("laguerre_gk", "alpha", "alpha"),
+    ("limit_roots", "t", "time"),
+    ("gaussian_limit_closed", "t", "time"),
+    ("laguerre_limit_closed", "alpha", "alpha"),
+    ("laguerre_limit_closed", "t", "time"),
+    ("SimConfig", "beta", "beta"),
+    ("SimConfig", "t_end", "t_end"),
+    ("SimConfig", "dt", "dt"),
+    ("SimConfig", "alpha", "alpha"),
+    ("SimConfig.record_times", "t", "record time"),
+    ("simulate_laguerre", "alpha", "alpha"),
+    ("sample_gbe", "beta", "beta"),
+    ("sample_ble", "beta", "beta"),
+    ("sample_ble", "alpha", "alpha"),
+    ("sample_gbe_batch", "beta", "beta"),
+    ("sample_ble_batch", "beta", "beta"),
+    ("sample_ble_batch", "alpha", "alpha"),
+    ("build_q_matrix_laguerre", "alpha", "alpha"),
+    ("clt_covariance_gaussian", "beta", "beta"),
+    ("clt_covariance_laguerre", "beta", "beta"),
+    ("clt_covariance_laguerre", "alpha", "alpha"),
+    ("primitive_clt_check", "beta", "beta"),
+    ("primitive_clt_check", "alpha", "alpha"),
+]
+
+BAD_INTEGERS = [2.5, "3", True, None, math.nan]
+BAD_REALS = [math.nan, math.inf, -math.inf, "3", True, None]
+
+
+def _call(entry, param=None, value=None):
+    fn, kwargs = ENTRY_POINTS[entry]
+    if param is None:
+        return fn(**kwargs)
+    return fn(**{**kwargs, param: value})
+
+
+@pytest.mark.parametrize("bad", BAD_INTEGERS, ids=repr)
+@pytest.mark.parametrize("entry,param,name", INTEGER_PARAMETERS)
+def test_integer_parameter_rejected(entry, param, name, bad):
+    with pytest.raises(InvalidParameter, match=rf"^{name} must be an integer >= "):
+        _call(entry, param, bad)
+
+
+@pytest.mark.parametrize("bad", BAD_REALS, ids=repr)
+@pytest.mark.parametrize("entry,param,name", REAL_PARAMETERS)
+def test_real_parameter_rejected(entry, param, name, bad):
+    if entry == "SimConfig" and param == "alpha" and bad is None:
+        _call(entry, param, bad)  # a Dyson configuration carries no alpha
+        return
+    with pytest.raises(InvalidParameter, match=rf"^{name} must be finite and "):
+        _call(entry, param, bad)
+
+
+def test_messages_name_the_value():
+    with pytest.raises(InvalidParameter, match=r"^n must be an integer >= 2 \(got 2\.5\)$"):
+        hermite_jacobi(2.5)
+    with pytest.raises(InvalidParameter, match=r"^alpha must be finite and > 0 \(got inf\)$"):
+        laguerre_jacobi(3, math.inf)
+    with pytest.raises(InvalidParameter, match=r"^seed must be an integer >= 0 \(got '3'\)$"):
+        sample_gbe(2.0, 3, "3")
+    with pytest.raises(InvalidParameter, match=r"^t must be finite and >= 0 \(got -0\.5\)$"):
+        hermite_roots(3, -0.5)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_numpy_scalars_accepted(entry):
+    ints = {p for e, p, _ in INTEGER_PARAMETERS if e == entry}
+    reals = {p for e, p, _ in REAL_PARAMETERS if e == entry}
+    fn, kwargs = ENTRY_POINTS[entry]
+    if entry == "SimConfig":
+        kwargs = {**CONFIG, "alpha": 1.5}
+    kwargs = {
+        k: np.int64(v) if k in ints else np.float32(v) if k in reals else v
+        for k, v in kwargs.items()
+    }
+    fn(**kwargs)
+
+
+def test_head_reproducers():
+    # each of these once ended in a TypeError, an IndexError, an accepted
+    # value or a silent NaN
+    cases = [
+        lambda: hermite_roots(2.5, 1),
+        lambda: sample_gbe(2.0, 2.5, 1),
+        lambda: clt_covariance_gaussian(1e4, 3, 100.5, 1),
+        lambda: partial_esp(1.5, 1, START),
+        lambda: _config(paths=2.5),
+        lambda: moment_sequence(2.5, 4),
+        lambda: moment_sequence(math.nan, 4),
+        lambda: primitive_clt_check(2.0, 3, 8, 1, "laguerre"),
+    ]
+    for case in cases:
+        with pytest.raises(InvalidParameter):
+            case()

@@ -51,11 +51,24 @@ class GkTrajectory:
         return len(self.coeff_polys) - 1
 
     def value(self, k: int, t: float) -> float:
-        return float(np.polynomial.polynomial.polyval(t, self.coeff_polys[k]))
+        """``g_k(t)`` for k = 0..N."""
+        check_int("k", k, 0)
+        if k > self.n:
+            raise InvalidParameter(f"k must be <= N = {self.n} (got {k!r})")
+        return _horner(self.coeff_polys[k], t)
 
     def coefficients_at(self, t: float) -> np.ndarray:
         """The signed elementary symmetric vector ``(g_0(t), ..., g_N(t))``."""
-        return np.array([self.value(k, t) for k in range(self.n + 1)])
+        return np.array([_horner(poly, t) for poly in self.coeff_polys])
+
+
+def _horner(coeffs, t: float) -> float:
+    """Ascending coefficients evaluated at t in Python floats, in the order
+    ``np.polynomial.polynomial.polyval`` uses, so bit for bit the same."""
+    t, acc = float(t), 0.0
+    for c in reversed(coeffs):
+        acc = float(c) + acc * t
+    return acc
 
 
 def gaussian_gk(initial: RootTuple) -> GkTrajectory:
@@ -165,6 +178,10 @@ class MomentSequence:
         object.__setattr__(self, "u", tuple(float(v) for v in self.u))
 
     def moment_at(self, k: int, t: float) -> float:
+        """``m_k(t)`` for k = 0..max_order."""
+        check_int("k", k, 0)
+        if k >= len(self.u):
+            raise InvalidParameter(f"k must be <= max_order = {len(self.u) - 1} (got {k!r})")
         return self.u[k] * t ** (k / 2.0)
 
 

@@ -196,7 +196,7 @@ def _seeds(coeffs):
     slope drops by more than 26 (half the float mantissa), the roots on
     either side are solved apart, each from its own run of coefficients
     rescaled to size 1, so that roots far smaller than the largest keep
-    their relative accuracy.  Sorted by real part.
+    their relative accuracy.  A list of complex, sorted by real part.
     """
     points = [(k, math.frexp(c)[1]) for k, c in enumerate(coeffs) if c]
     hull = []
@@ -210,38 +210,58 @@ def _seeds(coeffs):
     slopes = [(e2 - e1) / (k2 - k1) for (k1, e1), (k2, e2) in zip(hull, hull[1:])]
     cuts = [i for i in range(len(slopes)) if i == 0 or slopes[i - 1] - slopes[i] > 26]
     z = [0j] * (len(coeffs) - 1 - points[-1][0])
-    for i, j in zip(cuts, cuts[1:] + [len(slopes)]):
-        (k1, e1), (k2, e2) = hull[i], hull[j]
-        s = round((e2 - e1) / (k2 - k1))
-        run = np.ldexp(coeffs[k1 : k2 + 1], s * (k1 - np.arange(k1, k2 + 1)) - e1)
-        companion = np.diag(np.ones(k2 - k1 - 1), -1)
-        companion[0] = -run[1:] / run[0]
-        y = np.linalg.eigvals(companion)
-        z.extend(np.ldexp(y.real, s) + 1j * np.ldexp(y.imag, s))
-    z = np.array(z, complex)
-    if not np.all(np.isfinite(z)):
+    try:
+        for i, j in zip(cuts, cuts[1:] + [len(slopes)]):
+            (k1, e1), (k2, e2) = hull[i], hull[j]
+            s, m = round((e2 - e1) / (k2 - k1)), k2 - k1
+            run = [math.ldexp(coeffs[k], s * (k1 - k) - e1) for k in range(k1, k2 + 1)]
+            companion = np.eye(m, k=-1)
+            companion[0] = [-c / run[0] for c in run[1:]]
+            y = np.linalg.eigvals(companion).tolist()
+            z += [complex(math.ldexp(w.real, s), math.ldexp(w.imag, s)) for w in y]
+    except OverflowError:
+        raise NotRealRooted("companion-matrix eigenvalues are not finite") from None
+    if not all(math.isfinite(w.real) and math.isfinite(w.imag) for w in z):
         raise NotRealRooted("companion-matrix eigenvalues are not finite")
-    return z[np.argsort(z.real, kind="stable")]
+    return sorted(z, key=lambda w: w.real)
 
 
 def _certified_roots(ints, coeffs, z):
     """The roots certified around the seeds z, sorted by real part.
 
-    Around each seed's real part a bracket starts a few ulps wide and grows
-    inside the seed's cell (the midpoints to its neighbours, a root bound at
-    the ends) until the exact signs at its ends differ or one is zero.
-    Every probed point with sign zero, and every pair of consecutive probed
-    points with opposite signs, holds a root; when there are d of them, each
-    holds exactly one and all d roots are found.
+    Each seed's real part, clamped to its cell (the midpoints to its
+    neighbours, a root bound at the ends), takes one Newton step on the exact
+    residual: ``_scaled_value`` there is the integer ``den^d P(x)``, and the
+    derivative's is ``den^(d-1) P'(x)``, so the step ``v / (dv den)`` is one
+    correctly rounded int division.  The seed is kept when the step
+    overflows, the derivative is zero, or the result leaves the cell.
+    Around the polished point a bracket starts one ulp wide and grows by 4
+    inside the cell until the exact signs at its ends differ or one is zero.
+    Every probed point with sign zero (the clamped seeds are probed too),
+    and every pair of consecutive probed points with opposite signs, holds a
+    root; when there are d of them, each holds exactly one and all d roots
+    are found.
     """
     # twice the Cauchy bound 1 + max |c_k|, which rounds to max |c_k| past 2^53
     bound = min(2.0 * max(1.0, *(abs(c) for c in coeffs[1:])), np.finfo(float).max)
-    seeds = z.real.tolist()
+    d = len(ints) - 1
+    derivative = [c * (d - k) for k, c in enumerate(ints[:-1])]
+    seeds = [w.real for w in z]
     ends = [-bound] + [0.5 * a + 0.5 * b for a, b in zip(seeds, seeds[1:])] + [bound]
     signs = {}
     for x, lo, hi in zip(seeds, ends, ends[1:]):
         x = min(max(x, lo), hi)
-        w = 4.0 * math.ulp(x)
+        num, den = x.as_integer_ratio()
+        v = _scaled_value(ints, num, den)
+        signs[x] = (v > 0) - (v < 0)
+        if v and (dv := _scaled_value(derivative, num, den)):
+            try:
+                y = x - v / (dv * den)
+            except OverflowError:  # the quotient is past the float range
+                y = x
+            if lo <= y <= hi:
+                x = y
+        w = math.ulp(x)
         while True:
             a, b = max(lo, x - w), min(hi, x + w)
             for y in (a, b):
@@ -297,6 +317,7 @@ def _roots_or_centroids(exact):
     roots = _certified_roots(ints, coeffs, z)
     d = len(z)
     if len(roots) < d:
+        z = np.array(z)
         for members, found in _clusters(z, roots):
             m = int(members.sum())
             if len(found) != m:
@@ -305,12 +326,12 @@ def _roots_or_centroids(exact):
                     for j in range(1, d + 1 - i):
                         q[j] += c * q[j - 1]
                 try:
-                    y = _seeds([float(v) for v in q])
+                    y = np.array(_seeds([float(v) for v in q]))
                 except OverflowError:  # the shifted factor leaves the float range
                     continue
                 z[members] = float(c) + y[np.argsort(np.abs(y), kind="stable")[:m]]
         z = z[np.argsort(z.real, kind="stable")]
-        roots = _certified_roots(ints, coeffs, z)
+        roots = _certified_roots(ints, coeffs, z.tolist())
     if len(roots) == d:
         return roots
     out = []
@@ -364,14 +385,17 @@ def roots_of_monic(p: MonicPolynomial) -> RootTuple:
     """All N real roots of a real-rooted monic polynomial, sorted ascending.
 
     Companion-matrix eigenvalues (as ``np.roots`` takes them, one solve per
-    well-separated root scale) seed exact sign brackets, which exact
-    bisection shrinks to adjacent floats.  N disjoint sign brackets prove
-    that each root is found exactly once, and each root returned is then the
-    float nearest the exact root of the given float coefficients.  Otherwise
-    the exact square-free factors are solved the same way, each root once
-    per multiplicity; a cluster of roots that rounding pushed off the real
-    line comes back as its centroid, once per root, when that centroid's
-    relative backward error is within ``8 N 2^-53``.
+    well-separated root scale) are the seeds.  Each takes one Newton step on
+    its exact residual, and a sign bracket one ulp wide around the result,
+    grown inside the seed's cell when needed, is shrunk to adjacent floats by
+    exact bisection: about 6 exact evaluations per root at any degree.  N
+    disjoint sign brackets prove that each root is found exactly once, and
+    each root returned is then the float nearest the exact root of the given
+    float coefficients.  Otherwise the exact square-free factors are solved
+    the same way, each root once per multiplicity; a cluster of roots that
+    rounding pushed off the real line comes back as its centroid, once per
+    root, when that centroid's relative backward error is within
+    ``8 N 2^-53``.
 
     Raises :class:`NotRealRooted` when a coefficient is not finite or some
     roots are not real within that backward error.

@@ -49,6 +49,8 @@ from freezing_dyson.stochastic import (
 )
 
 START = RootTuple((0.5, 1.0, 2.0))
+TRAJECTORY = gaussian_gk(START)
+MOMENTS = moment_sequence(3, 4)
 SYSTEM = dual_hermite_system(3)
 CONFIG = dict(
     beta=4.0, n=2, t_end=0.5, dt=0.25, initial=RootTuple((0.0, 0.0)),
@@ -87,6 +89,8 @@ ENTRY_POINTS = {
     "gaussian_limit_closed": (gaussian_limit_closed, dict(initial=START, t=0.5)),
     "laguerre_limit_closed": (laguerre_limit_closed, dict(initial=START, alpha=4.5, t=0.5)),
     "moment_sequence": (moment_sequence, dict(n_sys=3, max_order=4)),
+    "GkTrajectory.value": (TRAJECTORY.value, dict(k=1, t=0.5)),
+    "MomentSequence.moment_at": (MOMENTS.moment_at, dict(k=2, t=0.5)),
     "SimConfig": (_config, {}),
     "SimConfig.record_times": (lambda t: _config(record_times=(t,)), dict(t=0.25)),
     "simulate_laguerre": (
@@ -141,6 +145,8 @@ INTEGER_PARAMETERS = [
     ("OrthogonalSystem.coefficients", "m", "m"),
     ("moment_sequence", "n_sys", "n_sys"),
     ("moment_sequence", "max_order", "max_order"),
+    ("GkTrajectory.value", "k", "k"),
+    ("MomentSequence.moment_at", "k", "k"),
     ("SimConfig", "n", "n"),
     ("SimConfig", "seed", "seed"),
     ("SimConfig", "paths", "paths"),
@@ -229,6 +235,15 @@ def test_real_parameter_rejected(entry, param, name, bad):
         _call(entry, param, bad)
 
 
+def test_indices_above_their_range_rejected():
+    TRAJECTORY.value(3, 0.5)
+    with pytest.raises(InvalidParameter, match=r"^k must be <= N = 3 \(got 4\)$"):
+        TRAJECTORY.value(4, 0.5)
+    MOMENTS.moment_at(4, 0.5)
+    with pytest.raises(InvalidParameter, match=r"^k must be <= max_order = 4 \(got 5\)$"):
+        MOMENTS.moment_at(5, 0.5)
+
+
 def test_messages_name_the_value():
     with pytest.raises(InvalidParameter, match=r"^n must be an integer >= 2 \(got 2\.5\)$"):
         hermite_jacobi(2.5)
@@ -266,6 +281,9 @@ def test_head_reproducers():
         lambda: moment_sequence(2.5, 4),
         lambda: moment_sequence(math.nan, 4),
         lambda: primitive_clt_check(2.0, 3, 8, 1, "laguerre"),
+        lambda: TRAJECTORY.value(-1, 1.0),
+        lambda: TRAJECTORY.value(True, 1.0),
+        lambda: MOMENTS.moment_at(-1, 1.0),
     ]
     for case in cases:
         with pytest.raises(InvalidParameter):

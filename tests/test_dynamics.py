@@ -103,6 +103,27 @@ def test_laguerre_gk_ode_identity():
             assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
 
 
+def test_coefficients_at_matches_polyval_bit_for_bit():
+    # the Python-float Horner loop against numpy's reference evaluation,
+    # including the sign of zero, on random Gaussian and Laguerre trajectories
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(2, 13))
+        if rng.random() < 0.5:
+            traj = gaussian_gk(RootTuple.from_values(rng.normal(0, 2, n)))
+        else:
+            start = RootTuple.from_values(rng.uniform(0, 4, n))
+            traj = laguerre_gk(start, float(rng.uniform(0.2, 3.0)))
+        for t in (0.0, float(rng.uniform(0, 1e-6)), float(rng.uniform(0, 3))):
+            got = traj.coefficients_at(t)
+            want = np.array(
+                [np.polynomial.polynomial.polyval(t, poly) for poly in traj.coeff_polys]
+            )
+            assert got.tobytes() == want.tobytes()
+            k = int(rng.integers(0, n + 1))
+            assert np.float64(traj.value(k, t)).tobytes() == want[k].tobytes()
+
+
 def test_laguerre_gk_rejects_bad_input():
     for alpha in (0.0, math.inf, math.nan):
         with pytest.raises(InvalidParameter):

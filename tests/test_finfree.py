@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freezing_dyson import elemsym
 from freezing_dyson.elemsym import MonicPolynomial, RootTuple, elementary_symmetric
 from freezing_dyson.errors import DimensionMismatch, InvalidParameter, NotRealRooted
 from freezing_dyson.finfree import (
@@ -217,6 +218,22 @@ def test_hermite_semigroup_identity():
                 lhs = boxplus(hermite_roots(n, t * t), hermite_roots(n, s * s)).as_array()
                 rhs = hermite_roots(n, t * t + s * s).as_array()
                 assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+@pytest.mark.parametrize("n,bound", [(12, 2e-14), (20, 1e-12), (30, 2e-10), (40, 2e-7)])
+def test_boxplus_roots_cost_few_exact_evaluations(monkeypatch, n, bound):
+    # one Newton step on the exact residual at each seed, then a one-ulp sign
+    # bracket: about 6 exact evaluations per root at any degree, where
+    # brackets grown from the raw seeds took 7.6, 13.8, 25.3 and 36.4
+    a = hermite_roots(n, 1)
+    calls = []
+    value = elemsym._scaled_value
+    monkeypatch.setattr(elemsym, "_scaled_value", lambda *args: calls.append(1) or value(*args))
+    got = boxplus(a, a).as_array()
+    assert len(calls) <= 7 * n
+    # the float coefficients' own error: 7.4e-15, 4.3e-13, 6.8e-11 and 6.7e-8
+    expect = hermite_roots(n, 2).as_array()
+    assert np.max(np.abs(got - expect)) / np.max(np.abs(expect)) < bound
 
 
 def test_boxplus_keeps_relative_accuracy_at_small_scale():

@@ -5,24 +5,34 @@ lower-triangular linear ODEs whose solutions are exact polynomials in time,
 so the trajectories are built by iterated term-by-term integration; no
 numerical ODE stepper appears anywhere.  Two independent routes to the limit
 positions exist: evaluating the polynomial system and recovering roots, or a
-closed form through finite free convolution with classical polynomial zeros.
+closed form through finite free convolution with classical polynomials.
 Their agreement is one of the central correctness checks of the library.
+
+Both routes run in exact arithmetic on Python ints.  Float inputs are dyadic
+rationals and every weight is rational, so the start's elementary symmetric
+values, the g_k(t) polynomials and the classical coefficients (Hermite and
+Laguerre, from their explicit formulas rather than from computed zeros) are
+exact, and the two routes give equal coefficient vectors: the polynomial-ODE
+solution is the finite free convolution (Marcus, Spielman & Srivastava,
+Probab. Theory Relat. Fields, 2022).  Roots are recovered once from those
+integers, each the float nearest an exact root.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .elemsym import (
-    MonicPolynomial,
     RootTuple,
-    elementary_symmetric,
-    esp_rows,
-    roots_of_monic,
+    _exact_esp,
+    _roots_of_ints,
+    _rounded,
+    _scaled_ints,
+    _scaled_value,
 )
 from .errors import InvalidParameter, check_int, check_real
-from .finfree import boxplus, convolve_esp, hermite_roots, laguerre_roots
-from .orthopoly import _antiderivative
+from .finfree import _convolve_ints
 
 __all__ = [
     "GkTrajectory",
@@ -42,9 +52,20 @@ class GkTrajectory:
 
     ``coeff_polys[k]`` holds the ascending t-coefficients of ``g_k(t)``,
     k = 0..N.  ``g_0`` is identically 1 and ``g_k(0) = e_k(initial)``.
+    ``exact`` holds the same coefficients as integers over ``exact[0][0]``
+    (the coefficient of ``g_0 = 1``), and ``coeff_polys`` their correctly
+    rounded floats.  Built from ``coeff_polys`` alone, a trajectory takes
+    those floats as exact.
     """
 
     coeff_polys: tuple
+    exact: tuple = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.exact is None:
+            ints = iter(_scaled_ints([float(c) for poly in self.coeff_polys for c in poly]))
+            exact = tuple(tuple(next(ints) for _ in poly) for poly in self.coeff_polys)
+            object.__setattr__(self, "exact", exact)
 
     @property
     def n(self) -> int:
@@ -53,12 +74,14 @@ class GkTrajectory:
     def value(self, k: int, t: float) -> float:
         """``g_k(t)`` for k = 0..N."""
         check_int("k", k, 0)
+        check_real("t", t, 0.0, inclusive=True)
         if k > self.n:
             raise InvalidParameter(f"k must be <= N = {self.n} (got {k!r})")
         return _horner(self.coeff_polys[k], t)
 
     def coefficients_at(self, t: float) -> np.ndarray:
         """The signed elementary symmetric vector ``(g_0(t), ..., g_N(t))``."""
+        check_real("t", t, 0.0, inclusive=True)
         return np.array([_horner(poly, t) for poly in self.coeff_polys])
 
 
@@ -71,84 +94,112 @@ def _horner(coeffs, t: float) -> float:
     return acc
 
 
+def _trajectory(polys) -> GkTrajectory:
+    den = polys[0][0]
+    floats = tuple(tuple(_rounded(c, den) for c in poly) for poly in polys)
+    return GkTrajectory(floats, tuple(tuple(poly) for poly in polys))
+
+
 def gaussian_gk(initial: RootTuple) -> GkTrajectory:
     """Trajectories of the freezing Dyson system:
-    ``g_k' = -(N-k+1)(N-k+2)/2 g_(k-2)`` with ``g_1' = 0``."""
+    ``g_k' = -(N-k+1)(N-k+2)/2 g_(k-2)`` with ``g_1' = 0``.
+
+    The t^j coefficient of g_k has the denominator ``2^j j!`` over the
+    start's, so over the common ``2^J J!`` (J = N // 2) each integration
+    step is an exact integer division."""
     n = initial.n
-    e = elementary_symmetric(initial)
-    polys = [np.array([1.0]), np.array([e[1]])]
+    top = n // 2
+    scale = math.factorial(top) << top
+    polys = [[c * scale] for c in _exact_esp(initial.roots)]
     for k in range(2, n + 1):
-        rate = (n - k + 1) * (n - k + 2) / 2.0
-        integ = _antiderivative(polys[k - 2])
-        poly = -rate * integ
-        poly[0] = e[k]
-        polys.append(poly)
-    return GkTrajectory(tuple(tuple(p) for p in polys[: n + 1]))
+        rate = (n - k + 1) * (n - k + 2)
+        polys[k] += [-rate * c // (2 * j) for j, c in enumerate(polys[k - 2], 1)]
+    return _trajectory(polys)
 
 
 def laguerre_gk(initial: RootTuple, alpha: float) -> GkTrajectory:
     """Trajectories of the freezing Laguerre system:
-    ``g_k' = (N-k+1)(N-k+alpha) g_(k-1)``."""
+    ``g_k' = (N-k+1)(N-k+alpha) g_(k-1)``.
+
+    With ``alpha = a / q`` (q a power of two), the t^j coefficient of g_k has
+    the denominator ``q^j j!`` over the start's, so over the common
+    ``q^N N!`` each integration step is an exact integer division."""
     check_real("alpha", alpha, 0.0)
     if initial.roots[0] < 0.0:
         raise InvalidParameter("Laguerre initial data must be nonnegative")
     n = initial.n
-    e = elementary_symmetric(initial)
-    polys = [np.array([1.0])]
+    a, q = float(alpha).as_integer_ratio()
+    scale = math.factorial(n) * q**n
+    polys = [[c * scale] for c in _exact_esp(initial.roots)]
     for k in range(1, n + 1):
-        rate = (n - k + 1) * (n - k + alpha)
-        poly = rate * _antiderivative(polys[k - 1])
-        poly[0] = e[k]
-        polys.append(poly)
-    return GkTrajectory(tuple(tuple(p) for p in polys))
+        rate = (n - k + 1) * ((n - k) * q + a)
+        polys[k] += [rate * c // (q * j) for j, c in enumerate(polys[k - 1], 1)]
+    return _trajectory(polys)
+
+
+def _monic_ints(e) -> list:
+    """Integer monomial coefficients ``(-1)^k e_k`` of an exact elementary
+    symmetric vector over its entry 0, divided by their gcd: two vectors
+    hold the same rationals exactly when these lists are equal."""
+    g = math.gcd(*e)
+    return [-c // g if k % 2 else c // g for k, c in enumerate(e)]
+
+
+def _limit_ints(traj: GkTrajectory, t: float) -> list:
+    """The ODE route's exact coefficients at t: each g_k evaluated at
+    ``t = p / q`` as the integer ``q^D g_k(p / q)`` over ``q^D exact[0][0]``,
+    D the largest degree."""
+    check_real("time", t, 0.0, inclusive=True)
+    p, q = float(t).as_integer_ratio()
+    shift = q.bit_length() - 1
+    top = max(len(poly) for poly in traj.exact)
+    return _monic_ints(
+        [_scaled_value(poly[::-1], p, q) << (shift * (top - len(poly))) for poly in traj.exact]
+    )
 
 
 def limit_roots(traj: GkTrajectory, t: float) -> RootTuple:
     """Ordered limit positions at time t: the roots of the polynomial whose
-    signed elementary symmetric coefficients are ``g_k(t)``, found by
-    :func:`roots_of_monic` (each the float nearest the exact root of those
-    float coefficients)."""
+    signed elementary symmetric coefficients are ``g_k(t)``, evaluated
+    exactly at the float t; each root is the float nearest the exact one."""
+    return _roots_of_ints(_limit_ints(traj, t))
+
+
+def _hermite_esp(n: int, p: int, q: int) -> list:
+    """Exact elementary symmetric values of ``sqrt(p/q)`` times the degree-n
+    Hermite zeros (q a power of two), as integers over entry 0:
+    ``e_(2m) = (-1)^m n! (p/q)^m / (m! (n-2m)! 2^m)``, odd entries 0."""
+    top = n // 2
+    e = [0] * (n + 1)
+    for m in range(top + 1):
+        c = math.factorial(n) // (math.factorial(m) * math.factorial(n - 2 * m) << m)
+        e[2 * m] = (-1) ** m * c * p**m * q ** (top - m)
+    return e
+
+
+def _gaussian_closed_ints(initial: RootTuple, t: float) -> list:
     check_real("time", t, 0.0, inclusive=True)
-    return roots_of_monic(MonicPolynomial(tuple(traj.coefficients_at(t))))
+    herm = _hermite_esp(initial.n, *float(t).as_integer_ratio())
+    return _monic_ints(_convolve_ints(_exact_esp(initial.roots), herm))
 
 
 def gaussian_limit_closed(initial: RootTuple, t: float) -> RootTuple:
     """Closed form of the freezing Dyson limit: the finite free convolution of
-    the initial tuple with sqrt(t)-scaled Hermite zeros.  Must agree with the
-    polynomial-ODE route."""
-    check_real("time", t, 0.0, inclusive=True)
-    return boxplus(initial, hermite_roots(initial.n, t))
+    the initial tuple with sqrt(t)-scaled Hermite zeros, in exact
+    coefficients.  Equal to the polynomial-ODE route."""
+    return _roots_of_ints(_gaussian_closed_ints(initial, t))
 
 
-def _even_esp(squares: np.ndarray) -> np.ndarray:
-    """Signed elementary symmetric coefficients of the symmetric tuple
-    ``(+-sqrt(s_i))``, built from its squares ``s`` without a square root:
-    ``e_(2m) = (-1)^m e_m(s)``, and every odd entry is exactly 0."""
-    e = esp_rows(squares[None, :])[0]
-    out = np.zeros(2 * len(e) - 1)
-    out[::2] = e * (-1.0) ** np.arange(len(e))
+def _even_lift(e) -> list:
+    """Exact elementary symmetric values of the symmetric tuple
+    ``(+-sqrt(s_i))`` from those of its squares ``s``:
+    ``e_(2m) = (-1)^m e_m(s)``, and every odd entry is 0."""
+    out = [0] * (2 * len(e) - 1)
+    out[::2] = [-c if m % 2 else c for m, c in enumerate(e)]
     return out
 
 
-def laguerre_limit_closed(initial: RootTuple, alpha: float, t: float) -> RootTuple:
-    """Closed form of the freezing Laguerre limit for ``alpha > N - 1/2``.
-
-    The paper's recipe: lift the initial tuple to the symmetric 2N-tuple
-    ``(+-sqrt(2 a_i))``, run the size-2N Gaussian closed form, halve the
-    squared top half, and convolve with ``t``-scaled Laguerre zeros of
-    parameter ``alpha - N + 1/2``.  Must agree with the polynomial-ODE route.
-
-    Every step but the last stays in elementary symmetric coordinates, where
-    the lift and the size-2N Hermite zeros are even polynomials built from
-    their squares (:func:`_even_esp`).  Both are taken 1/sqrt(2) times the
-    recipe's, with squares ``a_i`` and ``h_j^2 / 2``, so that their
-    convolution, which is even too, has roots ``y / sqrt(2)`` and the halved
-    squares ``y^2 / 2`` are plain squares.  If its coefficients are ``c``
-    these have ``e_m = (-1)^m c_(2m)``, a sign change only.  So the route
-    makes one degree-N root solve and none at degree 2N, and at t = 0 its
-    coefficients are those of the initial data bit for bit, subnormal
-    entries included.
-    """
+def _laguerre_closed_ints(initial: RootTuple, alpha: float, t: float) -> list:
     n = initial.n
     check_real("alpha", alpha, 0.0)
     if alpha <= n - 0.5:
@@ -159,11 +210,40 @@ def laguerre_limit_closed(initial: RootTuple, alpha: float, t: float) -> RootTup
     if initial.roots[0] < 0.0:
         raise InvalidParameter("Laguerre initial data must be nonnegative")
     check_real("time", t, 0.0, inclusive=True)
-    lift = _even_esp(initial.as_array())
-    herm = _even_esp(hermite_roots(2 * n, t).as_array()[n:] ** 2 / 2.0)
-    half = convolve_esp(lift, herm)[::2] * (-1.0) ** np.arange(n + 1)
-    lag = elementary_symmetric(laguerre_roots(n, alpha - n + 0.5, t))
-    return roots_of_monic(MonicPolynomial(tuple(convolve_esp(half, lag))))
+    p, q = float(t).as_integer_ratio()
+    # the lift of the start and the size-2N Hermite coefficients at t/2
+    lift = _even_lift(_exact_esp(initial.roots))
+    even = _convolve_ints(lift, _hermite_esp(2 * n, p, 2 * q))
+    half = [-c if m % 2 else c for m, c in enumerate(even[::2])]
+    # t-scaled Laguerre coefficients of parameter alpha' = a / d, exactly
+    # alpha - N + 1/2: e_k = C(N, k) prod_(j=N-k+1..N) (alpha' - 1 + j) t^k
+    num, den = float(alpha).as_integer_ratio()
+    a, d = 2 * num - (2 * n - 1) * den, 2 * den
+    lag, prod = [], 1
+    for k in range(n + 1):
+        lag.append(math.comb(n, k) * prod * p**k * (d * q) ** (n - k))
+        prod *= a + (n - k - 1) * d
+    return _monic_ints(_convolve_ints(half, lag))
+
+
+def laguerre_limit_closed(initial: RootTuple, alpha: float, t: float) -> RootTuple:
+    """Closed form of the freezing Laguerre limit for ``alpha > N - 1/2``.
+
+    The paper's recipe: lift the initial tuple to the symmetric 2N-tuple
+    ``(+-sqrt(2 a_i))``, run the size-2N Gaussian closed form, halve the
+    squared top half, and convolve with ``t``-scaled Laguerre zeros of
+    parameter ``alpha - N + 1/2``.  Equal to the polynomial-ODE route.
+
+    Every step stays in exact elementary symmetric coordinates.  The lift and
+    the size-2N Hermite polynomial are even, built from their squares
+    (:func:`_even_lift`), each taken 1/sqrt(2) times the recipe's: squares
+    ``a_i``, and the Hermite coefficients at ``t/2``.  Their convolution,
+    even too, has roots ``y / sqrt(2)``, so the halved squares ``y^2 / 2``
+    are plain squares, with ``e_m = (-1)^m c_(2m)`` for its coefficients c.
+    The Laguerre coefficients come from their explicit formula, and roots
+    are recovered once, at degree N.
+    """
+    return _roots_of_ints(_laguerre_closed_ints(initial, alpha, t))
 
 
 @dataclass(frozen=True)
@@ -180,6 +260,7 @@ class MomentSequence:
     def moment_at(self, k: int, t: float) -> float:
         """``m_k(t)`` for k = 0..max_order."""
         check_int("k", k, 0)
+        check_real("t", t, 0.0, inclusive=True)
         if k >= len(self.u):
             raise InvalidParameter(f"k must be <= max_order = {len(self.u) - 1} (got {k!r})")
         return self.u[k] * t ** (k / 2.0)

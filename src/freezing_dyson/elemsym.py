@@ -150,11 +150,39 @@ def newton_esp_from_power_sums(powersums: Sequence, n: int) -> np.ndarray:
     return e
 
 
+def _exact_esp(values):
+    """Exact ``(e_0, ..., e_N)`` of floats, as integers over their entry 0.
+
+    The entries are dyadic, ``x_i = m_i 2^-s`` with integer m_i, so the
+    product recurrence of :func:`esp_rows` run on the m_i gives integers E_k
+    with ``e_k = E_k 2^-sk``, here returned as ``E_k 2^(s(N-k))`` over
+    ``2^(sN)``.
+    """
+    ratios = [float(v).as_integer_ratio() for v in values]
+    s = max(den.bit_length() for _, den in ratios) - 1
+    e = [1] + [0] * len(ratios)
+    for i, (num, den) in enumerate(ratios, 1):
+        m = num << (s + 1 - den.bit_length())
+        for k in range(i, 0, -1):
+            e[k] += m * e[k - 1]
+    n = len(ratios)
+    return [c << (s * (n - k)) for k, c in enumerate(e)]
+
+
 def _scaled_ints(coeffs):
     """Integer coefficients ``L c_k``, L the floats' common power-of-two denominator."""
     ratios = [c.as_integer_ratio() for c in coeffs]
     top = max(den.bit_length() for _, den in ratios)
     return [num << (top - den.bit_length()) for num, den in ratios]
+
+
+def _rounded(num: int, den: int) -> float:
+    """``num / den`` correctly rounded, for ``den > 0``; past the float range,
+    the infinity of its sign."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _scaled_value(ints, num, den):
@@ -350,15 +378,14 @@ def _roots_or_centroids(exact):
     return out
 
 
-def _square_free_roots(coeffs):
-    """Roots through the exact square-free chain of the float polynomial.
+def _square_free_roots(exact):
+    """Roots through the exact square-free chain of the polynomial with the
+    Fraction coefficients ``exact``, leading coefficient 1.
 
     With ``g_0 = p`` and ``g_(j+1) = gcd(g_j, g_j')``, the square-free
     ``g_j / g_(j+1)`` holds once each root of multiplicity above j (Yun), so
-    solving every level returns each root with its multiplicity.  The chain
-    runs on Fractions.
+    solving every level returns each root with its multiplicity.
     """
-    from fractions import Fraction
 
     def divide(f, g):  # quotient and remainder by a monic g
         f, n = list(f), len(f) - len(g) + 1
@@ -370,7 +397,7 @@ def _square_free_roots(coeffs):
             rem.pop(0)
         return f[:n], rem
 
-    g, roots = [Fraction(c) for c in coeffs], []
+    g, roots = list(exact), []
     while len(g) > 1:
         s, h = g, [c * (len(g) - 1 - k) for k, c in enumerate(g[:-1])]
         while h:  # Euclid: g becomes the monic gcd(g, g')
@@ -379,6 +406,29 @@ def _square_free_roots(coeffs):
         g = [c / g[0] for c in g]
         roots += _roots_or_centroids(divide(s, g)[0])
     return roots
+
+
+def _roots_of_ints(ints):
+    """All real roots of the polynomial with integer coefficients ``ints``
+    (descending powers, ``ints[0] > 0``), sorted ascending.
+
+    The seeds come from the floats ``ints[k] / ints[0]``, each a correctly
+    rounded int division, and the certificate and the square-free fallback
+    work on the integers themselves, so each root returned is the float
+    nearest an exact root of ``ints``.  Raises :class:`NotRealRooted` when a
+    rounded coefficient is not finite or some roots are not real within the
+    backward error of :func:`roots_of_monic`.
+    """
+    coeffs = [_rounded(c, ints[0]) for c in ints]
+    for k, c in enumerate(coeffs):
+        if not math.isfinite(c):
+            raise NotRealRooted(f"coefficient c_{k} = {c!r} is not finite")
+    roots = _certified_roots(ints, coeffs, _seeds(coeffs))
+    if len(roots) < len(ints) - 1:
+        from fractions import Fraction
+
+        roots = _square_free_roots([Fraction(c, ints[0]) for c in ints])
+    return RootTuple(tuple(sorted(roots)))
 
 
 def roots_of_monic(p: MonicPolynomial) -> RootTuple:
@@ -404,7 +454,4 @@ def roots_of_monic(p: MonicPolynomial) -> RootTuple:
     for k, c in enumerate(coeffs):
         if not math.isfinite(c):
             raise NotRealRooted(f"coefficient c_{k} = {c!r} is not finite")
-    roots = _certified_roots(_scaled_ints(coeffs), coeffs, _seeds(coeffs))
-    if len(roots) < p.degree:
-        roots = _square_free_roots(coeffs)
-    return RootTuple(tuple(sorted(roots)))
+    return _roots_of_ints(_scaled_ints(coeffs))

@@ -2,9 +2,10 @@
 
 The convolution of two N-tuples is defined coefficient-wise on elementary
 symmetric values and preserves real-rootedness; roots are recovered once at
-the end.  A second, independent implementation multiplies the associated
-truncated differential operators (the finite free Fourier transform) and is
-kept as a cross-check.  The Markov-Krein lift trades an N-tuple of reals for
+the end.  The same formula on exact integer coefficients serves the
+deterministic limits (:mod:`freezing_dyson.dynamics`).  A second,
+independent implementation multiplies the associated truncated differential
+operators (the finite free Fourier transform) and is kept as a cross-check.  The Markov-Krein lift trades an N-tuple of reals for
 an N-tuple of complex numbers whose moment sequence reproduces the signed
 elementary symmetric coefficients.
 """
@@ -71,6 +72,24 @@ def convolve_esp(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
         if k % 2 == 0:
             acc += _ratio(n, k // 2, k // 2) * (ea[k // 2] * eb[k // 2])
         out[k] = acc
+    return out
+
+
+def _convolve_ints(a, b) -> list:
+    """:func:`convolve_esp` in exact arithmetic, on integer vectors over their
+    entry 0: the weight ``(n-i)!(n-j)! / (n!(n-k)!)`` is the integer
+    ``(n-i)!(n-j)! n!/(n-k)!`` over ``n!^2``, so the result is an integer
+    vector over its entry ``n!^2 a_0 b_0``.  When both vectors are even (odd
+    entries 0, as for tuples symmetric about 0), so is the result, and only
+    its even entries are summed."""
+    n = len(a) - 1
+    f = [math.factorial(i) for i in range(n + 1)]
+    fa = [f[n - i] * c for i, c in enumerate(a)]
+    fb = [f[n - j] * c for j, c in enumerate(b)]
+    step = 1 if any(a[1::2]) or any(b[1::2]) else 2
+    out = [0] * (n + 1)
+    for k in range(0, n + 1, step):
+        out[k] = f[n] // f[n - k] * sum(fa[i] * fb[k - i] for i in range(0, k + 1, step))
     return out
 
 

@@ -188,6 +188,33 @@ def test_limit_verify_ode_needs_the_closed_form(tmp_path, capsys, monkeypatch):
     assert "route_discrepancy" not in out
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "laguerre"])
+def test_limit_verify_ode_solves_once_and_reports_unequal_routes(kind, tmp_path, capsys, monkeypatch):
+    init = tmp_path / "init.csv"
+    init.write_text("0.3,1.1,2.5\n")
+    argv = ["limit", "--kind", kind, "--initial", str(init), "--t", "0.7", "--alpha", "4.25",
+            "--verify-ode"]
+    solves = []
+    solve = cli._roots_of_ints
+    monkeypatch.setattr(cli, "_roots_of_ints", lambda ints: solves.append(ints) or solve(ints))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and len(solves) == 1
+    config = json.loads(out.splitlines()[0][2:])["config"]
+    assert config["route_discrepancy"] == 0.0 and err == "max route discrepancy: 0\n"
+    # an ODE route whose coefficients differ (its constant term moved by
+    # about 1e-9 relative) is solved on its own and its root gap reported
+    ode = cli._limit_ints
+    monkeypatch.setattr(
+        cli, "_limit_ints", lambda traj, t: (c := ode(traj, t))[:-1] + [c[-1] + (c[0] >> 30)]
+    )
+    solves.clear()
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and len(solves) == 2
+    gap = float(np.max(np.abs(solve(solves[0]).as_array() - solve(solves[1]).as_array())))
+    assert 0.0 < gap < 1e-8
+    assert json.loads(out.splitlines()[0][2:])["config"]["route_discrepancy"] == gap
+
+
 def test_limit_laguerre_verify_ode_at_small_t(tmp_path, capsys):
     # the closed route once exited 3 on this start
     init = tmp_path / "init.csv"

@@ -90,6 +90,7 @@ ENTRY_POINTS = {
     "laguerre_limit_closed": (laguerre_limit_closed, dict(initial=START, alpha=4.5, t=0.5)),
     "moment_sequence": (moment_sequence, dict(n_sys=3, max_order=4)),
     "GkTrajectory.value": (TRAJECTORY.value, dict(k=1, t=0.5)),
+    "GkTrajectory.coefficients_at": (TRAJECTORY.coefficients_at, dict(t=0.5)),
     "MomentSequence.moment_at": (MOMENTS.moment_at, dict(k=2, t=0.5)),
     "SimConfig": (_config, {}),
     "SimConfig.record_times": (lambda t: _config(record_times=(t,)), dict(t=0.25)),
@@ -183,6 +184,9 @@ REAL_PARAMETERS = [
     ("dual_laguerre_system", "alpha", "alpha"),
     ("scaled_primitive", "t", "t"),
     ("laguerre_gk", "alpha", "alpha"),
+    ("GkTrajectory.value", "t", "t"),
+    ("GkTrajectory.coefficients_at", "t", "t"),
+    ("MomentSequence.moment_at", "t", "t"),
     ("limit_roots", "t", "time"),
     ("gaussian_limit_closed", "t", "time"),
     ("laguerre_limit_closed", "alpha", "alpha"),
@@ -284,6 +288,9 @@ def test_head_reproducers():
         lambda: TRAJECTORY.value(-1, 1.0),
         lambda: TRAJECTORY.value(True, 1.0),
         lambda: MOMENTS.moment_at(-1, 1.0),
+        lambda: MOMENTS.moment_at(1, -1.0),
+        lambda: MOMENTS.moment_at(2, math.nan),
+        lambda: TRAJECTORY.value(2, math.nan),
     ]
     for case in cases:
         with pytest.raises(InvalidParameter):

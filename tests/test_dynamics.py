@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freezing_dyson.dynamics import (
-    _even_esp,
+    GkTrajectory,
+    _even_lift,
+    _gaussian_closed_ints,
+    _laguerre_closed_ints,
+    _limit_ints,
     gaussian_gk,
     gaussian_limit_closed,
     laguerre_gk,
@@ -14,7 +19,7 @@ from freezing_dyson.dynamics import (
     limit_roots,
     moment_sequence,
 )
-from freezing_dyson.elemsym import RootTuple, elementary_symmetric
+from freezing_dyson.elemsym import RootTuple, _exact_esp, elementary_symmetric
 from freezing_dyson.errors import InvalidParameter
 from freezing_dyson.finfree import hermite_roots, laguerre_roots
 from freezing_dyson.orthopoly import eigen_tridiag, hermite_jacobi
@@ -122,6 +127,14 @@ def test_coefficients_at_matches_polyval_bit_for_bit():
             assert got.tobytes() == want.tobytes()
             k = int(rng.integers(0, n + 1))
             assert np.float64(traj.value(k, t)).tobytes() == want[k].tobytes()
+
+
+def test_trajectory_built_from_floats_takes_them_as_exact():
+    # a dyadic start whose g_k coefficients are all floats: the trajectory
+    # rebuilt from coeff_polys alone holds the same exact polynomials
+    traj = gaussian_gk(RootTuple((0.5, 1.0, 2.0)))
+    rebuilt = GkTrajectory(traj.coeff_polys)
+    assert rebuilt == traj and limit_roots(rebuilt, 0.7) == limit_roots(traj, 0.7)
 
 
 def test_laguerre_gk_rejects_bad_input():
@@ -286,29 +299,62 @@ def test_laguerre_routes_agree_property(case):
     ode = limit_roots(traj, t).as_array()
     closed = laguerre_limit_closed(start, alpha, t).as_array()
     assert np.max(np.abs(ode - closed)) < 1e-8 * max(1.0, float(np.max(np.abs(ode))))
-    # at t = 0 every coefficient step is exact (power-of-two scalings and
-    # convolutions with (1, 0, ..., 0)), so the route is the start's own
-    # coefficient round trip: within 1e-10, or the conditioning floor
-    # eps * E(x) / |p'(x)| (times a safety factor 20 n) where that is larger,
-    # since a cluster such as 4.0, 4.1, ..., 4.7 loses 6e-5 to it
+    # at t = 0 both routes hold the start's exact coefficients, whose roots
+    # are the start's floats themselves
     at0 = laguerre_limit_closed(start, alpha, 0.0)
-    assert at0 == limit_roots(traj, 0.0)
-    x = start.as_array()
-    coeffs = np.poly(x)
-    dp = np.abs(np.polyval(np.polyder(coeffs), x))
-    floor = 20 * x.size * 2.3e-16 * np.polyval(np.abs(coeffs), x) / np.maximum(dp, 1e-300)
-    assert np.all(np.abs(at0.as_array() - x) <= np.maximum(1e-10, floor))
+    assert at0 == limit_roots(traj, 0.0) == start
+
+
+@st.composite
+def limit_cases(draw):
+    """(kind, start, alpha, t): n <= 10, starts in [-4, 4] (Gaussian) or
+    [0, 4] (Laguerre), alpha - (n - 1/2) in [1e-3, 3], t = 0 or in [1e-8, 10]."""
+    kind = draw(st.sampled_from(("gaussian", "laguerre")))
+    n = draw(st.integers(1, 10))
+    low = -4.0 if kind == "gaussian" else 0.0
+    start = RootTuple.from_values(draw(st.lists(st.floats(low, 4.0), min_size=n, max_size=n)))
+    alpha = n - 0.5 + draw(st.floats(1e-3, 3.0))
+    t = draw(st.one_of(st.just(0.0), st.floats(1e-8, 10.0)))
+    return kind, start, alpha, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(limit_cases())
+@example(("laguerre", RootTuple((4.0, 4.1, 4.2, 4.3, 4.4, 4.5, 4.6, 4.7)), 20.0, 0.3))
+def test_routes_have_equal_exact_coefficients(case):
+    # the polynomial-ODE solution is the finite free convolution, so in
+    # exact arithmetic the two routes give the same coefficients and roots
+    kind, start, alpha, t = case
+    if kind == "gaussian":
+        traj, closed = gaussian_gk(start), _gaussian_closed_ints(start, t)
+        roots = gaussian_limit_closed(start, t)
+    else:
+        traj, closed = laguerre_gk(start, alpha), _laguerre_closed_ints(start, alpha, t)
+        roots = laguerre_limit_closed(start, alpha, t)
+    assert _limit_ints(traj, t) == closed
+    assert limit_roots(traj, t) == roots
+
+
+def test_clustered_start_returns_exactly_at_t0():
+    # through float coefficients both Laguerre routes and the Gaussian closed
+    # form returned this start off by about 2e-4
+    start = RootTuple((4.0, 4.1, 4.2, 4.3, 4.4, 4.5, 4.6, 4.7))
+    assert laguerre_limit_closed(start, 20.0, 0.0) == start
+    assert limit_roots(laguerre_gk(start, 20.0), 0.0) == start
+    assert gaussian_limit_closed(start, 0.0) == start
+    assert limit_roots(gaussian_gk(start), 0.0) == start
 
 
 def test_even_esp_matches_the_lifted_tuple():
+    # the exact lift of the squares s, against the exact e_k of the tuple
+    # (+-sqrt(s)): entries on a 1/64 grid, so that their squares are floats
     rng = np.random.default_rng(17)
     for _ in range(50):
-        s = np.sort(rng.uniform(0.0, 5.0, int(rng.integers(1, 10))))
-        e = _even_esp(s)
-        assert np.all(e[1::2] == 0.0)
-        up = np.sqrt(s)
-        lifted = elementary_symmetric(RootTuple.from_values(np.concatenate([-up, up])))
-        assert np.max(np.abs(e - lifted)) < 1e-13 * np.max(np.abs(e))
+        up = rng.integers(0, 5 * 64, int(rng.integers(1, 10))) / 64.0
+        e = _even_lift(_exact_esp(up * up))
+        assert not any(e[1::2])
+        lifted = _exact_esp(np.concatenate([-up, up]))
+        assert [Fraction(c, e[0]) for c in e] == [Fraction(c, lifted[0]) for c in lifted]
 
 
 def test_squared_hermite_half_matches_explicit_coefficients():

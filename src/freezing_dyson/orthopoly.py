@@ -15,6 +15,11 @@ the exact zero by exact signs of the exact characteristic polynomial.  The
 results are bit-reproducible under one numpy/LAPACK build, like the samplers.
 The classical zeros are cached per (n, alpha) and their types, as immutable
 root tuples, so that a cached ``1`` never answers for ``True``.
+
+Linear statistics of a polynomial of degree k need no spectrum, only the
+power sums ``tr(J^k)``; :func:`_power_traces_batch` forms them for a batch
+from banded products of the matrix entries, with no LAPACK call, so its
+output depends on no LAPACK build.
 """
 
 import functools
@@ -46,7 +51,8 @@ __all__ = [
     "scaled_primitive",
 ]
 
-# Float64 elements of one chunk of dense matrices in eigen_tridiag_batch (1 MB).
+# Float64 elements of one chunk of a batch kernel's working memory (1 MB): dense
+# matrices in eigen_tridiag_batch, banded powers in _power_traces_batch.
 _CHUNK_ELEMS = 1 << 17
 
 
@@ -149,6 +155,18 @@ def dual(j: JacobiMatrix) -> JacobiMatrix:
     return JacobiMatrix(j.diag[::-1], j.offdiag[::-1])
 
 
+def _as_batch(diag, offdiag):
+    """(M, n) diagonals and (M, n-1) off-diagonals as float arrays, shapes checked."""
+    diag = np.atleast_2d(np.asarray(diag, dtype=float))
+    offdiag = np.atleast_2d(np.asarray(offdiag, dtype=float))
+    m, n = diag.shape
+    if offdiag.shape != (m, n - 1):
+        raise DimensionMismatch(
+            f"offdiag has shape {offdiag.shape}, expected {(m, n - 1)} for diag {diag.shape}"
+        )
+    return diag, offdiag
+
+
 def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     """Eigenvalues of a batch of Jacobi matrices, ascending per row.
 
@@ -159,13 +177,8 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     exact; the classical zeros are within 1e-14 * max|z|.  Bit-reproducible
     under one numpy/LAPACK build (the CLI metadata records numpy's version).
     """
-    diag = np.atleast_2d(np.asarray(diag, dtype=float))
-    offdiag = np.atleast_2d(np.asarray(offdiag, dtype=float))
+    diag, offdiag = _as_batch(diag, offdiag)
     m, n = diag.shape
-    if offdiag.shape != (m, n - 1):
-        raise DimensionMismatch(
-            f"offdiag has shape {offdiag.shape}, expected {(m, n - 1)} for diag {diag.shape}"
-        )
     if n == 1:
         return diag.copy()
     step = max(1, _CHUNK_ELEMS // (n * n))
@@ -183,6 +196,82 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError as exc:  # non-finite entries, e.g. overflowed chi draws
             raise NoConvergence(f"tridiagonal eigenvalues: {exc}") from exc
     return out
+
+
+def _power_traces_batch(diag: np.ndarray, offdiag: np.ndarray, kmax: int) -> np.ndarray:
+    """Power sums ``tr(J^k)``, k = 0..kmax, of a batch of Jacobi matrices, as
+    an (M, kmax+1) array, with no eigensolve.
+
+    ``diag`` is (M, n), ``offdiag`` is (M, n-1).  ``J^j`` is held as its upper
+    diagonals, lane-major (diagonal d is an (n-d, lanes) array), for
+    ``j <= ceil(kmax/2)``: each diagonal of ``J^(j+1)`` is three shifted
+    products of ``J^j``'s diagonals with a and b.  Then ``tr J^(2j)`` is the
+    squared Frobenius norm of ``J^j`` and ``tr J^(2j+1)`` the Frobenius
+    product of ``J^j`` and ``J^(j+1)``.  Every term is a product of matrix
+    entries, so nothing cancels on matrices with nonnegative entries
+    (Laguerre), and each power sum is within ``k n eps tr(|J|^k)`` of the
+    exact trace of the float matrix.  The lanes run in chunks of about
+    ``_CHUNK_ELEMS`` floats of working memory; each lane's arithmetic runs
+    in the same order in any chunk, so the result does not depend on the
+    chunking.  Non-finite entries, such as overflowed chi draws, raise
+    :class:`NoConvergence`, the error :func:`eigen_tridiag_batch` gives when
+    LAPACK fails on them.
+    """
+    diag, offdiag = _as_batch(diag, offdiag)
+    m, n = diag.shape
+    out = np.empty((m, kmax + 1))
+    step = max(1, _CHUNK_ELEMS // (n * n))
+    for s in range(0, m, step):
+        a = np.ascontiguousarray(diag[s : s + step].T)
+        b = np.ascontiguousarray(offdiag[s : s + step].T)
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise NoConvergence("tridiagonal power traces: non-finite matrix entries")
+        power = [np.ones_like(a)]  # J^0
+        for k in range(kmax + 1):
+            if k % 2 == 0:
+                out[s : s + step, k] = _frobenius(power, power)
+            else:
+                nxt = _times_jacobi(power, a, b)
+                out[s : s + step, k] = _frobenius(power, nxt)
+                power = nxt
+    return out
+
+
+def _times_jacobi(p: list, a: np.ndarray, b: np.ndarray) -> list:
+    """Upper diagonals of ``P J`` from those of the symmetric banded ``P``
+    (diagonal d is ``p[d]``, an (n-d, lanes) array) and J's a and b, (n, lanes)
+    and (n-1, lanes)."""
+    n = len(a)
+    w = len(p) - 1
+    out = []
+    for d in range(min(w + 1, n - 1) + 1):
+        # (P J)[r, r+d] = P[r, r+d-1] b[r+d-1] + P[r, r+d] a[r+d] + P[r, r+d+1] b[r+d]
+        if d > w:  # the new outermost diagonal
+            e = p[d - 1][: n - d] * b[d - 1 :]
+        else:
+            e = p[d] * a[d:]
+            if d >= 1:
+                e += p[d - 1][: n - d] * b[d - 1 :]
+        if d < w:
+            below = p[d + 1] * b[d:]
+            e[: n - d - 1] += below
+            if d == 0:  # P[r, r-1] = P[r-1, r]
+                e[1:] += below
+        out.append(e)
+    return out
+
+
+def _frobenius(p: list, q: list) -> np.ndarray:
+    """Per-lane Frobenius product of two symmetric banded matrices given as
+    upper diagonals, summed row by row in a fixed order (numpy's own
+    reduction switches to pairwise order for a one-lane chunk)."""
+    acc = p[0] * q[0]
+    for d in range(1, min(len(p), len(q))):
+        acc[: len(acc) - d] += 2.0 * (p[d] * q[d])
+    total = acc[0].copy()
+    for row in acc[1:]:
+        total += row
+    return total
 
 
 def eigen_tridiag(j: JacobiMatrix) -> RootTuple:

@@ -21,8 +21,9 @@ import numpy as np
 
 from .dynamics import gaussian_gk, laguerre_gk
 from .elemsym import esp_rows
-from .errors import InvalidParameter, check_int
+from .errors import InvalidParameter, check_int, check_real
 from .orthopoly import (
+    _power_traces_batch,
     dual_hermite_system,
     dual_laguerre_system,
     hermite_zeros,
@@ -30,7 +31,14 @@ from .orthopoly import (
     primitive,
     scaled_primitive,
 )
-from .stochastic import DYSON, PathEnsemble, sample_ble_batch, sample_gbe_batch
+from .stochastic import (
+    DYSON,
+    PathEnsemble,
+    ble_tridiagonal_batch,
+    gbe_tridiagonal_batch,
+    sample_ble_batch,
+    sample_gbe_batch,
+)
 
 __all__ = [
     "CovarianceReport",
@@ -207,33 +215,15 @@ def primitive_clt_check(
     the Laguerre zeros, targets ``(alpha + N - 1) <q_m, q_m> / (m+1)``;
     ``alpha`` is required there and unused by the Gaussian kind.
     Cross-order covariances target zero.
+
+    No eigenvalue is computed: Q_m has degree m + 1 <= N, so
+    ``<L_N, Q_m> = tr Q_m(J) / N`` needs only the power sums ``tr J^k``,
+    k <= N, of each sampled tridiagonal matrix J (Dumitriu and Edelman).
     """
-    check_int("samples", samples, 2)
-    check_int("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    if kind == GAUSSIAN:
-        evs = sample_gbe_batch(beta, n, samples, rng)
-        z = hermite_zeros(n).as_array()
-        sys = dual_hermite_system(n)
-        targets = np.array([sys.squared_norms[m] / (m + 1) for m in range(n)])
-    elif kind == LAGUERRE:
-        evs = sample_ble_batch(beta, alpha, n, samples, rng)
-        z = laguerre_zeros(n, alpha).as_array()
-        sys = dual_laguerre_system(n, alpha)
-        targets = np.array(
-            [(alpha + n - 1) * sys.squared_norms[m] / (m + 1) for m in range(n)]
-        )
-    else:
-        raise InvalidParameter(f"unknown kind {kind!r}")
-    scale = math.sqrt(beta * n / 2.0)
-    stats = np.empty((samples, n))
-    for m in range(n):
-        qm = primitive(sys, m)
-        pv = np.polynomial.polynomial.polyval
-        stats[:, m] = scale * (np.mean(pv(evs, qm), axis=1) - np.mean(pv(z, qm)))
+    stats, targets = _primitive_statistics(beta, n, samples, seed, kind, alpha)
     variances = np.var(stats, axis=0, ddof=1)
     centered = stats - np.mean(stats, axis=0)
-    m4 = np.mean(centered**4, axis=0)
+    m4 = np.mean((centered**2) ** 2, axis=0)  # squares: numpy runs x**4 through pow()
     var_stderr = np.sqrt(np.maximum(m4 - variances**2, 0.0) / samples)
     corr = np.corrcoef(stats.T) if n > 1 else np.ones((1, 1))
     return PrimitiveCltReport(
@@ -246,6 +236,56 @@ def primitive_clt_check(
         beta=beta,
         kind=kind,
     )
+
+
+def _primitive_statistics(beta, n, samples, seed, kind, alpha):
+    """The (samples, N) primitive statistics of :func:`primitive_clt_check`
+    and their (N,) variance targets.
+
+    The batch is drawn with the samplers' random stream and centred at c, the
+    mean of the centring zeros (0 for Hermite).  Each Q_m is expanded in
+    powers of x - c once, so all N statistics are one product of the
+    (samples, N+1) power sums of J - c, less those of the zeros, with the
+    (N+1, N) coefficients.
+    """
+    check_int("samples", samples, 2)
+    check_int("seed", seed, 0)
+    check_real("beta", beta, 0.0)
+    check_int("n", n, 1)
+    rng = np.random.default_rng(seed)
+    if kind == GAUSSIAN:
+        z = hermite_zeros(n).as_array()
+        sys = dual_hermite_system(n)
+        targets = np.array([sys.squared_norms[m] / (m + 1) for m in range(n)])
+        c = 0.0
+        diag, off = gbe_tridiagonal_batch(beta, n, samples, rng)
+    elif kind == LAGUERRE:
+        check_real("alpha", alpha, 0.0)
+        z = laguerre_zeros(n, alpha).as_array()
+        sys = dual_laguerre_system(n, alpha)
+        targets = np.array(
+            [(alpha + n - 1) * sys.squared_norms[m] / (m + 1) for m in range(n)]
+        )
+        c = float(np.mean(z))
+        diag, off = ble_tridiagonal_batch(beta, alpha, n, samples, rng)
+    else:
+        raise InvalidParameter(f"unknown kind {kind!r}")
+    diag -= c
+    traces = _power_traces_batch(diag, off, n)
+    del diag, off
+    coeffs = np.zeros((n + 1, n))
+    for m in range(n):
+        coeffs[: m + 2, m] = _shifted(primitive(sys, m), c)
+    zsums = np.sum((z - c)[:, None] ** np.arange(n + 1), axis=0)
+    return math.sqrt(beta * n / 2.0) * (((traces - zsums) @ coeffs) / n), targets
+
+
+def _shifted(coeffs: np.ndarray, c: float) -> np.ndarray:
+    """Ascending coefficients of ``p(y + c)`` from those of p, by Horner's rule."""
+    out = np.zeros(len(coeffs))
+    for q in coeffs[::-1]:
+        out = c * out + np.append(q, out[:-1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -349,6 +389,7 @@ def process_clt_check(ensemble: PathEnsemble, max_order: int) -> ProcessCltRepor
     if any(abs(v) > 0.0 for v in cfg.initial.roots):
         raise InvalidParameter("process-level statistics assume the zero initial condition")
     check_int("max_order", max_order, 0)
+    check_int("paths", cfg.paths, 2)
     if max_order > cfg.n - 1:
         raise InvalidParameter("order must be <= N - 1")
     n = cfg.n

@@ -475,7 +475,8 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
 
 def test_clt_overflowing_chi_degrees_of_freedom_exit_3(capsys):
     # beta * (alpha + n - i) overflows to inf, so the sampled matrices are
-    # not finite and LAPACK's eigvalsh does not converge
+    # not finite, and the power-trace kernel of the primitive statistics
+    # refuses them with NoConvergence
     code, _, err = run_cli(
         ["clt", "--kind", "laguerre", "--mode", "primitive", "--n", "3", "--beta", "1e300",
          "--samples", "50", "--seed", "7", "--alpha", "1e300"],

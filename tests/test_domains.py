@@ -3,6 +3,7 @@ type and domain, and a value outside it raises InvalidParameter naming the
 parameter."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,3 +296,16 @@ def test_head_reproducers():
     for case in cases:
         with pytest.raises(InvalidParameter):
             case()
+
+
+def test_process_clt_check_needs_two_paths():
+    # one path once gave NaN covariances after numpy's RuntimeWarning from
+    # x @ x.T / (m - 1), where the static reports refuse samples < 2
+    ens = simulate_dyson(
+        _config(beta=1e4, n=3, t_end=1.0, dt=1e-2, initial=RootTuple((0.0,) * 3),
+                paths=1, record_times=(0.5, 1.0))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter, match=r"^paths must be an integer >= 2 \(got 1\)$"):
+            process_clt_check(ens, 1)

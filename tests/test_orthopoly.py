@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freezing_dyson import orthopoly
 from freezing_dyson.elemsym import RootTuple, _exact_sign
-from freezing_dyson.errors import DimensionMismatch, InvalidParameter
+from freezing_dyson.errors import DimensionMismatch, InvalidParameter, NoConvergence
 from freezing_dyson.finfree import hermite_roots, laguerre_roots
 from freezing_dyson.stochastic import ble_tridiagonal_batch, gbe_tridiagonal_batch
 from freezing_dyson.orthopoly import (
     _CHUNK_ELEMS,
+    _power_traces_batch,
     JacobiMatrix,
     OrthogonalSystem,
     SpectralMeasure,
@@ -507,6 +509,101 @@ def test_batch_offdiag_shape_checked():
     with pytest.raises(DimensionMismatch):
         eigen_tridiag_batch(d[:, :1], np.ones((3, 1)))
     assert eigen_tridiag_batch(d[:, :1], np.empty((3, 0))).shape == (3, 1)
+
+
+def test_power_traces_offdiag_shape_checked():
+    d = np.zeros((3, 4))
+    with pytest.raises(DimensionMismatch):
+        _power_traces_batch(d, np.ones((1, 3)), 2)  # would broadcast over the batch
+    with pytest.raises(DimensionMismatch):
+        _power_traces_batch(d, np.ones((3, 4)), 2)
+    with pytest.raises(DimensionMismatch):
+        _power_traces_batch(d[:, :1], np.ones((3, 1)), 2)
+    got = _power_traces_batch(np.full((3, 1), 3.0), np.empty((3, 0)), 2)
+    assert np.array_equal(got, np.tile([1.0, 3.0, 9.0], (3, 1)))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["diag", "offdiag"])
+def test_power_traces_refuse_non_finite_entries(bad, where):
+    # overflowed chi draws reach the kernel as inf or NaN entries
+    d, o = np.ones((5, 3)), np.ones((5, 2))
+    (d if where == "diag" else o)[3, 1] = bad
+    with pytest.raises(NoConvergence, match="non-finite matrix entries"):
+        _power_traces_batch(d, o, 2)
+
+
+def exact_power_traces(diag, offdiag, kmax):
+    """tr(J^k), k = 0..kmax, of one float Jacobi matrix, as exact Fractions.
+
+    Floats are dyadic rationals, so J = M / den with an integer matrix M and
+    den the largest denominator of the entries, a power of two.
+    """
+    n = len(diag)
+    den = max(Fraction(v).denominator for v in [*diag, *offdiag])
+    a = [int(Fraction(v) * den) for v in diag]
+    b = [int(Fraction(v) * den) for v in offdiag]
+    power = [[int(r == c) for c in range(n)] for r in range(n)]
+    traces = []
+    for k in range(kmax + 1):
+        traces.append(Fraction(sum(power[r][r] for r in range(n)), den**k))
+        # column c of P J is P[:, c-1] b[c-1] + P[:, c] a[c] + P[:, c+1] b[c]
+        power = [
+            [
+                (row[c - 1] * b[c - 1] if c >= 1 else 0)
+                + row[c] * a[c]
+                + (row[c + 1] * b[c] if c + 1 < n else 0)
+                for c in range(n)
+            ]
+            for row in power
+        ]
+    return traces
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["gbe", "ble"]),
+    st.floats(1.0, 1e4),
+    st.floats(0.1, 5.0),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+    st.integers(-20, 20),
+)
+def test_power_traces_within_bound_of_exact_traces(kind, beta, alpha, n, seed, scale):
+    # each power sum of the float matrix is within k n 2^-52 tr(|J|^k) of
+    # exact; entries scaled by 2^+-20 keep every J^k, k <= 25, in the normal range
+    rng = np.random.default_rng(seed)
+    if kind == "gbe":
+        d, o = gbe_tridiagonal_batch(beta, n, 3, rng)
+    else:
+        d, o = ble_tridiagonal_batch(beta, alpha, n, 3, rng)
+    d, o = d * 2.0**scale, o * 2.0**scale
+    kmax = 2 * n + 1
+    got = _power_traces_batch(d, o, kmax)
+    assert got.shape == (3, kmax + 1)
+    for row in range(3):
+        exact = exact_power_traces(d[row], o[row], kmax)
+        bound = exact_power_traces(np.abs(d[row]), o[row], kmax)
+        for k in range(kmax + 1):
+            err = abs(Fraction(got[row, k]) - exact[k])
+            assert err <= Fraction(k * n, 2**52) * bound[k]
+
+
+# The lanes are independent, and each one's arithmetic runs in the same order
+# in any chunk, so the output does not depend on how the batch is split: with
+# 64-lane chunks the batch fills the first one and ends in a ragged one, and
+# it must equal one lane per chunk, ragged chunks of 7 lanes and one chunk.
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_power_traces_bit_identical_whatever_the_chunking(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    kmax = n + 2
+    for d, o in (gbe_tridiagonal_batch(1e4, n, 71, rng),
+                 ble_tridiagonal_batch(2.0, 1.5, n, 71, rng)):
+        monkeypatch.setattr(orthopoly, "_CHUNK_ELEMS", 64 * n * n)
+        split = _power_traces_batch(d, o, kmax)
+        for lanes in (1, 7, 71):
+            monkeypatch.setattr(orthopoly, "_CHUNK_ELEMS", lanes * n * n)
+            assert np.array_equal(_power_traces_batch(d, o, kmax), split)
 
 
 _jacobi = st.integers(1, 12).flatmap(

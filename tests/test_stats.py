@@ -1,12 +1,22 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from freezing_dyson import orthopoly, stochastic
 from freezing_dyson.dynamics import moment_sequence
 from freezing_dyson.elemsym import RootTuple
 from freezing_dyson.errors import InvalidParameter
+from freezing_dyson.orthopoly import (
+    dual_hermite_system,
+    dual_laguerre_system,
+    hermite_zeros,
+    laguerre_zeros,
+    primitive,
+)
 from freezing_dyson.stats import (
+    _primitive_statistics,
     build_q_matrix_gaussian,
     build_q_matrix_laguerre,
     clt_covariance_gaussian,
@@ -17,7 +27,15 @@ from freezing_dyson.stats import (
     process_clt_check,
     within_tolerance,
 )
-from freezing_dyson.stochastic import SimConfig, simulate_dyson, simulate_laguerre
+from freezing_dyson.stochastic import (
+    SimConfig,
+    ble_tridiagonal_batch,
+    gbe_tridiagonal_batch,
+    sample_ble_batch,
+    sample_gbe_batch,
+    simulate_dyson,
+    simulate_laguerre,
+)
 
 
 def test_within_tolerance_rule():
@@ -105,6 +123,88 @@ def test_primitive_clt_gaussian_order0_exact():
     # orders 0 and 1 carry opposite parity: their correlation vanishes at any beta
     assert abs(rep.correlations[0, 1]) < 3.0 * rep.corr_stderr
 
+
+
+def _centring(n, kind, alpha):
+    if kind == "gaussian":
+        return hermite_zeros(n).as_array(), dual_hermite_system(n)
+    return laguerre_zeros(n, alpha).as_array(), dual_laguerre_system(n, alpha)
+
+
+def eigenvalue_statistics(beta, n, samples, seed, kind, alpha=None):
+    """The primitive statistics by their definition, from the eigenvalues:
+    ``sqrt(beta N / 2) (mean_i Q_m(lambda_i) - mean_i Q_m(z_i))``."""
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        evs = sample_gbe_batch(beta, n, samples, rng)
+    else:
+        evs = sample_ble_batch(beta, alpha, n, samples, rng)
+    z, sys = _centring(n, kind, alpha)
+    pv = np.polynomial.polynomial.polyval
+    stats = np.empty((samples, n))
+    for m in range(n):
+        qm = primitive(sys, m)
+        stats[:, m] = np.mean(pv(evs, qm), axis=1) - np.mean(pv(z, qm))
+    return math.sqrt(beta * n / 2.0) * stats
+
+
+def exact_statistics(beta, n, samples, seed, kind, alpha=None):
+    """The same statistics of the same float matrices in exact rationals: the
+    eigenvalue sums of Q_m are the exact traces of Q_m(J), from the exact
+    powers of J, against the exact power sums of the float zeros."""
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        diag, off = gbe_tridiagonal_batch(beta, n, samples, rng)
+    else:
+        diag, off = ble_tridiagonal_batch(beta, alpha, n, samples, rng)
+    z, sys = _centring(n, kind, alpha)
+    zsums = [sum(Fraction(v) ** k for v in z) for k in range(n + 1)]
+    coeffs = [[Fraction(v) for v in primitive(sys, m)] for m in range(n)]
+    out = np.empty((samples, n))
+    for row in range(samples):
+        j = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            j[i][i] = Fraction(diag[row, i])
+        for i in range(n - 1):
+            j[i][i + 1] = j[i + 1][i] = Fraction(off[row, i])
+        power = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+        diffs = []
+        for k in range(n + 1):
+            diffs.append(sum(power[i][i] for i in range(n)) - zsums[k])
+            power = [[sum(pr[i] * j[i][c] for i in range(n)) for c in range(n)] for pr in power]
+        for m in range(n):
+            out[row, m] = float(sum(q * d for q, d in zip(coeffs[m], diffs)) / n)
+    return math.sqrt(beta * n / 2.0) * out
+
+
+@pytest.mark.parametrize("kind,alpha", [("gaussian", None), ("laguerre", 2.5)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_primitive_statistics_match_exact_rational_statistics(n, kind, alpha):
+    args = (1e4, n, 60, 1000 + n, kind, alpha)
+    got, _ = _primitive_statistics(*args)
+    exact = exact_statistics(*args)
+    scale = np.max(np.abs(exact))
+    assert np.max(np.abs(got - exact)) <= 1e-11 * scale
+    # the eigenvalue route is the same statistic of the same draws, within
+    # the eigensolver's backward error
+    assert np.max(np.abs(eigenvalue_statistics(*args) - exact)) <= 1e-10 * scale
+
+
+def test_primitive_clt_check_solves_no_eigenvalues(monkeypatch):
+    # the centring zeros are cached classical zeros; the sampled batch goes
+    # through traces of powers only
+    hermite_zeros(4), laguerre_zeros(4, 2.5)
+
+    def refused(*args):
+        raise AssertionError("eigen_tridiag_batch called")
+
+    monkeypatch.setattr(orthopoly, "eigen_tridiag_batch", refused)
+    monkeypatch.setattr(stochastic, "eigen_tridiag_batch", refused)
+    rep = primitive_clt_check(1e4, 4, 1000, 3, "gaussian")
+    lrep = primitive_clt_check(1e4, 4, 1000, 3, "laguerre", alpha=2.5)
+    assert rep.variances.shape == lrep.variances.shape == (4,)
+    with pytest.raises(AssertionError, match="eigen_tridiag_batch called"):
+        clt_covariance_gaussian(1e4, 4, 1000, 3)
 
 def test_moment_process_estimate_zero_init():
     cfg = SimConfig(

@@ -26,6 +26,7 @@ import numpy as np
 from .elemsym import (
     RootTuple,
     _exact_esp,
+    _monic_ints,
     _roots_of_ints,
     _rounded,
     _scaled_ints,
@@ -135,14 +136,6 @@ def laguerre_gk(initial: RootTuple, alpha: float) -> GkTrajectory:
         rate = (n - k + 1) * ((n - k) * q + a)
         polys[k] += [rate * c // (q * j) for j, c in enumerate(polys[k - 1], 1)]
     return _trajectory(polys)
-
-
-def _monic_ints(e) -> list:
-    """Integer monomial coefficients ``(-1)^k e_k`` of an exact elementary
-    symmetric vector over its entry 0, divided by their gcd: two vectors
-    hold the same rationals exactly when these lists are equal."""
-    g = math.gcd(*e)
-    return [-c // g if k % 2 else c // g for k, c in enumerate(e)]
 
 
 def _limit_ints(traj: GkTrajectory, t: float) -> list:

@@ -203,13 +203,17 @@ def _exact_sign(ints, x):
 
 def _refine(ints, a, b, sa):
     """The float nearest the root in the sign bracket [a, b]: exact bisection
-    down to adjacent floats, then one sign at their exact midpoint."""
+    down to adjacent floats, then one sign at their exact midpoint.  A root
+    on the midpoint rounds to even, as IEEE arithmetic and int division do."""
     while True:
         m = 0.5 * a + 0.5 * b
         if not a < m < b:
             (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
-            v = _scaled_value(ints, na * db + nb * da, 2 * da * db)
-            return b if (v > 0) - (v < 0) == sa else a
+            num, den = na * db + nb * da, 2 * da * db
+            v = _scaled_value(ints, num, den)
+            if v == 0:
+                return num / den
+            return b if (v > 0) == (sa > 0) else a
         sm = _exact_sign(ints, m)
         if sm == 0:
             return m
@@ -406,6 +410,14 @@ def _square_free_roots(exact):
         g = [c / g[0] for c in g]
         roots += _roots_or_centroids(divide(s, g)[0])
     return roots
+
+
+def _monic_ints(e) -> list:
+    """Integer monomial coefficients ``(-1)^k e_k`` of an exact elementary
+    symmetric vector over its entry 0, divided by their gcd: two vectors
+    hold the same rationals exactly when these lists are equal."""
+    g = math.gcd(*e)
+    return [-c // g if k % 2 else c // g for k, c in enumerate(e)]
 
 
 def _roots_of_ints(ints):

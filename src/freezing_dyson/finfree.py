@@ -1,13 +1,14 @@
 """Finite free convolution, its Fourier-operator form, and the Markov-Krein lift.
 
 The convolution of two N-tuples is defined coefficient-wise on elementary
-symmetric values and preserves real-rootedness; roots are recovered once at
-the end.  The same formula on exact integer coefficients serves the
-deterministic limits (:mod:`freezing_dyson.dynamics`).  A second,
-independent implementation multiplies the associated truncated differential
-operators (the finite free Fourier transform) and is kept as a cross-check.  The Markov-Krein lift trades an N-tuple of reals for
-an N-tuple of complex numbers whose moment sequence reproduces the signed
-elementary symmetric coefficients.
+symmetric values and preserves real-rootedness.  One exact integer kernel
+computes it for :func:`boxplus`, :func:`convolve_esp` and the deterministic
+limits (:mod:`freezing_dyson.dynamics`).  A second, independent float
+implementation multiplies the associated truncated differential operators
+(the finite free Fourier transform) and is kept as a cross-check.  The
+Markov-Krein lift trades an N-tuple of reals for an N-tuple of complex
+numbers whose moment sequence reproduces the signed elementary symmetric
+coefficients.
 """
 
 import math
@@ -18,6 +19,11 @@ import numpy as np
 from .elemsym import (
     MonicPolynomial,
     RootTuple,
+    _exact_esp,
+    _monic_ints,
+    _roots_of_ints,
+    _rounded,
+    _scaled_ints,
     elementary_symmetric,
     newton_esp_from_power_sums,
     roots_of_monic,
@@ -40,44 +46,9 @@ __all__ = [
 ]
 
 
-def _ratio(n: int, i: int, j: int) -> float:
-    """(n-i)! (n-j)! / (n! (n-k)!) for k = i + j, as a correctly rounded float.
-
-    Evaluated as a quotient of exact integers, which never overflows and
-    avoids the log-space roundoff of a lgamma formulation.
-    """
-    k = i + j
-    num = math.factorial(n - i) * math.factorial(n - j)
-    den = math.factorial(n) * math.factorial(n - k)
-    return num / den
-
-
-def convolve_esp(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
-    """Elementary symmetric coefficients of the finite free convolution.
-
-    ``e_k(c) = sum_{i+j=k} (n-i)!(n-j)! / (n!(n-k)!) e_i(a) e_j(b)``.
-    """
-    n = len(ea) - 1
-    if len(eb) - 1 != n:
-        raise DimensionMismatch("coefficient sequences must share a degree")
-    out = np.zeros(n + 1)
-    out[0] = 1.0
-    for k in range(1, n + 1):
-        # pair the symmetric (i, k-i) terms so accumulation order, hence the
-        # rounded result, is identical under swapping a and b
-        acc = 0.0
-        for i in range(0, (k + 1) // 2):
-            w = _ratio(n, i, k - i)
-            acc += w * (ea[i] * eb[k - i] + ea[k - i] * eb[i])
-        if k % 2 == 0:
-            acc += _ratio(n, k // 2, k // 2) * (ea[k // 2] * eb[k // 2])
-        out[k] = acc
-    return out
-
-
 def _convolve_ints(a, b) -> list:
-    """:func:`convolve_esp` in exact arithmetic, on integer vectors over their
-    entry 0: the weight ``(n-i)!(n-j)! / (n!(n-k)!)`` is the integer
+    """``e_k(c) = sum_{i+j=k} (n-i)!(n-j)! / (n!(n-k)!) e_i(a) e_j(b)`` on
+    integer vectors over their entry 0: the weight is the integer
     ``(n-i)!(n-j)! n!/(n-k)!`` over ``n!^2``, so the result is an integer
     vector over its entry ``n!^2 a_0 b_0``.  When both vectors are even (odd
     entries 0, as for tuples symmetric about 0), so is the result, and only
@@ -93,23 +64,45 @@ def _convolve_ints(a, b) -> list:
     return out
 
 
+def _esp_ints(name: str, e) -> list:
+    """Float coefficients ``(1, e_1, ..., e_n)`` as integers over entry 0."""
+    e = [float(c) for c in e]
+    if e[:1] != [1.0]:
+        raise InvalidParameter(f"{name} must start with exactly 1 (got {e[:1]})")
+    for k, c in enumerate(e):
+        if not math.isfinite(c):
+            raise InvalidParameter(f"{name}[{k}] must be finite (got {c!r})")
+    return _scaled_ints(e)
+
+
+def convolve_esp(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
+    """Elementary symmetric coefficients of the finite free convolution of
+    two float vectors ``(1, e_1, ..., e_n)``: the kernel runs on their dyadic
+    values, so each output is the float nearest the exact one, whatever the
+    argument order.  Non-finite entries or an entry 0 other than 1 raise
+    :class:`InvalidParameter`."""
+    a, b = _esp_ints("ea", ea), _esp_ints("eb", eb)
+    if len(a) != len(b):
+        raise DimensionMismatch("coefficient sequences must share a degree")
+    c = _convolve_ints(a, b)
+    return np.array([_rounded(v, c[0]) for v in c])
+
+
 def boxplus(a: RootTuple, b: RootTuple) -> RootTuple:
     """Finite free convolution of two N-tuples, sorted ascending.
 
-    Computed entirely in elementary symmetric coordinates; roots are recovered
-    once at the end by :func:`roots_of_monic`.  Accuracy falls with N, since
-    the float coefficients lose the roots' conditioning: against
-    ``hermite_roots(N, 2)``, ``boxplus(hermite_roots(N, 1), hermite_roots(N, 1))``
-    is off by 7.4e-15 relative (max |error| / max |zero|) at N = 12, 4.3e-13
-    at N = 20, 6.8e-11 at N = 30 and 6.7e-8 at N = 40.  The error is relative
-    at every scale: the roots are the exact roots of the float coefficients,
-    so a small spread costs nothing (``boxplus(a, a)`` with ``a = hermite_roots(4, 1e-8)`` is
-    within 1e-14 relative of ``hermite_roots(4, 2e-8)``).
+    Elementary symmetric values, convolution and root solve all run on exact
+    integers, so each root is the float nearest an exact root of the
+    convolution of the given floats, ties to even: the operation commutes,
+    the zero tuple is an exact identity, and ``(s, ..., s)`` adds s to each
+    root as float addition does.  ``boxplus(hermite_roots(N, 1), same)`` is
+    within 1e-15 relative of ``hermite_roots(N, 2)`` for N <= 40, the error
+    of the computed zeros; the cost grows faster with N than on floats.
     """
     if a.n != b.n:
         raise DimensionMismatch(f"tuple sizes differ: {a.n} vs {b.n}")
-    ec = convolve_esp(elementary_symmetric(a), elementary_symmetric(b))
-    return roots_of_monic(MonicPolynomial(tuple(ec)))
+    ec = _convolve_ints(_exact_esp(a.roots), _exact_esp(b.roots))
+    return _roots_of_ints(_monic_ints(ec))
 
 
 @dataclass(frozen=True)

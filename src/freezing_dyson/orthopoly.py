@@ -155,8 +155,9 @@ def dual(j: JacobiMatrix) -> JacobiMatrix:
     return JacobiMatrix(j.diag[::-1], j.offdiag[::-1])
 
 
-def _as_batch(diag, offdiag):
-    """(M, n) diagonals and (M, n-1) off-diagonals as float arrays, shapes checked."""
+def _as_batch(diag, offdiag, what: str):
+    """(M, n) diagonals and (M, n-1) off-diagonals as float arrays, shapes
+    checked; non-finite entries (overflowed chi draws) raise NoConvergence."""
     diag = np.atleast_2d(np.asarray(diag, dtype=float))
     offdiag = np.atleast_2d(np.asarray(offdiag, dtype=float))
     m, n = diag.shape
@@ -164,6 +165,8 @@ def _as_batch(diag, offdiag):
         raise DimensionMismatch(
             f"offdiag has shape {offdiag.shape}, expected {(m, n - 1)} for diag {diag.shape}"
         )
+    if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
+        raise NoConvergence(f"{what}: non-finite matrix entries")
     return diag, offdiag
 
 
@@ -177,7 +180,7 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     exact; the classical zeros are within 1e-14 * max|z|.  Bit-reproducible
     under one numpy/LAPACK build (the CLI metadata records numpy's version).
     """
-    diag, offdiag = _as_batch(diag, offdiag)
+    diag, offdiag = _as_batch(diag, offdiag, "tridiagonal eigenvalues")
     m, n = diag.shape
     if n == 1:
         return diag.copy()
@@ -193,7 +196,7 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
         t[:, i[1:], i[:-1]] = offdiag[s : s + step]
         try:
             out[s : s + step] = np.linalg.eigvalsh(t, UPLO="L")
-        except np.linalg.LinAlgError as exc:  # non-finite entries, e.g. overflowed chi draws
+        except np.linalg.LinAlgError as exc:  # LAPACK did not converge
             raise NoConvergence(f"tridiagonal eigenvalues: {exc}") from exc
     return out
 
@@ -213,19 +216,16 @@ def _power_traces_batch(diag: np.ndarray, offdiag: np.ndarray, kmax: int) -> np.
     exact trace of the float matrix.  The lanes run in chunks of about
     ``_CHUNK_ELEMS`` floats of working memory; each lane's arithmetic runs
     in the same order in any chunk, so the result does not depend on the
-    chunking.  Non-finite entries, such as overflowed chi draws, raise
-    :class:`NoConvergence`, the error :func:`eigen_tridiag_batch` gives when
-    LAPACK fails on them.
+    chunking.  Non-finite entries raise :class:`NoConvergence`, as in
+    :func:`eigen_tridiag_batch`.
     """
-    diag, offdiag = _as_batch(diag, offdiag)
+    diag, offdiag = _as_batch(diag, offdiag, "tridiagonal power traces")
     m, n = diag.shape
     out = np.empty((m, kmax + 1))
     step = max(1, _CHUNK_ELEMS // (n * n))
     for s in range(0, m, step):
         a = np.ascontiguousarray(diag[s : s + step].T)
         b = np.ascontiguousarray(offdiag[s : s + step].T)
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise NoConvergence("tridiagonal power traces: non-finite matrix entries")
         power = [np.ones_like(a)]  # J^0
         for k in range(kmax + 1):
             if k % 2 == 0:

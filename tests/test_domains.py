@@ -17,8 +17,8 @@ from freezing_dyson.dynamics import (
     moment_sequence,
 )
 from freezing_dyson.elemsym import RootTuple, newton_esp_from_power_sums, partial_esp
-from freezing_dyson.errors import InvalidParameter
-from freezing_dyson.finfree import MKLift, hermite_roots, laguerre_roots
+from freezing_dyson.errors import DimensionMismatch, InvalidParameter
+from freezing_dyson.finfree import MKLift, convolve_esp, hermite_roots, laguerre_roots
 from freezing_dyson.orthopoly import (
     dual_hermite_system,
     dual_laguerre_system,
@@ -296,6 +296,31 @@ def test_head_reproducers():
     for case in cases:
         with pytest.raises(InvalidParameter):
             case()
+
+
+@pytest.mark.parametrize(
+    "ea, message",
+    [
+        ([2.0, 1.0, 2.0], r"^ea must start with exactly 1 \(got \[2\.0\]\)$"),
+        ([], r"^ea must start with exactly 1 \(got \[\]\)$"),
+        ([1.0, math.nan, 0.0], r"^ea\[1\] must be finite \(got nan\)$"),
+        ([1.0, 0.0, math.inf], r"^ea\[2\] must be finite \(got inf\)$"),
+        ([1.0, -math.inf, 0.0], r"^ea\[1\] must be finite \(got -inf\)$"),
+    ],
+    ids=["e0-2", "empty", "nan", "inf", "-inf"],
+)
+def test_convolve_esp_rejects_bad_coefficients(ea, message):
+    # each once came out as NaN or inf, or with e_0 = 2 silently taken as 1
+    good = [1.0, 0.5, 0.25]
+    with pytest.raises(InvalidParameter, match=message):
+        convolve_esp(ea, good)
+    with pytest.raises(InvalidParameter, match=message.replace("ea", "eb")):
+        convolve_esp(good, ea)
+
+
+def test_convolve_esp_lengths_must_match():
+    with pytest.raises(DimensionMismatch):
+        convolve_esp([1.0, 0.5, 0.25], [1.0, 0.5])
 
 
 def test_process_clt_check_needs_two_paths():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freezing_dyson import elemsym
@@ -50,23 +50,20 @@ def test_boxplus_basic_example():
     assert np.allclose(c.roots, [-SQRT2, SQRT2], atol=1e-12)
 
 
-def test_boxplus_zero_tuple_is_identity():
-    a = RootTuple((-2.0, 0.5, 3.0))
-    z = RootTuple((0.0, 0.0, 0.0))
-    assert np.allclose(boxplus(a, z).roots, a.roots, atol=1e-12)
-
-
 def test_boxplus_constant_tuple_shifts():
+    # the exact roots are a + s, and each root returned is the float nearest
+    # one, ties to even: float addition, bit for bit
     c = boxplus(RootTuple((1.0, 3.0)), RootTuple((2.0, 2.0)))
-    assert np.allclose(c.roots, [3.0, 5.0], atol=1e-12)
-    # oracle: direct formula evaluation plus shift check on random input
+    assert c.roots == (3.0, 5.0)
+    # 0.1 + 0.3 lies halfway between two floats; ties to even give 0.4
+    c = boxplus(RootTuple((0.1, 0.7)), RootTuple((0.3, 0.3)))
+    assert c.roots == (0.1 + 0.3, 0.7 + 0.3)
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
-        a = np.sort(rng.uniform(-4, 4, n))
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        a = RootTuple(tuple(np.sort(rng.uniform(-4, 4, n))))
         s = float(rng.uniform(-2, 2))
-        shifted = boxplus(RootTuple(tuple(a)), RootTuple((s,) * n))
-        assert np.allclose(shifted.roots, a + s, atol=1e-10)
+        assert boxplus(a, RootTuple((s,) * n)).roots == tuple(x + s for x in a.roots)
 
 
 def test_boxplus_matches_direct_formula_oracle():
@@ -91,10 +88,11 @@ def test_boxplus_commutative_and_shift_equivariant():
         eab = convolve_esp(elementary_symmetric(a), elementary_symmetric(b))
         eba = convolve_esp(elementary_symmetric(b), elementary_symmetric(a))
         assert np.array_equal(eab, eba)  # exact in coefficient space
+        # a.shifted(s) rounds each a_i + s, so this shift is not exact
         s = 0.75
         lhs = boxplus(a.shifted(s), b).as_array()
         rhs = boxplus(a, b).as_array() + s
-        assert np.allclose(lhs, rhs, atol=1e-10)
+        assert np.allclose(lhs, rhs, rtol=0, atol=1e-14)
 
 
 @st.composite
@@ -124,20 +122,12 @@ def test_boxplus_commutative_real_rooted_and_mesh_preserving(pair):
 
 @settings(max_examples=150, deadline=None)
 @given(boxplus_pairs())
-def test_boxplus_zero_tuple_identity_within_round_trip_floor(pair):
-    # convolve_esp with the zero tuple returns a's coefficients exactly, so
-    # the identity holds as well as a round trip through float coefficients:
-    # 1e-9 relative, or the conditioning floor eps * E(x) / |p'(x)| (times a
-    # safety factor 20 n) where that is larger
+@example((RootTuple((0.0,)), RootTuple((-2.0, 0.5, 3.0))))
+def test_boxplus_zero_tuple_is_identity(pair):
+    # the convolution with the zero tuple has a's exact coefficients, whose
+    # roots are the floats of a: the identity holds exactly
     _, a = pair
-    x = a.as_array()
-    n = a.n
-    got = boxplus(a, RootTuple((0.0,) * n)).as_array()
-    coeffs = np.poly(x)
-    scale = np.polyval(np.abs(coeffs), np.abs(x))
-    dp = np.abs(np.polyval(np.polyder(coeffs), x))
-    floor = 20 * n * 2.3e-16 * scale / np.maximum(dp, 1e-300)
-    assert np.all(np.abs(got - x) <= np.maximum(1e-9 * np.maximum(1.0, np.abs(x)), floor))
+    assert boxplus(a, RootTuple((0.0,) * a.n)) == a
 
 
 def test_boxplus_dimension_mismatch():
@@ -220,8 +210,19 @@ def test_hermite_semigroup_identity():
                 assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
-@pytest.mark.parametrize("n,bound", [(12, 2e-14), (20, 1e-12), (30, 2e-10), (40, 2e-7)])
-def test_boxplus_roots_cost_few_exact_evaluations(monkeypatch, n, bound):
+@pytest.mark.parametrize("n", [12, 20, 30, 40])
+def test_boxplus_hermite_semigroup_to_rounding(n):
+    # on exact coefficients the error is that of the computed zeros:
+    # 1.1e-16, 4.1e-16, 5.2e-16 and 9.9e-16 relative, where float
+    # coefficients gave 7.4e-15, 4.3e-13, 6.8e-11 and 6.7e-8
+    a = hermite_roots(n, 1)
+    got = boxplus(a, a).as_array()
+    expect = hermite_roots(n, 2).as_array()
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("n", [12, 20, 30, 40])
+def test_boxplus_roots_cost_few_exact_evaluations(monkeypatch, n):
     # one Newton step on the exact residual at each seed, then a one-ulp sign
     # bracket: about 6 exact evaluations per root at any degree, where
     # brackets grown from the raw seeds took 7.6, 13.8, 25.3 and 36.4
@@ -231,9 +232,8 @@ def test_boxplus_roots_cost_few_exact_evaluations(monkeypatch, n, bound):
     monkeypatch.setattr(elemsym, "_scaled_value", lambda *args: calls.append(1) or value(*args))
     got = boxplus(a, a).as_array()
     assert len(calls) <= 7 * n
-    # the float coefficients' own error: 7.4e-15, 4.3e-13, 6.8e-11 and 6.7e-8
     expect = hermite_roots(n, 2).as_array()
-    assert np.max(np.abs(got - expect)) / np.max(np.abs(expect)) < bound
+    assert np.max(np.abs(got - expect)) / np.max(np.abs(expect)) < 1e-14
 
 
 def test_boxplus_keeps_relative_accuracy_at_small_scale():

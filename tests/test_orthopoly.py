@@ -533,6 +533,16 @@ def test_power_traces_refuse_non_finite_entries(bad, where):
         _power_traces_batch(d, o, 2)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["diag", "offdiag"])
+def test_eigen_tridiag_batch_refuses_non_finite_entries(bad, where):
+    # LAPACK once returned such a row as NaN eigenvalues and raised nothing
+    d, o = np.ones((5, 3)), np.ones((5, 2))
+    (d if where == "diag" else o)[3, 1] = bad
+    with pytest.raises(NoConvergence, match="^tridiagonal eigenvalues: non-finite matrix entries$"):
+        eigen_tridiag_batch(d, o)
+
+
 def exact_power_traces(diag, offdiag, kmax):
     """tr(J^k), k = 0..kmax, of one float Jacobi matrix, as exact Fractions.
 

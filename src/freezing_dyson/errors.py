@@ -30,7 +30,7 @@ class StepUnstable(FreezingDysonError):
 
 
 class NonFiniteOutput(FreezingDysonError):
-    """A value the CLI was about to write is NaN or infinite."""
+    """A computed value is NaN or infinite."""
 
 
 def check_int(name: str, value, low: int) -> None:

@@ -28,7 +28,14 @@ from .elemsym import (
     newton_esp_from_power_sums,
     roots_of_monic,
 )
-from .errors import DimensionMismatch, InvalidParameter, NotRealRooted, check_int, check_real
+from .errors import (
+    DimensionMismatch,
+    InvalidParameter,
+    NonFiniteOutput,
+    NotRealRooted,
+    check_int,
+    check_real,
+)
 from .orthopoly import hermite_zeros, laguerre_zeros
 
 __all__ = [
@@ -80,12 +87,17 @@ def convolve_esp(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
     two float vectors ``(1, e_1, ..., e_n)``: the kernel runs on their dyadic
     values, so each output is the float nearest the exact one, whatever the
     argument order.  Non-finite entries or an entry 0 other than 1 raise
-    :class:`InvalidParameter`."""
+    :class:`InvalidParameter`; an output past the float range raises
+    :class:`NonFiniteOutput` naming its index."""
     a, b = _esp_ints("ea", ea), _esp_ints("eb", eb)
     if len(a) != len(b):
         raise DimensionMismatch("coefficient sequences must share a degree")
     c = _convolve_ints(a, b)
-    return np.array([_rounded(v, c[0]) for v in c])
+    out = np.array([_rounded(v, c[0]) for v in c])
+    for k, v in enumerate(out):
+        if not math.isfinite(v):
+            raise NonFiniteOutput(f"convolved coefficient [{k}] is past the float range")
+    return out
 
 
 def boxplus(a: RootTuple, b: RootTuple) -> RootTuple:

@@ -8,11 +8,14 @@ carry the orthogonal systems used by the fluctuation statistics.
 
 Every spectrum comes from LAPACK: ``eigvalsh`` for the eigenvalues, batched
 over many matrices (:func:`eigen_tridiag_batch`; a single matrix is a batch
-of one), and ``eigh`` where spectral measures need the eigenvectors.  Both are
-backward stable, to a small multiple of n * eps * (matrix norm); the tests
-certify each classical Hermite and Laguerre zero within 1e-14 * max|z| of
-the exact zero by exact signs of the exact characteristic polynomial.  The
-results are bit-reproducible under one numpy/LAPACK build, like the samplers.
+of one), and ``eigh`` where spectral measures need the eigenvectors.  A batch
+of two or more chunks is split over the usable cores, with one chunk buffer
+of working memory per worker, and its output is bit-identical for any core
+count: each matrix meets the same LAPACK call on any thread.  ``eigvalsh``
+and ``eigh`` are backward stable, to a small multiple of n * eps * (matrix
+norm); the tests certify each classical Hermite and Laguerre zero within
+1e-14 * max|z| of the exact zero by exact signs of the exact characteristic
+polynomial.  The results are bit-reproducible under one numpy/LAPACK build, like the samplers.
 The classical zeros are cached per (n, alpha) and their types, as immutable
 root tuples, so that a cached ``1`` never answers for ``True``.
 
@@ -24,6 +27,7 @@ output depends on no LAPACK build.
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +56,9 @@ __all__ = [
 ]
 
 # Float64 elements of one chunk of a batch kernel's working memory (1 MB): dense
-# matrices in eigen_tridiag_batch, banded powers in _power_traces_batch.
+# matrices in eigen_tridiag_batch, banded powers in _power_traces_batch.  An
+# eigenvalue batch of two or more chunks is split over the usable cores, with
+# one chunk buffer per worker; its output is bit-identical for any core count.
 _CHUNK_ELEMS = 1 << 17
 
 
@@ -174,22 +180,67 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     """Eigenvalues of a batch of Jacobi matrices, ascending per row.
 
     ``diag`` is (M, n), ``offdiag`` is (M, n-1).  LAPACK's ``eigvalsh`` runs
-    on dense copies built in chunks of about ``_CHUNK_ELEMS`` floats, so the
-    working memory is bounded whatever M is.  Being backward stable, each
-    eigenvalue is within a small multiple of n * eps * (matrix norm) of
-    exact; the classical zeros are within 1e-14 * max|z|.  Bit-reproducible
-    under one numpy/LAPACK build (the CLI metadata records numpy's version).
+    on dense copies built in chunks of about ``_CHUNK_ELEMS`` floats.  A batch
+    of two or more chunks is cut into contiguous ranges of whole chunks, one
+    per usable core (at most one per chunk): the calling thread runs the
+    first and threads that live only for this call run the others, since
+    ``eigvalsh`` releases the GIL.  Each matrix goes through the same LAPACK
+    call on the same data whichever thread runs it, so the output is bit-
+    identical for any core count, and the working memory is one chunk buffer
+    per worker whatever M is.  Being backward stable, each eigenvalue is
+    within a small multiple of n * eps * (matrix norm) of exact; the
+    classical zeros are within 1e-14 * max|z|.  Bit-reproducible under one
+    numpy/LAPACK build (the CLI metadata records numpy's version).
     """
     diag, offdiag = _as_batch(diag, offdiag, "tridiagonal eigenvalues")
     m, n = diag.shape
     if n == 1:
         return diag.copy()
     step = max(1, _CHUNK_ELEMS // (n * n))
+    chunks = -(-m // step)
+    workers = max(1, min(_usable_cores(), chunks))  # one for an empty batch
+    out = np.empty((m, n))
+    cuts = [min(m, step * (chunks * w // workers)) for w in range(workers + 1)]
+    # the buffers come from the calling thread: a worker's own allocations go
+    # to a per-thread malloc arena and raise the peak resident set
+    ranges = [
+        (diag[s:t], offdiag[s:t], out[s:t], np.zeros((min(t - s, step), n, n)), step)
+        for s, t in zip(cuts, cuts[1:])
+    ]
+    if workers == 1:
+        _eigvalsh_chunks(*ranges[0])
+        return out
+    # importing concurrent.futures costs several ms, which one-chunk callers
+    # (every classical zero) would pay at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    # leaving the block joins every worker, also when a range raises
+    with ThreadPoolExecutor(workers - 1) as pool:
+        rest = [pool.submit(_eigvalsh_chunks, *r) for r in ranges[1:]]
+        _eigvalsh_chunks(*ranges[0])
+        for f in rest:
+            f.result()
+    return out
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _eigvalsh_chunks(diag, offdiag, out, dense, step):
+    """Write the eigenvalues of the lanes of ``diag`` and ``offdiag`` into
+    ``out``, ``step`` lanes per ``eigvalsh`` call through the zeroed dense
+    buffer ``dense`` ((at least min(M, step), n, n)).  Calls no public
+    function of the library, so it may run on any thread."""
+    m, n = diag.shape
     # eigvalsh reads only the lower triangle, so the buffer's upper part
     # stays zero and only the two written diagonals change between chunks
-    dense = np.zeros((min(m, step), n, n))
     i = np.arange(n)
-    out = np.empty((m, n))
     for s in range(0, m, step):
         t = dense[: min(step, m - s)]
         t[:, i, i] = diag[s : s + step]
@@ -198,7 +249,6 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
             out[s : s + step] = np.linalg.eigvalsh(t, UPLO="L")
         except np.linalg.LinAlgError as exc:  # LAPACK did not converge
             raise NoConvergence(f"tridiagonal eigenvalues: {exc}") from exc
-    return out
 
 
 def _power_traces_batch(diag: np.ndarray, offdiag: np.ndarray, kmax: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from freezing_dyson.dynamics import (
     moment_sequence,
 )
 from freezing_dyson.elemsym import RootTuple, newton_esp_from_power_sums, partial_esp
-from freezing_dyson.errors import DimensionMismatch, InvalidParameter
+from freezing_dyson.errors import DimensionMismatch, InvalidParameter, NonFiniteOutput
 from freezing_dyson.finfree import MKLift, convolve_esp, hermite_roots, laguerre_roots
 from freezing_dyson.orthopoly import (
     dual_hermite_system,
@@ -316,6 +316,17 @@ def test_convolve_esp_rejects_bad_coefficients(ea, message):
         convolve_esp(ea, good)
     with pytest.raises(InvalidParameter, match=message.replace("ea", "eb")):
         convolve_esp(good, ea)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_convolve_esp_refuses_coefficients_past_the_float_range(sign):
+    # e_2 = 2e300 + e_1(a) e_1(b) / 2 rounded to +-inf, with no error
+    a = [1.0, 1e300, 1e300]
+    b = [1.0, sign * 1e300, 1e300]
+    with pytest.raises(NonFiniteOutput, match=r"^convolved coefficient \[2\] is past the float range$"):
+        convolve_esp(a, b)
+    big = [1.0, 2.0**511, 0.0]  # e_2 = 2^1021, inside the range
+    assert np.array_equal(convolve_esp(big, big), [1.0, 2.0**512, 2.0**1021])
 
 
 def test_convolve_esp_lengths_must_match():

@@ -1,5 +1,8 @@
+import concurrent.futures
+import dataclasses
 import functools
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +14,7 @@ from freezing_dyson import orthopoly
 from freezing_dyson.elemsym import RootTuple, _exact_sign
 from freezing_dyson.errors import DimensionMismatch, InvalidParameter, NoConvergence
 from freezing_dyson.finfree import hermite_roots, laguerre_roots
+from freezing_dyson.stats import clt_covariance_gaussian
 from freezing_dyson.stochastic import ble_tridiagonal_batch, gbe_tridiagonal_batch
 from freezing_dyson.orthopoly import (
     _CHUNK_ELEMS,
@@ -541,6 +545,73 @@ def test_eigen_tridiag_batch_refuses_non_finite_entries(bad, where):
     (d if where == "diag" else o)[3, 1] = bad
     with pytest.raises(NoConvergence, match="^tridiagonal eigenvalues: non-finite matrix entries$"):
         eigen_tridiag_batch(d, o)
+
+
+# A batch of two or more chunks is split over the usable cores, and each
+# matrix meets the same LAPACK call on any thread: no matrix, one matrix,
+# exactly one chunk, one chunk and a lane, and about 3.5 chunks must give the
+# same bits with 1, 2 or 3 workers.
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_eigen_batch_bit_identical_for_any_core_count(n, monkeypatch):
+    step = _CHUNK_ELEMS // (n * n)
+    d, o = gbe_tridiagonal_batch(2.0, n, 7 * step // 2, np.random.default_rng(n))
+    for m in (0, 1, step, step + 1, 7 * step // 2):
+        got = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(orthopoly, "_usable_cores", lambda cores=cores: cores)
+            got.append(eigen_tridiag_batch(d[:m], o[:m]))
+        assert got[0].shape == (m, n)
+        assert all(np.array_equal(g, got[0]) for g in got[1:])
+
+
+def test_eigen_batch_failure_in_a_worker_range_joins_its_threads(monkeypatch):
+    # the marked lane lies in the last of three ranges, which a worker runs
+    n = 3
+    step = _CHUNK_ELEMS // (n * n)
+    d, o = gbe_tridiagonal_batch(2.0, n, 7 * step // 2, np.random.default_rng(0))
+    d[-1, 0] = 1234.5
+    eigvalsh = np.linalg.eigvalsh
+    failed_on = []
+
+    def failing(a, UPLO="L"):
+        if (a[:, 0, 0] == 1234.5).any():
+            failed_on.append(threading.current_thread())
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a, UPLO=UPLO)
+
+    monkeypatch.setattr(orthopoly, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    before = threading.active_count()
+    with pytest.raises(NoConvergence, match="^tridiagonal eigenvalues: Eigenvalues did not converge$"):
+        eigen_tridiag_batch(d, o)
+    assert threading.active_count() == before
+    assert failed_on and failed_on[0] is not threading.main_thread()
+
+
+def test_single_matrix_and_one_chunk_batch_make_no_executor(monkeypatch):
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("executor constructed")
+
+    monkeypatch.setattr(orthopoly, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Refused)
+    assert eigen_tridiag(hermite_jacobi(40)) == hermite_zeros(40)
+    n = 4
+    step = _CHUNK_ELEMS // (n * n)
+    d, o = gbe_tridiagonal_batch(2.0, n, step + 1, np.random.default_rng(1))
+    eigen_tridiag_batch(d[:step], o[:step])
+    with pytest.raises(AssertionError, match="executor constructed"):  # two chunks
+        eigen_tridiag_batch(d, o)
+
+
+def test_clt_covariance_report_bit_identical_at_one_and_two_workers(monkeypatch):
+    # n = 8: 5000 samples span three chunks of 2048 dense matrices
+    reports = []
+    for cores in (1, 2):
+        monkeypatch.setattr(orthopoly, "_usable_cores", lambda cores=cores: cores)
+        reports.append(clt_covariance_gaussian(1e4, 8, 5000, 11))
+    for field in dataclasses.fields(reports[0]):
+        assert np.array_equal(getattr(reports[0], field.name), getattr(reports[1], field.name)), field.name
 
 
 def exact_power_traces(diag, offdiag, kmax):

@@ -10,11 +10,19 @@ one-step diffusion scale.  Clamp activations are counted and reported as
 ensemble metadata.
 
 Randomness is organized as per-path streams: path p owns one generator,
-seeded by child p of ``SeedSequence(seed).spawn(paths)``, and draws its noise
-from it in chunks of ``_NOISE_CHUNK_STEPS`` steps.  Successive draws continue
-one stream, so results are bit-identical however the paths are blocked and
+seeded by ``SeedSequence(seed, spawn_key=(p,))`` (child p of
+``SeedSequence(seed).spawn(paths)``), and draws its noise from it in chunks of
+``_NOISE_CHUNK_STEPS`` steps.  Successive draws continue one stream, so
+results are bit-identical however the paths are blocked or sharded and
 however long the chunks are, and a block's memory is bounded by chunk length
 times block width rather than by the horizon.
+
+A run large enough to repay a fork (see ``_SHARD_WORK``) is cut into
+contiguous path ranges, one per usable core, on Linux and when no other
+thread is alive: the calling process runs the first range and a child made by
+``os.fork`` runs each other one, sending its result back through a pipe.
+The output is bit-identical for any core count, and so is the error a
+failing run raises.
 
 Paths are integrated in blocks, lane-major: a block of b paths holds its
 state as an (n, b) array, particle by path, and its n(n-1)/2 pair gaps as
@@ -35,14 +43,19 @@ gathered again.  The check of step s thus runs at the start of step s+1,
 and once more after the last step.
 """
 
+import contextlib
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elemsym import RootTuple
 from .errors import InvalidParameter, StepUnstable, check_int, check_real
-from .orthopoly import eigen_tridiag_batch
+from .orthopoly import _usable_cores, eigen_tridiag_batch
 
 __all__ = [
     "SimConfig",
@@ -58,6 +71,16 @@ STABILITY_BOUND = 1e8
 _NOISE_CHUNK_STEPS = 128  # steps of noise each path draws per generator call
 _BLOCK_BYTES = 1 << 26  # working-memory budget of one block of paths (64 MB)
 _TRANSPOSE_LANES = 64  # paths per slice of the noise transpose
+# A run is sharded over the usable cores only if it holds at least
+# _SHARD_WORK paths x steps x n^2 (a path-step costs about n^2 pair terms) and
+# gives each shard at least _SHARD_MIN_PATHS paths.  Below either, the fork
+# (about 3.5 ms) or the per-step cost that every shard pays in full outweighs
+# the split work.  On a 2-vCPU Xeon, n = 4 with 128-1024 paths broke even
+# near 2^16 path-steps (2^20 of this work) and gained 1.2-1.5x at twice that,
+# n = 16 gained 1.2x at 25000 path-steps, and 8-16 paths per shard ran up to
+# 1.3x slower than one process.
+_SHARD_WORK = 1 << 21
+_SHARD_MIN_PATHS = 32
 
 DYSON = "dyson"
 LAGUERRE = "laguerre"
@@ -281,14 +304,16 @@ def _check_state(frame: np.ndarray, work: _PairWork, step: int) -> None:
         return
     cols, in_bounds = _sort_in_bounds(frame)
     if step and not in_bounds:
-        raise StepUnstable(
+        err = StepUnstable(
             f"coordinate exceeded {STABILITY_BOUND:g} or became NaN at step {step}; "
             "dt is too large for this beta and N"
         )
+        err.step = step
+        raise err
     work.gather_columns(frame, cols)
 
 
-def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
+def _simulate_block(cfg: SimConfig, kind: str, lo: int, hi: int):
     """Simulate paths [lo, hi); returns (data block, clamp count).
 
     The state is lane-major, shape (n, b): particle by path, so every ufunc
@@ -316,7 +341,10 @@ def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
     for slot, s in enumerate(record_steps):
         slots.setdefault(s, []).append(slot)
     b = hi - lo
-    gens = [np.random.Generator(np.random.PCG64(children[p])) for p in range(lo, hi)]
+    gens = [
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(p,))))
+        for p in range(lo, hi)
+    ]
     chunk = min(n_steps, _NOISE_CHUNK_STEPS)
     drawn = np.empty((b, chunk, n))
     noise = np.empty((chunk, n, b))
@@ -369,25 +397,128 @@ def _simulate_block(cfg: SimConfig, kind: str, children, lo: int, hi: int):
     return out, clamp_total
 
 
-def _simulate(cfg: SimConfig, kind: str) -> PathEnsemble:
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.paths)
+def _simulate_range(cfg: SimConfig, kind: str, lo: int, hi: int):
+    """Simulate paths [lo, hi) in the pieces the serial run's blocks cut them
+    into; returns (data, clamp count).  A :class:`StepUnstable` leaves with
+    the index of its block as ``block``, beside the ``step`` that failed."""
     block = _block_size(cfg.paths, cfg.n_steps, cfg.n)
-    results = [
-        _simulate_block(cfg, kind, children, lo, min(lo + block, cfg.paths))
-        for lo in range(0, cfg.paths, block)
-    ]
-    data = np.concatenate([r[0] for r in results], axis=0)
-    clamps = sum(r[1] for r in results)
-    return PathEnsemble(data, cfg, kind, clamps)
+    cuts = [lo, *range((lo // block + 1) * block, hi, block), hi]
+    results = []
+    for a, b in zip(cuts, cuts[1:]):
+        try:
+            results.append(_simulate_block(cfg, kind, a, b))
+        except StepUnstable as exc:
+            exc.block = a // block
+            raise
+    return np.concatenate([r[0] for r in results], axis=0), sum(r[1] for r in results)
+
+
+def _outcome(cfg: SimConfig, kind: str, lo: int, hi: int):
+    """``_simulate_range``'s result, or the StepUnstable it raised."""
+    try:
+        return _simulate_range(cfg, kind, lo, hi)
+    except StepUnstable as exc:
+        return exc
+
+
+def _shard_count(cfg: SimConfig) -> int:
+    """Processes to run ``cfg`` on: one per usable core where forking is safe
+    (Linux, and no thread but this one alive) and the run is large enough to
+    repay the forks, else 1."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() != 1 or cfg.paths * cfg.n_steps * cfg.n**2 < _SHARD_WORK:
+        return 1
+    return max(1, min(_usable_cores(), cfg.paths // _SHARD_MIN_PATHS))
+
+
+def _fork_range(cfg: SimConfig, kind: str, lo: int, hi: int, mask):
+    """Start a child that runs paths [lo, hi), sends its outcome through a
+    pipe and exits; (pid, read end of the pipe), or None if no child could be
+    started.  The child leaves by ``os._exit``, so it never flushes stdio
+    buffers or runs cleanup it inherited from this process."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            outcome = _outcome(cfg, kind, lo, hi)
+            with open(w, "wb") as pipe:
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _receive(pid: int, pipe):
+    """Read a child's outcome from ``pipe`` and reap the child; None if it
+    exited without sending one."""
+    with pipe:
+        payload = pipe.read()
+    return pickle.loads(payload) if os.waitpid(pid, 0)[1] == 0 else None
+
+
+def _simulate(cfg: SimConfig, kind: str) -> PathEnsemble:
+    """Run ``cfg``'s paths in ``_shard_count`` contiguous ranges: the first
+    here and each other one in a forked child (none for a single range).
+
+    A range whose child could not be started or exited without sending a
+    result is run here, so the output never depends on a child.  If ranges
+    raise StepUnstable, the one of the earliest block, and in it of the
+    earliest step, is raised: what the serial run raises.  Any other error
+    kills the children still running.  Every child is reaped before this
+    returns or raises, and SIGINT is held off while they are forked, so an
+    interrupt cannot leave one unrecorded.
+    """
+    shards = _shard_count(cfg)
+    ranges = [(cfg.paths * w // shards, cfg.paths * (w + 1) // shards) for w in range(shards)]
+    children = {}
+    try:
+        if shards > 1:  # pthread_sigmask exists where _shard_count forks
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                for i, (lo, hi) in enumerate(ranges[1:], 1):
+                    children[i] = _fork_range(cfg, kind, lo, hi, mask)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        outcomes = [_outcome(cfg, kind, *ranges[0])]
+        for i, (lo, hi) in enumerate(ranges[1:], 1):
+            outcome = _receive(*children[i]) if children[i] else None
+            del children[i]
+            outcomes.append(_outcome(cfg, kind, lo, hi) if outcome is None else outcome)
+    finally:
+        for pid, pipe in filter(None, children.values()):
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    failures = [o for o in outcomes if isinstance(o, StepUnstable)]
+    if failures:
+        raise min(failures, key=lambda exc: (exc.block, exc.step))
+    data = outcomes[0][0] if shards == 1 else np.concatenate([o[0] for o in outcomes], axis=0)
+    return PathEnsemble(data, cfg, kind, sum(o[1] for o in outcomes))
 
 
 def simulate_dyson(cfg: SimConfig) -> PathEnsemble:
     """Euler-Maruyama paths of the beta Dyson system
     ``d lambda_i = sqrt(2/beta) db_i + sum_(j != i) dt / (lambda_i - lambda_j)``.
 
-    Tuples are re-sorted after every step; output is deterministic in
-    (config, seed).  Raises
-    :class:`StepUnstable` if any coordinate passes 1e8 in magnitude or becomes NaN.
+    Tuples are re-sorted after every step.  The output is a function of the
+    config alone (its seed included): bit-identical however the paths are
+    blocked or sharded over cores.  Raises :class:`StepUnstable` if any
+    coordinate passes 1e8 in magnitude or becomes NaN.
     """
     return _simulate(cfg, DYSON)
 

@@ -1,9 +1,13 @@
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from freezing_dyson import stochastic
+from freezing_dyson import cli, stochastic
 from freezing_dyson.elemsym import RootTuple, esp_rows
 from freezing_dyson.errors import InvalidParameter, StepUnstable
 from freezing_dyson.finfree import hermite_roots, laguerre_roots
@@ -17,6 +21,30 @@ from freezing_dyson.stochastic import (
     simulate_dyson,
     simulate_laguerre,
 )
+
+
+LAGUERRE_ZERO_START = {"alpha": 1.5, "initial": RootTuple((0.0, 0.0, 0.0))}
+
+
+def force_shards(monkeypatch, workers):
+    """Shard every run over ``workers`` processes; returns a list that
+    gains one entry per fork."""
+    monkeypatch.setattr(stochastic, "_usable_cores", lambda: workers)
+    monkeypatch.setattr(stochastic, "_SHARD_WORK", 0)
+    monkeypatch.setattr(stochastic, "_SHARD_MIN_PATHS", 1)
+    forks, real_fork = [], os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def make_cfg(**kw):
@@ -92,21 +120,55 @@ def test_zero_horizon_returns_initial():
     assert np.array_equal(ens.data[0, 0], lcfg.initial.as_array())
 
 
-def test_reproducible_across_thread_counts():
-    cfg = make_cfg(paths=32, t_end=0.1, record_times=(0.05, 0.1))
-    a = simulate_dyson(cfg)
-    c = simulate_dyson(cfg)
-    assert np.array_equal(a.data, c.data)
-    assert a.clamp_events == c.clamp_events
+def test_output_invariant_to_worker_count(monkeypatch):
+    # per-path streams: the output does not depend on how the paths are split
+    # over processes (1, 2 or 3) or over blocks (1 or 4 of them)
+    for sim, extra in ((simulate_dyson, {}), (simulate_laguerre, LAGUERRE_ZERO_START)):
+        cfg = make_cfg(paths=32, beta=1.0, t_end=0.1, record_times=(0.05, 0.1), **extra)
+        assert stochastic._shard_count(cfg) == 1  # small: one process by default
+        ref = sim(cfg)
+        assert ref.clamp_events > 0
+        ten_paths = 10 * stochastic._path_bytes(cfg.n_steps, cfg.n)
+        for block_bytes in (stochastic._BLOCK_BYTES, ten_paths):
+            for workers in (1, 2, 3):
+                with monkeypatch.context() as m:
+                    m.setattr(stochastic, "_BLOCK_BYTES", block_bytes)
+                    forks = force_shards(m, workers)
+                    ens = sim(cfg)
+                assert len(forks) == workers - 1
+                assert np.array_equal(ens.data, ref.data)
+                assert ens.clamp_events == ref.clamp_events
+                assert_no_child_left()
+    a = simulate_dyson(make_cfg(paths=32, t_end=0.1, record_times=(0.05, 0.1)))
     d = simulate_dyson(make_cfg(paths=32, t_end=0.1, seed=124, record_times=(0.05, 0.1)))
     assert not np.array_equal(a.data, d.data)
+
+
+def test_large_runs_shard_and_small_ones_do_not(monkeypatch):
+    monkeypatch.setattr(stochastic, "_usable_cores", lambda: 2)
+    big = make_cfg(paths=1000, n=4, t_end=1.0, initial=RootTuple((-1.0, 0.0, 0.5, 1.0)),
+                   record_times=(1.0,))
+    assert stochastic._shard_count(big) == 2
+    # too little work, too few paths per shard
+    assert stochastic._shard_count(make_cfg(paths=1000, t_end=0.01, record_times=())) == 1
+    assert stochastic._shard_count(make_cfg(paths=63, t_end=1e4, dt=1.0, record_times=())) == 1
+    # forking is unsafe while another thread runs
+    gate = threading.Event()
+    worker = threading.Thread(target=gate.wait)
+    worker.start()
+    try:
+        assert stochastic._shard_count(big) == 1
+    finally:
+        gate.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
 
 
 @pytest.mark.parametrize(
     "sim, extra",
     [
         (simulate_dyson, {}),
-        (simulate_laguerre, {"alpha": 1.5, "initial": RootTuple((0.0, 0.0, 0.0))}),
+        (simulate_laguerre, LAGUERRE_ZERO_START),
     ],
     ids=["dyson", "laguerre"],
 )
@@ -608,3 +670,109 @@ def test_gap_at_the_clamp_floor_matches_oracle(kind, below):
     ens = assert_matches_oracle(cfg, kind)
     if below:
         assert ens.clamp_events >= cfg.paths
+
+
+def inject_nan(monkeypatch, kind, faults):
+    """Make path p's state NaN at step s for each (p, s) in ``faults``."""
+    name = "_drift_dyson" if kind == stochastic.DYSON else "_drift_laguerre"
+    real_drift, real_block = getattr(stochastic, name), stochastic._simulate_block
+    block = {}
+
+    def block_with_faults(cfg, kind, lo, hi):
+        block.update(lo=lo, hi=hi, calls=0)
+        return real_block(cfg, kind, lo, hi)
+
+    def faulty_drift(lam, *args):
+        drift, clamped = real_drift(lam, *args)
+        block["calls"] += 1
+        for p, s in faults:
+            if block["lo"] <= p < block["hi"] and block["calls"] == s:
+                drift[1, p - block["lo"]] = np.nan
+        return drift, clamped
+
+    monkeypatch.setattr(stochastic, "_simulate_block", block_with_faults)
+    monkeypatch.setattr(stochastic, name, faulty_drift)
+
+
+@pytest.mark.parametrize("kind", [stochastic.DYSON, stochastic.LAGUERRE])
+@pytest.mark.parametrize(
+    "paths, block, faults, step",
+    [
+        (8, 8, [(6, 37)], 37),  # only in the child's range [4, 8)
+        (8, 8, [(1, 80), (6, 40)], 40),  # both ranges: the earliest step
+        (8, 8, [(1, 40), (6, 80)], 40),
+        # blocks of 10 paths, ranges [0, 16) and [16, 32): the first failing
+        # block (paths 10-19) is raised, as in the serial run, though a later
+        # block fails earlier; that block is split over both ranges
+        (32, 10, [(12, 60), (25, 10)], 60),
+        (32, 10, [(12, 60), (17, 50), (25, 10)], 50),
+    ],
+)
+def test_sharded_step_unstable_is_the_serial_error(kind, paths, block, faults, step, monkeypatch):
+    cfg = oracle_cfg(kind, 5, "spread", paths=paths)
+    block_bytes = block * stochastic._path_bytes(cfg.n_steps, cfg.n)
+    monkeypatch.setattr(stochastic, "_BLOCK_BYTES", block_bytes)
+    inject_nan(monkeypatch, kind, faults)
+    with pytest.raises(StepUnstable) as serial:
+        SIMULATORS[kind](cfg)
+    forks = force_shards(monkeypatch, 2)
+    with pytest.raises(StepUnstable) as sharded:
+        SIMULATORS[kind](cfg)
+    assert len(forks) == 1
+    assert str(sharded.value) == str(serial.value)
+    assert f"at step {step};" in str(serial.value)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("death", ["exit", "signal"])
+def test_range_of_a_lost_child_is_run_by_the_caller(death, monkeypatch):
+    cfg = make_cfg(paths=32, beta=1.0, t_end=0.1, record_times=(0.05, 0.1))
+    ref = simulate_dyson(cfg)
+    caller, real, ran_here = os.getpid(), stochastic._simulate_range, []
+
+    def child_dies(cfg, kind, lo, hi):
+        if os.getpid() != caller and death == "exit":
+            os._exit(1)
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        ran_here.append((lo, hi))
+        return real(cfg, kind, lo, hi)
+
+    monkeypatch.setattr(stochastic, "_simulate_range", child_dies)
+    forks = force_shards(monkeypatch, 3)
+    ens = simulate_dyson(cfg)
+    assert len(forks) == 2 and ran_here == [(0, 10), (10, 21), (21, 32)]
+    assert np.array_equal(ens.data, ref.data) and ens.clamp_events == ref.clamp_events
+    assert_no_child_left()
+
+
+def test_interrupt_kills_and_reaps_the_children(monkeypatch):
+    caller = os.getpid()
+
+    def interrupted(cfg, kind, lo, hi):
+        if os.getpid() != caller:
+            time.sleep(60)  # a child still running when the caller stops
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(stochastic, "_simulate_range", interrupted)
+    force_shards(monkeypatch, 3)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        simulate_dyson(make_cfg(paths=32))
+    assert time.monotonic() - t0 < 30
+    assert_no_child_left()
+
+
+def test_cli_exit_3_for_an_unstable_sharded_run(capsys, monkeypatch):
+    argv = ["simulate", "--kind", "dyson", "--n", "3", "--beta", "1",
+            "--t", "1e16", "--dt", "1e16", "--paths", "4", "--seed", "1"]
+    assert cli.main(argv) == 3
+    serial = capsys.readouterr()
+    forks = force_shards(monkeypatch, 2)
+    assert cli.main(argv) == 3
+    sharded = capsys.readouterr()
+    assert len(forks) == 1
+    assert sharded.out == serial.out == ""
+    assert sharded.err == serial.err
+    assert sharded.err.startswith("numerical failure: ") and sharded.err.count("\n") == 1
+    assert_no_child_left()

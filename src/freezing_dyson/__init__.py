@@ -1,81 +1,107 @@
 """Finite free convolution, beta-ensemble freezing limits, and the Monte Carlo
 machinery that verifies their law-of-large-numbers and central-limit
-predictions."""
+predictions.
+
+Each public name is imported from its submodule on first use (PEP 562), so
+``import freezing_dyson`` loads no submodule, and code that only touches the
+exact side never loads the SDE and CLT modules.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .elemsym import (
-    MonicPolynomial,
-    RootTuple,
-    elementary_symmetric,
-    newton_esp_from_power_sums,
-    partial_esp,
-    roots_of_monic,
-)
-from .errors import (
-    DimensionMismatch,
-    FreezingDysonError,
-    InvalidParameter,
-    NoConvergence,
-    NonFiniteOutput,
-    NotRealRooted,
-    StepUnstable,
-)
-from .finfree import (
-    FFFOperator,
-    MKLift,
-    boxplus,
-    fff,
-    fff_product_convolution,
-    hermite_roots,
-    laguerre_roots,
-    markov_krein_lift,
-    markov_krein_project,
-)
-from .orthopoly import (
-    JacobiMatrix,
-    OrthogonalSystem,
-    SpectralMeasure,
-    dual,
-    dual_hermite_system,
-    dual_laguerre_system,
-    eigen_tridiag,
-    hermite_jacobi,
-    hermite_zeros,
-    laguerre_freezing_matrix,
-    laguerre_jacobi,
-    laguerre_zeros,
-    primitive,
-    scaled_primitive,
-    spectral_measure,
-)
-from .dynamics import (
-    GkTrajectory,
-    MomentSequence,
-    gaussian_gk,
-    gaussian_limit_closed,
-    laguerre_gk,
-    laguerre_limit_closed,
-    limit_roots,
-    moment_sequence,
-)
-from .stochastic import (
-    PathEnsemble,
-    SimConfig,
-    sample_ble,
-    sample_gbe,
-    simulate_dyson,
-    simulate_laguerre,
-)
-from .stats import (
-    CovarianceReport,
-    MomentProcessEstimate,
-    build_q_matrix_gaussian,
-    build_q_matrix_laguerre,
-    clt_covariance_gaussian,
-    clt_covariance_laguerre,
-    ek_drift_report,
-    moment_process_estimate,
-    primitive_clt_check,
-    process_clt_check,
-)
+# Each submodule and the public names it defines.
+_PUBLIC = {
+    "elemsym": (
+        "MonicPolynomial",
+        "RootTuple",
+        "elementary_symmetric",
+        "newton_esp_from_power_sums",
+        "partial_esp",
+        "roots_of_monic",
+    ),
+    "errors": (
+        "DimensionMismatch",
+        "FreezingDysonError",
+        "InvalidParameter",
+        "NoConvergence",
+        "NonFiniteOutput",
+        "NotRealRooted",
+        "StepUnstable",
+    ),
+    "finfree": (
+        "FFFOperator",
+        "MKLift",
+        "boxplus",
+        "fff",
+        "fff_product_convolution",
+        "hermite_roots",
+        "laguerre_roots",
+        "markov_krein_lift",
+        "markov_krein_project",
+    ),
+    "orthopoly": (
+        "JacobiMatrix",
+        "OrthogonalSystem",
+        "SpectralMeasure",
+        "dual",
+        "dual_hermite_system",
+        "dual_laguerre_system",
+        "eigen_tridiag",
+        "hermite_jacobi",
+        "hermite_zeros",
+        "laguerre_freezing_matrix",
+        "laguerre_jacobi",
+        "laguerre_zeros",
+        "primitive",
+        "scaled_primitive",
+        "spectral_measure",
+    ),
+    "dynamics": (
+        "GkTrajectory",
+        "MomentSequence",
+        "gaussian_gk",
+        "gaussian_limit_closed",
+        "laguerre_gk",
+        "laguerre_limit_closed",
+        "limit_roots",
+        "moment_sequence",
+    ),
+    "stochastic": (
+        "PathEnsemble",
+        "SimConfig",
+        "sample_ble",
+        "sample_gbe",
+        "simulate_dyson",
+        "simulate_laguerre",
+    ),
+    "stats": (
+        "CovarianceReport",
+        "MomentProcessEstimate",
+        "build_q_matrix_gaussian",
+        "build_q_matrix_laguerre",
+        "clt_covariance_gaussian",
+        "clt_covariance_laguerre",
+        "ek_drift_report",
+        "moment_process_estimate",
+        "primitive_clt_check",
+        "process_clt_check",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -5,7 +5,9 @@ from flags and/or a JSON config file (flags win); every output begins with a
 metadata block echoing the fully resolved configuration, the seed and the
 library, numpy and Python versions, so re-running with the same metadata
 reproduces the file bit-exactly.  Exit codes: 0 success, 2 usage or parameter
-error, 3 numerical failure.
+error, 3 numerical failure.  Only simulate and clt import the Monte Carlo
+modules (stochastic, stats), when they run, so the other subcommands start
+without them.
 """
 
 import argparse
@@ -37,13 +39,6 @@ from .errors import (
     StepUnstable,
 )
 from .finfree import boxplus, hermite_roots, laguerre_roots
-from .stats import (
-    clt_covariance_gaussian,
-    clt_covariance_laguerre,
-    ek_drift_report,
-    primitive_clt_check,
-)
-from .stochastic import SimConfig, simulate_dyson, simulate_laguerre
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -214,6 +209,9 @@ def cmd_limit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .stats import ek_drift_report
+    from .stochastic import SimConfig, simulate_dyson, simulate_laguerre
+
     _require(args, ["kind", "n", "beta", "t", "dt", "paths", "seed"])
     record = tuple(_floats(args.record.split(","), "--record")) if args.record else (args.t,)
     initial = (
@@ -269,6 +267,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_clt(args) -> int:
+    from .stats import clt_covariance_gaussian, clt_covariance_laguerre, primitive_clt_check
+
     _require(args, ["kind", "n", "beta", "samples", "seed"])
     if args.kind == "laguerre":
         _require(args, ["alpha"])

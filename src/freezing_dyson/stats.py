@@ -334,8 +334,10 @@ def ek_drift_report(ensemble: PathEnsemble, bias_factor: float = 5.0) -> EkDrift
     """Compare simulated ``E[e_k(lambda(t))]`` with the deterministic g_k(t).
 
     The drift of e_k is beta-independent, so this is the sharpest desk-level
-    check of both simulators.
+    check of both simulators.  ``bias_factor`` scales the allowance for the
+    O(dt) discretisation bias: finite and >= 0.
     """
+    check_real("bias_factor", bias_factor, 0.0, inclusive=True)
     cfg = ensemble.config
     if ensemble.kind == DYSON:
         traj = gaussian_gk(cfg.initial)

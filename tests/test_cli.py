@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freezing_dyson import cli
+from freezing_dyson import cli, stochastic
 from freezing_dyson.cli import _fmt, main, read_root_tuple
 
 
@@ -318,7 +318,7 @@ def test_simulate_csv_matches_per_value_formatting(tmp_path, monkeypatch):
     # signed zeros, subnormals and values that need all 17 digits
     special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.0 / 3.0, -0.1, 1e22, 123.0]
     rng = np.random.default_rng(3)
-    real = cli.simulate_dyson
+    real = stochastic.simulate_dyson
     ensembles = []
 
     def fake(cfg):
@@ -328,7 +328,7 @@ def test_simulate_csv_matches_per_value_formatting(tmp_path, monkeypatch):
         ensembles.append(dataclasses.replace(ens, data=data))
         return ensembles[-1]
 
-    monkeypatch.setattr(cli, "simulate_dyson", fake)
+    monkeypatch.setattr(stochastic, "simulate_dyson", fake)
     out = tmp_path / "sim.csv"
     argv = [
         "simulate", "--kind", "dyson", "--n", "4", "--beta", "2", "--t", "0.1",
@@ -553,8 +553,6 @@ def test_unused_non_finite_flag_exit_2(fmt, capsys):
 
 
 def test_nan_sde_state_exit_3(monkeypatch, capsys):
-    from freezing_dyson import stochastic
-
     monkeypatch.setattr(
         stochastic, "_drift_dyson", lambda lam, inv_sign, eps: (np.full_like(lam, np.nan), 0)
     )

@@ -35,6 +35,7 @@ from freezing_dyson.stats import (
     build_q_matrix_laguerre,
     clt_covariance_gaussian,
     clt_covariance_laguerre,
+    ek_drift_report,
     moment_process_estimate,
     primitive_clt_check,
     process_clt_check,
@@ -121,6 +122,7 @@ ENTRY_POINTS = {
         primitive_clt_check,
         dict(beta=2.0, n=3, samples=8, seed=1, kind="laguerre", alpha=1.5),
     ),
+    "ek_drift_report": (ek_drift_report, dict(ensemble=ENSEMBLE, bias_factor=5.0)),
     "moment_process_estimate": (moment_process_estimate, dict(ensemble=ENSEMBLE, max_order=2)),
     "process_clt_check": (process_clt_check, dict(ensemble=ENSEMBLE, max_order=1)),
 }
@@ -210,6 +212,7 @@ REAL_PARAMETERS = [
     ("clt_covariance_laguerre", "alpha", "alpha"),
     ("primitive_clt_check", "beta", "beta"),
     ("primitive_clt_check", "alpha", "alpha"),
+    ("ek_drift_report", "bias_factor", "bias_factor"),
 ]
 
 BAD_INTEGERS = [2.5, "3", True, None, math.nan]
@@ -345,3 +348,13 @@ def test_process_clt_check_needs_two_paths():
         warnings.simplefilter("error")
         with pytest.raises(InvalidParameter, match=r"^paths must be an integer >= 2 \(got 1\)$"):
             process_clt_check(ens, 1)
+
+
+def test_ek_drift_report_bias_factor_domain():
+    # an infinite factor once passed every entry, NaN failed every entry and
+    # True was taken as 1; zero leaves only the Monte Carlo allowance
+    message = r"^bias_factor must be finite and >= 0 \(got -1\.0\)$"
+    with pytest.raises(InvalidParameter, match=message):
+        ek_drift_report(ENSEMBLE, bias_factor=-1.0)
+    zero = ek_drift_report(ENSEMBLE, bias_factor=0)
+    assert np.array_equal(zero.tolerance, 3.0 * zero.ek_stderr)

@@ -1,0 +1,113 @@
+"""The import contract: the package resolves its public names on first use,
+and the exact-side subcommands run without loading the Monte Carlo modules.
+Each check runs in a fresh interpreter, so no earlier import hides a load."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+MONTE_CARLO = ["freezing_dyson.stochastic", "freezing_dyson.stats", "numpy.random"]
+
+
+def run_fresh(script: str, cwd):
+    """Run ``script`` in a new interpreter that imports from src/; its last
+    stdout line, parsed as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after_main(argv, cwd):
+    """(exit code, the Monte Carlo modules loaded) of ``cli.main(argv)``."""
+    script = (
+        "import json, sys\n"
+        "from freezing_dyson import cli\n"
+        f"code = cli.main({argv!r})\n"
+        f"print(json.dumps([code, [m for m in {MONTE_CARLO!r} if m in sys.modules]]))\n"
+    )
+    return run_fresh(script, cwd)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeros", "--family", "laguerre", "--n", "4", "--alpha", "2.5", "--out", "zeros.csv"],
+        ["convolve", "--a", "a.csv", "--b", "b.csv", "--out", "convolve.csv"],
+        ["limit", "--kind", "laguerre", "--initial", "a.csv", "--alpha", "6", "--t", "0.5",
+         "--verify-ode", "--out", "limit.csv"],
+        ["limit", "--kind", "gaussian", "--initial", "a.csv", "--t", "0.5", "--verify-ode",
+         "--out", "limit.csv"],
+        ["moments", "--n", "3", "--max", "4", "--out", "moments.csv"],
+    ],
+    ids=["zeros", "convolve", "limit-laguerre", "limit-gaussian", "moments"],
+)
+def test_exact_side_subcommands_leave_the_monte_carlo_modules_unloaded(argv, tmp_path):
+    (tmp_path / "a.csv").write_text("0.5,1,2\n")
+    (tmp_path / "b.csv").write_text("-1,0,3\n")
+    code, loaded = loaded_after_main(argv, tmp_path)
+    assert code == 0
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clt", "--kind", "gaussian", "--n", "3", "--beta", "1e4", "--samples", "50",
+         "--seed", "1", "--out", "clt.json"],
+        ["simulate", "--kind", "dyson", "--n", "2", "--beta", "2", "--t", "0.01",
+         "--dt", "0.005", "--paths", "3", "--seed", "1", "--out", "sim.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_monte_carlo_subcommands_load_their_modules(argv, tmp_path):
+    code, loaded = loaded_after_main(argv, tmp_path)
+    assert code == 0
+    assert loaded == MONTE_CARLO
+
+
+def test_package_resolves_each_public_name_on_first_use(tmp_path):
+    script = (
+        "import json, sys\n"
+        "import freezing_dyson as fd\n"
+        "submodules = sorted(m for m in sys.modules if m.startswith('freezing_dyson.'))\n"
+        "listed = dir(fd)\n"
+        "owners = {}\n"
+        "for name in fd.__all__:\n"
+        "    obj = getattr(fd, name)\n"
+        "    owner = sys.modules[obj.__module__]\n"
+        "    owners[name] = [obj.__module__, getattr(owner, name) is obj]\n"
+        "star = {}\n"
+        "exec('from freezing_dyson import *', star)\n"
+        "print(json.dumps([submodules, listed, fd.__all__, owners, sorted(star)]))\n"
+    )
+    submodules, listed, public, owners, star = run_fresh(script, tmp_path)
+    assert submodules == []  # importing the package loads no submodule
+    assert len(public) == len(set(public))
+    assert set(public) <= set(listed)
+    assert sorted(owners) == sorted(public)
+    for name, (module, same) in owners.items():
+        assert module.startswith("freezing_dyson.") and same, name
+    assert sorted(star) == sorted(public + ["__builtins__"])
+
+
+def test_unknown_attribute_raises_attribute_error(tmp_path):
+    script = (
+        "import json\n"
+        "import freezing_dyson as fd\n"
+        "try:\n"
+        "    fd.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    message = str(exc)\n"
+        "from freezing_dyson import stochastic\n"
+        "print(json.dumps([message, stochastic.__name__]))\n"
+    )
+    message, submodule = run_fresh(script, tmp_path)
+    assert message == "module 'freezing_dyson' has no attribute 'no_such_name'"
+    assert submodule == "freezing_dyson.stochastic"  # submodule imports still work

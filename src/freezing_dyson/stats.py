@@ -63,7 +63,19 @@ LAGUERRE = "laguerre"
 
 def within_tolerance(estimate: float, target: float, stderr: float, rel_tol: float = 0.0) -> bool:
     """The acceptance rule of the off-diagonal, variance and independence checks."""
+    check_real("rel_tol", rel_tol, 0.0, inclusive=True)
     return abs(estimate - target) <= max(3.0 * stderr, rel_tol * abs(target))
+
+
+def _moments(x: np.ndarray) -> tuple:
+    """Sample covariance (ddof 1) of the lane-major rows of ``x`` (k, M), and
+    each entry's delta-method standard error ``sqrt((E[c_a^2 c_b^2] - cov_ab^2)
+    / M)`` for the centred rows c: two matrix products over contiguous rows."""
+    m = x.shape[1]
+    c = x - np.mean(x, axis=1, keepdims=True)
+    cov = c @ c.T / (m - 1)
+    c *= c  # in place: no second (k, M) temporary
+    return cov, np.sqrt(np.maximum(c @ c.T / m - cov**2, 0.0) / m)
 
 
 def build_q_matrix_gaussian(n: int) -> np.ndarray:
@@ -108,6 +120,7 @@ class CovarianceReport:
     kind: str
 
     def diag_pass(self, rel_tol: float = 0.05) -> bool:
+        check_real("rel_tol", rel_tol, 0.0, inclusive=True)
         return bool(np.all(self.diag_rel_err <= rel_tol))
 
     def offdiag_pass(self) -> bool:
@@ -120,17 +133,12 @@ class CovarianceReport:
 
 
 def _covariance_report(v: np.ndarray, q: np.ndarray, beta: float, kind: str) -> CovarianceReport:
-    m, n = v.shape
-    sigma = np.atleast_2d(np.cov(v.T, ddof=1))
-    sigma = 0.5 * (sigma + sigma.T)
+    """The report of the lane-major (N, samples) fluctuations ``v``; the
+    standard errors are those of the rotated fluctuations ``q v``."""
+    n, m = v.shape
+    sigma, _ = _moments(v)
     rotated = q @ sigma @ q.T
-    u = v @ q.T
-    cu = u - np.mean(u, axis=0)
-    # delta-method stderr of covariance entries: sqrt((E[u_a^2 u_b^2] - c_ab^2)/M)
-    m22 = (cu**2).T @ (cu**2) / m
-    cab = cu.T @ cu / (m - 1)
-    var_entries = np.maximum(m22 - cab**2, 0.0) / m
-    stderr = np.sqrt(var_entries)
+    _, stderr = _moments(q @ v)
     target = 1.0 / np.arange(1, n + 1)
     diag_rel = np.abs(np.diag(rotated) - target) / target
     off = rotated - np.diag(np.diag(rotated))
@@ -154,7 +162,7 @@ def clt_covariance_gaussian(beta: float, n: int, samples: int, seed: int) -> Cov
     check_int("seed", seed, 0)
     evs = sample_gbe_batch(beta, n, samples, np.random.default_rng(seed))
     z = hermite_zeros(n).as_array()
-    v = math.sqrt(beta / 2.0) * (evs - z)
+    v = math.sqrt(beta / 2.0) * np.subtract(evs.T, z[:, None], order="C")
     return _covariance_report(v, build_q_matrix_gaussian(n), beta, GAUSSIAN)
 
 
@@ -167,7 +175,7 @@ def clt_covariance_laguerre(
     check_int("seed", seed, 0)
     evs = sample_ble_batch(beta, alpha, n, samples, np.random.default_rng(seed))
     z = laguerre_zeros(n, alpha).as_array()
-    v = math.sqrt(2.0 * beta) * (np.sqrt(evs) - np.sqrt(z))
+    v = math.sqrt(2.0 * beta) * np.subtract(np.sqrt(evs.T), np.sqrt(z)[:, None], order="C")
     return _covariance_report(v, build_q_matrix_laguerre(n, alpha), beta, LAGUERRE)
 
 
@@ -221,15 +229,14 @@ def primitive_clt_check(
     k <= N, of each sampled tridiagonal matrix J (Dumitriu and Edelman).
     """
     stats, targets = _primitive_statistics(beta, n, samples, seed, kind, alpha)
-    variances = np.var(stats, axis=0, ddof=1)
-    centered = stats - np.mean(stats, axis=0)
-    m4 = np.mean((centered**2) ** 2, axis=0)  # squares: numpy runs x**4 through pow()
-    var_stderr = np.sqrt(np.maximum(m4 - variances**2, 0.0) / samples)
-    corr = np.corrcoef(stats.T) if n > 1 else np.ones((1, 1))
+    cov, stderr = _moments(stats)
+    variances = np.diag(cov).copy()
+    # sqrt(d * d) == d exactly, so the diagonal is 1 (and [[1.0]] at N = 1)
+    corr = np.clip(cov / np.sqrt(np.outer(variances, variances)), -1.0, 1.0)
     return PrimitiveCltReport(
         variances=variances,
         targets=targets,
-        var_stderr=var_stderr,
+        var_stderr=np.diag(stderr).copy(),
         correlations=corr,
         corr_stderr=1.0 / math.sqrt(samples),
         samples=samples,
@@ -239,14 +246,14 @@ def primitive_clt_check(
 
 
 def _primitive_statistics(beta, n, samples, seed, kind, alpha):
-    """The (samples, N) primitive statistics of :func:`primitive_clt_check`
-    and their (N,) variance targets.
+    """The lane-major (N, samples) primitive statistics of
+    :func:`primitive_clt_check` and their (N,) variance targets.
 
     The batch is drawn with the samplers' random stream and centred at c, the
     mean of the centring zeros (0 for Hermite).  Each Q_m is expanded in
     powers of x - c once, so all N statistics are one product of the
-    (samples, N+1) power sums of J - c, less those of the zeros, with the
-    (N+1, N) coefficients.
+    (N+1, samples) power sums of J - c, less those of the zeros, with the
+    (N, N+1) coefficients.
     """
     check_int("samples", samples, 2)
     check_int("seed", seed, 0)
@@ -277,7 +284,7 @@ def _primitive_statistics(beta, n, samples, seed, kind, alpha):
     for m in range(n):
         coeffs[: m + 2, m] = _shifted(primitive(sys, m), c)
     zsums = np.sum((z - c)[:, None] ** np.arange(n + 1), axis=0)
-    return math.sqrt(beta * n / 2.0) * (((traces - zsums) @ coeffs) / n), targets
+    return math.sqrt(beta * n / 2.0) * ((coeffs.T @ (traces.T - zsums[:, None])) / n), targets
 
 
 def _shifted(coeffs: np.ndarray, c: float) -> np.ndarray:
@@ -400,22 +407,14 @@ def process_clt_check(ensemble: PathEnsemble, max_order: int) -> ProcessCltRepor
     m, r, _ = ensemble.data.shape
     times = cfg.record_times
     scale = math.sqrt(cfg.beta * n / 2.0)
-    stats = np.empty((max_order + 1, r, m))
+    covs, stderr, targets = (np.empty((max_order + 1, r, r)) for _ in range(3))
     for order in range(max_order + 1):
+        stats = np.empty((r, m))  # lane-major: one row per record time
         for slot, t in enumerate(times):
             limit = float(np.mean(scaled_primitive(sys, order, t, math.sqrt(t) * z)))
             emp = np.mean(scaled_primitive(sys, order, t, ensemble.data[:, slot, :]), axis=1)
-            stats[order, slot] = scale * (emp - limit)
-    covs = np.empty((max_order + 1, r, r))
-    stderr = np.empty((max_order + 1, r, r))
-    targets = np.empty((max_order + 1, r, r))
-    for order in range(max_order + 1):
-        x = stats[order] - np.mean(stats[order], axis=1, keepdims=True)
-        covs[order] = x @ x.T / (m - 1)
-        prod_sq = (x[:, None, :] ** 2 * x[None, :, :] ** 2).mean(axis=2)
-        stderr[order] = np.sqrt(np.maximum(prod_sq - covs[order] ** 2, 0.0) / m)
-        h = sys.squared_norms[order]
-        for a in range(r):
-            for b in range(r):
-                targets[order, a, b] = h / (order + 1) * min(times[a], times[b]) ** (order + 1)
+            stats[slot] = scale * (emp - limit)
+        covs[order], stderr[order] = _moments(stats)
+        h = sys.squared_norms[order] / (order + 1)
+        targets[order] = [[h * min(s, t) ** (order + 1) for t in times] for s in times]
     return ProcessCltReport(times, covs, targets, stderr, m)

@@ -505,6 +505,28 @@ def test_sharded_simulate_prints_each_row_once():
     assert len(rows) == len({tuple(row.split(",")[:2]) for row in rows}) == 2 * 90
 
 
+@pytest.mark.parametrize("mode", ["static", "primitive"])
+def test_clt_output_identical_at_one_and_two_blas_threads(mode, tmp_path):
+    # every report moment is a BLAS product; at n = 8 and 20000 samples the
+    # covariance products are large enough for OpenBLAS to split them over
+    # two threads, and each entry must still be summed in the same order
+    argv = ["clt", "--kind", "gaussian", "--mode", mode, "--n", "8", "--beta", "1e4",
+            "--samples", "20000", "--seed", "3"]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        script = ("import sys\nfrom freezing_dyson import cli\n"
+                  f"sys.exit(cli.main({argv + ['--out', str(out)]!r}))\n")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_clt_overflowing_chi_degrees_of_freedom_exit_3(capsys):
     # beta * (alpha + n - i) overflows to inf, so the sampled matrices are
     # not finite, and the power-trace kernel of the primitive statistics

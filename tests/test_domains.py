@@ -39,6 +39,7 @@ from freezing_dyson.stats import (
     moment_process_estimate,
     primitive_clt_check,
     process_clt_check,
+    within_tolerance,
 )
 from freezing_dyson.stochastic import (
     SimConfig,
@@ -59,6 +60,8 @@ CONFIG = dict(
     seed=1, paths=3, record_times=(0.25, 0.5), alpha=None,
 )
 ENSEMBLE = simulate_dyson(SimConfig(**CONFIG))
+COVARIANCE = clt_covariance_gaussian(2.0, 3, 8, 1)
+PRIMITIVE = primitive_clt_check(2.0, 3, 8, 1, "laguerre", alpha=1.5)
 
 
 def _config(**changes):
@@ -125,6 +128,11 @@ ENTRY_POINTS = {
     "ek_drift_report": (ek_drift_report, dict(ensemble=ENSEMBLE, bias_factor=5.0)),
     "moment_process_estimate": (moment_process_estimate, dict(ensemble=ENSEMBLE, max_order=2)),
     "process_clt_check": (process_clt_check, dict(ensemble=ENSEMBLE, max_order=1)),
+    "within_tolerance": (
+        within_tolerance, dict(estimate=1.0, target=1.0, stderr=0.5, rel_tol=0.5)
+    ),
+    "CovarianceReport.diag_pass": (COVARIANCE.diag_pass, dict(rel_tol=0.5)),
+    "PrimitiveCltReport.variance_pass": (PRIMITIVE.variance_pass, dict(rel_tol=0.5)),
 }
 
 # (entry point, parameter, the name its message gives)
@@ -213,6 +221,9 @@ REAL_PARAMETERS = [
     ("primitive_clt_check", "beta", "beta"),
     ("primitive_clt_check", "alpha", "alpha"),
     ("ek_drift_report", "bias_factor", "bias_factor"),
+    ("within_tolerance", "rel_tol", "rel_tol"),
+    ("CovarianceReport.diag_pass", "rel_tol", "rel_tol"),
+    ("PrimitiveCltReport.variance_pass", "rel_tol", "rel_tol"),
 ]
 
 BAD_INTEGERS = [2.5, "3", True, None, math.nan]
@@ -358,3 +369,26 @@ def test_ek_drift_report_bias_factor_domain():
         ek_drift_report(ENSEMBLE, bias_factor=-1.0)
     zero = ek_drift_report(ENSEMBLE, bias_factor=0)
     assert np.array_equal(zero.tolerance, 3.0 * zero.ek_stderr)
+
+
+def test_rel_tol_domain():
+    # an infinite tolerance once passed every check, NaN counted as 0 in
+    # within_tolerance and failed every diag_pass entry, negatives and True
+    # were taken as given, and a string raised numpy's UFuncTypeError
+    message = r"^rel_tol must be finite and >= 0 \(got -0\.5\)$"
+    checks = [
+        lambda rel_tol: within_tolerance(1.0, 1.0, 0.5, rel_tol=rel_tol),
+        COVARIANCE.diag_pass,
+        PRIMITIVE.variance_pass,
+    ]
+    for check in checks:
+        with pytest.raises(InvalidParameter, match=message):
+            check(-0.5)
+    # zero leaves only the Monte Carlo allowance, and is accepted as an int
+    assert within_tolerance(1.0, 1.0, 0.0, rel_tol=0)
+    assert not within_tolerance(1.5, 1.0, 0.1, rel_tol=0)
+    assert COVARIANCE.diag_pass(0) == bool(np.all(COVARIANCE.diag_rel_err <= 0.0))
+    assert PRIMITIVE.variance_pass(0) == all(
+        abs(v - t) <= 3.0 * s
+        for v, t, s in zip(PRIMITIVE.variances, PRIMITIVE.targets, PRIMITIVE.var_stderr)
+    )

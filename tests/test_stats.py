@@ -16,6 +16,7 @@ from freezing_dyson.orthopoly import (
     primitive,
 )
 from freezing_dyson.stats import (
+    _moments,
     _primitive_statistics,
     build_q_matrix_gaussian,
     build_q_matrix_laguerre,
@@ -181,7 +182,7 @@ def exact_statistics(beta, n, samples, seed, kind, alpha=None):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_primitive_statistics_match_exact_rational_statistics(n, kind, alpha):
     args = (1e4, n, 60, 1000 + n, kind, alpha)
-    got, _ = _primitive_statistics(*args)
+    got = _primitive_statistics(*args)[0].T  # lane-major (N, samples)
     exact = exact_statistics(*args)
     scale = np.max(np.abs(exact))
     assert np.max(np.abs(got - exact)) <= 1e-11 * scale
@@ -205,6 +206,164 @@ def test_primitive_clt_check_solves_no_eigenvalues(monkeypatch):
     assert rep.variances.shape == lrep.variances.shape == (4,)
     with pytest.raises(AssertionError, match="eigen_tridiag_batch called"):
         clt_covariance_gaussian(1e4, 4, 1000, 3)
+
+
+def exact_moments(x):
+    """Covariance (ddof 1), fourth-moment products ``E[c_a^2 c_b^2]`` and
+    delta-method variances of the rows of the float array x, in exact
+    rationals."""
+    k, m = x.shape
+    rows = [[Fraction(v) for v in row] for row in x]
+    cs = [[v - sum(row) / m for v in row] for row in rows]
+    cov = [[sum(a * b for a, b in zip(ca, cb)) / (m - 1) for cb in cs] for ca in cs]
+    m22 = [[sum(a * a * b * b for a, b in zip(ca, cb)) / m for cb in cs] for ca in cs]
+    var = [[max(m22[i][j] - cov[i][j] ** 2, 0) / m for j in range(k)] for i in range(k)]
+    return (np.array(cov, dtype=float), np.array(m22, dtype=float), np.array(var, dtype=float))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_moments_match_exact_rational_moments(k):
+    # dyadic rows, some far off zero; measured worst errors over these
+    # batches: covariance 3.4e-16 of its largest entry, squared standard
+    # error 3.6e-15 of max E[c_a^2 c_b^2] / M
+    rng = np.random.default_rng(40 + k)
+    for m in (2, 3, 5, 8, 13, 21, 40):
+        for offset in (0.0, 96.0):
+            x = rng.integers(-256, 256, (k, m)) / 64.0 + offset
+            cov, stderr = _moments(x)
+            exact_cov, m22, var = exact_moments(x)
+            assert np.max(np.abs(cov - exact_cov)) <= 1e-15 * np.max(np.abs(exact_cov))
+            assert np.max(np.abs(stderr**2 - var)) <= 1e-14 * np.max(m22) / m
+            assert np.array_equal(cov, cov.T) and np.array_equal(stderr, stderr.T)
+
+
+# Row-major oracles of the three reports: numpy's own reductions along axis 0
+# of (samples, k) arrays.  The lane-major kernel sums in another order, so
+# the fields agree to rounding; the bounds below are 2e-14 of each field's
+# largest entry.
+
+
+def rowmajor_covariance_report(v, q):
+    m, n = v.shape
+    sigma = np.atleast_2d(np.cov(v.T, ddof=1))
+    rotated = q @ sigma @ q.T
+    cu = v @ q.T
+    cu = cu - np.mean(cu, axis=0)
+    cab = cu.T @ cu / (m - 1)
+    stderr = np.sqrt(np.maximum((cu**2).T @ (cu**2) / m - cab**2, 0.0) / m)
+    return sigma, rotated, stderr
+
+
+def rowmajor_primitive_moments(stats):
+    variances = np.var(stats, axis=0, ddof=1)
+    m4 = np.mean((stats - np.mean(stats, axis=0)) ** 4, axis=0)
+    var_stderr = np.sqrt(np.maximum(m4 - variances**2, 0.0) / len(stats))
+    corr = np.corrcoef(stats.T) if stats.shape[1] > 1 else np.ones((1, 1))
+    return variances, var_stderr, corr
+
+
+def rowmajor_process_moments(ensemble, max_order):
+    n = ensemble.config.n
+    sys_, z = dual_hermite_system(n), hermite_zeros(n).as_array()
+    scale = math.sqrt(ensemble.config.beta * n / 2.0)
+    times = ensemble.config.record_times
+    covs, stderr, targets = [], [], []
+    for order in range(max_order + 1):
+        cols = []
+        for slot, t in enumerate(times):
+            limit = np.mean(orthopoly.scaled_primitive(sys_, order, t, math.sqrt(t) * z))
+            paths = ensemble.data[:, slot]
+            emp = np.mean(orthopoly.scaled_primitive(sys_, order, t, paths), axis=1)
+            cols.append(scale * (emp - limit))
+        x = np.stack(cols, axis=1)  # (paths, times)
+        x = x - np.mean(x, axis=0)
+        m = len(x)
+        cov = x.T @ x / (m - 1)
+        m22 = np.mean(x[:, :, None] ** 2 * x[:, None, :] ** 2, axis=0)
+        covs.append(cov)
+        stderr.append(np.sqrt(np.maximum(m22 - cov**2, 0.0) / m))
+        h = sys_.squared_norms[order]
+        targets.append([[h / (order + 1) * min(s, t) ** (order + 1) for t in times] for s in times])
+    return np.array(covs), np.array(stderr), np.array(targets)
+
+
+def assert_close(got, want, rel=2e-14):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "kind,n,samples",
+    [("gaussian", 3, 20000), ("gaussian", 8, 5000), ("laguerre", 3, 20000),
+     ("laguerre", 8, 5000), ("laguerre", 1, 2000)],
+)
+def test_covariance_report_matches_rowmajor_oracle(kind, n, samples):
+    beta, seed = 1e4, 2300 + n
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        rep = clt_covariance_gaussian(beta, n, samples, seed)
+        evs = sample_gbe_batch(beta, n, samples, rng)
+        v = math.sqrt(beta / 2.0) * (evs - hermite_zeros(n).as_array())
+        q = build_q_matrix_gaussian(n)
+    else:
+        rep = clt_covariance_laguerre(beta, n, 1.0, samples, seed)
+        evs = sample_ble_batch(beta, 1.0, n, samples, rng)
+        v = math.sqrt(2.0 * beta) * (np.sqrt(evs) - np.sqrt(laguerre_zeros(n, 1.0).as_array()))
+        q = build_q_matrix_laguerre(n, 1.0)
+    sigma, rotated, stderr = rowmajor_covariance_report(v, q)
+    assert_close(rep.sigma_hat, sigma)
+    assert_close(rep.rotated, rotated)
+    assert_close(rep.mc_stderr, stderr)
+    assert np.array_equal(rep.sigma_hat, rep.sigma_hat.T)
+    assert np.array_equal(rep.mc_stderr, rep.mc_stderr.T)
+    # the diagonal errors and the largest off-diagonal entry are differences
+    # of rotated entries from their targets: they move as rotated does
+    target = rep.target_diag
+    scale = 2e-14 * np.max(np.abs(rotated))
+    diag_err = np.abs(np.diag(rotated) - target)
+    assert np.max(np.abs(rep.diag_rel_err * target - diag_err)) <= scale
+    off = np.abs(rotated - np.diag(np.diag(rotated)))
+    assert abs(rep.off_diag_max - np.max(off)) <= scale
+    assert rep.diag_pass() == bool(np.all(diag_err / target <= 0.05))
+    assert rep.offdiag_pass() == bool(np.all(off <= 3.0 * stderr))
+
+
+@pytest.mark.parametrize(
+    "kind,n,samples,alpha",
+    [("gaussian", 4, 20000, None), ("laguerre", 4, 20000, 2.5), ("laguerre", 1, 1000, 2.5)],
+)
+def test_primitive_report_matches_rowmajor_oracle(kind, n, samples, alpha):
+    args = (1e4, n, samples, 2400 + n, kind, alpha)
+    rep = primitive_clt_check(*args[:5], alpha=alpha)
+    stats, _ = _primitive_statistics(*args)
+    variances, var_stderr, corr = rowmajor_primitive_moments(stats.T)
+    assert_close(rep.variances, variances)
+    assert_close(rep.var_stderr, var_stderr)
+    assert_close(rep.correlations, corr)
+    assert np.all(np.diag(rep.correlations) == 1.0)
+    assert np.all(np.abs(rep.correlations) <= 1.0)
+    assert rep.variance_pass() == all(
+        within_tolerance(v, t, s, 0.05) for v, t, s in zip(variances, rep.targets, var_stderr)
+    )
+    assert rep.independence_pass() == all(
+        abs(corr[a, b]) <= 3.0 * rep.corr_stderr for a in range(n) for b in range(a + 1, n)
+    )
+
+
+def test_process_report_matches_rowmajor_oracle():
+    cfg = SimConfig(
+        beta=1e4, n=3, t_end=0.5, dt=1e-2, initial=RootTuple((0.0,) * 3),
+        seed=2500, paths=400, record_times=(0.25, 0.4, 0.5),
+    )
+    ens = simulate_dyson(cfg)
+    rep = process_clt_check(ens, 2)
+    covs, stderr, targets = rowmajor_process_moments(ens, 2)
+    for order in range(3):
+        assert_close(rep.covariances[order], covs[order])
+        assert_close(rep.stderr[order], stderr[order])
+    assert np.array_equal(rep.targets, targets)
+    assert rep.all_passed() == bool(np.all(np.abs(covs - targets) <= 3.0 * stderr))
+
 
 def test_moment_process_estimate_zero_init():
     cfg = SimConfig(

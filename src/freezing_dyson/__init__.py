@@ -31,11 +31,8 @@ _PUBLIC = {
         "StepUnstable",
     ),
     "finfree": (
-        "FFFOperator",
         "MKLift",
         "boxplus",
-        "fff",
-        "fff_product_convolution",
         "hermite_roots",
         "laguerre_roots",
         "markov_krein_lift",
@@ -61,8 +58,10 @@ _PUBLIC = {
     "dynamics": (
         "GkTrajectory",
         "MomentSequence",
+        "gaussian_closed_polynomial",
         "gaussian_gk",
         "gaussian_limit_closed",
+        "laguerre_closed_polynomial",
         "laguerre_gk",
         "laguerre_limit_closed",
         "limit_roots",

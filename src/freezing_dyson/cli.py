@@ -21,15 +21,14 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
-    _gaussian_closed_ints,
-    _laguerre_closed_ints,
-    _limit_ints,
+    gaussian_closed_polynomial,
     gaussian_gk,
+    laguerre_closed_polynomial,
     laguerre_gk,
     limit_roots,
     moment_sequence,
 )
-from .elemsym import RootTuple, _roots_of_ints
+from .elemsym import RootTuple, roots_of_monic
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -178,29 +177,29 @@ def cmd_limit(args) -> int:
     initial = read_root_tuple(args.initial)
     config = _echoed(args)
     config["initial"] = list(initial.roots)
-    # the closed form's exact coefficients, solved by the same root finder
-    # as the ODE route's
+    # the closed form's exact polynomial, solved by the same root finder as
+    # the ODE route's
     if args.kind == "gaussian":
-        closed = _gaussian_closed_ints(initial, args.t)
+        closed = gaussian_closed_polynomial(initial, args.t)
         traj = gaussian_gk(initial) if args.verify_ode else None
     else:
         _require(args, ["alpha"])
         traj = laguerre_gk(initial, args.alpha)
         try:
-            closed = _laguerre_closed_ints(initial, args.alpha, args.t)
+            closed = laguerre_closed_polynomial(initial, args.alpha, args.t)
         except InvalidParameter:
             # --verify-ode compares the two routes, so it needs both
             if args.closed_form or args.verify_ode:
                 raise
             closed = None  # fall back to the ODE route below
-    result = limit_roots(traj, args.t) if closed is None else _roots_of_ints(closed)
+    result = limit_roots(traj, args.t) if closed is None else roots_of_monic(closed)
     if args.verify_ode:
-        # equal exact coefficients have equal roots; unequal ones are solved
+        # equal exact polynomials have equal roots; unequal ones are solved
         # apart and their roots compared
-        ode = _limit_ints(traj, args.t)
+        ode = traj.polynomial_at(args.t)
         discrepancy = 0.0
         if ode != closed:
-            gaps = np.abs(_roots_of_ints(ode).as_array() - result.as_array())
+            gaps = np.abs(roots_of_monic(ode).as_array() - result.as_array())
             discrepancy = float(np.max(gaps))
         print(f"max route discrepancy: {_fmt(discrepancy)}", file=sys.stderr)
         config["route_discrepancy"] = discrepancy

@@ -14,8 +14,12 @@ values, the g_k(t) polynomials and the classical coefficients (Hermite and
 Laguerre, from their explicit formulas rather than from computed zeros) are
 exact, and the two routes give equal coefficient vectors: the polynomial-ODE
 solution is the finite free convolution (Marcus, Spielman & Srivastava,
-Probab. Theory Relat. Fields, 2022).  Roots are recovered once from those
-integers, each the float nearest an exact root.
+Probab. Theory Relat. Fields, 2022).  Each route yields an exact
+:class:`~freezing_dyson.elemsym.MonicPolynomial` at time t
+(:meth:`GkTrajectory.polynomial_at`, :func:`gaussian_closed_polynomial`,
+:func:`laguerre_closed_polynomial`), so the two compare with ``==``, and
+:func:`~freezing_dyson.elemsym.roots_of_monic` recovers the roots once, each
+the float nearest an exact root.
 """
 
 import math
@@ -24,13 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elemsym import (
+    MonicPolynomial,
     RootTuple,
     _exact_esp,
-    _monic_ints,
-    _roots_of_ints,
     _rounded,
-    _scaled_ints,
     _scaled_value,
+    roots_of_monic,
 )
 from .errors import InvalidParameter, check_int, check_real
 from .finfree import _convolve_ints
@@ -41,7 +44,9 @@ __all__ = [
     "gaussian_gk",
     "laguerre_gk",
     "limit_roots",
+    "gaussian_closed_polynomial",
     "gaussian_limit_closed",
+    "laguerre_closed_polynomial",
     "laguerre_limit_closed",
     "moment_sequence",
 ]
@@ -55,18 +60,11 @@ class GkTrajectory:
     k = 0..N.  ``g_0`` is identically 1 and ``g_k(0) = e_k(initial)``.
     ``exact`` holds the same coefficients as integers over ``exact[0][0]``
     (the coefficient of ``g_0 = 1``), and ``coeff_polys`` their correctly
-    rounded floats.  Built from ``coeff_polys`` alone, a trajectory takes
-    those floats as exact.
+    rounded floats.
     """
 
     coeff_polys: tuple
-    exact: tuple = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.exact is None:
-            ints = iter(_scaled_ints([float(c) for poly in self.coeff_polys for c in poly]))
-            exact = tuple(tuple(next(ints) for _ in poly) for poly in self.coeff_polys)
-            object.__setattr__(self, "exact", exact)
+    exact: tuple = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -84,6 +82,18 @@ class GkTrajectory:
         """The signed elementary symmetric vector ``(g_0(t), ..., g_N(t))``."""
         check_real("t", t, 0.0, inclusive=True)
         return np.array([_horner(poly, t) for poly in self.coeff_polys])
+
+    def polynomial_at(self, t: float) -> MonicPolynomial:
+        """The exact polynomial whose ``alpha_k`` is ``g_k(t)`` at the float t:
+        each g_k evaluated at ``t = p / q`` as the integer ``q^D g_k(p / q)``
+        over ``q^D exact[0][0]``, D the largest degree."""
+        check_real("time", t, 0.0, inclusive=True)
+        p, q = float(t).as_integer_ratio()
+        shift = q.bit_length() - 1
+        top = max(len(poly) for poly in self.exact)
+        return MonicPolynomial.from_integers(
+            [_scaled_value(poly[::-1], p, q) << (shift * (top - len(poly))) for poly in self.exact]
+        )
 
 
 def _horner(coeffs, t: float) -> float:
@@ -138,24 +148,11 @@ def laguerre_gk(initial: RootTuple, alpha: float) -> GkTrajectory:
     return _trajectory(polys)
 
 
-def _limit_ints(traj: GkTrajectory, t: float) -> list:
-    """The ODE route's exact coefficients at t: each g_k evaluated at
-    ``t = p / q`` as the integer ``q^D g_k(p / q)`` over ``q^D exact[0][0]``,
-    D the largest degree."""
-    check_real("time", t, 0.0, inclusive=True)
-    p, q = float(t).as_integer_ratio()
-    shift = q.bit_length() - 1
-    top = max(len(poly) for poly in traj.exact)
-    return _monic_ints(
-        [_scaled_value(poly[::-1], p, q) << (shift * (top - len(poly))) for poly in traj.exact]
-    )
-
-
 def limit_roots(traj: GkTrajectory, t: float) -> RootTuple:
     """Ordered limit positions at time t: the roots of the polynomial whose
     signed elementary symmetric coefficients are ``g_k(t)``, evaluated
     exactly at the float t; each root is the float nearest the exact one."""
-    return _roots_of_ints(_limit_ints(traj, t))
+    return roots_of_monic(traj.polynomial_at(t))
 
 
 def _hermite_esp(n: int, p: int, q: int) -> list:
@@ -170,17 +167,20 @@ def _hermite_esp(n: int, p: int, q: int) -> list:
     return e
 
 
-def _gaussian_closed_ints(initial: RootTuple, t: float) -> list:
+def gaussian_closed_polynomial(initial: RootTuple, t: float) -> MonicPolynomial:
+    """The exact polynomial of the freezing Dyson limit at t: the finite free
+    convolution of the initial tuple with sqrt(t)-scaled Hermite zeros, the
+    latter from their explicit coefficients.  Equal to
+    ``gaussian_gk(initial).polynomial_at(t)``."""
     check_real("time", t, 0.0, inclusive=True)
     herm = _hermite_esp(initial.n, *float(t).as_integer_ratio())
-    return _monic_ints(_convolve_ints(_exact_esp(initial.roots), herm))
+    return MonicPolynomial.from_integers(_convolve_ints(_exact_esp(initial.roots), herm))
 
 
 def gaussian_limit_closed(initial: RootTuple, t: float) -> RootTuple:
-    """Closed form of the freezing Dyson limit: the finite free convolution of
-    the initial tuple with sqrt(t)-scaled Hermite zeros, in exact
-    coefficients.  Equal to the polynomial-ODE route."""
-    return _roots_of_ints(_gaussian_closed_ints(initial, t))
+    """Closed form of the freezing Dyson limit: the roots of
+    :func:`gaussian_closed_polynomial`.  Equal to the polynomial-ODE route."""
+    return roots_of_monic(gaussian_closed_polynomial(initial, t))
 
 
 def _even_lift(e) -> list:
@@ -192,7 +192,24 @@ def _even_lift(e) -> list:
     return out
 
 
-def _laguerre_closed_ints(initial: RootTuple, alpha: float, t: float) -> list:
+def laguerre_closed_polynomial(initial: RootTuple, alpha: float, t: float) -> MonicPolynomial:
+    """The exact polynomial of the freezing Laguerre limit at t, for
+    ``alpha > N - 1/2``.
+
+    The paper's recipe: lift the initial tuple to the symmetric 2N-tuple
+    ``(+-sqrt(2 a_i))``, run the size-2N Gaussian closed form, halve the
+    squared top half, and convolve with ``t``-scaled Laguerre zeros of
+    parameter ``alpha - N + 1/2``.  Equal to
+    ``laguerre_gk(initial, alpha).polynomial_at(t)``.
+
+    Every step stays in exact elementary symmetric coordinates.  The lift and
+    the size-2N Hermite polynomial are even, built from their squares
+    (:func:`_even_lift`), each taken 1/sqrt(2) times the recipe's: squares
+    ``a_i``, and the Hermite coefficients at ``t/2``.  Their convolution,
+    even too, has roots ``y / sqrt(2)``, so the halved squares ``y^2 / 2``
+    are plain squares, with ``e_m = (-1)^m c_(2m)`` for its coefficients c.
+    The Laguerre coefficients come from their explicit formula.
+    """
     n = initial.n
     check_real("alpha", alpha, 0.0)
     if alpha <= n - 0.5:
@@ -216,27 +233,14 @@ def _laguerre_closed_ints(initial: RootTuple, alpha: float, t: float) -> list:
     for k in range(n + 1):
         lag.append(math.comb(n, k) * prod * p**k * (d * q) ** (n - k))
         prod *= a + (n - k - 1) * d
-    return _monic_ints(_convolve_ints(half, lag))
+    return MonicPolynomial.from_integers(_convolve_ints(half, lag))
 
 
 def laguerre_limit_closed(initial: RootTuple, alpha: float, t: float) -> RootTuple:
-    """Closed form of the freezing Laguerre limit for ``alpha > N - 1/2``.
-
-    The paper's recipe: lift the initial tuple to the symmetric 2N-tuple
-    ``(+-sqrt(2 a_i))``, run the size-2N Gaussian closed form, halve the
-    squared top half, and convolve with ``t``-scaled Laguerre zeros of
-    parameter ``alpha - N + 1/2``.  Equal to the polynomial-ODE route.
-
-    Every step stays in exact elementary symmetric coordinates.  The lift and
-    the size-2N Hermite polynomial are even, built from their squares
-    (:func:`_even_lift`), each taken 1/sqrt(2) times the recipe's: squares
-    ``a_i``, and the Hermite coefficients at ``t/2``.  Their convolution,
-    even too, has roots ``y / sqrt(2)``, so the halved squares ``y^2 / 2``
-    are plain squares, with ``e_m = (-1)^m c_(2m)`` for its coefficients c.
-    The Laguerre coefficients come from their explicit formula, and roots
-    are recovered once, at degree N.
-    """
-    return _roots_of_ints(_laguerre_closed_ints(initial, alpha, t))
+    """Closed form of the freezing Laguerre limit for ``alpha > N - 1/2``:
+    the roots of :func:`laguerre_closed_polynomial`, recovered once, at
+    degree N.  Equal to the polynomial-ODE route."""
+    return roots_of_monic(laguerre_closed_polynomial(initial, alpha, t))
 
 
 @dataclass(frozen=True)

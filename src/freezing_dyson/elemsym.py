@@ -2,13 +2,15 @@
 
 Ordered tuples of real roots are the common currency of the whole library:
 ensembles, polynomial zeros and deterministic limits all live in
-:class:`RootTuple`.  Monic polynomials are stored through their signed
-elementary symmetric coefficients (:class:`MonicPolynomial`), which is the
-coordinate system in which the convolution and the limit dynamics are linear.
+:class:`RootTuple`.  A :class:`MonicPolynomial` holds its coefficients
+exactly, as integers, and shows them as signed elementary symmetric
+coefficients, the coordinate system in which the convolution and the limit
+dynamics are linear.  :func:`roots_of_monic` solves those integers, so each
+root is the float nearest an exact root.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -75,14 +77,19 @@ class RootTuple:
 
 @dataclass(frozen=True)
 class MonicPolynomial:
-    """Monic degree-N polynomial ``sum_k (-1)^k alpha_k x^(N-k)``.
+    """Monic degree-N polynomial ``sum_k (-1)^k alpha_k x^(N-k)``, held exactly.
 
-    ``alpha`` holds the signed elementary symmetric coefficients
-    ``alpha_0 .. alpha_N`` with ``alpha_0 == 1`` exactly; when the polynomial
-    is built from a root tuple, ``alpha_k = e_k(roots)``.
+    ``ints`` holds its descending monomial coefficients as coprime integers
+    with ``ints[0] > 0``, so equal polynomials have equal ``ints`` and ``==``
+    is equality of the exact rationals.  ``alpha`` holds the signed
+    elementary symmetric coefficients ``alpha_0 .. alpha_N`` as floats, with
+    ``alpha_0 == 1``: given ones as given, otherwise each the float nearest
+    ``(-1)^k ints[k] / ints[0]``.  Built from a root tuple,
+    ``alpha_k = e_k(roots)`` exactly, then rounded.
     """
 
-    alpha: tuple
+    alpha: tuple = field(compare=False)
+    ints: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         alpha = tuple(float(a) for a in self.alpha)
@@ -90,15 +97,31 @@ class MonicPolynomial:
             raise InvalidParameter("a monic polynomial needs degree >= 1")
         if alpha[0] != 1.0:
             raise InvalidParameter("alpha_0 must be exactly 1")
+        for k, a in enumerate(alpha):
+            if not math.isfinite(a):
+                raise NotRealRooted(f"coefficient c_{k} = {-a if k % 2 else a!r} is not finite")
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "ints", _monic_ints(_scaled_ints(alpha)))
+
+    @classmethod
+    def from_integers(cls, alpha) -> "MonicPolynomial":
+        """The polynomial with ``alpha_k = alpha[k] / alpha[0]``, for integers
+        with ``alpha[0] > 0``."""
+        p = object.__new__(cls)
+        ints = _monic_ints(alpha)
+        object.__setattr__(p, "ints", ints)
+        object.__setattr__(
+            p, "alpha", tuple(_rounded(-c if k % 2 else c, ints[0]) for k, c in enumerate(ints))
+        )
+        return p
 
     @classmethod
     def from_roots(cls, x: RootTuple) -> "MonicPolynomial":
-        return cls(tuple(esp_rows(x.as_array()[None, :])[0]))
+        return cls.from_integers(_exact_esp(x.roots))
 
     @property
     def degree(self) -> int:
-        return len(self.alpha) - 1
+        return len(self.ints) - 1
 
     def monomial_coefficients(self) -> np.ndarray:
         """Coefficients in descending powers of x: ``c_k = (-1)^k alpha_k``."""
@@ -412,25 +435,35 @@ def _square_free_roots(exact):
     return roots
 
 
-def _monic_ints(e) -> list:
+def _monic_ints(e) -> tuple:
     """Integer monomial coefficients ``(-1)^k e_k`` of an exact elementary
     symmetric vector over its entry 0, divided by their gcd: two vectors
-    hold the same rationals exactly when these lists are equal."""
+    hold the same rationals exactly when these tuples are equal."""
     g = math.gcd(*e)
-    return [-c // g if k % 2 else c // g for k, c in enumerate(e)]
+    return tuple(-c // g if k % 2 else c // g for k, c in enumerate(e))
 
 
-def _roots_of_ints(ints):
-    """All real roots of the polynomial with integer coefficients ``ints``
-    (descending powers, ``ints[0] > 0``), sorted ascending.
+def roots_of_monic(p: MonicPolynomial) -> RootTuple:
+    """All N real roots of a real-rooted monic polynomial, sorted ascending.
 
-    The seeds come from the floats ``ints[k] / ints[0]``, each a correctly
-    rounded int division, and the certificate and the square-free fallback
-    work on the integers themselves, so each root returned is the float
-    nearest an exact root of ``ints``.  Raises :class:`NotRealRooted` when a
-    rounded coefficient is not finite or some roots are not real within the
-    backward error of :func:`roots_of_monic`.
+    The solve runs on the exact integers ``p.ints``.  Companion-matrix
+    eigenvalues of their rounded quotients ``ints[k] / ints[0]`` (as
+    ``np.roots`` takes them, one solve per well-separated root scale) are the
+    seeds.  Each takes one Newton step on its exact residual, and a sign
+    bracket one ulp wide around the result, grown inside the seed's cell when
+    needed, is shrunk to adjacent floats by exact bisection: about 6 exact
+    evaluations per root at any degree.  N disjoint sign brackets prove that
+    each root is found exactly once, and each root returned is then the float
+    nearest an exact root of p.  Otherwise the exact square-free factors are
+    solved the same way, each root once per multiplicity; a cluster of roots
+    that rounding pushed off the real line comes back as its centroid, once
+    per root, when that centroid's relative backward error is within
+    ``8 N 2^-53``.
+
+    Raises :class:`NotRealRooted` when a rounded coefficient is not finite or
+    some roots are not real within that backward error.
     """
+    ints = p.ints
     coeffs = [_rounded(c, ints[0]) for c in ints]
     for k, c in enumerate(coeffs):
         if not math.isfinite(c):
@@ -441,29 +474,3 @@ def _roots_of_ints(ints):
 
         roots = _square_free_roots([Fraction(c, ints[0]) for c in ints])
     return RootTuple(tuple(sorted(roots)))
-
-
-def roots_of_monic(p: MonicPolynomial) -> RootTuple:
-    """All N real roots of a real-rooted monic polynomial, sorted ascending.
-
-    Companion-matrix eigenvalues (as ``np.roots`` takes them, one solve per
-    well-separated root scale) are the seeds.  Each takes one Newton step on
-    its exact residual, and a sign bracket one ulp wide around the result,
-    grown inside the seed's cell when needed, is shrunk to adjacent floats by
-    exact bisection: about 6 exact evaluations per root at any degree.  N
-    disjoint sign brackets prove that each root is found exactly once, and
-    each root returned is then the float nearest the exact root of the given
-    float coefficients.  Otherwise the exact square-free factors are solved
-    the same way, each root once per multiplicity; a cluster of roots that
-    rounding pushed off the real line comes back as its centroid, once per
-    root, when that centroid's relative backward error is within
-    ``8 N 2^-53``.
-
-    Raises :class:`NotRealRooted` when a coefficient is not finite or some
-    roots are not real within that backward error.
-    """
-    coeffs = [float(c) for c in p.monomial_coefficients()]
-    for k, c in enumerate(coeffs):
-        if not math.isfinite(c):
-            raise NotRealRooted(f"coefficient c_{k} = {c!r} is not finite")
-    return _roots_of_ints(_scaled_ints(coeffs))

@@ -1,14 +1,13 @@
-"""Finite free convolution, its Fourier-operator form, and the Markov-Krein lift.
+"""Finite free convolution, classical zero sets, and the Markov-Krein lift.
 
 The convolution of two N-tuples is defined coefficient-wise on elementary
 symmetric values and preserves real-rootedness.  One exact integer kernel
 computes it for :func:`boxplus`, :func:`convolve_esp` and the deterministic
-limits (:mod:`freezing_dyson.dynamics`).  A second, independent float
-implementation multiplies the associated truncated differential operators
-(the finite free Fourier transform) and is kept as a cross-check.  The
-Markov-Krein lift trades an N-tuple of reals for an N-tuple of complex
-numbers whose moment sequence reproduces the signed elementary symmetric
-coefficients.
+limits (:mod:`freezing_dyson.dynamics`), and its results are exact
+:class:`~freezing_dyson.elemsym.MonicPolynomial` values, solved by
+:func:`~freezing_dyson.elemsym.roots_of_monic`.  The Markov-Krein lift
+trades an N-tuple of reals for an N-tuple of complex numbers whose moment
+sequence reproduces the signed elementary symmetric coefficients.
 """
 
 import math
@@ -20,8 +19,6 @@ from .elemsym import (
     MonicPolynomial,
     RootTuple,
     _exact_esp,
-    _monic_ints,
-    _roots_of_ints,
     _rounded,
     _scaled_ints,
     elementary_symmetric,
@@ -39,13 +36,9 @@ from .errors import (
 from .orthopoly import hermite_zeros, laguerre_zeros
 
 __all__ = [
-    "FFFOperator",
     "MKLift",
     "boxplus",
     "convolve_esp",
-    "fff",
-    "fff_invert",
-    "fff_product_convolution",
     "hermite_roots",
     "laguerre_roots",
     "markov_krein_lift",
@@ -114,80 +107,7 @@ def boxplus(a: RootTuple, b: RootTuple) -> RootTuple:
     if a.n != b.n:
         raise DimensionMismatch(f"tuple sizes differ: {a.n} vs {b.n}")
     ec = _convolve_ints(_exact_esp(a.roots), _exact_esp(b.roots))
-    return _roots_of_ints(_monic_ints(ec))
-
-
-@dataclass(frozen=True)
-class FFFOperator:
-    """Differential operator ``sum_k c_k D^k`` truncated at order N.
-
-    Built from a monic polynomial through
-    ``c_k = (-1)^k alpha_k / (k! binom(N, k))``; equality of operators means
-    coefficient-wise equality up to order N.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def apply_to_power(self) -> np.ndarray:
-        """Apply the operator to x^N symbolically; descending coefficients.
-
-        ``D^k x^N = N!/(N-k)! x^(N-k)``, so the result's coefficient of
-        ``x^(N-k)`` is ``c_k N!/(N-k)!``.
-        """
-        n = self.degree
-        return np.array(
-            [self.coeffs[k] * math.factorial(n) / math.factorial(n - k) for k in range(n + 1)]
-        )
-
-    def multiply(self, other: "FFFOperator") -> "FFFOperator":
-        """Operator product truncated at order N."""
-        n = self.degree
-        if other.degree != n:
-            raise DimensionMismatch("operator degrees differ")
-        out = [0.0] * (n + 1)
-        for i, ci in enumerate(self.coeffs):
-            for j in range(0, n + 1 - i):
-                out[i + j] += ci * other.coeffs[j]
-        return FFFOperator(tuple(out))
-
-
-def fff(p: MonicPolynomial) -> FFFOperator:
-    """Finite free Fourier transform: the operator reproducing p from x^N."""
-    n = p.degree
-    coeffs = tuple(
-        (-1.0) ** k * p.alpha[k] / (math.factorial(k) * math.comb(n, k))
-        for k in range(n + 1)
-    )
-    return FFFOperator(coeffs)
-
-
-def fff_invert(op: FFFOperator) -> MonicPolynomial:
-    """Inverse transform: ``alpha_k = (-1)^k k! binom(N, k) c_k``."""
-    n = op.degree
-    alpha = tuple(
-        (-1.0) ** k * math.factorial(k) * math.comb(n, k) * op.coeffs[k]
-        for k in range(n + 1)
-    )
-    return MonicPolynomial(alpha)
-
-
-def fff_product_convolution(a: RootTuple, b: RootTuple) -> RootTuple:
-    """Finite free convolution via truncated operator multiplication.
-
-    Independent of :func:`boxplus` (different arithmetic path); the two must
-    agree and are cross-validated against each other in the test suite.
-    """
-    if a.n != b.n:
-        raise DimensionMismatch(f"tuple sizes differ: {a.n} vs {b.n}")
-    op = fff(MonicPolynomial.from_roots(a)).multiply(fff(MonicPolynomial.from_roots(b)))
-    return roots_of_monic(fff_invert(op))
+    return roots_of_monic(MonicPolynomial.from_integers(ec))
 
 
 def hermite_roots(n: int, t: float) -> RootTuple:
@@ -198,8 +118,6 @@ def hermite_roots(n: int, t: float) -> RootTuple:
     """
     check_int("n", n, 1)
     check_real("t", t, 0.0, inclusive=True)
-    if n == 1:
-        return RootTuple((0.0,))
     z = hermite_zeros(n).as_array()
     z = 0.5 * (z - z[::-1])  # the spectrum is exactly symmetric
     return RootTuple(tuple(math.sqrt(t) * z))

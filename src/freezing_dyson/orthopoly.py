@@ -119,7 +119,7 @@ def hermite_jacobi(n: int) -> JacobiMatrix:
     Its characteristic polynomial is the degree-n probabilist Hermite
     polynomial, so its eigenvalues are the Hermite zeros.
     """
-    check_int("n", n, 2)
+    check_int("n", n, 1)
     return JacobiMatrix((0.0,) * n, tuple(math.sqrt(i) for i in range(1, n)))
 
 

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from freezing_dyson import cli, stochastic
 from freezing_dyson.cli import _fmt, main, read_root_tuple
+from freezing_dyson.dynamics import GkTrajectory
+from freezing_dyson.elemsym import MonicPolynomial
 
 
 def run_cli(argv, capsys):
@@ -198,18 +200,22 @@ def test_limit_verify_ode_solves_once_and_reports_unequal_routes(kind, tmp_path,
     argv = ["limit", "--kind", kind, "--initial", str(init), "--t", "0.7", "--alpha", "4.25",
             "--verify-ode"]
     solves = []
-    solve = cli._roots_of_ints
-    monkeypatch.setattr(cli, "_roots_of_ints", lambda ints: solves.append(ints) or solve(ints))
+    solve = cli.roots_of_monic
+    monkeypatch.setattr(cli, "roots_of_monic", lambda p: solves.append(p) or solve(p))
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and len(solves) == 1
     config = json.loads(out.splitlines()[0][2:])["config"]
     assert config["route_discrepancy"] == 0.0 and err == "max route discrepancy: 0\n"
     # an ODE route whose coefficients differ (its constant term moved by
     # about 1e-9 relative) is solved on its own and its root gap reported
-    ode = cli._limit_ints
-    monkeypatch.setattr(
-        cli, "_limit_ints", lambda traj, t: (c := ode(traj, t))[:-1] + [c[-1] + (c[0] >> 30)]
-    )
+    ode = GkTrajectory.polynomial_at
+
+    def moved(traj, t):
+        c = ode(traj, t).ints
+        alpha = [-v if k % 2 else v for k, v in enumerate(c[:-1] + (c[-1] + (c[0] >> 30),))]
+        return MonicPolynomial.from_integers(alpha)
+
+    monkeypatch.setattr(GkTrajectory, "polynomial_at", moved)
     solves.clear()
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and len(solves) == 2
@@ -280,6 +286,23 @@ def test_clt_static_json(tmp_path):
     assert doc["meta"]["config"]["mode"] == "static"
     assert len(doc["rotated"]) == 2
     assert doc["diag_pass"] is True
+
+
+@pytest.mark.parametrize("mode", ["static", "primitive"])
+def test_clt_gaussian_at_one_particle(mode, tmp_path):
+    # He_1(x) = x: a 1 x 1 Jacobi matrix with the one zero 0, as the
+    # Laguerre family already allowed
+    out = tmp_path / "clt.json"
+    argv = [
+        "clt", "--kind", "gaussian", "--mode", mode, "--n", "1", "--beta", "1e4",
+        "--samples", "2000", "--seed", "1", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    if mode == "static":
+        assert len(doc["rotated"]) == 1 and doc["diag_pass"] is True
+    else:
+        assert len(doc["variances"]) == 1 and doc["variance_pass"] is True
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "laguerre"])

@@ -264,7 +264,7 @@ def test_indices_above_their_range_rejected():
 
 
 def test_messages_name_the_value():
-    with pytest.raises(InvalidParameter, match=r"^n must be an integer >= 2 \(got 2\.5\)$"):
+    with pytest.raises(InvalidParameter, match=r"^n must be an integer >= 1 \(got 2\.5\)$"):
         hermite_jacobi(2.5)
     with pytest.raises(InvalidParameter, match=r"^alpha must be finite and > 0 \(got inf\)$"):
         laguerre_jacobi(3, math.inf)

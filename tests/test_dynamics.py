@@ -7,13 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freezing_dyson.dynamics import (
-    GkTrajectory,
     _even_lift,
-    _gaussian_closed_ints,
-    _laguerre_closed_ints,
-    _limit_ints,
+    gaussian_closed_polynomial,
     gaussian_gk,
     gaussian_limit_closed,
+    laguerre_closed_polynomial,
     laguerre_gk,
     laguerre_limit_closed,
     limit_roots,
@@ -127,14 +125,6 @@ def test_coefficients_at_matches_polyval_bit_for_bit():
             assert got.tobytes() == want.tobytes()
             k = int(rng.integers(0, n + 1))
             assert np.float64(traj.value(k, t)).tobytes() == want[k].tobytes()
-
-
-def test_trajectory_built_from_floats_takes_them_as_exact():
-    # a dyadic start whose g_k coefficients are all floats: the trajectory
-    # rebuilt from coeff_polys alone holds the same exact polynomials
-    traj = gaussian_gk(RootTuple((0.5, 1.0, 2.0)))
-    rebuilt = GkTrajectory(traj.coeff_polys)
-    assert rebuilt == traj and limit_roots(rebuilt, 0.7) == limit_roots(traj, 0.7)
 
 
 def test_laguerre_gk_rejects_bad_input():
@@ -326,12 +316,12 @@ def test_routes_have_equal_exact_coefficients(case):
     # exact arithmetic the two routes give the same coefficients and roots
     kind, start, alpha, t = case
     if kind == "gaussian":
-        traj, closed = gaussian_gk(start), _gaussian_closed_ints(start, t)
+        traj, closed = gaussian_gk(start), gaussian_closed_polynomial(start, t)
         roots = gaussian_limit_closed(start, t)
     else:
-        traj, closed = laguerre_gk(start, alpha), _laguerre_closed_ints(start, alpha, t)
+        traj, closed = laguerre_gk(start, alpha), laguerre_closed_polynomial(start, alpha, t)
         roots = laguerre_limit_closed(start, alpha, t)
-    assert _limit_ints(traj, t) == closed
+    assert traj.polynomial_at(t) == closed
     assert limit_roots(traj, t) == roots
 
 

@@ -281,6 +281,32 @@ def test_root_round_trip_well_conditioned_hits_spec_tolerance():
         assert np.all(np.abs(back.as_array() - vals) / scale < 1e-9)
 
 
+def round_trip_tuples(seed, count):
+    """A pinned stream of tuples, N = 1..12, in turn: uniform on [-10, 10];
+    signed magnitudes spread over 10^-30 .. 10^30; a few 2-decimal values
+    repeated; and a 2-decimal grid on [-5, 5]."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(1, 13))
+        if i % 4 == 0:
+            vals = rng.uniform(-10, 10, n)
+        elif i % 4 == 1:
+            vals = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-30, 30, n)
+        elif i % 4 == 2:
+            distinct = np.round(rng.uniform(-5, 5, int(rng.integers(1, n + 1))), 2)
+            vals = rng.choice(distinct, n)
+        else:
+            vals = np.round(rng.uniform(-5, 5, n), 2)
+        yield RootTuple.from_values(vals)
+
+
+def test_root_round_trip_is_bit_exact():
+    # from_roots keeps the exact e_k, so each returned root, the float
+    # nearest an exact root, is the entry itself
+    for x in round_trip_tuples(2024, 1200):
+        assert roots_of_monic(MonicPolynomial.from_roots(x)).roots == x.roots, x
+
+
 def exact_sign_oracle(coeffs, x):
     # independent oracle: Horner in Fraction arithmetic
     acc = Fraction(0)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freezing_dyson import elemsym
-from freezing_dyson.elemsym import MonicPolynomial, RootTuple, elementary_symmetric
+from freezing_dyson.elemsym import (
+    MonicPolynomial,
+    RootTuple,
+    elementary_symmetric,
+    roots_of_monic,
+)
 from freezing_dyson.errors import DimensionMismatch, InvalidParameter, NotRealRooted
 from freezing_dyson.finfree import (
-    FFFOperator,
+    MKLift,
     boxplus,
     convolve_esp,
-    fff,
-    fff_invert,
-    fff_product_convolution,
     hermite_roots,
     laguerre_roots,
     markov_krein_lift,
@@ -141,55 +144,141 @@ def test_boxplus_dimension_mismatch():
         boxplus(RootTuple((0.0,)), RootTuple((0.0, 1.0)))
 
 
+# The finite free Fourier transform (Marcus, "Polynomial convolutions and
+# (finite) free probability", 2021; MSS 2022) in exact arithmetic: the
+# degree-N p = sum_k (-1)^k alpha_k x^(N-k) maps to the differential operator
+# sum_k c_k D^k with c_k = (-1)^k alpha_k / (k! C(N, k)), which reproduces p
+# from x^N.  The product of two operators, truncated at order N, is the
+# transform of their finite free convolution: an oracle independent of the
+# library's coefficient formula.
+
+
+def fourier(alpha):
+    n = len(alpha) - 1
+    return [
+        (-1) ** k * Fraction(a) / (math.factorial(k) * math.comb(n, k))
+        for k, a in enumerate(alpha)
+    ]
+
+
+def fourier_invert(c):
+    n = len(c) - 1
+    return [(-1) ** k * math.factorial(k) * math.comb(n, k) * ck for k, ck in enumerate(c)]
+
+
+def apply_to_power(c):
+    # D^k x^N = N!/(N-k)! x^(N-k): descending coefficients of the result
+    n = len(c) - 1
+    return [ck * math.perm(n, k) for k, ck in enumerate(c)]
+
+
+def operator_product(c1, c2):
+    n = len(c1) - 1
+    out = [Fraction(0)] * (n + 1)
+    for i, ci in enumerate(c1):
+        for j in range(n + 1 - i):
+            out[i + j] += ci * c2[j]
+    return out
+
+
+def operator_convolution(ea, eb):
+    """Exact alpha of the convolution of two alpha vectors (Fractions of
+    their entries), through the operator product."""
+    return fourier_invert(operator_product(fourier(ea), fourier(eb)))
+
+
+def exact_esp(values):
+    e = [Fraction(1)] + [Fraction(0)] * len(values)
+    for i, v in enumerate(values, 1):
+        for k in range(i, 0, -1):
+            e[k] += Fraction(v) * e[k - 1]
+    return e
+
+
+def monomial(alpha):
+    return [(-1) ** k * a for k, a in enumerate(alpha)]
+
+
+def exact_polynomial(alpha):
+    den = math.lcm(*(Fraction(a).denominator for a in alpha))
+    return MonicPolynomial.from_integers([int(a * den) for a in alpha])
+
+
+def held_to_convolve_esp(ea, eb):
+    """The oracle's convolution of two float vectors, which ``convolve_esp``
+    must return correctly rounded."""
+    exact = operator_convolution(ea, eb)
+    assert convolve_esp(np.array(ea), np.array(eb)).tolist() == [float(v) for v in exact]
+    return exact
+
+
 def test_fff_examples():
-    # x^2 - 1 -> 1 - D^2/2
-    op = fff(MonicPolynomial((1.0, 0.0, -1.0)))
-    assert np.allclose(op.coeffs, [1.0, 0.0, -0.5])
+    # x^2 - 1 -> 1 - D^2/2, and (x^2 - 1) boxplus (x^2 - 1) = x^2 - 2
+    assert fourier([1.0, 0.0, -1.0]) == [1, 0, Fraction(-1, 2)]
+    assert held_to_convolve_esp([1.0, 0.0, -1.0], [1.0, 0.0, -1.0]) == [1, 0, -2]
     # degree 1: x - a -> 1 - aD, and applying to x reproduces x - a
-    op1 = fff(MonicPolynomial((1.0, 1.5)))
-    assert np.allclose(op1.coeffs, [1.0, -1.5])
-    assert np.allclose(op1.apply_to_power(), [1.0, -1.5])
+    op1 = fourier([1.0, 1.5])
+    assert op1 == [1, Fraction(-3, 2)]
+    assert apply_to_power(op1) == [1, Fraction(-3, 2)]
+    assert held_to_convolve_esp([1.0, 1.5], [1.0, 0.25]) == [1, Fraction(7, 4)]
 
 
 def test_fff_constant_shift_truncated_exponential():
     # (x - s)^N has c_k = (-s)^k / k!
     n, s = 5, 0.8
     p = MonicPolynomial.from_roots(RootTuple((s,) * n))
-    op = fff(p)
-    expect = [(-s) ** k / math.factorial(k) for k in range(n + 1)]
-    assert np.allclose(op.coeffs, expect, rtol=1e-12)
+    e = exact_esp((s,) * n)
+    op = fourier(e)
+    assert op == [Fraction(-s) ** k / math.factorial(k) for k in range(n + 1)]
     # symbolic application to x^N reproduces the polynomial
-    assert np.allclose(op.apply_to_power(), p.monomial_coefficients(), rtol=1e-12)
+    assert apply_to_power(op) == monomial(e)
+    assert p == exact_polynomial(e)
+    assert p.monomial_coefficients().tolist() == [float(c) for c in monomial(e)]
+    # the operator of (x - s)^N is exp(-sD) truncated: it shifts roots by s
+    other = (-1.5, 0.25, 0.5, 2.0, 3.0)
+    shifted = exact_esp([Fraction(s) + Fraction(v) for v in other])
+    assert operator_convolution(e, exact_esp(other)) == shifted
+    held_to_convolve_esp(p.alpha, elementary_symmetric(RootTuple(other)))
 
 
 def test_fff_round_trip_symbolic():
     rng = np.random.default_rng(8)
     for _ in range(10):
         n = int(rng.integers(1, 10))
-        p = MonicPolynomial.from_roots(RootTuple(tuple(np.sort(rng.uniform(-3, 3, n)))))
-        op = fff(p)
-        assert np.allclose(op.apply_to_power(), p.monomial_coefficients(), rtol=1e-11, atol=1e-11)
-        assert np.allclose(fff_invert(op).alpha, p.alpha, rtol=1e-12, atol=1e-12)
+        x = RootTuple(tuple(np.sort(rng.uniform(-3, 3, n))))
+        p, e = MonicPolynomial.from_roots(x), exact_esp(x.roots)
+        op = fourier(e)
+        assert apply_to_power(op) == monomial(e)
+        assert fourier_invert(op) == e
+        assert p == exact_polynomial(e)
+        # x^N, whose operator is 1, is the identity of the convolution
+        zero = [1.0] + [0.0] * n
+        assert held_to_convolve_esp(p.alpha, zero) == [Fraction(a) for a in p.alpha]
 
 
 def test_fff_product_convolution_examples():
-    c = fff_product_convolution(RootTuple((-1.0, 1.0)), RootTuple((-1.0, 1.0)))
-    assert np.allclose(c.roots, [-SQRT2, SQRT2], atol=1e-12)
+    pm = RootTuple((-1.0, 1.0))
+    c = exact_polynomial(operator_convolution(exact_esp(pm.roots), exact_esp(pm.roots)))
+    assert np.allclose(roots_of_monic(c).roots, [-SQRT2, SQRT2], atol=1e-12)
+    assert roots_of_monic(c) == boxplus(pm, pm)
     a = RootTuple((-2.0, 0.5, 3.0))
     z = RootTuple((0.0, 0.0, 0.0))
-    assert np.allclose(fff_product_convolution(a, z).roots, a.roots, atol=1e-12)
+    exact = held_to_convolve_esp(elementary_symmetric(a), elementary_symmetric(z))
+    assert exact == exact_esp(a.roots)
+    assert roots_of_monic(exact_polynomial(exact)) == a == boxplus(a, z)
 
 
 def test_fff_product_agrees_with_boxplus():
-    # cross-implementation agreement on random pairs
+    # cross-implementation agreement on random pairs: the operator product's
+    # exact coefficients are the library's, so the roots are equal
     rng = np.random.default_rng(10)
     for _ in range(200):
         n = int(rng.integers(2, 11))
         a = RootTuple(tuple(np.sort(rng.uniform(-5, 5, n))))
         b = RootTuple(tuple(np.sort(rng.uniform(-5, 5, n))))
-        r1 = boxplus(a, b).as_array()
-        r2 = fff_product_convolution(a, b).as_array()
-        assert np.max(np.abs(r1 - r2)) < 1e-9
+        exact = operator_convolution(exact_esp(a.roots), exact_esp(b.roots))
+        assert roots_of_monic(exact_polynomial(exact)) == boxplus(a, b)
+        held_to_convolve_esp(elementary_symmetric(a), elementary_symmetric(b))
 
 
 def test_hermite_roots_examples():
@@ -279,9 +368,12 @@ def test_laguerre_convolution_identity():
 def test_hermite_fff_scaling_identity():
     # Hermite zeros scaled by 1 and 1 convolve to scale sqrt(2), via the
     # operator route
-    lhs = fff_product_convolution(hermite_roots(3, 1.0), hermite_roots(3, 1.0)).as_array()
+    h = hermite_roots(3, 1.0)
+    held_to_convolve_esp(elementary_symmetric(h), elementary_symmetric(h))
+    lhs = roots_of_monic(exact_polynomial(operator_convolution(exact_esp(h.roots), exact_esp(h.roots))))
+    assert lhs == boxplus(h, h)
     rhs = hermite_roots(3, 2.0).as_array()
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
+    assert np.max(np.abs(lhs.as_array() - rhs)) < 1e-10
 
 
 def test_markov_krein_lift_trivial():
@@ -317,8 +409,6 @@ def test_markov_krein_lift_moment_invariant():
 
 
 def test_markov_krein_project_examples():
-    from freezing_dyson.finfree import MKLift
-
     assert np.allclose(
         markov_krein_project(MKLift((0.0, 0.0), 2)).roots, [0.0, 0.0], atol=1e-12
     )
@@ -326,6 +416,14 @@ def test_markov_krein_project_examples():
     assert np.allclose(back.roots, [-1.0, 1.0], atol=1e-10)
     with pytest.raises(NotRealRooted):
         markov_krein_project(MKLift((1j, 2j), 2))
+
+
+def test_markov_krein_project_overflow_is_not_real_rooted():
+    # the power sums of this lift overflow, so its rebuilt coefficient e_2 is
+    # nan; the polynomial refuses it as NotRealRooted, as the solver did
+    with np.errstate(all="ignore"):
+        with pytest.raises(NotRealRooted, match=r"^coefficient c_2 = nan is not finite$"):
+            markov_krein_project(MKLift((1e200, 2e200), 2))
 
 
 def test_markov_krein_round_trip():
@@ -336,7 +434,3 @@ def test_markov_krein_round_trip():
         back = markov_krein_project(markov_krein_lift(a))
         assert np.max(np.abs(back.as_array() - a.as_array())) < 1e-6
 
-
-def test_fff_operator_multiply_mismatch():
-    with pytest.raises(DimensionMismatch):
-        FFFOperator((1.0, 0.0)).multiply(FFFOperator((1.0, 0.0, 0.0)))

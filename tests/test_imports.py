@@ -2,6 +2,7 @@
 and the exact-side subcommands run without loading the Monte Carlo modules.
 Each check runs in a fresh interpreter, so no earlier import hides a load."""
 
+import ast
 import json
 import os
 import subprocess
@@ -111,3 +112,18 @@ def test_unknown_attribute_raises_attribute_error(tmp_path):
     message, submodule = run_fresh(script, tmp_path)
     assert message == "module 'freezing_dyson' has no attribute 'no_such_name'"
     assert submodule == "freezing_dyson.stochastic"  # submodule imports still work
+
+
+def test_cli_imports_no_private_name():
+    # the CLI is a client of the public API: every name it imports, at the
+    # top or inside a function, is public (a dunder such as __version__ is)
+    with open(os.path.join(SRC, "freezing_dyson", "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    private = [n for n in imported if n.startswith("_") and not n.endswith("__")]
+    assert imported and private == []

@@ -100,8 +100,11 @@ def test_hermite_jacobi_examples():
     j3 = hermite_jacobi(3)
     assert np.allclose(j3.offdiag, [1.0, math.sqrt(2)])
     assert np.allclose(eigen_tridiag(j2).roots, [-1.0, 1.0], atol=1e-13)
+    j1 = hermite_jacobi(1)  # He_1(x) = x
+    assert j1.diag == (0.0,) and j1.offdiag == ()
+    assert eigen_tridiag(j1).roots == (0.0,)
     with pytest.raises(InvalidParameter):
-        hermite_jacobi(1)
+        hermite_jacobi(0)
 
 
 def test_laguerre_jacobi_examples():

@@ -212,6 +212,8 @@ def cmd_simulate(args) -> int:
     from .stochastic import SimConfig, simulate_dyson, simulate_laguerre
 
     _require(args, ["kind", "n", "beta", "t", "dt", "paths", "seed"])
+    if args.kind == "laguerre":
+        _require(args, ["alpha"])
     record = tuple(_floats(args.record.split(","), "--record")) if args.record else (args.t,)
     initial = (
         read_root_tuple(args.initial)
@@ -237,13 +239,13 @@ def cmd_simulate(args) -> int:
     config["record"] = list(cfg.record_times)
     config["initial"] = list(initial.roots)
     # particle CSV: one recorded tuple per row, keyed by time and path; the
-    # %-template formats each value as _fmt does
+    # %-template formats each value as _fmt does, the slot's time once
     lines = [_meta_line("simulate", config)]
     lines.append("# columns: time,path," + ",".join(f"x{i+1}" for i in range(cfg.n)))
-    row = "%.17g,%d" + ",%.17g" * cfg.n
+    values = ",%d" + ",%.17g" * cfg.n
     for slot, t in enumerate(cfg.record_times):
-        for p, x in enumerate(ens.data[:, slot].tolist()):
-            lines.append(row % (t, p, *x))
+        row = "%.17g" % t + values  # a formatted float holds no %
+        lines.extend(row % (p, *x) for p, x in enumerate(ens.data[:, slot].tolist()))
     # JSON summary: e_k means against the exact g_k(t)
     rep = ek_drift_report(ens)
     summary = {

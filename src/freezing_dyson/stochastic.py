@@ -31,16 +31,24 @@ paths.  The drift terms of a particle are added left to right, and the noise
 is scaled once as it is drawn; the tests keep a path-major formulation in
 the same order as the oracle, which the output equals bit for bit.
 
-A step makes one gather and one reduction before its drift: a single
+The start and every step end with one gather and one reduction: a single
 ``take`` reads the endpoints of every pair and of two sentinel pairs (the
 lowest particle against -STABILITY_BOUND, the highest against
 +STABILITY_BOUND), and the smallest of the resulting gaps decides what
-guard work the step needs.  At least the floor: the state is sorted, finite,
+guard work the state needs.  At least the floor: the state is sorted, finite,
 in bounds and unclamped, and there is none.  At least 0: the state is sorted
-and in bounds, and only the clamps are counted.  Negative or NaN: the
+and in bounds, and only the next drift counts clamps.  Negative or NaN: the
 columns out of order are re-sorted, their bounds checked and their gaps
-gathered again.  The check of step s thus runs at the start of step s+1,
-and once more after the last step.
+gathered again.  The drift sums into a buffer kept for the whole block, so
+a step allocates no array.
+
+The Laguerre constant ``alpha + N - 1`` is a row of the drift terms, the
+last term of each particle's sum, where the path-major formulation adds it
+to the finished sum; addition commutes, so the two agree bit for bit.  The
+diffusion ``sqrt(lam)`` needs no clamp to 0: the start is checked to be
+nonnegative and every step ends with ``abs``.  A start holding -0.0 has
+``sqrt(-0.0) = -0.0``, which only flips the sign of a zero in the step's
+sums, and that ``abs`` clears it.
 """
 
 import contextlib
@@ -154,13 +162,19 @@ class PathEnsemble:
 
 
 def _path_bytes(n_steps: int, n: int) -> int:
-    """Working memory of one path in a block: its noise chunk, drawn and then
-    transposed, and its share of the pair buffers (``_PairWork``): 2(P+2)
-    gathered endpoints, P+2 gaps with P negations and a zero, n*n drift terms
-    and a P-entry clamp mask, for P = n(n-1)/2 pairs."""
+    """Working memory of one path in a block, for P = n(n-1)/2 pairs:
+
+    - its noise chunk, drawn and then transposed: 2 x chunk x n
+    - its state frame with the two sentinels, n+2, and the diffusion and
+      drift buffers, n each
+    - its share of the pair buffers (``_PairWork``): 2(P+2) gathered
+      endpoints; P+2 gaps with P negations, a zero and the Laguerre
+      constant; n*n drift terms and the constant's n; a P-entry clamp mask
+
+    The Laguerre constant is counted for both engines."""
     p = n * (n - 1) // 2
     chunk = min(max(n_steps, 1), _NOISE_CHUNK_STEPS)
-    return 8 * (2 * chunk * n + (2 * p + 4) + (2 * p + 3) + n * n) + p
+    return 8 * (2 * chunk * n + (3 * n + 2) + 2 * (2 * p + 4) + n * (n + 1)) + p
 
 
 def _block_size(paths: int, n_steps: int, n: int) -> int:
@@ -177,38 +191,45 @@ class _PairWork:
     (n+2, b) frame into ``ends[:P+2]`` and the lower ones into ``ends[P+2:]``
     with one ``take``, and writes their differences to ``ext[:P+2]``.
 
-    ``ext`` then holds a packed pair quantity q, the two sentinel gaps, -q and
-    a zero row, and one ``take`` through ``expand`` lays q out as the drift
-    terms ``terms[j, i]`` of particle i, with q at i > j, -q at i < j and 0.0
-    at i == j.
+    ``ext`` then holds a packed pair quantity q, the two sentinel gaps, -q, a
+    zero row and, given a ``constant``, a row of it.  One ``take`` through
+    ``expand`` lays q out as the drift terms ``terms[j, i]`` of particle i,
+    with q at i > j, -q at i < j and 0.0 at i == j, and the constant as the
+    last term ``terms[n, i]``; ``drift`` receives their sums.
     """
 
-    def __init__(self, n: int, b: int):
+    def __init__(self, n: int, b: int, constant: float | None = None):
         hi, lo = np.tril_indices(n, -1)
         p = len(hi)
         self.ends_index = np.concatenate([hi + 1, [1, n + 1], lo + 1, [0, n]])
-        pos = np.full((n, n), 2 * p + 2)
-        pos[hi, lo] = np.arange(p)
-        pos[lo, hi] = p + 2 + np.arange(p)
-        self.expand = pos.T.ravel()
+        rows = n if constant is None else n + 1  # drift terms per particle
+        pos = np.full((rows, n), 2 * p + 2)
+        pos[lo, hi] = np.arange(p)
+        pos[hi, lo] = p + 2 + np.arange(p)
+        pos[n:] = 2 * p + 3
+        self.expand = pos.ravel()
         self.ends = np.empty((2 * p + 4, b))
         self.ends_hi, self.ends_lo = self.ends[: p + 2], self.ends[p + 2 :]
         self.lam_hi, self.lam_lo = self.ends[:p], self.ends[p + 2 : 2 * p + 2]
         self.mask = np.empty((p, b), dtype=bool)
-        self.ext = np.zeros((2 * p + 3, b))
+        self.ext = np.zeros((2 * p + 3 + rows - n, b))
+        if constant is not None:
+            self.ext[-1] = constant
         self.gaps = self.ext[: p + 2]
-        self.gaps_flat = self.gaps.reshape(-1)  # a 1-D reduce skips axis handling
+        self.gaps_flat = self.gaps.reshape(-1)  # a 1-D argmin skips axis handling
         self.packed, self.negated = self.ext[:p], self.ext[p + 2 : 2 * p + 2]
-        self.terms = np.empty((n, n, b))
-        self.term_rows = self.terms.reshape(n * n, b)
+        self.terms = np.empty((rows, n, b))
+        self.term_rows = self.terms.reshape(rows * n, b)
+        self.drift = np.empty((n, b))
         self.min_gap = 0.0
 
-    def gather(self, frame: np.ndarray) -> float:
-        """Fill ``gaps`` from ``frame`` and return the smallest, NaN if any is."""
-        frame.take(self.ends_index, axis=0, out=self.ends, mode="clip")
-        np.subtract(self.ends_hi, self.ends_lo, out=self.gaps)
-        self.min_gap = float(np.minimum.reduce(self.gaps_flat))
-        return self.min_gap
+    def gather(self, frame: np.ndarray) -> None:
+        """Fill ``gaps`` from ``frame`` and ``min_gap`` with the smallest, NaN
+        if any is.  ``_simulate_block`` runs the same calls inline at every
+        step."""
+        frame.take(self.ends_index, 0, self.ends, "clip")
+        np.subtract(self.ends_hi, self.ends_lo, self.gaps)
+        self.min_gap = self.gaps_flat[self.gaps_flat.argmin()]
 
     def gather_columns(self, frame: np.ndarray, cols: np.ndarray) -> None:
         """Refill ``ends`` and ``gaps`` in the path columns ``cols`` only."""
@@ -217,10 +238,12 @@ class _PairWork:
         self.ends[:, cols] = ends
         self.gaps[:, cols] = ends[:half] - ends[half:]
 
-    def expanded(self) -> np.ndarray:
-        np.negative(self.packed, out=self.negated)
-        self.ext.take(self.expand, axis=0, out=self.term_rows, mode="clip")
-        return self.terms
+    def summed(self) -> np.ndarray:
+        """Lay out the drift terms of ``packed`` and sum each particle's
+        into ``drift``, term by term in order of j."""
+        np.negative(self.packed, self.negated)
+        self.ext.take(self.expand, 0, self.term_rows, "clip")
+        return np.add.reduce(self.terms, 0, None, self.drift)
 
 
 def _inverse_gaps(eps_eff: float, work: _PairWork) -> int:
@@ -236,34 +259,35 @@ def _inverse_gaps(eps_eff: float, work: _PairWork) -> int:
     gap = work.packed
     clamped = 0
     if work.min_gap < eps_eff:
-        np.less(gap, eps_eff, out=work.mask)
+        np.less(gap, eps_eff, work.mask)
         clamped = int(np.count_nonzero(work.mask))
         np.maximum(gap, eps_eff, out=gap)
-    np.divide(1.0, gap, out=gap)
+    np.divide(1.0, gap, gap)
     return clamped
 
 
 def _drift_dyson(lam: np.ndarray, eps_eff: float, work: _PairWork):
     """Dyson repulsion ``sum_j 1/(lam_i - lam_j)`` of a column-sorted (n, b)
-    state whose gaps ``work`` has gathered."""
+    state whose gaps ``work`` has gathered, in ``work.drift``."""
     clamped = _inverse_gaps(eps_eff, work)
-    return np.add.reduce(work.expanded(), axis=0), clamped
+    return work.summed(), clamped
 
 
 def _drift_laguerre(lam: np.ndarray, alpha: float, eps_eff: float, work: _PairWork):
-    """Laguerre repulsion written as ``2 l_i/(l_i-l_j) = 1 + (l_i+l_j)/(l_i-l_j)``.
+    """Laguerre drift ``alpha + sum_j 2 l_i/(l_i-l_j)``, in ``work.drift``,
+    with the repulsion written as ``2 l_i/(l_i-l_j) = 1 + (l_i+l_j)/(l_i-l_j)``.
 
     Only the antisymmetric second part is singular, so only it sees the
     clamp; the pairwise trace drift then stays exactly 2 per pair and the
     first elementary symmetric coordinate keeps its exact drift
-    ``N (alpha + N - 1)`` even through clamped near-collisions.
+    ``N (alpha + N - 1)`` even through clamped near-collisions.  The
+    constant ``alpha + N - 1`` is the last term of each particle's sum, a
+    row of ``work`` built with this ``alpha``.
     """
     clamped = _inverse_gaps(eps_eff, work)
-    np.add(work.lam_hi, work.lam_lo, out=work.lam_hi)
-    np.multiply(work.lam_hi, work.packed, out=work.packed)
-    drift = np.add.reduce(work.expanded(), axis=0)
-    drift += alpha + (lam.shape[0] - 1)
-    return drift, clamped
+    np.add(work.lam_hi, work.lam_lo, work.lam_hi)
+    np.multiply(work.lam_hi, work.packed, work.packed)
+    return work.summed(), clamped
 
 
 def _sort_in_bounds(frame: np.ndarray):
@@ -287,23 +311,17 @@ def _sort_in_bounds(frame: np.ndarray):
 
 
 def _check_state(frame: np.ndarray, work: _PairWork, step: int) -> None:
-    """Gather the gaps of the state reached at ``step``, sorting any column
-    that is out of order; raise :class:`StepUnstable` if the state is NaN or
-    out of bounds.
+    """Sort the columns out of order in the state reached at ``step``, whose
+    gathered gaps include a negative or NaN one, and gather their gaps again;
+    raise :class:`StepUnstable` if the state is NaN or out of bounds.
 
-    One reduction decides.  The smallest gap, the two sentinel gaps
-    included, is at least 0 exactly when every column is sorted and within
-    +-STABILITY_BOUND (a rounded difference keeps the sign of the exact one,
-    and ``NaN >= 0`` is false), and at least ``eps_eff`` when, besides, no
-    pair needs a clamp.  Only a negative or NaN gap runs the full check,
-    which re-sorts and re-gathers just the columns out of order.  The start
-    (step 0) raises nothing: a start beyond the bounds fails the check after
-    step 1.
+    The smallest gap, the two sentinel gaps included, is at least 0 exactly
+    when every column is sorted and within +-STABILITY_BOUND (a rounded
+    difference keeps the sign of the exact one, and ``NaN >= 0`` is false),
+    so no other state needs this check.
     """
-    if work.gather(frame) >= 0.0:
-        return
     cols, in_bounds = _sort_in_bounds(frame)
-    if step and not in_bounds:
+    if not in_bounds:
         err = StepUnstable(
             f"coordinate exceeded {STABILITY_BOUND:g} or became NaN at step {step}; "
             "dt is too large for this beta and N"
@@ -325,14 +343,14 @@ def _simulate_block(cfg: SimConfig, kind: str, lo: int, hi: int):
     in slices of ``_TRANSPOSE_LANES`` paths that keep the strided reads within
     cache.
 
-    Each step starts with ``_check_state``: one ``take`` gathers the
-    endpoints of every pair and of the two sentinel pairs, one ``subtract``
-    gives their gaps, and one reduction of the smallest gap certifies that
-    the state the previous step left is sorted and in bounds, and, at or
-    above the floor, unclamped.  Only a gap below the floor makes the drift
-    count clamps, and only a negative or NaN one re-sorts columns and checks
-    the bounds.  So the check of step s runs at the start of step s+1,
-    before a record row is stored, and once more after the last step.
+    Each step ends with the gather the start has, ``_PairWork.gather``: one
+    ``take`` reads the endpoints of every pair and of the two sentinel
+    pairs, one ``subtract`` gives their gaps, and one reduction of the
+    smallest gap certifies that the state is sorted and in bounds and, at or
+    above the floor, unclamped.  Only a gap below the floor makes the next
+    drift count clamps, and only a negative or NaN one enters
+    ``_check_state``, before the step's record rows are stored.  The arrays,
+    the bound methods and the ufuncs of a step are looked up once per block.
     """
     n, dt = cfg.n, cfg.dt
     n_steps = cfg.n_steps
@@ -354,14 +372,25 @@ def _simulate_block(cfg: SimConfig, kind: str, lo: int, hi: int):
     lam = frame[1:-1]
     lam[:] = np.sort(cfg.initial.as_array())[:, None]
     out = np.empty((b, len(record_steps), n))
-    work = _PairWork(n, b)
+    dyson = kind == DYSON
+    alpha = cfg.alpha
+    work = _PairWork(n, b, None if dyson else alpha + (n - 1))
     diffusion = np.empty((n, b))
     eps_eff = max(EPS_GAP, math.sqrt(dt))
-    diffusion_constant = math.sqrt(2.0 / cfg.beta) if kind == DYSON else 2.0 / math.sqrt(cfg.beta)
+    diffusion_constant = math.sqrt(2.0 / cfg.beta) if dyson else 2.0 / math.sqrt(cfg.beta)
     noise_scale = diffusion_constant * math.sqrt(dt)
+    drift_dyson, drift_laguerre = _drift_dyson, _drift_laguerre
+    take, ends_index, ends = frame.take, work.ends_index, work.ends
+    subtract, ends_hi, ends_lo, gaps = np.subtract, work.ends_hi, work.ends_lo, work.gaps
+    gaps_flat = work.gaps_flat
+    argmin = gaps_flat.argmin
+    add, multiply, sqrt, absolute = np.add, np.multiply, np.sqrt, np.absolute
+    dt_array = np.array(dt)  # a 0-d operand skips the Python float's conversion
     clamp_total = 0
     step = 0
-    for slot in slots.pop(0, ()):
+    # the start is sorted and finite; one beyond the bounds fails after step 1
+    work.gather(frame)
+    for slot in slots.get(step, ()):
         out[:, slot] = lam.T
     while step < n_steps:
         k = min(chunk, n_steps - step)
@@ -372,28 +401,31 @@ def _simulate_block(cfg: SimConfig, kind: str, lo: int, hi: int):
             panel = drawn[lanes, :k].transpose(1, 2, 0)
             np.multiply(noise_scale, panel, out=noise[:k, :, lanes])
         for z in noise[:k]:
-            _check_state(frame, work, step)
-            for slot in slots.get(step, ()):
-                out[:, slot] = lam.T
-            step += 1
-            if kind == DYSON:
-                drift, clamped = _drift_dyson(lam, eps_eff, work)
-                drift *= dt
-                lam += drift
-                lam += z
+            if dyson:
+                drift, clamped = drift_dyson(lam, eps_eff, work)
+                multiply(drift, dt_array, drift)
+                add(lam, drift, lam)
+                add(lam, z, lam)
             else:
-                drift, clamped = _drift_laguerre(lam, cfg.alpha, eps_eff, work)
-                np.maximum(lam, 0.0, out=diffusion)
-                np.sqrt(diffusion, out=diffusion)
-                diffusion *= z
-                drift *= dt
-                lam += drift
-                lam += diffusion
-                np.abs(lam, out=lam)  # reflect at the hard edge
+                # lam >= 0 here (a -0.0 start only flips the sign of a zero
+                # that the abs below clears), so sqrt needs no clamp to 0
+                drift, clamped = drift_laguerre(lam, alpha, eps_eff, work)
+                sqrt(lam, diffusion)
+                multiply(diffusion, z, diffusion)
+                multiply(drift, dt_array, drift)
+                add(lam, drift, lam)
+                add(lam, diffusion, lam)
+                absolute(lam, lam)  # reflect at the hard edge
             clamp_total += clamped
-    _check_state(frame, work, step)
-    for slot in slots.get(step, ()):
-        out[:, slot] = lam.T
+            step += 1
+            take(ends_index, 0, ends, "clip")
+            subtract(ends_hi, ends_lo, gaps)
+            work.min_gap = min_gap = gaps_flat[argmin()]
+            if not min_gap >= 0.0:
+                _check_state(frame, work, step)
+            if step in slots:
+                for slot in slots[step]:
+                    out[:, slot] = lam.T
     return out, clamp_total
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from freezing_dyson import cli, stochastic
 from freezing_dyson.cli import _fmt, main, read_root_tuple
 from freezing_dyson.dynamics import GkTrajectory
-from freezing_dyson.elemsym import MonicPolynomial
+from freezing_dyson.elemsym import MonicPolynomial, RootTuple
 
 
 def run_cli(argv, capsys):
@@ -334,6 +334,44 @@ def test_clt_laguerre_without_alpha_exit_2(mode, tmp_path, capsys):
     assert code == 2
     assert "--alpha" in err
     assert not out.exists()
+
+
+def test_simulate_laguerre_without_alpha_exit_2(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    code, stdout, err = run_cli(
+        ["simulate", "--kind", "laguerre", "--n", "3", "--beta", "100", "--t", "0.01",
+         "--dt", "0.001", "--paths", "2", "--seed", "1", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert err == "error: missing required parameter --alpha\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_simulate_csv_matches_per_row_template(tmp_path):
+    # the time of a record slot is formatted once for all its rows; the bytes
+    # must be those of one "%.17g,%d,%.17g,..." template applied per row, at
+    # record times that need all 17 digits and at a repeated slot
+    out = tmp_path / "sim.csv"
+    record = (0.0, 0.03, 0.07, 0.07, 0.1)
+    argv = [
+        "simulate", "--kind", "laguerre", "--n", "3", "--beta", "3", "--alpha", "0.7",
+        "--t", "0.1", "--dt", "0.01", "--paths", "7", "--seed", "4",
+        "--record", ",".join(map(str, record)), "--out", str(out),
+    ]
+    assert main(argv) == 0
+    cfg = stochastic.SimConfig(
+        beta=3.0, n=3, t_end=0.1, dt=0.01, initial=RootTuple((0.0,) * 3),
+        seed=4, paths=7, record_times=record, alpha=0.7,
+    )
+    data = stochastic.simulate_laguerre(cfg).data
+    template = "%.17g,%d" + ",%.17g" * 3
+    expect = [
+        template % (t, p, *data[p, slot]) for slot, t in enumerate(record) for p in range(7)
+    ]
+    assert "%.17g" % 0.07 == "0.070000000000000007"
+    assert out.read_bytes().split(b"\n", 2)[2] == ("\n".join(expect) + "\n").encode()
 
 
 def test_simulate_csv_matches_per_value_formatting(tmp_path, monkeypatch):

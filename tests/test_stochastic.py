@@ -294,6 +294,16 @@ def test_step_unstable_raises():
         simulate_dyson(cfg)
 
 
+@pytest.mark.parametrize("start", [(0.0, 2e8), (-3e8, 0.0)])
+def test_start_beyond_the_bounds_fails_after_step_one(start):
+    # the start itself is recorded as given; the state after step 1 fails
+    cfg = make_cfg(n=2, initial=RootTuple(start), t_end=0.0, record_times=(0.0,))
+    assert simulate_dyson(cfg).data[0, 0].tolist() == list(start)
+    cfg = make_cfg(n=2, initial=RootTuple(start), t_end=0.01, record_times=(0.0, 0.01))
+    with pytest.raises(StepUnstable, match="at step 1;"):
+        simulate_dyson(cfg)
+
+
 def test_nan_state_raises_step_unstable(monkeypatch):
     from freezing_dyson import stochastic
 
@@ -670,6 +680,26 @@ def test_gap_at_the_clamp_floor_matches_oracle(kind, below):
     ens = assert_matches_oracle(cfg, kind)
     if below:
         assert ens.clamp_events >= cfg.paths
+
+
+@pytest.mark.parametrize(
+    "start",
+    [(-0.0, 0.0, -0.0, 0.4, 1.5), (0.0, 0.0, 0.0, 0.9, 0.9)],
+    ids=["negative-zero", "zero-ties"],
+)
+def test_laguerre_start_at_zero_matches_oracle(start):
+    # the engine takes sqrt(lam) where the oracle takes sqrt(max(lam, 0)):
+    # a -0.0 start flips the sign of a zero inside the first step, which
+    # that step's abs clears, and exact-zero ties need the clamp at once
+    cfg = SimConfig(beta=4.0, n=5, t_end=0.05, dt=1e-3, initial=RootTuple(start), seed=11,
+                    paths=9, record_times=(0.0, 1e-3, 0.05), alpha=0.5)
+    ens = simulate_laguerre(cfg)
+    data, clamps, _ = path_major_simulation(cfg, stochastic.LAGUERRE)
+    assert ens.data.tobytes() == data.tobytes()  # signed zeros included
+    assert ens.clamp_events == clamps > 0
+    negative_zeros = np.signbit(start).sum()
+    assert (np.signbit(ens.data[:, 0]).sum(axis=1) == negative_zeros).all()
+    assert not np.signbit(ens.data[:, 1:]).any()
 
 
 def inject_nan(monkeypatch, kind, faults):

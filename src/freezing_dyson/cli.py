@@ -3,21 +3,22 @@
 Subcommands: zeros, convolve, limit, simulate, clt, moments.  Parameters come
 from flags and/or a JSON config file (flags win); every output begins with a
 metadata block echoing the fully resolved configuration, the seed and the
-library, numpy and Python versions, so re-running with the same metadata
-reproduces the file bit-exactly.  Exit codes: 0 success, 2 usage or parameter
-error, 3 numerical failure.  Only simulate and clt import the Monte Carlo
-modules (stochastic, stats), when they run, so the other subcommands start
-without them.
+library and Python versions, so re-running with the same metadata reproduces
+the file bit-exactly.  The subcommands that run numpy code (convolve and
+limit for their root seeds, simulate and clt throughout) also record numpy's
+version, and simulate and clt the BLAS/LAPACK build.  Exit codes: 0 success,
+2 usage or parameter error, 3 numerical failure.  Only simulate and clt
+import the Monte Carlo modules (stochastic, stats), and only convolve, limit,
+simulate and clt import numpy, once their usage is checked: ``--help``,
+usage errors found before that, zeros and moments load no numpy.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
-import platform
 import sys
-
-import numpy as np
 
 from . import __version__
 from .dynamics import (
@@ -55,15 +56,49 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
+@contextlib.contextmanager
+def _numpy_quiet():
+    """Numpy work with numpy's floating-point warnings off, so that overflow
+    and NaN surface as the checks' own errors, not as warnings.  Entered
+    only once a subcommand's usage is checked, so a usage error loads no
+    numpy."""
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        yield
+
+
 def _meta(command: str, config: dict) -> dict:
-    # generator streams and float formatting depend on numpy and Python
-    return {
+    # float formatting depends on Python; the root seeds of convolve and limit
+    # on numpy, and the Monte Carlo generator streams and eigenvalue batches
+    # on numpy and its BLAS/LAPACK build.  zeros and moments run in pure
+    # Python and load no numpy.
+    meta = {
         "command": command,
         "config": config,
         "version": __version__,
-        "numpy": np.__version__,
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],
     }
+    if command not in ("zeros", "moments"):
+        import numpy as np
+
+        meta["numpy"] = np.__version__
+    if command in ("simulate", "simulate-summary", "clt"):
+        meta["linalg"] = _linalg_build()
+    return meta
+
+
+def _linalg_build():
+    """The BLAS and LAPACK that numpy was built with, as ``{"blas": "name
+    version", "lapack": ...}``, or None where numpy's build record names no
+    such dependencies."""
+    from numpy import __config__
+
+    deps = getattr(__config__, "CONFIG", {}).get("Build Dependencies", {})
+    try:
+        return {lib: f"{deps[lib]['name']} {deps[lib]['version']}" for lib in ("blas", "lapack")}
+    except (KeyError, TypeError):
+        return None
 
 
 def _meta_line(command: str, config: dict) -> str:
@@ -79,10 +114,14 @@ def _check_finite(value, name=None) -> None:
     elif isinstance(value, (list, tuple)):
         for item in value:
             _check_finite(item, name)
-    elif isinstance(value, (float, np.floating, np.ndarray)) and not (
-        np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)
-    ):
-        raise NonFiniteOutput(f"output field {name!r} is not finite")
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise NonFiniteOutput(f"output field {name!r} is not finite")
+    elif (np := sys.modules.get("numpy")) is not None and isinstance(
+        value, (np.floating, np.ndarray)
+    ):  # no numpy value exists before numpy is loaded
+        if not np.isfinite(value).all():
+            raise NonFiniteOutput(f"output field {name!r} is not finite")
 
 
 def _json_output(command: str, config: dict, payload: dict) -> str:
@@ -93,9 +132,10 @@ def _json_output(command: str, config: dict, payload: dict) -> str:
 
 
 def _json_default(obj):
-    if isinstance(obj, np.ndarray):
+    np = sys.modules.get("numpy")  # no numpy value exists before numpy is loaded
+    if np is not None and isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+    if np is not None and isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
@@ -165,7 +205,8 @@ def cmd_convolve(args) -> int:
     ta, tb = read_root_tuple(args.a), read_root_tuple(args.b)
     if ta.n != tb.n:
         raise DimensionMismatch("dimension mismatch")
-    roots = boxplus(ta, tb)
+    with _numpy_quiet():  # the root seeds
+        roots = boxplus(ta, tb)
     config = _echoed(args)
     config["a"], config["b"] = list(ta.roots), list(tb.roots)
     _emit_row(args, "convolve", config, "roots", roots.roots)
@@ -192,15 +233,17 @@ def cmd_limit(args) -> int:
             if args.closed_form or args.verify_ode:
                 raise
             closed = None  # fall back to the ODE route below
-    result = limit_roots(traj, args.t) if closed is None else roots_of_monic(closed)
+    with _numpy_quiet():  # the root seeds
+        result = limit_roots(traj, args.t) if closed is None else roots_of_monic(closed)
     if args.verify_ode:
         # equal exact polynomials have equal roots; unequal ones are solved
         # apart and their roots compared
         ode = traj.polynomial_at(args.t)
         discrepancy = 0.0
         if ode != closed:
-            gaps = np.abs(roots_of_monic(ode).as_array() - result.as_array())
-            discrepancy = float(np.max(gaps))
+            with _numpy_quiet():
+                ode_roots = roots_of_monic(ode).roots
+            discrepancy = max(abs(a - b) for a, b in zip(ode_roots, result.roots))
         print(f"max route discrepancy: {_fmt(discrepancy)}", file=sys.stderr)
         config["route_discrepancy"] = discrepancy
     _emit_row(args, "limit", config, "roots", result.roots)
@@ -208,9 +251,6 @@ def cmd_limit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .stats import ek_drift_report
-    from .stochastic import SimConfig, simulate_dyson, simulate_laguerre
-
     _require(args, ["kind", "n", "beta", "t", "dt", "paths", "seed"])
     if args.kind == "laguerre":
         _require(args, ["alpha"])
@@ -220,6 +260,9 @@ def cmd_simulate(args) -> int:
         if args.initial
         else RootTuple((0.0,) * args.n)
     )
+    from .stats import ek_drift_report
+    from .stochastic import SimConfig, simulate_dyson, simulate_laguerre
+
     cfg = SimConfig(
         beta=args.beta,
         n=args.n,
@@ -231,10 +274,20 @@ def cmd_simulate(args) -> int:
         record_times=record,
         alpha=args.alpha,
     )
-    if args.kind == "dyson":
-        ens = simulate_dyson(cfg)
-    else:
-        ens = simulate_laguerre(cfg)
+    with _numpy_quiet():
+        ens = (simulate_dyson if args.kind == "dyson" else simulate_laguerre)(cfg)
+        # JSON summary: e_k means against the exact g_k(t)
+        rep = ek_drift_report(ens)
+        summary = {
+            "record_times": list(rep.times),
+            "ek_mean": rep.ek_mean,
+            "ek_stderr": rep.ek_stderr,
+            "gk_target": rep.gk_target,
+            "tolerance": rep.tolerance,
+            "passed": rep.passed,
+            "all_passed": rep.all_passed(),
+            "clamp_events": ens.clamp_events,
+        }
     config = _echoed(args)
     config["record"] = list(cfg.record_times)
     config["initial"] = list(initial.roots)
@@ -246,18 +299,6 @@ def cmd_simulate(args) -> int:
     for slot, t in enumerate(cfg.record_times):
         row = "%.17g" % t + values  # a formatted float holds no %
         lines.extend(row % (p, *x) for p, x in enumerate(ens.data[:, slot].tolist()))
-    # JSON summary: e_k means against the exact g_k(t)
-    rep = ek_drift_report(ens)
-    summary = {
-        "record_times": list(rep.times),
-        "ek_mean": rep.ek_mean,
-        "ek_stderr": rep.ek_stderr,
-        "gk_target": rep.gk_target,
-        "tolerance": rep.tolerance,
-        "passed": rep.passed,
-        "all_passed": rep.all_passed(),
-        "clamp_events": ens.clamp_events,
-    }
     text = _json_output("simulate-summary", config, summary)
     _write_text(args.out, "\n".join(lines) + "\n")  # once the summary is checked
     if args.out is None or args.out == "-":
@@ -268,45 +309,46 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_clt(args) -> int:
-    from .stats import clt_covariance_gaussian, clt_covariance_laguerre, primitive_clt_check
-
     _require(args, ["kind", "n", "beta", "samples", "seed"])
     if args.kind == "laguerre":
         _require(args, ["alpha"])
+    from .stats import clt_covariance_gaussian, clt_covariance_laguerre, primitive_clt_check
+
     mode = args.mode or "static"
     config = _echoed(args)
     config["mode"] = mode
-    if mode == "static":
-        if args.kind == "gaussian":
-            rep = clt_covariance_gaussian(args.beta, args.n, args.samples, args.seed)
+    with _numpy_quiet():
+        if mode == "static":
+            if args.kind == "gaussian":
+                rep = clt_covariance_gaussian(args.beta, args.n, args.samples, args.seed)
+            else:
+                rep = clt_covariance_laguerre(
+                    args.beta, args.n, args.alpha, args.samples, args.seed
+                )
+            payload = {
+                "sigma_hat": rep.sigma_hat,
+                "rotated": rep.rotated,
+                "target_diag": rep.target_diag,
+                "off_diag_max": rep.off_diag_max,
+                "diag_rel_err": rep.diag_rel_err,
+                "mc_stderr": rep.mc_stderr,
+                "samples": rep.samples,
+                "diag_pass": rep.diag_pass(),
+                "offdiag_pass": rep.offdiag_pass(),
+            }
         else:
-            rep = clt_covariance_laguerre(
-                args.beta, args.n, args.alpha, args.samples, args.seed
+            rep = primitive_clt_check(
+                args.beta, args.n, args.samples, args.seed, args.kind, alpha=args.alpha
             )
-        payload = {
-            "sigma_hat": rep.sigma_hat,
-            "rotated": rep.rotated,
-            "target_diag": rep.target_diag,
-            "off_diag_max": rep.off_diag_max,
-            "diag_rel_err": rep.diag_rel_err,
-            "mc_stderr": rep.mc_stderr,
-            "samples": rep.samples,
-            "diag_pass": rep.diag_pass(),
-            "offdiag_pass": rep.offdiag_pass(),
-        }
-    else:
-        rep = primitive_clt_check(
-            args.beta, args.n, args.samples, args.seed, args.kind, alpha=args.alpha
-        )
-        payload = {
-            "variances": rep.variances,
-            "targets": rep.targets,
-            "var_stderr": rep.var_stderr,
-            "correlations": rep.correlations,
-            "samples": rep.samples,
-            "variance_pass": rep.variance_pass(),
-            "independence_pass": rep.independence_pass(),
-        }
+            payload = {
+                "variances": rep.variances,
+                "targets": rep.targets,
+                "var_stderr": rep.var_stderr,
+                "correlations": rep.correlations,
+                "samples": rep.samples,
+                "variance_pass": rep.variance_pass(),
+                "independence_pass": rep.independence_pass(),
+            }
     _write_text(args.out, _json_output("clt", config, payload))
     return 0
 
@@ -441,11 +483,9 @@ def main(argv=None) -> int:
         if getattr(args, "format", "csv") is None:
             args.format = "csv"
         for name, value in vars(args).items():
-            if isinstance(value, float) and not np.isfinite(value):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidParameter(f"--{name.replace('_', '-')} must be finite")
-        # overflow and NaN surface as the checks' own errors, not as warnings
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        return args.func(args)
     except (InvalidParameter, DimensionMismatch, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -22,10 +22,10 @@ Probab. Theory Relat. Fields, 2022).  Each route yields an exact
 the float nearest an exact root.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .elemsym import (
     MonicPolynomial,
@@ -80,6 +80,8 @@ class GkTrajectory:
 
     def coefficients_at(self, t: float) -> np.ndarray:
         """The signed elementary symmetric vector ``(g_0(t), ..., g_N(t))``."""
+        import numpy as np
+
         check_real("t", t, 0.0, inclusive=True)
         return np.array([_horner(poly, t) for poly in self.coeff_polys])
 

@@ -10,10 +10,10 @@ trades an N-tuple of reals for an N-tuple of complex numbers whose moment
 sequence reproduces the signed elementary symmetric coefficients.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .elemsym import (
     MonicPolynomial,
@@ -82,6 +82,8 @@ def convolve_esp(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
     argument order.  Non-finite entries or an entry 0 other than 1 raise
     :class:`InvalidParameter`; an output past the float range raises
     :class:`NonFiniteOutput` naming its index."""
+    import numpy as np
+
     a, b = _esp_ints("ea", ea), _esp_ints("eb", eb)
     if len(a) != len(b):
         raise DimensionMismatch("coefficient sequences must share a degree")
@@ -118,16 +120,16 @@ def hermite_roots(n: int, t: float) -> RootTuple:
     """
     check_int("n", n, 1)
     check_real("t", t, 0.0, inclusive=True)
-    z = hermite_zeros(n).as_array()
-    z = 0.5 * (z - z[::-1])  # the spectrum is exactly symmetric
-    return RootTuple(tuple(math.sqrt(t) * z))
+    z = hermite_zeros(n).roots
+    scale = math.sqrt(t)
+    # the exact spectrum is symmetric about 0; so is this one
+    return RootTuple(tuple(scale * (0.5 * (a - b)) for a, b in zip(z, reversed(z))))
 
 
 def laguerre_roots(n: int, alpha: float, t: float) -> RootTuple:
     """``t`` times the zeros of the degree-n monic Laguerre polynomial."""
     check_real("t", t, 0.0, inclusive=True)
-    z = laguerre_zeros(n, alpha).as_array()
-    return RootTuple(tuple(t * z))
+    return RootTuple(tuple(t * a for a in laguerre_zeros(n, alpha).roots))
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,8 @@ class MKLift:
         object.__setattr__(self, "s", tuple(complex(v) for v in self.s))
 
     def power_sums(self) -> np.ndarray:
+        import numpy as np
+
         sv = np.asarray(self.s)
         return np.array([np.sum(sv**k) for k in range(1, self.n + 1)])
 
@@ -160,6 +164,8 @@ def markov_krein_lift(a: RootTuple) -> MKLift:
     to elementary symmetric values by Newton's identities, then takes the
     complex roots as companion-matrix eigenvalues (``np.roots``).
     """
+    import numpy as np
+
     n = a.n
     e = elementary_symmetric(a)
     psums = np.array([n * e[k] / math.comb(n, k) for k in range(1, n + 1)])
@@ -177,6 +183,8 @@ def markov_krein_project(lift: MKLift) -> RootTuple:
     dropped; anything larger, or a non-real-rooted reconstruction, raises
     :class:`NotRealRooted`.
     """
+    import numpy as np
+
     n = lift.n
     psums = lift.power_sums()
     e = np.empty(n + 1, dtype=complex)

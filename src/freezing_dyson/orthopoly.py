@@ -6,18 +6,22 @@ and Laguerre families enter through explicit finite Jacobi matrices whose
 spectra are the polynomial zeros; their *duals* (index-reversed matrices)
 carry the orthogonal systems used by the fluctuation statistics.
 
-Every spectrum comes from LAPACK: ``eigvalsh`` for the eigenvalues, batched
-over many matrices (:func:`eigen_tridiag_batch`; a single matrix is a batch
-of one), and ``eigh`` where spectral measures need the eigenvectors.  A batch
-of two or more chunks is split over the usable cores, with one chunk buffer
-of working memory per worker, and its output is bit-identical for any core
-count: each matrix meets the same LAPACK call on any thread.  ``eigvalsh``
-and ``eigh`` are backward stable, to a small multiple of n * eps * (matrix
-norm); the tests certify each classical Hermite and Laguerre zero within
-1e-14 * max|z| of the exact zero by exact signs of the exact characteristic
-polynomial.  The results are bit-reproducible under one numpy/LAPACK build, like the samplers.
-The classical zeros are cached per (n, alpha) and their types, as immutable
-root tuples, so that a cached ``1`` never answers for ``True``.
+Two eigenvalue kernels serve two kinds of caller.  One matrix at a time
+(:func:`eigen_tridiag`, and through it the classical zeros) goes through a
+pure-Python implicit QL iteration, so the exact side of the library computes
+its zeros without loading numpy, and they depend on no numpy or LAPACK build.
+Batches of many matrices (:func:`eigen_tridiag_batch`, the Monte Carlo
+samplers) go through LAPACK's ``eigvalsh``, and ``eigh`` serves where
+spectral measures need the eigenvectors.  A batch of two or more chunks is
+split over the usable cores, with one chunk buffer of working memory per
+worker, and its output is bit-identical for any core count: each matrix meets
+the same LAPACK call on any thread; it is bit-reproducible under one
+numpy/LAPACK build, like the samplers.  Both kernels are backward stable, to
+a small multiple of n * eps * (matrix norm); the tests certify each classical
+Hermite and Laguerre zero within 1e-14 * max|z| of the exact zero by exact
+signs of the exact characteristic polynomial.  The classical zeros are cached
+per (n, alpha) and their types, as immutable root tuples, so that a cached
+``1`` never answers for ``True``.
 
 Linear statistics of a polynomial of degree k need no spectrum, only the
 power sums ``tr(J^k)``; :func:`_power_traces_batch` forms them for a batch
@@ -25,12 +29,12 @@ from banded products of the matrix entries, with no LAPACK call, so its
 output depends on no LAPACK build.
 """
 
+from __future__ import annotations
+
 import functools
 import math
 import os
 from dataclasses import dataclass
-
-import numpy as np
 
 from .elemsym import RootTuple
 from .errors import DimensionMismatch, InvalidParameter, NoConvergence, check_int, check_real
@@ -88,6 +92,8 @@ class JacobiMatrix:
         return len(self.diag)
 
     def dense(self) -> np.ndarray:
+        import numpy as np
+
         m = np.diag(np.asarray(self.diag))
         off = np.asarray(self.offdiag)
         if len(off):
@@ -164,6 +170,8 @@ def dual(j: JacobiMatrix) -> JacobiMatrix:
 def _as_batch(diag, offdiag, what: str):
     """(M, n) diagonals and (M, n-1) off-diagonals as float arrays, shapes
     checked; non-finite entries (overflowed chi draws) raise NoConvergence."""
+    import numpy as np
+
     diag = np.atleast_2d(np.asarray(diag, dtype=float))
     offdiag = np.atleast_2d(np.asarray(offdiag, dtype=float))
     m, n = diag.shape
@@ -188,10 +196,13 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     call on the same data whichever thread runs it, so the output is bit-
     identical for any core count, and the working memory is one chunk buffer
     per worker whatever M is.  Being backward stable, each eigenvalue is
-    within a small multiple of n * eps * (matrix norm) of exact; the
-    classical zeros are within 1e-14 * max|z|.  Bit-reproducible under one
-    numpy/LAPACK build (the CLI metadata records numpy's version).
+    within a small multiple of n * eps * (matrix norm) of exact.
+    Bit-reproducible under one numpy/LAPACK build (the CLI metadata records
+    numpy's version and the LAPACK build).  This kernel serves the Monte
+    Carlo batches; one matrix at a time goes through :func:`eigen_tridiag`.
     """
+    import numpy as np
+
     diag, offdiag = _as_batch(diag, offdiag, "tridiagonal eigenvalues")
     m, n = diag.shape
     if n == 1:
@@ -211,7 +222,7 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
         _eigvalsh_chunks(*ranges[0])
         return out
     # importing concurrent.futures costs several ms, which one-chunk callers
-    # (every classical zero) would pay at start-up
+    # would pay at start-up
     from concurrent.futures import ThreadPoolExecutor
 
     # leaving the block joins every worker, also when a range raises
@@ -237,6 +248,8 @@ def _eigvalsh_chunks(diag, offdiag, out, dense, step):
     ``out``, ``step`` lanes per ``eigvalsh`` call through the zeroed dense
     buffer ``dense`` ((at least min(M, step), n, n)).  Calls no public
     function of the library, so it may run on any thread."""
+    import numpy as np
+
     m, n = diag.shape
     # eigvalsh reads only the lower triangle, so the buffer's upper part
     # stays zero and only the two written diagonals change between chunks
@@ -269,6 +282,8 @@ def _power_traces_batch(diag: np.ndarray, offdiag: np.ndarray, kmax: int) -> np.
     chunking.  Non-finite entries raise :class:`NoConvergence`, as in
     :func:`eigen_tridiag_batch`.
     """
+    import numpy as np
+
     diag, offdiag = _as_batch(diag, offdiag, "tridiagonal power traces")
     m, n = diag.shape
     out = np.empty((m, kmax + 1))
@@ -325,8 +340,70 @@ def _frobenius(p: list, q: list) -> np.ndarray:
 
 
 def eigen_tridiag(j: JacobiMatrix) -> RootTuple:
-    """All eigenvalues, ascending: :func:`eigen_tridiag_batch` of the one matrix."""
-    return RootTuple(tuple(eigen_tridiag_batch(np.array([j.diag]), np.array([j.offdiag]))[0]))
+    """All eigenvalues of one Jacobi matrix, ascending, in pure Python.
+
+    Implicit QL with Wilkinson shifts, eigenvalues only, in O(n^2) (Bowdler,
+    Martin, Reinsch & Wilkinson, Numer. Math. 1968): each sweep chases a
+    bulge from the bottom of the unreduced block to its first row, whose
+    diagonal converges to an eigenvalue, and an off-diagonal that adds
+    nothing to the sum of its two diagonal neighbours splits the block.
+    The matrix is first scaled by a power of two to norm about 1, which is
+    exact and keeps every shift and rotation in the float range at any
+    entry size.  Backward stable like LAPACK's ``eigvalsh``, within a small
+    multiple of n * eps * (matrix norm) of exact, and with no numpy or
+    LAPACK call, so the result depends on no numpy build.  Each eigenvalue
+    gets at most 30 sweeps, as in LAPACK; past that :class:`NoConvergence`
+    is raised.  This kernel serves single matrices (the classical zeros);
+    batches go through :func:`eigen_tridiag_batch`.
+    """
+    n = j.n
+    if n == 1:
+        return RootTuple(j.diag)
+    k = math.frexp(max(max(map(abs, j.diag)), max(j.offdiag)))[1]
+    d = [math.ldexp(a, -k) for a in j.diag]
+    e = [math.ldexp(b, -k) for b in j.offdiag] + [0.0]
+    hypot, copysign = math.hypot, math.copysign
+    for lo in range(n):
+        sweeps = 0
+        while True:
+            m = lo  # the unreduced block is lo..m
+            while m < n - 1:
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) + dd == dd:
+                    break
+                m += 1
+            if m == lo:
+                break
+            if sweeps == 30:
+                raise NoConvergence("tridiagonal eigenvalues: 30 sweeps without convergence")
+            sweeps += 1
+            # shift: the eigenvalue of the leading 2 x 2 block nearer d[lo]
+            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
+            r = hypot(g, 1.0)
+            g = d[m] - d[lo] + e[lo] / (g + copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, lo - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # the block splits at i + 1: sweep again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[lo] -= p
+                e[lo] = g
+                e[m] = 0.0
+    return RootTuple(tuple(sorted(math.ldexp(a, k) for a in d)))
 
 
 @functools.lru_cache(maxsize=128, typed=True)
@@ -352,6 +429,8 @@ def spectral_measure(j: JacobiMatrix) -> SpectralMeasure:
     sum to 1 within a few ulps at any n; the positive off-diagonal makes the
     eigenvalues distinct.
     """
+    import numpy as np
+
     vals, vecs = np.linalg.eigh(j.dense())
     return SpectralMeasure(RootTuple(tuple(vals)), tuple(vecs[0] ** 2))
 
@@ -362,6 +441,8 @@ def _cd_values(j: JacobiMatrix, atoms: RootTuple | None):
 
     For n = 1 both are exactly 1, so both weight formulas give weight 1.
     """
+    import numpy as np
+
     if atoms is None:
         atoms = eigen_tridiag(j)
     x = atoms.as_array()
@@ -432,6 +513,8 @@ class OrthogonalSystem:
 
     def value(self, m: int, x):
         """q_m evaluated at x (scalar or array) by the recurrence."""
+        import numpy as np
+
         self._check_index(m)
         a = self.source.diag
         b = self.source.offdiag
@@ -448,6 +531,8 @@ class OrthogonalSystem:
 
     def coefficients(self, m: int) -> np.ndarray:
         """Dense coefficients of q_m in ascending powers."""
+        import numpy as np
+
         self._check_index(m)
         a = self.source.diag
         b = self.source.offdiag
@@ -495,6 +580,8 @@ def primitive(sys: OrthogonalSystem, m: int) -> np.ndarray:
 
 def _antiderivative(coeffs) -> np.ndarray:
     """Antiderivative with zero constant term, ascending coefficients."""
+    import numpy as np
+
     c = np.asarray(coeffs, dtype=float)
     out = np.zeros(len(c) + 1)
     out[1:] = c / np.arange(1, len(c) + 1)
@@ -503,6 +590,8 @@ def _antiderivative(coeffs) -> np.ndarray:
 
 def scaled_primitive(sys: OrthogonalSystem, m: int, t: float, x):
     """Time-scaled primitive ``t^((m+1)/2) Q_m(x / sqrt(t))``, for 0 < t < inf."""
+    import numpy as np
+
     check_real("t", t, 0.0)
     q = primitive(sys, m)
     xv = np.asarray(x, dtype=float) / math.sqrt(t)

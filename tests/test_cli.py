@@ -423,7 +423,8 @@ def test_metadata_header_echoes_resolved_config(tmp_path, capsys):
     assert meta["config"]["n"] == 2
     assert meta["config"]["t"] == 1.0
     assert meta["version"]
-    assert meta["numpy"] == np.__version__
+    # zeros runs no numpy code, so its output records no numpy version
+    assert "numpy" not in meta and "linalg" not in meta
     assert meta["python"] == platform.python_version()
     # simulate echoes the tuple it started from, given or default
     init = tmp_path / "init.csv"
@@ -438,20 +439,52 @@ def test_metadata_header_echoes_resolved_config(tmp_path, capsys):
         meta = json.loads(out.read_text().splitlines()[0][2:])
         assert meta["config"]["initial"] == initial
         assert meta["numpy"] == np.__version__
+        assert meta["linalg"] == expected_linalg_build()
         summary = json.loads((tmp_path / "sim.csv.summary.json").read_text())
         assert summary["meta"]["config"]["initial"] == initial
+        assert summary["meta"]["linalg"] == meta["linalg"]
     # limit and convolve echo the tuples they read, not the file paths
     code, out, _ = run_cli(
         ["limit", "--kind", "gaussian", "--initial", str(init), "--t", "0.5"], capsys
     )
     assert code == 0
-    assert json.loads(out.splitlines()[0][2:])["config"]["initial"] == [-0.5, 0.25]
+    meta = json.loads(out.splitlines()[0][2:])
+    assert meta["config"]["initial"] == [-0.5, 0.25]
+    assert meta["numpy"] == np.__version__  # the root seeds
     code, out, _ = run_cli(
         ["convolve", "--a", str(init), "--b", str(init), "--format", "json"], capsys
     )
     assert code == 0
-    config = json.loads(out)["meta"]["config"]
-    assert config["a"] == config["b"] == [-0.5, 0.25]
+    meta = json.loads(out)["meta"]
+    assert meta["config"]["a"] == meta["config"]["b"] == [-0.5, 0.25]
+    assert meta["numpy"] == np.__version__ and "linalg" not in meta
+    code, out, _ = run_cli(["moments", "--n", "3", "--max", "4"], capsys)
+    meta = json.loads(out.splitlines()[0][2:])
+    assert code == 0 and "numpy" not in meta and "linalg" not in meta
+
+
+def expected_linalg_build():
+    # numpy 1.26 and later record their build; older ones do not (null)
+    deps = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies")
+    if deps is None:
+        return None
+    return {lib: f"{deps[lib]['name']} {deps[lib]['version']}" for lib in ("blas", "lapack")}
+
+
+def test_monte_carlo_metadata_records_the_linalg_build(tmp_path, monkeypatch, capsys):
+    # clt's eigenvalue batches and report moments run in numpy's BLAS/LAPACK,
+    # so its output records which build it ran on
+    argv = ["clt", "--kind", "gaussian", "--n", "3", "--beta", "1e4", "--samples", "50",
+            "--seed", "1"]
+    code, out, _ = run_cli(argv, capsys)
+    meta = json.loads(out)["meta"]
+    assert code == 0
+    assert meta["numpy"] == np.__version__
+    assert meta["linalg"] == expected_linalg_build()
+    # a numpy whose build record names no BLAS/LAPACK records null
+    monkeypatch.delattr(np.__config__, "CONFIG")
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["meta"]["linalg"] is None
 
 
 def test_metadata_echoes_every_parsed_parameter(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The import contract: the package resolves its public names on first use,
-and the exact-side subcommands run without loading the Monte Carlo modules.
-Each check runs in a fresh interpreter, so no earlier import hides a load."""
+the exact-side subcommands run without loading the Monte Carlo modules, and
+``--help``, usage errors, zeros and moments load no numpy.  Each check runs
+in a fresh interpreter, so no earlier import hides a load."""
 
 import ast
 import json
@@ -71,6 +72,51 @@ def test_monte_carlo_subcommands_load_their_modules(argv, tmp_path):
     code, loaded = loaded_after_main(argv, tmp_path)
     assert code == 0
     assert loaded == MONTE_CARLO
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["zeros", "--family", "gamma", "--n", "3"], 2),  # rejected by argparse
+        (["zeros", "--n", "3"], 2),  # --family missing
+        (["zeros", "--family", "laguerre", "--n", "3", "--alpha", "0"], 2),
+        (["zeros", "--family", "hermite", "--n", "12", "--t", "2"], 0),
+        (["zeros", "--family", "laguerre", "--n", "9", "--alpha", "2.5", "--format", "json"], 0),
+        (["moments", "--n", "3", "--max", "6"], 0),
+    ],
+    ids=["help", "argparse-error", "missing-flag", "bad-alpha", "zeros-hermite",
+         "zeros-laguerre", "moments"],
+)
+def test_numpy_free_runs_load_no_numpy(argv, code, tmp_path):
+    # both sys.modules at exit and python -X importtime, which lists every
+    # module imported, name no numpy module
+    if argv != ["--help"]:
+        argv = argv + ["--out", "run.out"]
+    script = (
+        "import json, sys\n"
+        "from freezing_dyson import cli\n"
+        "try:\n"
+        f"    code = cli.main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, [m for m in sys.modules if m.partition('.')[0] == 'numpy']]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", script], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got, loaded = json.loads(proc.stdout.splitlines()[-1])
+    timed = [
+        line.split("|")[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert got == code
+    assert "freezing_dyson.cli" in timed
+    assert loaded == []
+    assert [m for m in timed if m.partition(".")[0] == "numpy"] == []
 
 
 def test_package_resolves_each_public_name_on_first_use(tmp_path):

@@ -164,15 +164,19 @@ def test_eigen_tridiag_vs_bisection_oracle():
 
 
 def test_eigen_tridiag_batch_matches_scalar():
-    # a matrix's eigenvalues do not depend on its neighbours in the batch
+    # a matrix's eigenvalues do not depend on its neighbours in the batch, and
+    # the single-matrix QL kernel agrees with the batch within backward error
     rng = np.random.default_rng(5)
     for n in (1, 2, 5, 11):
         diags = rng.normal(0, 1, (40, n))
         offs = rng.uniform(0.2, 2.0, (40, n - 1))
         batch = eigen_tridiag_batch(diags, offs)
         for i in range(40):
+            alone = eigen_tridiag_batch(diags[i : i + 1], offs[i : i + 1])
+            assert np.array_equal(batch[i], alone[0])
             single = eigen_tridiag(JacobiMatrix(tuple(diags[i]), tuple(offs[i]))).as_array()
-            assert np.array_equal(batch[i], single)
+            bound = backward_error_bound(diags[i : i + 1], offs[i : i + 1])[0]
+            assert np.all(np.abs(single - alone[0]) <= bound)
 
 
 def test_hermite_char_poly_matches_explicit_expansion():
@@ -446,19 +450,19 @@ def test_classical_zeros_certified_by_exact_signs(n):
 # The blocked kernel, eigen_tridiag_batch, builds its dense matrices chunk by
 # chunk in one reused buffer.  A classical matrix anywhere in a batch that
 # spans two chunks (at either end of each, the second one ragged) must give
-# the cached zeros bit for bit, whatever rows surround it.
+# its batch of one bit for bit, whatever rows surround it.
 @pytest.mark.parametrize("n", range(2, 81))
 def test_blocked_kernel_bit_identical_on_classical_matrices(n):
     step = _CHUNK_ELEMS // (n * n)
     d, o = gbe_tridiagonal_batch(2.0, n, step + 7, np.random.default_rng(n))
-    cases = [(hermite_zeros(n), hermite_jacobi(n))]
-    cases += [(laguerre_zeros(n, a), laguerre_jacobi(n, a)) for a in LAGUERRE_ALPHAS]
+    cases = [hermite_jacobi(n)] + [laguerre_jacobi(n, a) for a in LAGUERRE_ALPHAS]
     rows = (0, step - 1, step, step + 3, step + 6)
-    for row, (_, j) in zip(rows, cases):
+    for row, j in zip(rows, cases):
         d[row], o[row] = j.diag, j.offdiag
     got = eigen_tridiag_batch(d, o)
-    for row, (zeros, _) in zip(rows, cases):
-        assert np.array_equal(got[row], zeros.as_array())
+    for row, j in zip(rows, cases):
+        alone = eigen_tridiag_batch(np.array([j.diag]), np.array([j.offdiag]))
+        assert np.array_equal(got[row], alone[0])
 
 
 # M within one chunk of dense matrices, spanning two (a ragged second one),
@@ -598,7 +602,8 @@ def test_single_matrix_and_one_chunk_batch_make_no_executor(monkeypatch):
 
     monkeypatch.setattr(orthopoly, "_usable_cores", lambda: 3)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Refused)
-    assert eigen_tridiag(hermite_jacobi(40)) == hermite_zeros(40)
+    j = hermite_jacobi(40)
+    eigen_tridiag_batch(np.array([j.diag]), np.array([j.offdiag]))
     n = 4
     step = _CHUNK_ELEMS // (n * n)
     d, o = gbe_tridiagonal_batch(2.0, n, step + 1, np.random.default_rng(1))
@@ -712,16 +717,65 @@ def test_sturm_count_monotone_in_x(jac, xs):
 @settings(max_examples=60, deadline=None)
 @given(_jacobi)
 def test_eigenvalues_match_eigvalsh(jac):
-    # eigen_tridiag is eigvalsh on one matrix: hold it to the Sturm oracle
+    # hold the single-matrix QL kernel to the Sturm oracle
     d, o = np.array([jac[0]]), np.array([jac[1]])
     got = eigen_tridiag(JacobiMatrix(tuple(jac[0]), tuple(jac[1]))).as_array()
     assert np.all(np.abs(got - per_index_bisection(d, o)[0]) <= backward_error_bound(d, o)[0])
 
 
+# Entries spread over 10^+-8 in size, and off-diagonals down to 1e-300, far
+# below the others, so that some matrices split into blocks.
+_wide_jacobi = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-8.0, 8.0)).map(
+                lambda su: su[0] * 10.0 ** su[1]
+            ),
+            min_size=n,
+            max_size=n,
+        ),
+        st.lists(
+            st.one_of(st.floats(-8.0, 8.0), st.floats(-300.0, -8.0)).map(lambda u: 10.0**u),
+            min_size=n - 1,
+            max_size=n - 1,
+        ),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_jacobi)
+def test_single_matrix_kernel_sorted_interlacing_trace_and_batch(jac):
+    # the QL kernel's eigenvalues come back sorted, interlace with those of the
+    # leading (n-1) x (n-1) block (Cauchy), sum to the trace and match the
+    # LAPACK batch, each within 8 n eps |J|_1
+    diag, off = jac
+    n = len(diag)
+    norm = max(abs(a) + sum(off[max(i - 1, 0) : i + 1]) for i, a in enumerate(diag))
+    tol = 8 * n * np.finfo(float).eps * norm
+    lam = eigen_tridiag(JacobiMatrix(tuple(diag), tuple(off))).roots
+    assert list(lam) == sorted(lam)
+    assert abs(math.fsum(lam) - math.fsum(diag)) <= tol
+    batch = eigen_tridiag_batch(np.array([diag]), np.array(off).reshape(1, n - 1))[0]
+    assert np.all(np.abs(np.array(lam) - batch) <= tol)
+    if n > 1:
+        mu = eigen_tridiag(JacobiMatrix(tuple(diag[:-1]), tuple(off[:-1]))).roots
+        assert all(lam[i] - tol <= mu[i] <= lam[i + 1] + tol for i in range(n - 1))
+
+
+def test_single_matrix_kernel_sweep_cap():
+    # a NaN never converges: past 30 sweeps the kernel raises, not loops
+    j = object.__new__(JacobiMatrix)
+    object.__setattr__(j, "diag", (math.nan, 0.0, 1.0))
+    object.__setattr__(j, "offdiag", (1.0, 1.0))
+    with pytest.raises(NoConvergence, match="^tridiagonal eigenvalues: 30 sweeps without"):
+        eigen_tridiag(j)
+
+
 @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200, 1e300])
 def test_eigen_tridiag_accurate_at_extreme_scales(s):
     # squared off-diagonals leave the float range past about 1e+-154; the
-    # kernel bisects an exact power-of-two rescaling of J instead
+    # kernel runs on an exact power-of-two rescaling of J instead
     base = JacobiMatrix((1.0, -3.0, 2.0), (2.0, 0.5))
     expect = np.linalg.eigvalsh(base.dense())
     j = JacobiMatrix(tuple(s * a for a in base.diag), tuple(s * b for b in base.offdiag))

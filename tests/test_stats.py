@@ -16,6 +16,7 @@ from freezing_dyson.orthopoly import (
     primitive,
 )
 from freezing_dyson.stats import (
+    _covariance_report,
     _moments,
     _primitive_statistics,
     build_q_matrix_gaussian,
@@ -434,3 +435,36 @@ def test_process_clt_check_guards():
     assert rep.covariances.shape == (2, 2, 2)
     with pytest.raises(InvalidParameter):
         process_clt_check(zens, 3)
+
+
+# From a zero start, each engine's t = 1 marginal is the static ensemble of
+# the static CLT, so that report applies unchanged to the last record: the
+# rotated covariance's diagonal is 1/(k+1).  E[e_k] does not see the noise
+# amplitude, so this is the check that holds the Laguerre engine's diffusion
+# constant: scaled by 1.03 it gives diagonal errors of 0.06-0.09 here.
+@pytest.mark.parametrize("kind", ["dyson", "laguerre"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_sde_t1_marginal_passes_the_static_clt_report(kind, n):
+    beta, alpha = 1e4, 1.0
+    cfg = SimConfig(
+        beta=beta,
+        n=n,
+        t_end=1.0,
+        dt=1e-3,
+        initial=RootTuple((0.0,) * n),
+        seed=1,
+        paths=5000,
+        record_times=(1.0,),
+        alpha=alpha if kind == "laguerre" else None,
+    )
+    if kind == "dyson":
+        lam = simulate_dyson(cfg).data[:, -1, :].T
+        v = math.sqrt(beta / 2.0) * (lam - hermite_zeros(n).as_array()[:, None])
+        rep = _covariance_report(v, build_q_matrix_gaussian(n), beta, "gaussian")
+    else:
+        lam = simulate_laguerre(cfg).data[:, -1, :].T
+        z = laguerre_zeros(n, alpha).as_array()
+        v = math.sqrt(2.0 * beta) * (np.sqrt(lam) - np.sqrt(z)[:, None])
+        rep = _covariance_report(v, build_q_matrix_laguerre(n, alpha), beta, "laguerre")
+    assert rep.samples == 5000
+    assert rep.diag_pass(0.05), rep.diag_rel_err

@@ -33,6 +33,7 @@ _PUBLIC = {
     "finfree": (
         "MKLift",
         "boxplus",
+        "convolve_esp",
         "hermite_roots",
         "laguerre_roots",
         "markov_krein_lift",
@@ -42,9 +43,11 @@ _PUBLIC = {
         "JacobiMatrix",
         "OrthogonalSystem",
         "SpectralMeasure",
+        "christoffel_darboux_weights",
         "dual",
         "dual_hermite_system",
         "dual_laguerre_system",
+        "dual_spectral_weights_cd",
         "eigen_tridiag",
         "hermite_jacobi",
         "hermite_zeros",
@@ -77,7 +80,10 @@ _PUBLIC = {
     ),
     "stats": (
         "CovarianceReport",
+        "EkDriftReport",
         "MomentProcessEstimate",
+        "PrimitiveCltReport",
+        "ProcessCltReport",
         "build_q_matrix_gaussian",
         "build_q_matrix_laguerre",
         "clt_covariance_gaussian",
@@ -86,6 +92,7 @@ _PUBLIC = {
         "moment_process_estimate",
         "primitive_clt_check",
         "process_clt_check",
+        "within_tolerance",
     ),
 }
 _SUBMODULE = {name: module for module, names in _PUBLIC.items() for name in names}

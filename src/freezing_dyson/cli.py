@@ -9,12 +9,13 @@ limit for their root seeds, simulate and clt throughout) also record numpy's
 version, and simulate and clt the BLAS/LAPACK build.  Exit codes: 0 success,
 2 usage or parameter error, 3 numerical failure.  Only simulate and clt
 import the Monte Carlo modules (stochastic, stats), and only convolve, limit,
-simulate and clt import numpy, once their usage is checked: ``--help``,
-usage errors found before that, zeros and moments load no numpy.
+simulate and clt load numpy, once their usage is checked, running its work
+with its floating-point warnings off, so that overflow and NaN surface as the
+checks' own errors: ``--help``, usage errors found before that, zeros and
+moments load no numpy.
 """
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -26,7 +27,6 @@ from .dynamics import (
     gaussian_gk,
     laguerre_closed_polynomial,
     laguerre_gk,
-    limit_roots,
     moment_sequence,
 )
 from .elemsym import RootTuple, roots_of_monic
@@ -37,6 +37,8 @@ from .errors import (
     NonFiniteOutput,
     NotRealRooted,
     StepUnstable,
+    is_numpy,
+    np,
 )
 from .finfree import boxplus, hermite_roots, laguerre_roots
 
@@ -56,23 +58,7 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-@contextlib.contextmanager
-def _numpy_quiet():
-    """Numpy work with numpy's floating-point warnings off, so that overflow
-    and NaN surface as the checks' own errors, not as warnings.  Entered
-    only once a subcommand's usage is checked, so a usage error loads no
-    numpy."""
-    import numpy as np
-
-    with np.errstate(all="ignore"):
-        yield
-
-
 def _meta(command: str, config: dict) -> dict:
-    # float formatting depends on Python; the root seeds of convolve and limit
-    # on numpy, and the Monte Carlo generator streams and eigenvalue batches
-    # on numpy and its BLAS/LAPACK build.  zeros and moments run in pure
-    # Python and load no numpy.
     meta = {
         "command": command,
         "config": config,
@@ -80,8 +66,6 @@ def _meta(command: str, config: dict) -> dict:
         "python": sys.version.split()[0],
     }
     if command not in ("zeros", "moments"):
-        import numpy as np
-
         meta["numpy"] = np.__version__
     if command in ("simulate", "simulate-summary", "clt"):
         meta["linalg"] = _linalg_build()
@@ -92,9 +76,7 @@ def _linalg_build():
     """The BLAS and LAPACK that numpy was built with, as ``{"blas": "name
     version", "lapack": ...}``, or None where numpy's build record names no
     such dependencies."""
-    from numpy import __config__
-
-    deps = getattr(__config__, "CONFIG", {}).get("Build Dependencies", {})
+    deps = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
     try:
         return {lib: f"{deps[lib]['name']} {deps[lib]['version']}" for lib in ("blas", "lapack")}
     except (KeyError, TypeError):
@@ -117,9 +99,7 @@ def _check_finite(value, name=None) -> None:
     elif isinstance(value, float):
         if not math.isfinite(value):
             raise NonFiniteOutput(f"output field {name!r} is not finite")
-    elif (np := sys.modules.get("numpy")) is not None and isinstance(
-        value, (np.floating, np.ndarray)
-    ):  # no numpy value exists before numpy is loaded
+    elif is_numpy(value, "floating", "ndarray"):
         if not np.isfinite(value).all():
             raise NonFiniteOutput(f"output field {name!r} is not finite")
 
@@ -132,10 +112,9 @@ def _json_output(command: str, config: dict, payload: dict) -> str:
 
 
 def _json_default(obj):
-    np = sys.modules.get("numpy")  # no numpy value exists before numpy is loaded
-    if np is not None and isinstance(obj, np.ndarray):
+    if is_numpy(obj, "ndarray"):
         return obj.tolist()
-    if np is not None and isinstance(obj, (np.floating, np.integer, np.bool_)):
+    if is_numpy(obj, "floating", "integer", "bool_"):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
@@ -205,7 +184,7 @@ def cmd_convolve(args) -> int:
     ta, tb = read_root_tuple(args.a), read_root_tuple(args.b)
     if ta.n != tb.n:
         raise DimensionMismatch("dimension mismatch")
-    with _numpy_quiet():  # the root seeds
+    with np.errstate(all="ignore"):  # the root seeds
         roots = boxplus(ta, tb)
     config = _echoed(args)
     config["a"], config["b"] = list(ta.roots), list(tb.roots)
@@ -218,34 +197,29 @@ def cmd_limit(args) -> int:
     initial = read_root_tuple(args.initial)
     config = _echoed(args)
     config["initial"] = list(initial.roots)
-    # the closed form's exact polynomial, solved by the same root finder as
-    # the ODE route's
+    # the polynomial-ODE route, which holds for every alpha
     if args.kind == "gaussian":
-        closed = gaussian_closed_polynomial(initial, args.t)
-        traj = gaussian_gk(initial) if args.verify_ode else None
+        traj = gaussian_gk(initial)
     else:
         _require(args, ["alpha"])
         traj = laguerre_gk(initial, args.alpha)
-        try:
-            closed = laguerre_closed_polynomial(initial, args.alpha, args.t)
-        except InvalidParameter:
-            # --verify-ode compares the two routes, so it needs both
-            if args.closed_form or args.verify_ode:
-                raise
-            closed = None  # fall back to the ODE route below
-    with _numpy_quiet():  # the root seeds
-        result = limit_roots(traj, args.t) if closed is None else roots_of_monic(closed)
     if args.verify_ode:
-        # equal exact polynomials have equal roots; unequal ones are solved
-        # apart and their roots compared
-        ode = traj.polynomial_at(args.t)
-        discrepancy = 0.0
-        if ode != closed:
-            with _numpy_quiet():
-                ode_roots = roots_of_monic(ode).roots
-            discrepancy = max(abs(a - b) for a, b in zip(ode_roots, result.roots))
-        print(f"max route discrepancy: {_fmt(discrepancy)}", file=sys.stderr)
-        config["route_discrepancy"] = discrepancy
+        # the closed form, built before the solve: out of its domain (a
+        # Laguerre alpha <= N - 1/2) it is a usage error
+        if args.kind == "gaussian":
+            closed = gaussian_closed_polynomial(initial, args.t)
+        else:
+            closed = laguerre_closed_polynomial(initial, args.alpha, args.t)
+    ode = traj.polynomial_at(args.t)
+    with np.errstate(all="ignore"):  # the root seeds
+        result = roots_of_monic(ode)
+        if args.verify_ode:
+            # equal exact polynomials have equal roots; unequal ones are
+            # solved apart and their roots compared
+            other = result if closed == ode else roots_of_monic(closed)
+            discrepancy = max(abs(a - b) for a, b in zip(other.roots, result.roots))
+            print(f"max route discrepancy: {_fmt(discrepancy)}", file=sys.stderr)
+            config["route_discrepancy"] = discrepancy
     _emit_row(args, "limit", config, "roots", result.roots)
     return 0
 
@@ -274,7 +248,7 @@ def cmd_simulate(args) -> int:
         record_times=record,
         alpha=args.alpha,
     )
-    with _numpy_quiet():
+    with np.errstate(all="ignore"):
         ens = (simulate_dyson if args.kind == "dyson" else simulate_laguerre)(cfg)
         # JSON summary: e_k means against the exact g_k(t)
         rep = ek_drift_report(ens)
@@ -317,7 +291,7 @@ def cmd_clt(args) -> int:
     mode = args.mode or "static"
     config = _echoed(args)
     config["mode"] = mode
-    with _numpy_quiet():
+    with np.errstate(all="ignore"):
         if mode == "static":
             if args.kind == "gaussian":
                 rep = clt_covariance_gaussian(args.beta, args.n, args.samples, args.seed)
@@ -399,11 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument(
         "--verify-ode", dest="verify_ode", action="store_true",
-        help="also build the polynomial-ODE route and compare its exact coefficients "
-        "with the closed form's; the root gap is reported as route_discrepancy "
+        help="also build the closed form and compare its exact coefficients with the "
+        "polynomial-ODE route's; the root gap is reported as route_discrepancy "
         "(0 when the coefficients are equal)",
     )
-    p.add_argument("--closed-form", dest="closed_form", action="store_true")
     common(p)
     p.set_defaults(func=cmd_limit)
 

@@ -35,7 +35,7 @@ from .elemsym import (
     _scaled_value,
     roots_of_monic,
 )
-from .errors import InvalidParameter, check_int, check_real
+from .errors import InvalidParameter, check_int, check_real, np
 from .finfree import _convolve_ints
 
 __all__ = [
@@ -80,8 +80,6 @@ class GkTrajectory:
 
     def coefficients_at(self, t: float) -> np.ndarray:
         """The signed elementary symmetric vector ``(g_0(t), ..., g_N(t))``."""
-        import numpy as np
-
         check_real("t", t, 0.0, inclusive=True)
         return np.array([_horner(poly, t) for poly in self.coeff_polys])
 

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import InvalidParameter, NotRealRooted, check_int
+from .errors import InvalidParameter, NotRealRooted, check_int, np
 
 __all__ = [
     "RootTuple",
@@ -35,8 +35,6 @@ def esp_rows(rows: np.ndarray) -> np.ndarray:
     ``prod_i (1 + x_i s)`` coefficient by coefficient), never subset
     enumeration.
     """
-    import numpy as np
-
     rows = np.asarray(rows, dtype=float)
     m, n = rows.shape
     e = np.zeros((m, n + 1))
@@ -72,8 +70,6 @@ class RootTuple:
         return len(self.roots)
 
     def as_array(self) -> np.ndarray:
-        import numpy as np
-
         return np.array(self.roots, dtype=float)
 
     def shifted(self, offset: float) -> "RootTuple":
@@ -130,14 +126,10 @@ class MonicPolynomial:
 
     def monomial_coefficients(self) -> np.ndarray:
         """Coefficients in descending powers of x: ``c_k = (-1)^k alpha_k``."""
-        import numpy as np
-
         signs = (-1.0) ** np.arange(len(self.alpha))
         return signs * np.asarray(self.alpha)
 
     def __call__(self, x):
-        import numpy as np
-
         return np.polyval(self.monomial_coefficients(), x)
 
 
@@ -152,8 +144,6 @@ def partial_esp(i: int, k: int, x: RootTuple) -> float:
     ``i`` and ``k`` are 1-based.  Equals ``e_(k-1)`` of the tuple with the
     ``i``-th entry removed.
     """
-    import numpy as np
-
     n = x.n
     check_int("i", i, 1)
     check_int("k", k, 1)
@@ -169,8 +159,6 @@ def newton_esp_from_power_sums(powersums: Sequence, n: int) -> np.ndarray:
 
     ``k e_k = sum_{j=1..k} (-1)^(j-1) e_(k-j) p_j``.  Entries may be complex.
     """
-    import numpy as np
-
     check_int("n", n, 0)
     p = np.asarray(powersums)
     if len(p) < n:
@@ -266,8 +254,6 @@ def _seeds(coeffs):
     rescaled to size 1, so that roots far smaller than the largest keep
     their relative accuracy.  A list of complex, sorted by real part.
     """
-    import numpy as np
-
     points = [(k, math.frexp(c)[1]) for k, c in enumerate(coeffs) if c]
     hull = []
     for k, e in points:
@@ -354,8 +340,6 @@ def _clusters(z, roots):
     real line spreads them around a circle whose size the imaginary parts
     show.  A cluster owns the roots nearest its seeds.
     """
-    import numpy as np
-
     height = np.abs(z.imag)
     reach = np.abs(z[:, None] - z[None, :]) <= 4.0 * np.maximum(height[:, None], height[None, :])
     while not np.array_equal(reach, step := reach @ reach):
@@ -382,8 +366,6 @@ def _roots_or_centroids(exact):
     ``2^-1074``; otherwise its roots are not real.
     """
     from fractions import Fraction
-
-    import numpy as np
 
     scale = math.lcm(*(c.denominator for c in exact))
     ints, coeffs = [int(c * scale) for c in exact], [float(c) for c in exact]

@@ -1,7 +1,25 @@
-"""Exception types shared across the library, and the parameter domain checks."""
+"""Exception types shared across the library, the parameter domain checks, and
+``np``, the one binding through which the exact-side modules reach numpy."""
 
+import importlib
 import math
 import sys
+
+__all__ = [
+    "DimensionMismatch", "FreezingDysonError", "InvalidParameter", "NoConvergence",
+    "NonFiniteOutput", "NotRealRooted", "StepUnstable",
+]
+
+
+class _Numpy:
+    """numpy, imported on the first attribute lookup and read afresh on each:
+    binding ``np`` loads no numpy, and a patched numpy attribute is seen."""
+
+    def __getattr__(self, name):
+        return getattr(importlib.import_module("numpy"), name)
+
+
+np = _Numpy()
 
 
 class FreezingDysonError(Exception):
@@ -32,16 +50,16 @@ class NonFiniteOutput(FreezingDysonError):
     """A computed value is NaN or infinite."""
 
 
-def _is_numpy(value, *names) -> bool:
+def is_numpy(value, *names) -> bool:
     """Whether ``value`` is an instance of one of the named numpy types.  No
     numpy value exists before numpy is loaded, so this loads no numpy."""
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(value, tuple(getattr(np, name) for name in names))
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(value, tuple(getattr(numpy, n) for n in names))
 
 
 def check_int(name: str, value, low: int) -> None:
     """Raise InvalidParameter unless ``value`` is an integer, not bool, >= ``low``."""
-    integral = isinstance(value, int) or _is_numpy(value, "integer")
+    integral = isinstance(value, int) or is_numpy(value, "integer")
     if isinstance(value, bool) or not integral or value < low:
         raise InvalidParameter(f"{name} must be an integer >= {low} (got {value!r})")
 
@@ -49,7 +67,7 @@ def check_int(name: str, value, low: int) -> None:
 def check_real(name: str, value, low: float, inclusive: bool = False) -> None:
     """Raise InvalidParameter unless ``value`` is a finite real, not bool, > ``low``
     (>= when ``inclusive``)."""
-    real = isinstance(value, (int, float)) or _is_numpy(value, "integer", "floating")
+    real = isinstance(value, (int, float)) or is_numpy(value, "integer", "floating")
     real = real and -math.inf < value < math.inf
     if isinstance(value, bool) or not real or value < low or (value == low and not inclusive):
         op = ">=" if inclusive else ">"

@@ -32,6 +32,7 @@ from .errors import (
     NotRealRooted,
     check_int,
     check_real,
+    np,
 )
 from .orthopoly import hermite_zeros, laguerre_zeros
 
@@ -82,8 +83,6 @@ def convolve_esp(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
     argument order.  Non-finite entries or an entry 0 other than 1 raise
     :class:`InvalidParameter`; an output past the float range raises
     :class:`NonFiniteOutput` naming its index."""
-    import numpy as np
-
     a, b = _esp_ints("ea", ea), _esp_ints("eb", eb)
     if len(a) != len(b):
         raise DimensionMismatch("coefficient sequences must share a degree")
@@ -151,8 +150,6 @@ class MKLift:
         object.__setattr__(self, "s", tuple(complex(v) for v in self.s))
 
     def power_sums(self) -> np.ndarray:
-        import numpy as np
-
         sv = np.asarray(self.s)
         return np.array([np.sum(sv**k) for k in range(1, self.n + 1)])
 
@@ -164,8 +161,6 @@ def markov_krein_lift(a: RootTuple) -> MKLift:
     to elementary symmetric values by Newton's identities, then takes the
     complex roots as companion-matrix eigenvalues (``np.roots``).
     """
-    import numpy as np
-
     n = a.n
     e = elementary_symmetric(a)
     psums = np.array([n * e[k] / math.comb(n, k) for k in range(1, n + 1)])
@@ -183,8 +178,6 @@ def markov_krein_project(lift: MKLift) -> RootTuple:
     dropped; anything larger, or a non-real-rooted reconstruction, raises
     :class:`NotRealRooted`.
     """
-    import numpy as np
-
     n = lift.n
     psums = lift.power_sums()
     e = np.empty(n + 1, dtype=complex)

@@ -37,7 +37,7 @@ import os
 from dataclasses import dataclass
 
 from .elemsym import RootTuple
-from .errors import DimensionMismatch, InvalidParameter, NoConvergence, check_int, check_real
+from .errors import DimensionMismatch, InvalidParameter, NoConvergence, check_int, check_real, np
 
 __all__ = [
     "JacobiMatrix",
@@ -92,8 +92,6 @@ class JacobiMatrix:
         return len(self.diag)
 
     def dense(self) -> np.ndarray:
-        import numpy as np
-
         m = np.diag(np.asarray(self.diag))
         off = np.asarray(self.offdiag)
         if len(off):
@@ -170,8 +168,6 @@ def dual(j: JacobiMatrix) -> JacobiMatrix:
 def _as_batch(diag, offdiag, what: str):
     """(M, n) diagonals and (M, n-1) off-diagonals as float arrays, shapes
     checked; non-finite entries (overflowed chi draws) raise NoConvergence."""
-    import numpy as np
-
     diag = np.atleast_2d(np.asarray(diag, dtype=float))
     offdiag = np.atleast_2d(np.asarray(offdiag, dtype=float))
     m, n = diag.shape
@@ -201,8 +197,6 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     numpy's version and the LAPACK build).  This kernel serves the Monte
     Carlo batches; one matrix at a time goes through :func:`eigen_tridiag`.
     """
-    import numpy as np
-
     diag, offdiag = _as_batch(diag, offdiag, "tridiagonal eigenvalues")
     m, n = diag.shape
     if n == 1:
@@ -248,8 +242,6 @@ def _eigvalsh_chunks(diag, offdiag, out, dense, step):
     ``out``, ``step`` lanes per ``eigvalsh`` call through the zeroed dense
     buffer ``dense`` ((at least min(M, step), n, n)).  Calls no public
     function of the library, so it may run on any thread."""
-    import numpy as np
-
     m, n = diag.shape
     # eigvalsh reads only the lower triangle, so the buffer's upper part
     # stays zero and only the two written diagonals change between chunks
@@ -282,8 +274,6 @@ def _power_traces_batch(diag: np.ndarray, offdiag: np.ndarray, kmax: int) -> np.
     chunking.  Non-finite entries raise :class:`NoConvergence`, as in
     :func:`eigen_tridiag_batch`.
     """
-    import numpy as np
-
     diag, offdiag = _as_batch(diag, offdiag, "tridiagonal power traces")
     m, n = diag.shape
     out = np.empty((m, kmax + 1))
@@ -429,8 +419,6 @@ def spectral_measure(j: JacobiMatrix) -> SpectralMeasure:
     sum to 1 within a few ulps at any n; the positive off-diagonal makes the
     eigenvalues distinct.
     """
-    import numpy as np
-
     vals, vecs = np.linalg.eigh(j.dense())
     return SpectralMeasure(RootTuple(tuple(vals)), tuple(vecs[0] ** 2))
 
@@ -441,8 +429,6 @@ def _cd_values(j: JacobiMatrix, atoms: RootTuple | None):
 
     For n = 1 both are exactly 1, so both weight formulas give weight 1.
     """
-    import numpy as np
-
     if atoms is None:
         atoms = eigen_tridiag(j)
     x = atoms.as_array()
@@ -513,8 +499,6 @@ class OrthogonalSystem:
 
     def value(self, m: int, x):
         """q_m evaluated at x (scalar or array) by the recurrence."""
-        import numpy as np
-
         self._check_index(m)
         a = self.source.diag
         b = self.source.offdiag
@@ -531,8 +515,6 @@ class OrthogonalSystem:
 
     def coefficients(self, m: int) -> np.ndarray:
         """Dense coefficients of q_m in ascending powers."""
-        import numpy as np
-
         self._check_index(m)
         a = self.source.diag
         b = self.source.offdiag
@@ -580,8 +562,6 @@ def primitive(sys: OrthogonalSystem, m: int) -> np.ndarray:
 
 def _antiderivative(coeffs) -> np.ndarray:
     """Antiderivative with zero constant term, ascending coefficients."""
-    import numpy as np
-
     c = np.asarray(coeffs, dtype=float)
     out = np.zeros(len(c) + 1)
     out[1:] = c / np.arange(1, len(c) + 1)
@@ -590,8 +570,6 @@ def _antiderivative(coeffs) -> np.ndarray:
 
 def scaled_primitive(sys: OrthogonalSystem, m: int, t: float, x):
     """Time-scaled primitive ``t^((m+1)/2) Q_m(x / sqrt(t))``, for 0 < t < inf."""
-    import numpy as np
-
     check_real("t", t, 0.0)
     q = primitive(sys, m)
     xv = np.asarray(x, dtype=float) / math.sqrt(t)

@@ -149,21 +149,20 @@ def test_limit_gaussian_zero_start_small_t_matches_hermite_zeros(tmp_path, capsy
 def test_limit_laguerre_closed_form_rejection(tmp_path, capsys):
     init = tmp_path / "init.csv"
     init.write_text("0,0\n")
-    # alpha <= N - 1/2 with --closed-form: exit 2 with explanation
-    code, _, err = run_cli(
-        [
-            "limit", "--kind", "laguerre", "--initial", str(init),
-            "--t", "1", "--alpha", "1.5", "--closed-form",
-        ],
-        capsys,
-    )
+    argv = ["limit", "--kind", "laguerre", "--initial", str(init), "--t", "1", "--alpha", "1.5"]
+    # limit answers from one route, so there is no --closed-form flag and no
+    # closed_form config key to choose another
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--closed-form"])
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"closed_form": True}))
+    code, _, err = run_cli(argv + ["--config", str(cfgfile)], capsys)
     assert code == 2
-    assert "alpha" in err
-    # without the flag: ODE route result
-    code, out, _ = run_cli(
-        ["limit", "--kind", "laguerre", "--initial", str(init), "--t", "1", "--alpha", "1.5"],
-        capsys,
-    )
+    assert "unknown config key 'closed_form'" in err
+    # alpha <= N - 1/2 is outside the closed form's domain, not the ODE
+    # route's, which gives the Laguerre zeros from the zero start
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
     vals = [float(v) for v in body_rows(out)[0].split(",")]
     from freezing_dyson.finfree import laguerre_roots
@@ -177,19 +176,18 @@ def test_limit_verify_ode_needs_the_closed_form(tmp_path, capsys, monkeypatch):
     init = tmp_path / "init.csv"
     init.write_text("0.5,1.0\n")
     argv = ["limit", "--kind", "laguerre", "--initial", str(init), "--alpha", "1.5", "--t", "1"]
-    ode_calls = []
-    real = cli.limit_roots
-    monkeypatch.setattr(cli, "limit_roots", lambda *a: ode_calls.append(a) or real(*a))
+    solves = []
+    real = cli.roots_of_monic
+    monkeypatch.setattr(cli, "roots_of_monic", lambda p: solves.append(p) or real(p))
     code, out, err = run_cli(argv + ["--verify-ode"], capsys)
-    assert code == 2 and out == ""
+    assert code == 2 and out == "" and solves == []  # refused before any solve
     assert err.splitlines() == [
         "error: closed form needs alpha > N - 1/2 (got alpha=1.5, N=2); "
         "the ODE route has no such restriction"
     ]
-    # without either flag the ODE route stands in, and runs once
-    ode_calls.clear()
+    # without the flag the ODE route answers, as at every alpha, solved once
     code, out, err = run_cli(argv, capsys)
-    assert code == 0 and err == "" and len(ode_calls) == 1
+    assert code == 0 and err == "" and len(solves) == 1
     assert "route_discrepancy" not in out
 
 
@@ -815,7 +813,7 @@ FUZZ_RUNS = {  # subcommand: {flag: (valid value, pool)}
     "limit": {
         "--kind": ("laguerre", ["gaussian", "dyson", None]), "--initial": ("triple.csv", TUPLES),
         "--t": ("1.5", REALS), "--alpha": ("3.5", REALS),
-        "--verify-ode": (True, [False]), "--closed-form": (False, [True]),
+        "--verify-ode": (True, [False]),
     },
     "moments": {"--n": ("3", COUNTS), "--max": ("4", ["60", "61", "0", "-1", "x", None])},
     "simulate": {

@@ -1,9 +1,12 @@
 """The import contract: the package resolves its public names on first use,
 the exact-side subcommands run without loading the Monte Carlo modules, and
-``--help``, usage errors, zeros and moments load no numpy.  Each check runs
-in a fresh interpreter, so no earlier import hides a load."""
+``--help``, usage errors, zeros and moments load no numpy.  Each check of
+what a run loads runs in a fresh interpreter, so no earlier import hides a
+load; the checks on the source (the package's name table, the one numpy
+binding, the CLI's imports) read the modules or their parse."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -173,3 +176,53 @@ def test_cli_imports_no_private_name():
     ]
     private = [n for n in imported if n.startswith("_") and not n.endswith("__")]
     assert imported and private == []
+
+
+def test_package_lists_each_submodules_public_names():
+    # the package table must name what each submodule declares public, or a
+    # public name is missing from ``freezing_dyson`` (or a stale one kept)
+    import freezing_dyson
+
+    for module, names in freezing_dyson._PUBLIC.items():
+        declared = importlib.import_module(f"freezing_dyson.{module}").__all__
+        assert sorted(names) == sorted(declared), module
+
+
+def _imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] == "numpy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy"
+
+
+def _names_numpy(node) -> bool:
+    """The name ``numpy``, or "numpy" as a call's argument or a key of
+    ``sys.modules`` (as in ``import_module("numpy")``)."""
+    if isinstance(node, ast.Call):
+        operands = node.args
+    elif isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "modules":
+        operands = [node.slice]
+    else:
+        return isinstance(node, ast.Name) and node.id == "numpy"
+    return any(isinstance(op, ast.Constant) and op.value == "numpy" for op in operands)
+
+
+def test_numpy_is_bound_once():
+    # the exact-side modules reach numpy through the lazy ``errors.np``; only
+    # stats and stochastic, which always need numpy, import it, at module
+    # level, and no function imports it (the parse alone is checked)
+    package = os.path.join(SRC, "freezing_dyson")
+    local, top, naming = [], [], set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        module = name[: -len(".py")]
+        for node in ast.walk(tree):
+            if _imports_numpy(node):
+                (top if node in tree.body else local).append((module, node.lineno))
+            elif _names_numpy(node):
+                naming.add(module)
+    assert local == []
+    assert [module for module, _ in top] == ["stats", "stochastic"]
+    assert naming == {"errors"}

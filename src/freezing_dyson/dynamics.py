@@ -25,12 +25,13 @@ the float nearest an exact root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .elemsym import (
     MonicPolynomial,
     RootTuple,
+    _Value,
     _exact_esp,
+    _numbers,
     _rounded,
     _scaled_value,
     roots_of_monic,
@@ -52,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GkTrajectory:
+class GkTrajectory(_Value):
     """Exact polynomial trajectories of the elementary symmetric coordinates.
 
     ``coeff_polys[k]`` holds the ascending t-coefficients of ``g_k(t)``,
@@ -63,8 +63,11 @@ class GkTrajectory:
     rounded floats.
     """
 
-    coeff_polys: tuple
-    exact: tuple = field(repr=False, compare=False)
+    _compared = _shown = ("coeff_polys",)
+
+    def __init__(self, coeff_polys, exact):
+        object.__setattr__(self, "coeff_polys", coeff_polys)
+        object.__setattr__(self, "exact", exact)
 
     @property
     def n(self) -> int:
@@ -243,16 +246,16 @@ def laguerre_limit_closed(initial: RootTuple, alpha: float, t: float) -> RootTup
     return roots_of_monic(laguerre_closed_polynomial(initial, alpha, t))
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(_Value):
     """Scale-free moments ``u_0..u_max`` of the zero-start freezing limit;
     the time-t moments are ``m_k(t) = u_k t^(k/2)``."""
 
-    u: tuple
-    n: int
+    _compared = _shown = ("u", "n")
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", tuple(float(v) for v in self.u))
+    def __init__(self, u, n):
+        check_int("n", n, 1)
+        object.__setattr__(self, "u", _numbers("u", u))
+        object.__setattr__(self, "n", n)
 
     def moment_at(self, k: int, t: float) -> float:
         """``m_k(t)`` for k = 0..max_order."""

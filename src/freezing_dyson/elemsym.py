@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import InvalidParameter, NotRealRooted, check_int, np
 
@@ -44,14 +43,51 @@ def esp_rows(rows: np.ndarray) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
-class RootTuple:
+class _Value:
+    """An immutable value, as a frozen dataclass: ``__init__`` sets the fields
+    with ``object.__setattr__``, values of one class are equal (and hash alike)
+    when their ``_compared`` fields are, and the repr shows ``_shown``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+
+def _numbers(name: str, values, kind=float) -> tuple:
+    """``values`` as a tuple of ``kind`` (float or complex); InvalidParameter
+    for a str or bytes, or for an entry that ``kind`` refuses."""
+    if isinstance(values, (str, bytes)):
+        raise InvalidParameter(f"{name} must be a sequence of numbers, not {type(values).__name__}")
+    try:
+        return tuple(kind(v) for v in values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameter(f"{name} must be a sequence of numbers ({exc})") from None
+
+
+class RootTuple(_Value):
     """An ordered tuple of N real numbers, sorted ascending (ties allowed)."""
 
-    roots: tuple
+    _compared = _shown = ("roots",)
 
-    def __post_init__(self):
-        roots = tuple(float(r) for r in self.roots)
+    def __init__(self, roots):
+        roots = _numbers("root tuple", roots)
         if len(roots) < 1:
             raise InvalidParameter("a root tuple needs at least one entry")
         if not all(math.isfinite(r) for r in roots):
@@ -63,7 +99,7 @@ class RootTuple:
     @classmethod
     def from_values(cls, values) -> "RootTuple":
         """Build from an arbitrary iterable, sorting ascending."""
-        return cls(tuple(sorted(float(v) for v in values)))
+        return cls(tuple(sorted(_numbers("root tuple", values))))
 
     @property
     def n(self) -> int:
@@ -76,8 +112,7 @@ class RootTuple:
         return RootTuple(tuple(r + offset for r in self.roots))
 
 
-@dataclass(frozen=True)
-class MonicPolynomial:
+class MonicPolynomial(_Value):
     """Monic degree-N polynomial ``sum_k (-1)^k alpha_k x^(N-k)``, held exactly.
 
     ``ints`` holds its descending monomial coefficients as coprime integers
@@ -89,11 +124,10 @@ class MonicPolynomial:
     ``alpha_k = e_k(roots)`` exactly, then rounded.
     """
 
-    alpha: tuple = field(compare=False)
-    ints: tuple = field(init=False, repr=False)
+    _compared, _shown = ("ints",), ("alpha",)
 
-    def __post_init__(self):
-        alpha = tuple(float(a) for a in self.alpha)
+    def __init__(self, alpha):
+        alpha = _numbers("alpha", alpha)
         if len(alpha) < 2:
             raise InvalidParameter("a monic polynomial needs degree >= 1")
         if alpha[0] != 1.0:

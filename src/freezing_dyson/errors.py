@@ -16,7 +16,7 @@ class _Numpy:
     binding ``np`` loads no numpy, and a patched numpy attribute is seen."""
 
     def __getattr__(self, name):
-        return getattr(importlib.import_module("numpy"), name)
+        return getattr(sys.modules.get("numpy") or importlib.import_module("numpy"), name)
 
 
 np = _Numpy()

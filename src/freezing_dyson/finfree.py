@@ -13,12 +13,13 @@ sequence reproduces the signed elementary symmetric coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .elemsym import (
     MonicPolynomial,
     RootTuple,
+    _Value,
     _exact_esp,
+    _numbers,
     _rounded,
     _scaled_ints,
     elementary_symmetric,
@@ -131,8 +132,7 @@ def laguerre_roots(n: int, alpha: float, t: float) -> RootTuple:
     return RootTuple(tuple(t * a for a in laguerre_zeros(n, alpha).roots))
 
 
-@dataclass(frozen=True)
-class MKLift:
+class MKLift(_Value):
     """Complex N-tuple s with ``binom(N,k) mean(s^k) = e_k(a)`` for the source a.
 
     The labeling of the s_i is not canonical; the tuple is stored sorted by
@@ -140,14 +140,15 @@ class MKLift:
     multiset.
     """
 
-    s: tuple
-    n: int
+    _compared = _shown = ("s", "n")
 
-    def __post_init__(self):
-        check_int("n", self.n, 1)
-        if len(self.s) != self.n:
+    def __init__(self, s, n):
+        check_int("n", n, 1)
+        s = _numbers("lift", s, complex)
+        if len(s) != n:
             raise InvalidParameter("lift needs exactly n entries")
-        object.__setattr__(self, "s", tuple(complex(v) for v in self.s))
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "n", n)
 
     def power_sums(self) -> np.ndarray:
         sv = np.asarray(self.s)

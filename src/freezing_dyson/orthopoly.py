@@ -34,9 +34,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 
-from .elemsym import RootTuple
+from .elemsym import RootTuple, _Value, _numbers
 from .errors import DimensionMismatch, InvalidParameter, NoConvergence, check_int, check_real, np
 
 __all__ = [
@@ -66,16 +65,14 @@ __all__ = [
 _CHUNK_ELEMS = 1 << 17
 
 
-@dataclass(frozen=True)
-class JacobiMatrix:
+class JacobiMatrix(_Value):
     """Symmetric tridiagonal matrix with strictly positive off-diagonal."""
 
-    diag: tuple
-    offdiag: tuple
+    _compared = _shown = ("diag", "offdiag")
 
-    def __post_init__(self):
-        diag = tuple(float(a) for a in self.diag)
-        off = tuple(float(b) for b in self.offdiag)
+    def __init__(self, diag, offdiag):
+        diag = _numbers("diag", diag)
+        off = _numbers("offdiag", offdiag)
         if len(diag) < 1:
             raise InvalidParameter("Jacobi matrix needs at least one row")
         if len(off) != len(diag) - 1:
@@ -99,21 +96,22 @@ class JacobiMatrix:
         return m
 
 
-@dataclass(frozen=True)
-class SpectralMeasure:
+class SpectralMeasure(_Value):
     """Finitely supported probability measure: atoms with nonnegative weights."""
 
-    atoms: RootTuple
-    weights: tuple
+    _compared = _shown = ("atoms", "weights")
 
-    def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
-        if len(w) != self.atoms.n:
+    def __init__(self, atoms, weights):
+        if not isinstance(atoms, RootTuple):
+            raise InvalidParameter(f"atoms must be a RootTuple (got {type(atoms).__name__})")
+        w = _numbers("weights", weights)
+        if len(w) != atoms.n:
             raise InvalidParameter("one weight per atom required")
         if not all(v >= -1e-12 for v in w):
             raise InvalidParameter("weights must be nonnegative and not NaN")
         if abs(sum(w) - 1.0) > 1e-10:
             raise InvalidParameter("weights must sum to 1 within 1e-10")
+        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", w)
 
 
@@ -473,8 +471,7 @@ def dual_spectral_weights_cd(j: JacobiMatrix, atoms: RootTuple | None = None) ->
     return p / dp
 
 
-@dataclass(frozen=True)
-class OrthogonalSystem:
+class OrthogonalSystem(_Value):
     """Monic orthogonal polynomials of a Jacobi matrix, with squared norms.
 
     ``source`` drives the three-term recurrence
@@ -483,8 +480,13 @@ class OrthogonalSystem:
     under the source's spectral measure.
     """
 
-    source: JacobiMatrix
-    squared_norms: tuple
+    _compared = _shown = ("source", "squared_norms")
+
+    def __init__(self, source, squared_norms):
+        if not isinstance(source, JacobiMatrix):
+            raise InvalidParameter(f"source must be a JacobiMatrix (got {type(source).__name__})")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "squared_norms", _numbers("squared_norms", squared_norms))
 
     @classmethod
     def from_jacobi(cls, j: JacobiMatrix) -> "OrthogonalSystem":

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from freezing_dyson.dynamics import (
+    MomentSequence,
     gaussian_gk,
     gaussian_limit_closed,
     laguerre_gk,
@@ -16,10 +17,18 @@ from freezing_dyson.dynamics import (
     limit_roots,
     moment_sequence,
 )
-from freezing_dyson.elemsym import RootTuple, newton_esp_from_power_sums, partial_esp
+from freezing_dyson.elemsym import (
+    MonicPolynomial,
+    RootTuple,
+    newton_esp_from_power_sums,
+    partial_esp,
+)
 from freezing_dyson.errors import DimensionMismatch, InvalidParameter, NonFiniteOutput
 from freezing_dyson.finfree import MKLift, convolve_esp, hermite_roots, laguerre_roots
 from freezing_dyson.orthopoly import (
+    JacobiMatrix,
+    OrthogonalSystem,
+    SpectralMeasure,
     dual_hermite_system,
     dual_laguerre_system,
     hermite_jacobi,
@@ -96,6 +105,7 @@ ENTRY_POINTS = {
     "moment_sequence": (moment_sequence, dict(n_sys=3, max_order=4)),
     "GkTrajectory.value": (TRAJECTORY.value, dict(k=1, t=0.5)),
     "GkTrajectory.coefficients_at": (TRAJECTORY.coefficients_at, dict(t=0.5)),
+    "MomentSequence": (MomentSequence, dict(u=(1.0, 0.0, 3.0), n=3)),
     "MomentSequence.moment_at": (MOMENTS.moment_at, dict(k=2, t=0.5)),
     "SimConfig": (_config, {}),
     "SimConfig.record_times": (lambda t: _config(record_times=(t,)), dict(t=0.25)),
@@ -158,6 +168,7 @@ INTEGER_PARAMETERS = [
     ("moment_sequence", "n_sys", "n_sys"),
     ("moment_sequence", "max_order", "max_order"),
     ("GkTrajectory.value", "k", "k"),
+    ("MomentSequence", "n", "n"),
     ("MomentSequence.moment_at", "k", "k"),
     ("SimConfig", "n", "n"),
     ("SimConfig", "seed", "seed"),
@@ -310,6 +321,46 @@ def test_head_reproducers():
     for case in cases:
         with pytest.raises(InvalidParameter):
             case()
+
+
+SEQUENCE = r"must be a sequence of numbers"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RootTuple("12"), rf"^root tuple {SEQUENCE}, not str$"),
+        (lambda: RootTuple(b"12"), rf"^root tuple {SEQUENCE}, not bytes$"),
+        (lambda: RootTuple(("a",)), rf"^root tuple {SEQUENCE} \(could not convert string"),
+        (lambda: RootTuple(3.0), rf"^root tuple {SEQUENCE} \('float' object is not iterable\)$"),
+        (lambda: RootTuple((10**400,)), rf"^root tuple {SEQUENCE} \(int too large"),
+        (lambda: RootTuple.from_values("21"), rf"^root tuple {SEQUENCE}, not str$"),
+        (lambda: MonicPolynomial((1, "x")), rf"^alpha {SEQUENCE} \(could not convert string"),
+        (lambda: MonicPolynomial("11"), rf"^alpha {SEQUENCE}, not str$"),
+        (lambda: JacobiMatrix("1", ()), rf"^diag {SEQUENCE}, not str$"),
+        (lambda: JacobiMatrix((0.0, 0.0), [None]), rf"^offdiag {SEQUENCE} \(float\(\) argument"),
+        (lambda: SpectralMeasure((0, 1), (0.5, 0.5)), r"^atoms must be a RootTuple \(got tuple\)$"),
+        (lambda: SpectralMeasure(RootTuple((0.0,)), "1"), rf"^weights {SEQUENCE}, not str$"),
+        (lambda: OrthogonalSystem((0.0,), (1.0,)), r"^source must be a JacobiMatrix \(got tuple\)$"),
+        (lambda: OrthogonalSystem(hermite_jacobi(1), "1"), rf"^squared_norms {SEQUENCE}, not str$"),
+        (lambda: MKLift("12", 2), rf"^lift {SEQUENCE}, not str$"),
+        (lambda: MKLift((1.0, "i"), 2), rf"^lift {SEQUENCE} \(complex\(\) arg is a malformed"),
+        (lambda: MomentSequence((1.0,), 0), r"^n must be an integer >= 1 \(got 0\)$"),
+        (lambda: MomentSequence(("u",), 1), rf"^u {SEQUENCE} \(could not convert string"),
+    ],
+    ids=[
+        "RootTuple-str", "RootTuple-bytes", "RootTuple-entry", "RootTuple-scalar",
+        "RootTuple-overflow", "RootTuple.from_values-str", "MonicPolynomial-entry",
+        "MonicPolynomial-str", "JacobiMatrix-str", "JacobiMatrix-entry", "SpectralMeasure-atoms",
+        "SpectralMeasure-str", "OrthogonalSystem-source", "OrthogonalSystem-str", "MKLift-str", "MKLift-entry", "MomentSequence-n",
+        "MomentSequence-entry",
+    ],
+)
+def test_value_constructors_reject_malformed_input(build, message):
+    # each was once taken as given (a str read as its characters, n = 0) or
+    # ended in float()'s ValueError or TypeError, or in an AttributeError
+    with pytest.raises(InvalidParameter, match=message):
+        build()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from freezing_dyson.dynamics import GkTrajectory, MomentSequence
 from freezing_dyson.elemsym import (
     MonicPolynomial,
     RootTuple,
@@ -18,6 +21,8 @@ from freezing_dyson.elemsym import (
     roots_of_monic,
 )
 from freezing_dyson.errors import InvalidParameter, NotRealRooted
+from freezing_dyson.finfree import MKLift
+from freezing_dyson.orthopoly import JacobiMatrix, OrthogonalSystem, SpectralMeasure
 
 
 def esp_by_enumeration(values, k):
@@ -153,6 +158,86 @@ def test_monic_polynomial_invariants():
     assert p.alpha == (1.0, 0.0, -1.0)
     assert p.degree == 2
     assert p(2.0) == pytest.approx(3.0)
+
+
+# The eight exact-side value types, each as (a value, an equal value built
+# apart, a different value of the same class, its repr, the fields that
+# ``==`` and ``hash`` read); the reprs and hashes are those of the frozen
+# dataclasses the types once were.
+JACOBI = JacobiMatrix((0.0, 1.0), (0.5,))
+VALUE_CASES = {
+    "RootTuple": (
+        RootTuple((-1.5, 0.0, 2.25)), RootTuple.from_values([2.25, -1.5, 0]),
+        RootTuple((-1.5, 0.0, 2.5)), "RootTuple(roots=(-1.5, 0.0, 2.25))", ("roots",),
+    ),
+    "MonicPolynomial": (  # compares the exact integers, shows alpha
+        MonicPolynomial((1.0, 0.5, -2.0)), MonicPolynomial.from_integers((2, 1, -4)),
+        MonicPolynomial((1.0, 0.5, -1.0)), "MonicPolynomial(alpha=(1.0, 0.5, -2.0))", ("ints",),
+    ),
+    "JacobiMatrix": (
+        JACOBI, JacobiMatrix([0, 1], [0.5]), JacobiMatrix((0.0, 1.0), (0.25,)),
+        "JacobiMatrix(diag=(0.0, 1.0), offdiag=(0.5,))", ("diag", "offdiag"),
+    ),
+    "SpectralMeasure": (
+        SpectralMeasure(RootTuple((0.0, 1.0)), (0.25, 0.75)),
+        SpectralMeasure(RootTuple((0, 1)), [0.25, 0.75]),
+        SpectralMeasure(RootTuple((0.0, 1.0)), (0.5, 0.5)),
+        "SpectralMeasure(atoms=RootTuple(roots=(0.0, 1.0)), weights=(0.25, 0.75))",
+        ("atoms", "weights"),
+    ),
+    "OrthogonalSystem": (
+        OrthogonalSystem(JACOBI, (1.0, 0.25)), OrthogonalSystem.from_jacobi(JACOBI),
+        OrthogonalSystem(JACOBI, (1.0, 0.5)),
+        "OrthogonalSystem(source=JacobiMatrix(diag=(0.0, 1.0), offdiag=(0.5,)),"
+        " squared_norms=(1.0, 0.25))",
+        ("source", "squared_norms"),
+    ),
+    "MKLift": (
+        MKLift((1 + 2j, 3.0), 2), MKLift([1 + 2j, 3], 2), MKLift((1 - 2j, 3.0), 2),
+        "MKLift(s=((1+2j), (3+0j)), n=2)", ("s", "n"),
+    ),
+    "GkTrajectory": (  # compares and shows coeff_polys, not the exact integers
+        GkTrajectory(((1.0,), (0.5, 1.0)), ((2,), (1, 2))),
+        GkTrajectory(((1.0,), (0.5, 1.0)), ((4,), (2, 4))),
+        GkTrajectory(((1.0,), (0.5, 2.0)), ((2,), (1, 4))),
+        "GkTrajectory(coeff_polys=((1.0,), (0.5, 1.0)))", ("coeff_polys",),
+    ),
+    "MomentSequence": (
+        MomentSequence((1.0, 0.0, 3.0), 3), MomentSequence([1, 0, 3], 3),
+        MomentSequence((1.0, 0.0, 3.0), 2), "MomentSequence(u=(1.0, 0.0, 3.0), n=3)", ("u", "n"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CASES))
+def test_value_types_compare_hash_and_show_as_frozen_dataclasses(name):
+    value, equal, other, shown, compared = VALUE_CASES[name]
+    assert value == equal and not value != equal and hash(value) == hash(equal)
+    assert value != other and not value == other
+    assert hash(value) == hash(tuple(getattr(value, field) for field in compared))
+    assert repr(value) == shown
+    # values of different classes are never equal, even with equal fields
+    for rival in VALUE_CASES.values():
+        assert (value == rival[0]) == (rival[0] is value)
+    assert value != tuple(getattr(value, field) for field in compared)
+    subclass = type("Derived", (type(value),), {})
+    derived = copy.copy(value)
+    object.__setattr__(derived, "__class__", subclass)
+    assert derived != value and value != derived and vars(derived) == vars(value)
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CASES))
+def test_value_types_are_immutable_and_round_trip(name):
+    value = VALUE_CASES[name][0]
+    state = dict(vars(value))
+    for field in [*state, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert vars(value) == state
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(twin) is type(value) and twin == value and vars(twin) == state
 
 
 def test_roots_of_monic_quadratic_formula_oracle():

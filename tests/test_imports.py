@@ -1,9 +1,10 @@
 """The import contract: the package resolves its public names on first use,
 the exact-side subcommands run without loading the Monte Carlo modules, and
-``--help``, usage errors, zeros and moments load no numpy.  Each check of
-what a run loads runs in a fresh interpreter, so no earlier import hides a
-load; the checks on the source (the package's name table, the one numpy
-binding, the CLI's imports) read the modules or their parse."""
+``--help``, usage errors, zeros and moments load no numpy, ``dataclasses`` or
+``inspect``.  Each check of what a run loads runs in a fresh interpreter, so
+no earlier import hides a load; the checks on the source (the package's name
+table, the one numpy binding, the exact side's imports) read the modules or
+their parse."""
 
 import ast
 import importlib
@@ -16,6 +17,9 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 MONTE_CARLO = ["freezing_dyson.stochastic", "freezing_dyson.stats", "numpy.random"]
+# stdlib modules that the exact side's start-up does without: dataclasses
+# imports inspect, which imports ast, dis and tokenize
+HEAVY_STDLIB = ["dataclasses", "inspect"]
 
 
 def run_fresh(script: str, cwd):
@@ -93,7 +97,7 @@ def test_monte_carlo_subcommands_load_their_modules(argv, tmp_path):
 )
 def test_numpy_free_runs_load_no_numpy(argv, code, tmp_path):
     # both sys.modules at exit and python -X importtime, which lists every
-    # module imported, name no numpy module
+    # module imported, name no numpy module and neither dataclasses nor inspect
     if argv != ["--help"]:
         argv = argv + ["--out", "run.out"]
     script = (
@@ -103,7 +107,8 @@ def test_numpy_free_runs_load_no_numpy(argv, code, tmp_path):
         f"    code = cli.main({argv!r})\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(json.dumps([code, [m for m in sys.modules if m.partition('.')[0] == 'numpy']]))\n"
+        "print(json.dumps([code, [m for m in sys.modules\n"
+        f"                         if m.partition('.')[0] in ['numpy', *{HEAVY_STDLIB!r}]]]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", script], cwd=tmp_path,
@@ -119,7 +124,7 @@ def test_numpy_free_runs_load_no_numpy(argv, code, tmp_path):
     assert got == code
     assert "freezing_dyson.cli" in timed
     assert loaded == []
-    assert [m for m in timed if m.partition(".")[0] == "numpy"] == []
+    assert [m for m in timed if m.partition(".")[0] in ["numpy", *HEAVY_STDLIB]] == []
 
 
 def test_package_resolves_each_public_name_on_first_use(tmp_path):
@@ -188,10 +193,11 @@ def test_package_lists_each_submodules_public_names():
         assert sorted(names) == sorted(declared), module
 
 
-def _imports_numpy(node) -> bool:
+def _imports(node, packages) -> bool:
+    """Whether ``node`` imports from one of the top-level ``packages``."""
     if isinstance(node, ast.Import):
-        return any(alias.name.partition(".")[0] == "numpy" for alias in node.names)
-    return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy"
+        return any(alias.name.partition(".")[0] in packages for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] in packages
 
 
 def _names_numpy(node) -> bool:
@@ -206,23 +212,42 @@ def _names_numpy(node) -> bool:
     return any(isinstance(op, ast.Constant) and op.value == "numpy" for op in operands)
 
 
+def parsed_modules():
+    """(module name, parse) of each module of the package, by name."""
+    package = os.path.join(SRC, "freezing_dyson")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                yield name[: -len(".py")], ast.parse(fh.read())
+
+
 def test_numpy_is_bound_once():
     # the exact-side modules reach numpy through the lazy ``errors.np``; only
     # stats and stochastic, which always need numpy, import it, at module
     # level, and no function imports it (the parse alone is checked)
-    package = os.path.join(SRC, "freezing_dyson")
     local, top, naming = [], [], set()
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        module = name[: -len(".py")]
+    for module, tree in parsed_modules():
         for node in ast.walk(tree):
-            if _imports_numpy(node):
+            if _imports(node, ["numpy"]):
                 (top if node in tree.body else local).append((module, node.lineno))
             elif _names_numpy(node):
                 naming.add(module)
     assert local == []
     assert [module for module, _ in top] == ["stats", "stochastic"]
     assert naming == {"errors"}
+
+
+def test_exact_side_imports_no_dataclasses_or_typing():
+    # the exact side's value types derive from elemsym._Value rather than
+    # frozen dataclasses; only stats and stochastic, which load numpy
+    # anyway, may import dataclasses (the parse alone is checked)
+    exact_side = ["__init__", "cli", "dynamics", "elemsym", "errors", "finfree", "orthopoly"]
+    modules = dict(parsed_modules())
+    assert sorted(set(modules) - {"stats", "stochastic"}) == exact_side
+    found = [
+        (module, node.lineno)
+        for module in exact_side
+        for node in ast.walk(modules[module])
+        if _imports(node, ["dataclasses", "typing"])
+    ]
+    assert found == []

@@ -25,6 +25,7 @@ the float nearest an exact root.
 from __future__ import annotations
 
 import math
+import operator
 
 from .elemsym import (
     MonicPolynomial,
@@ -56,62 +57,58 @@ __all__ = [
 class GkTrajectory(_Value):
     """Exact polynomial trajectories of the elementary symmetric coordinates.
 
-    ``coeff_polys[k]`` holds the ascending t-coefficients of ``g_k(t)``,
-    k = 0..N.  ``g_0`` is identically 1 and ``g_k(0) = e_k(initial)``.
-    ``exact`` holds the same coefficients as integers over ``exact[0][0]``
-    (the coefficient of ``g_0 = 1``), and ``coeff_polys`` their correctly
-    rounded floats.
+    ``exact[k]`` holds the ascending t-coefficients of ``g_k(t)``, k = 0..N,
+    as integers over ``exact[0][0] > 0``, the one coefficient of
+    ``g_0 = 1``; ``g_k(0) = e_k(initial)``.  ``coeff_polys`` shows them
+    correctly rounded, and :meth:`value` and :meth:`coefficients_at` round
+    each g_k once from its exact value at the float t.
     """
 
     _compared = _shown = ("coeff_polys",)
 
-    def __init__(self, coeff_polys, exact):
-        object.__setattr__(self, "coeff_polys", coeff_polys)
+    def __init__(self, exact):
+        exact = _numbers("g_k", exact, lambda poly: _numbers("g_k", poly, operator.index))
+        if len(exact) < 2 or not all(exact) or len(exact[0]) != 1 or exact[0][0] <= 0:
+            raise InvalidParameter("g_k needs N >= 1 nonempty polynomials, g_0 a positive integer")
         object.__setattr__(self, "exact", exact)
 
     @property
+    def coeff_polys(self) -> tuple:
+        """The ascending t-coefficients of each g_k, correctly rounded."""
+        den = self.exact[0][0]
+        return tuple(tuple(_rounded(c, den) for c in poly) for poly in self.exact)
+
+    @property
     def n(self) -> int:
-        return len(self.coeff_polys) - 1
+        return len(self.exact) - 1
 
     def value(self, k: int, t: float) -> float:
-        """``g_k(t)`` for k = 0..N."""
+        """``g_k(t)`` for k = 0..N, correctly rounded."""
         check_int("k", k, 0)
         check_real("t", t, 0.0, inclusive=True)
         if k > self.n:
             raise InvalidParameter(f"k must be <= N = {self.n} (got {k!r})")
-        return _horner(self.coeff_polys[k], t)
+        nums = self._scaled_at(t)
+        return _rounded(nums[k], nums[0])
 
     def coefficients_at(self, t: float) -> np.ndarray:
-        """The signed elementary symmetric vector ``(g_0(t), ..., g_N(t))``."""
+        """The signed elementary symmetric vector ``(g_0(t), ..., g_N(t))``,
+        each correctly rounded."""
         check_real("t", t, 0.0, inclusive=True)
-        return np.array([_horner(poly, t) for poly in self.coeff_polys])
+        nums = self._scaled_at(t)
+        return np.array([_rounded(c, nums[0]) for c in nums])
 
     def polynomial_at(self, t: float) -> MonicPolynomial:
-        """The exact polynomial whose ``alpha_k`` is ``g_k(t)`` at the float t:
-        each g_k evaluated at ``t = p / q`` as the integer ``q^D g_k(p / q)``
-        over ``q^D exact[0][0]``, D the largest degree."""
+        """The exact polynomial whose ``alpha_k`` is ``g_k(t)`` at the float t."""
         check_real("time", t, 0.0, inclusive=True)
+        return MonicPolynomial.from_integers(self._scaled_at(t))
+
+    def _scaled_at(self, t: float) -> list:
+        """Each g_k at the float ``t = p / q`` as the integer ``q^D g_k(p / q)``
+        over entry 0, ``q^D exact[0][0]``, D the largest degree."""
         p, q = float(t).as_integer_ratio()
-        shift = q.bit_length() - 1
-        top = max(len(poly) for poly in self.exact)
-        return MonicPolynomial.from_integers(
-            [_scaled_value(poly[::-1], p, q) << (shift * (top - len(poly))) for poly in self.exact]
-        )
-
-
-def _horner(coeffs, t: float) -> float:
-    """Ascending coefficients evaluated at t in Python floats, in the order
-    ``np.polynomial.polynomial.polyval`` uses, so bit for bit the same."""
-    t, acc = float(t), 0.0
-    for c in reversed(coeffs):
-        acc = float(c) + acc * t
-    return acc
-
-
-def _trajectory(polys) -> GkTrajectory:
-    den = polys[0][0]
-    floats = tuple(tuple(_rounded(c, den) for c in poly) for poly in polys)
-    return GkTrajectory(floats, tuple(tuple(poly) for poly in polys))
+        shift, top = q.bit_length() - 1, max(map(len, self.exact))
+        return [_scaled_value(c[::-1], p, q) << (shift * (top - len(c))) for c in self.exact]
 
 
 def gaussian_gk(initial: RootTuple) -> GkTrajectory:
@@ -128,7 +125,7 @@ def gaussian_gk(initial: RootTuple) -> GkTrajectory:
     for k in range(2, n + 1):
         rate = (n - k + 1) * (n - k + 2)
         polys[k] += [-rate * c // (2 * j) for j, c in enumerate(polys[k - 2], 1)]
-    return _trajectory(polys)
+    return GkTrajectory(polys)
 
 
 def laguerre_gk(initial: RootTuple, alpha: float) -> GkTrajectory:
@@ -148,7 +145,7 @@ def laguerre_gk(initial: RootTuple, alpha: float) -> GkTrajectory:
     for k in range(1, n + 1):
         rate = (n - k + 1) * ((n - k) * q + a)
         polys[k] += [rate * c // (q * j) for j, c in enumerate(polys[k - 1], 1)]
-    return _trajectory(polys)
+    return GkTrajectory(polys)
 
 
 def limit_roots(traj: GkTrajectory, t: float) -> RootTuple:
@@ -269,17 +266,16 @@ class MomentSequence(_Value):
 def moment_sequence(n_sys: int, max_order: int) -> MomentSequence:
     """The self-convolutive recurrence
     ``u_(2m) = -(2m-1) u_(2m-2) + N sum_(j<m) u_(2j) u_(2m-2-2j)``,
-    odd entries zero.  ``u_k`` equals the k-th moment of the uniform measure
-    on the degree-N Hermite zeros."""
+    odd entries zero, run on integers: each ``u_k`` is correctly rounded, or
+    infinite past the float range.  ``u_k`` equals the k-th moment of the
+    uniform measure on the degree-N Hermite zeros."""
     check_int("n_sys", n_sys, 1)
     check_int("max_order", max_order, 0)
     if max_order > 60:
         raise InvalidParameter("max_order must lie in 0..60 (growth control)")
-    u = [0.0] * (max_order + 1)
-    u[0] = 1.0
+    n_sys = int(n_sys)
+    u = [1] + [0] * max_order
     for m in range(1, max_order // 2 + 1):
-        acc = -(2 * m - 1) * u[2 * m - 2]
-        for j in range(0, m):
-            acc += n_sys * u[2 * j] * u[2 * m - 2 - 2 * j]
-        u[2 * m] = acc
-    return MomentSequence(tuple(u), n_sys)
+        acc = sum(u[2 * j] * u[2 * m - 2 - 2 * j] for j in range(m))
+        u[2 * m] = n_sys * acc - (2 * m - 1) * u[2 * m - 2]
+    return MomentSequence(tuple(_rounded(c, 1) for c in u), n_sys)

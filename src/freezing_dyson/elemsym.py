@@ -168,24 +168,24 @@ class MonicPolynomial(_Value):
 
 
 def elementary_symmetric(x: RootTuple) -> np.ndarray:
-    """``(e_0, ..., e_N)`` of the tuple, with ``e_0 = 1``."""
-    return esp_rows(x.as_array()[None, :])[0]
+    """``(e_0, ..., e_N)`` of the tuple, with ``e_0 = 1``, each correctly rounded."""
+    e = _exact_esp(x.roots)
+    return np.array([_rounded(c, e[0]) for c in e])
 
 
 def partial_esp(i: int, k: int, x: RootTuple) -> float:
     """Partial derivative of ``e_k`` with respect to the ``i``-th coordinate.
 
     ``i`` and ``k`` are 1-based.  Equals ``e_(k-1)`` of the tuple with the
-    ``i``-th entry removed.
+    ``i``-th entry removed, correctly rounded.
     """
     n = x.n
     check_int("i", i, 1)
     check_int("k", k, 1)
     if max(i, k) > n:
         raise InvalidParameter(f"index i={i} or order k={k} out of range 1..{n}")
-    reduced = x.as_array()
-    reduced = np.delete(reduced, i - 1)
-    return float(esp_rows(reduced[None, :])[0, k - 1])
+    e = _exact_esp(x.roots[: i - 1] + x.roots[i:])
+    return _rounded(e[k - 1], e[0])
 
 
 def newton_esp_from_power_sums(powersums: Sequence, n: int) -> np.ndarray:
@@ -217,7 +217,7 @@ def _exact_esp(values):
     ``2^(sN)``.
     """
     ratios = [float(v).as_integer_ratio() for v in values]
-    s = max(den.bit_length() for _, den in ratios) - 1
+    s = max((den.bit_length() for _, den in ratios), default=1) - 1
     e = [1] + [0] * len(ratios)
     for i, (num, den) in enumerate(ratios, 1):
         m = num << (s + 1 - den.bit_length())
@@ -482,7 +482,7 @@ def roots_of_monic(p: MonicPolynomial) -> RootTuple:
     """All N real roots of a real-rooted monic polynomial, sorted ascending.
 
     The solve runs on the exact integers ``p.ints``.  Companion-matrix
-    eigenvalues of their rounded quotients ``ints[k] / ints[0]`` (as
+    eigenvalues of the rounded coefficients ``(-1)^k alpha_k`` (as
     ``np.roots`` takes them, one solve per well-separated root scale) are the
     seeds.  Each takes one Newton step on its exact residual, and a sign
     bracket one ulp wide around the result, grown inside the seed's cell when
@@ -499,7 +499,7 @@ def roots_of_monic(p: MonicPolynomial) -> RootTuple:
     some roots are not real within that backward error.
     """
     ints = p.ints
-    coeffs = [_rounded(c, ints[0]) for c in ints]
+    coeffs = [(-a if k % 2 else a) + 0.0 for k, a in enumerate(p.alpha)]
     for k, c in enumerate(coeffs):
         if not math.isfinite(c):
             raise NotRealRooted(f"coefficient c_{k} = {c!r} is not finite")

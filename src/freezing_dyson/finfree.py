@@ -116,14 +116,13 @@ def hermite_roots(n: int, t: float) -> RootTuple:
     """``sqrt(t)`` times the zeros of the degree-n probabilist Hermite polynomial.
 
     Zeros come from the Jacobi matrix spectrum (the coefficient formula
-    overflows for large n) and are symmetrized exactly about zero.
+    overflows for large n), symmetrized exactly about zero by
+    :func:`~freezing_dyson.orthopoly.hermite_zeros`.
     """
     check_int("n", n, 1)
     check_real("t", t, 0.0, inclusive=True)
-    z = hermite_zeros(n).roots
     scale = math.sqrt(t)
-    # the exact spectrum is symmetric about 0; so is this one
-    return RootTuple(tuple(scale * (0.5 * (a - b)) for a, b in zip(z, reversed(z))))
+    return RootTuple(tuple(scale * a for a in hermite_zeros(n).roots))
 
 
 def laguerre_roots(n: int, alpha: float, t: float) -> RootTuple:

@@ -396,9 +396,11 @@ def eigen_tridiag(j: JacobiMatrix) -> RootTuple:
 
 @functools.lru_cache(maxsize=128, typed=True)
 def hermite_zeros(n: int) -> RootTuple:
-    """Zeros of the degree-n probabilist Hermite polynomial, cached:
-    ``eigen_tridiag(hermite_jacobi(n))``."""
-    return eigen_tridiag(hermite_jacobi(n))
+    """Zeros of the degree-n probabilist Hermite polynomial, cached: the
+    spectrum ``eigen_tridiag(hermite_jacobi(n))`` symmetrized exactly about
+    zero, as the exact zeros are."""
+    z = eigen_tridiag(hermite_jacobi(n)).roots
+    return RootTuple(tuple(0.5 * (a - b) for a, b in zip(z, reversed(z))))
 
 
 @functools.lru_cache(maxsize=128, typed=True)

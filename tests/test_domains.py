@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from freezing_dyson.dynamics import (
+    GkTrajectory,
     MomentSequence,
     gaussian_gk,
     gaussian_limit_closed,
@@ -324,6 +325,7 @@ def test_head_reproducers():
 
 
 SEQUENCE = r"must be a sequence of numbers"
+POLYNOMIALS = r"g_k needs N >= 1 nonempty polynomials, g_0 a positive integer"
 
 
 @pytest.mark.parametrize(
@@ -347,18 +349,28 @@ SEQUENCE = r"must be a sequence of numbers"
         (lambda: MKLift((1.0, "i"), 2), rf"^lift {SEQUENCE} \(complex\(\) arg is a malformed"),
         (lambda: MomentSequence((1.0,), 0), r"^n must be an integer >= 1 \(got 0\)$"),
         (lambda: MomentSequence(("u",), 1), rf"^u {SEQUENCE} \(could not convert string"),
+        (lambda: GkTrajectory("ab"), rf"^g_k {SEQUENCE}, not str$"),
+        (lambda: GkTrajectory(("ab", "cd")), rf"^g_k {SEQUENCE}, not str$"),
+        (lambda: GkTrajectory(((2,), (1.0, 2))), rf"^g_k {SEQUENCE} \('float' object cannot be"),
+        (lambda: GkTrajectory(((2,),)), rf"^{POLYNOMIALS}$"),
+        (lambda: GkTrajectory(((0,), (1, 2))), rf"^{POLYNOMIALS}$"),
+        (lambda: GkTrajectory(((2, 1), (1, 2))), rf"^{POLYNOMIALS}$"),
+        (lambda: GkTrajectory(((2,), ())), rf"^{POLYNOMIALS}$"),
     ],
     ids=[
         "RootTuple-str", "RootTuple-bytes", "RootTuple-entry", "RootTuple-scalar",
         "RootTuple-overflow", "RootTuple.from_values-str", "MonicPolynomial-entry",
         "MonicPolynomial-str", "JacobiMatrix-str", "JacobiMatrix-entry", "SpectralMeasure-atoms",
         "SpectralMeasure-str", "OrthogonalSystem-source", "OrthogonalSystem-str", "MKLift-str", "MKLift-entry", "MomentSequence-n",
-        "MomentSequence-entry",
+        "MomentSequence-entry", "GkTrajectory-str", "GkTrajectory-str-entry",
+        "GkTrajectory-float-entry", "GkTrajectory-no-g1", "GkTrajectory-zero-g0",
+        "GkTrajectory-nonconstant-g0", "GkTrajectory-empty-g1",
     ],
 )
 def test_value_constructors_reject_malformed_input(build, message):
-    # each was once taken as given (a str read as its characters, n = 0) or
-    # ended in float()'s ValueError or TypeError, or in an AttributeError
+    # each was once taken as given (a str read as its characters, n = 0, any
+    # g_k coefficients) or ended in float()'s ValueError or TypeError, or in
+    # an AttributeError
     with pytest.raises(InvalidParameter, match=message):
         build()
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from freezing_dyson.dynamics import (
     limit_roots,
     moment_sequence,
 )
-from freezing_dyson.elemsym import RootTuple, _exact_esp, elementary_symmetric
+from freezing_dyson.elemsym import RootTuple, _exact_esp, elementary_symmetric, partial_esp
 from freezing_dyson.errors import InvalidParameter
 from freezing_dyson.finfree import hermite_roots, laguerre_roots
 from freezing_dyson.orthopoly import eigen_tridiag, hermite_jacobi
@@ -106,25 +107,73 @@ def test_laguerre_gk_ode_identity():
             assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
 
 
-def test_coefficients_at_matches_polyval_bit_for_bit():
-    # the Python-float Horner loop against numpy's reference evaluation,
-    # including the sign of zero, on random Gaussian and Laguerre trajectories
-    rng = np.random.default_rng(2024)
-    for _ in range(300):
-        n = int(rng.integers(2, 13))
-        if rng.random() < 0.5:
-            traj = gaussian_gk(RootTuple.from_values(rng.normal(0, 2, n)))
-        else:
-            start = RootTuple.from_values(rng.uniform(0, 4, n))
-            traj = laguerre_gk(start, float(rng.uniform(0.2, 3.0)))
-        for t in (0.0, float(rng.uniform(0, 1e-6)), float(rng.uniform(0, 3))):
-            got = traj.coefficients_at(t)
-            want = np.array(
-                [np.polynomial.polynomial.polyval(t, poly) for poly in traj.coeff_polys]
-            )
-            assert got.tobytes() == want.tobytes()
-            k = int(rng.integers(0, n + 1))
-            assert np.float64(traj.value(k, t)).tobytes() == want[k].tobytes()
+def _esp_oracle(values):
+    """``e_0 .. e_N`` of the floats as Fractions, by subset enumeration."""
+    x = [Fraction(v) for v in values]
+    return [sum(map(math.prod, itertools.combinations(x, k))) for k in range(len(x) + 1)]
+
+
+def _gk_oracle(e, t, alpha=None):
+    """``g_k(t)`` as Fractions from the Taylor series of the ODE at 0: the
+    j-th derivative of g_k is ``e_(k-sj)`` times j rates, s = 2 (Gaussian)
+    or 1 (Laguerre)."""
+    n, t, out = len(e) - 1, Fraction(t), []
+    step = 2 if alpha is None else 1
+    for k in range(n + 1):
+        total, rate = Fraction(0), Fraction(1)
+        for j in range(k // step + 1):
+            total += rate * e[k - step * j] * t**j / math.factorial(j)
+            m = n - k + step * j
+            if alpha is None:
+                rate *= -Fraction((m + 1) * (m + 2), 2)
+            else:
+                rate *= (m + 1) * (m + Fraction(alpha))
+        out.append(total)
+    return out
+
+
+def _moment_oracle(n, max_order):
+    """``u_k`` as the k-th power sum of the degree-n Hermite zeros over n, by
+    Newton's identities on their exact elementary symmetric values."""
+    e = [0] * (max_order + 1)
+    for m in range(min(n, max_order) // 2 + 1):
+        c = math.factorial(n) // (math.factorial(m) * math.factorial(n - 2 * m) << m)
+        e[2 * m] = -c if m % 2 else c
+    p = [n]
+    for k in range(1, max_order + 1):
+        s = sum((-1) ** (j - 1) * e[j] * p[k - j] for j in range(1, k))
+        p.append(s + (-1) ** (k - 1) * k * e[k])
+    return [Fraction(c, n) for c in p]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.floats(-4, 4), min_size=1, max_size=8),
+    alpha=st.floats(0.125, 6),
+    t=st.floats(0, 40),
+    n_sys=st.integers(1, 40),
+)
+@example(values=[0.5, 1.0, 2.0], alpha=1.5, t=0.3, n_sys=5)
+def test_exact_side_floats_are_correctly_rounded(values, alpha, t, n_sys):
+    # g_k(t), e_k, the partial derivatives of e_k and u_k are each the float
+    # nearest the exact value (Fraction.__float__ rounds correctly)
+    gauss = RootTuple.from_values(values)
+    lag = RootTuple.from_values(abs(v) for v in values)
+    e = _esp_oracle(gauss.roots)
+    assert elementary_symmetric(gauss).tolist() == [float(c) for c in e]
+    for traj, esp, a in [
+        (gaussian_gk(gauss), e, None),
+        (laguerre_gk(lag, alpha), _esp_oracle(lag.roots), alpha),
+    ]:
+        want = [float(g) for g in _gk_oracle(esp, t, a)]
+        assert traj.coefficients_at(t).tolist() == want
+        assert [traj.value(k, t) for k in range(traj.n + 1)] == want
+    n = gauss.n
+    for i in range(1, n + 1):
+        e = _esp_oracle(gauss.roots[: i - 1] + gauss.roots[i:])
+        assert [partial_esp(i, k, gauss) for k in range(1, n + 1)] == [float(c) for c in e]
+    want = [float(c) for c in _moment_oracle(n_sys, 60)]
+    assert moment_sequence(n_sys, 60).u == tuple(want)
 
 
 def test_laguerre_gk_rejects_bad_input():

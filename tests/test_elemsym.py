@@ -196,10 +196,10 @@ VALUE_CASES = {
         MKLift((1 + 2j, 3.0), 2), MKLift([1 + 2j, 3], 2), MKLift((1 - 2j, 3.0), 2),
         "MKLift(s=((1+2j), (3+0j)), n=2)", ("s", "n"),
     ),
-    "GkTrajectory": (  # compares and shows coeff_polys, not the exact integers
-        GkTrajectory(((1.0,), (0.5, 1.0)), ((2,), (1, 2))),
-        GkTrajectory(((1.0,), (0.5, 1.0)), ((4,), (2, 4))),
-        GkTrajectory(((1.0,), (0.5, 2.0)), ((2,), (1, 4))),
+    "GkTrajectory": (  # compares and shows coeff_polys, rounded from the exact integers
+        GkTrajectory(((2,), (1, 2))),
+        GkTrajectory([[4], [2, 4]]),
+        GkTrajectory(((2,), (1, 4))),
         "GkTrajectory(coeff_polys=((1.0,), (0.5, 1.0)))", ("coeff_polys",),
     ),
     "MomentSequence": (

@@ -15,7 +15,10 @@ seeded by ``SeedSequence(seed, spawn_key=(p,))`` (child p of
 ``_NOISE_CHUNK_STEPS`` steps.  Successive draws continue one stream, so
 results are bit-identical however the paths are blocked or sharded and
 however long the chunks are, and a block's memory is bounded by chunk length
-times block width rather than by the horizon.
+times block width rather than by the horizon.  The generators' states are
+derived for a whole block in one pass (``_path_states``): numpy's
+SeedSequence hash, run on uint32 arrays of spawn keys, gives each path the
+state its SeedSequence would, with no SeedSequence built per path.
 
 A run large enough to repay a fork (see ``_SHARD_WORK``) is cut into
 contiguous path ranges, one per usable core, on Linux and when no other
@@ -181,6 +184,103 @@ def _block_size(paths: int, n_steps: int, n: int) -> int:
     return max(1, min(paths, _BLOCK_BYTES // _path_bytes(n_steps, n)))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4
+# uint32 words and its mixing constants
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(value: int) -> list:
+    """The little-endian uint32 words of ``value``, ``[0]`` for 0, as a
+    SeedSequence reads an integer."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's hashmix of ``value``, a Python int or a uint32 array,
+    under the running constant ``const``; (hashed value, next constant)."""
+    nxt = const * mult & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    """SeedSequence's mix of the pool word ``x`` with the hashed word ``y``."""
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _absorb(pool: list, const: int, words) -> tuple:
+    """Mix the entropy ``words`` past the first ``_POOL`` into a copy of
+    ``pool``, each into every pool word; (pool, running constant)."""
+    pool = list(pool)
+    for word in words:
+        for dst in range(_POOL):
+            hashed, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], hashed)
+    return pool, const
+
+
+def _path_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, 4) uint64 rows, row p - lo equal to
+    ``SeedSequence(seed, spawn_key=(p,)).generate_state(4, np.uint64)``.
+
+    A spawned SeedSequence pads the seed's words to the pool size, so the
+    first ``_POOL`` entropy words and the seed's further words are the same
+    for every path: their mixing runs once, on Python ints.  Only the spawn
+    key's words and the 8 output words are computed per path, on uint32
+    arrays of paths.  The range is cut where p crosses a multiple of 2^32:
+    there the key's high words change, and at a power of 2^32 the key gains
+    a word.
+    """
+    words = _words(int(seed))
+    words += [0] * (_POOL - len(words))
+    const, pool = _INIT_A, []
+    for word in words[:_POOL]:
+        hashed, const = _hashmix(word, const, _MULT_A)
+        pool.append(hashed)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
+    pool, const = _absorb(pool, const, words[_POOL:])
+    state = np.empty((hi - lo, 2 * _POOL), "<u4")
+    a = lo
+    while a < hi:
+        b = min(hi, ((a >> 32) + 1) << 32)
+        key = [(a & _MASK32) + np.arange(b - a, dtype=np.uint32)]
+        if a >> 32:
+            key += _words(a >> 32)
+        mixed, _ = _absorb(pool, const, key)
+        out = _INIT_B
+        for i in range(2 * _POOL):
+            state[a - lo : b - lo, i], out = _hashmix(mixed[i % _POOL], out, _MULT_B)
+        a = b
+    # word pairs read little-endian, as generate_state reads them
+    return state.view("<u8").astype(np.uint64)
+
+
+class _StateRow(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that holds one row of ``_path_states``: the state
+    words a PCG64 asks of it, ``generate_state(4, np.uint64)``."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:  # what PCG64 asks
+            raise ValueError("a path's state row holds 4 uint64 words only")
+        return self.row
+
+
 class _PairWork:
     """Pair index tables and reusable buffers for one block of b paths.
 
@@ -336,12 +436,14 @@ def _simulate_block(cfg: SimConfig, kind: str, lo: int, hi: int):
 
     The state is lane-major, shape (n, b): particle by path, so every ufunc
     runs over contiguous rows of b paths.  Each path owns one generator for
-    the whole block and draws its noise in chunks of ``_NOISE_CHUNK_STEPS``
-    steps; successive draws continue one stream, so neither the chunk length
-    nor the block decomposition changes the output.  Each chunk is scaled by
-    its diffusion constant times sqrt(dt) as it is transposed to step-major,
-    in slices of ``_TRANSPOSE_LANES`` paths that keep the strided reads within
-    cache.
+    the whole block, a PCG64 set from its row of ``_path_states``: the state
+    ``SeedSequence(cfg.seed, spawn_key=(p,))`` would give it, derived for
+    every path of the block in one pass.  It draws its noise in chunks of
+    ``_NOISE_CHUNK_STEPS`` steps; successive draws continue one stream, so
+    neither the chunk length nor the block decomposition changes the
+    output.  Each chunk is scaled by its diffusion constant times sqrt(dt)
+    as it is transposed to step-major, in slices of ``_TRANSPOSE_LANES``
+    paths that keep the strided reads within cache.
 
     Each step ends with the gather the start has, ``_PairWork.gather``: one
     ``take`` reads the endpoints of every pair and of the two sentinel
@@ -360,8 +462,8 @@ def _simulate_block(cfg: SimConfig, kind: str, lo: int, hi: int):
         slots.setdefault(s, []).append(slot)
     b = hi - lo
     gens = [
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(p,))))
-        for p in range(lo, hi)
+        np.random.Generator(np.random.PCG64(_StateRow(row)))
+        for row in _path_states(cfg.seed, lo, hi)
     ]
     chunk = min(n_steps, _NOISE_CHUNK_STEPS)
     drawn = np.empty((b, chunk, n))

@@ -563,7 +563,7 @@ def path_major_simulation(cfg, kind):
     return out, clamp_total, reflected
 
 
-def oracle_cfg(kind, n, start, t_end=0.3, record_times=(0.0, 0.1, 0.1, 0.3), paths=5):
+def oracle_cfg(kind, n, start, t_end=0.3, record_times=(0.0, 0.1, 0.1, 0.3), paths=5, seed=None):
     """beta = 1 and dt = 1e-3: 300 steps, crossings and (from zero) clamps."""
     if start == "zeros":
         initial = RootTuple((0.0,) * n)
@@ -571,7 +571,7 @@ def oracle_cfg(kind, n, start, t_end=0.3, record_times=(0.0, 0.1, 0.1, 0.3), pat
         spread = np.sort(np.random.default_rng(n).uniform(0.0, 0.5 * n, n))
         initial = RootTuple(tuple(spread if kind == stochastic.LAGUERRE else spread - 0.25 * n))
     alpha = 1.5 if kind == stochastic.LAGUERRE else None
-    return SimConfig(beta=1.0, n=n, t_end=t_end, dt=1e-3, initial=initial, seed=1000 + n,
+    return SimConfig(beta=1.0, n=n, t_end=t_end, dt=1e-3, initial=initial, seed=1000 + n if seed is None else seed,
                      paths=paths, record_times=record_times, alpha=alpha)
 
 
@@ -609,6 +609,67 @@ def test_engine_bit_identical_on_short_horizons(kind, t_end):
     cfg = oracle_cfg(kind, 4, "zeros", t_end=t_end, record_times=(0.0, t_end, t_end))
     assert cfg.n_steps < stochastic._NOISE_CHUNK_STEPS
     assert_matches_oracle(cfg, kind)
+
+
+# a seed of more than the 4-word SeedSequence pool, and numpy integer seeds
+@pytest.mark.parametrize("kind", [stochastic.DYSON, stochastic.LAGUERRE])
+@pytest.mark.parametrize("seed", [2**128 + 3, np.int64(77), np.uint64(2**63 + 11)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_engine_bit_identical_at_wide_and_numpy_seeds(kind, seed, workers, monkeypatch):
+    cfg = oracle_cfg(kind, 4, "zeros", paths=6, seed=seed)
+    forks = force_shards(monkeypatch, workers) if workers > 1 else []
+    assert_matches_oracle(cfg, kind)
+    assert len(forks) == workers - 1
+    assert_no_child_left()
+
+
+SEEDS = [0, 5, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1, 2**200 + 7, np.int64(5), np.uint64(2**63)]
+
+
+def seed_sequence_states(seed, lo, hi):
+    return np.array(
+        [np.random.SeedSequence(seed, spawn_key=(p,)).generate_state(4, np.uint64) for p in range(lo, hi)]
+    ).reshape(hi - lo, 4)
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"{type(s).__name__}-{s}")
+@pytest.mark.parametrize("lo, hi", [(0, 3000), (990, 1010), (2**32 - 3, 2**32 + 3)])
+def test_path_states_equal_seed_sequence_states(seed, lo, hi):
+    # at p = 2^32 the spawn key gains a word; 2^200 + 7 has more words than
+    # the pool holds
+    states = stochastic._path_states(seed, lo, hi)
+    assert states.dtype == np.uint64 and states.flags.c_contiguous
+    assert np.array_equal(states, seed_sequence_states(seed, lo, hi))
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"{type(s).__name__}-{s}")
+def test_generators_from_path_states_equal_spawned_ones(seed):
+    for p, row in zip(range(990, 1010), stochastic._path_states(seed, 990, 1010)):
+        ours = np.random.Generator(np.random.PCG64(stochastic._StateRow(row)))
+        numpys = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(p,))))
+        assert ours.bit_generator.state == numpys.bit_generator.state
+        assert np.array_equal(ours.standard_normal(64), numpys.standard_normal(64))
+    with pytest.raises(ValueError):
+        stochastic._StateRow(row).generate_state(8)
+
+
+def test_a_block_builds_no_seed_sequence(monkeypatch):
+    # a return to one SeedSequence per path fails here by name, not only as
+    # a slower benchmark
+    built, real = [], np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    cfg = make_cfg(paths=1000, t_end=0.01, record_times=())
+    assert stochastic._shard_count(cfg) == 1
+    data, _ = stochastic._simulate_block(cfg, stochastic.DYSON, 0, cfg.paths)
+    assert data.shape == (1000, 1, 3)
+    assert built == []
+    np.random.SeedSequence(cfg.seed)  # the count sees numpy's own
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("kind", [stochastic.DYSON, stochastic.LAGUERRE])

@@ -7,7 +7,10 @@ library and Python versions, so re-running with the same metadata reproduces
 the file bit-exactly.  The subcommands that run numpy code (convolve and
 limit for their root seeds, simulate and clt throughout) also record numpy's
 version, and simulate and clt the BLAS/LAPACK build.  Exit codes: 0 success,
-2 usage or parameter error, 3 numerical failure.  Only simulate and clt
+2 usage or parameter error (a request too large to allocate among them),
+3 numerical failure.  simulate's particle rows are formatted by
+``_particle_rows`` in the processes that simulated their paths (see
+``stochastic``), and joined here slot by slot.  Only simulate and clt
 import the Monte Carlo modules (stochastic, stats), and only convolve, limit,
 simulate and clt load numpy, once their usage is checked, running its work
 with its floating-point warnings off, so that overflow and NaN surface as the
@@ -224,6 +227,20 @@ def cmd_limit(args) -> int:
     return 0
 
 
+def _particle_rows(cfg, data, lo: int) -> list:
+    """The particle CSV rows of paths lo, lo + 1, ... whose recorded tuples
+    are ``data``, (paths, record slots, n): one string per record slot, its
+    rows joined by newlines.  The %-template formats each value as _fmt
+    does, the slot's time once.  The simulators call it in the process that
+    simulated the paths."""
+    values = ",%d" + ",%.17g" * cfg.n
+    parts = []
+    for slot, t in enumerate(cfg.record_times):
+        row = "%.17g" % t + values  # a formatted float holds no %
+        parts.append("\n".join(row % (p, *x) for p, x in enumerate(data[:, slot].tolist(), lo)))
+    return parts
+
+
 def cmd_simulate(args) -> int:
     _require(args, ["kind", "n", "beta", "t", "dt", "paths", "seed"])
     if args.kind == "laguerre":
@@ -249,7 +266,8 @@ def cmd_simulate(args) -> int:
         alpha=args.alpha,
     )
     with np.errstate(all="ignore"):
-        ens = (simulate_dyson if args.kind == "dyson" else simulate_laguerre)(cfg)
+        simulate = simulate_dyson if args.kind == "dyson" else simulate_laguerre
+        ens = simulate(cfg, rows=_particle_rows)
         # JSON summary: e_k means against the exact g_k(t)
         rep = ek_drift_report(ens)
         summary = {
@@ -265,14 +283,12 @@ def cmd_simulate(args) -> int:
     config = _echoed(args)
     config["record"] = list(cfg.record_times)
     config["initial"] = list(initial.roots)
-    # particle CSV: one recorded tuple per row, keyed by time and path; the
-    # %-template formats each value as _fmt does, the slot's time once
+    # particle CSV: one recorded tuple per row, keyed by time and path, each
+    # record slot's rows joined from the parts its path ranges formatted
     lines = [_meta_line("simulate", config)]
     lines.append("# columns: time,path," + ",".join(f"x{i+1}" for i in range(cfg.n)))
-    values = ",%d" + ",%.17g" * cfg.n
-    for slot, t in enumerate(cfg.record_times):
-        row = "%.17g" % t + values  # a formatted float holds no %
-        lines.extend(row % (p, *x) for p, x in enumerate(ens.data[:, slot].tolist()))
+    for parts in zip(*ens.rows):
+        lines.extend(parts)
     text = _json_output("simulate-summary", config, summary)
     _write_text(args.out, "\n".join(lines) + "\n")  # once the summary is checked
     if args.out is None or args.out == "-":
@@ -461,6 +477,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InvalidParameter, DimensionMismatch, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:  # a size no memory holds, refused before it is used
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: not enough memory for this request{detail}", file=sys.stderr)
         return USAGE_ERROR
     except (NotRealRooted, StepUnstable, NoConvergence, NonFiniteOutput) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -25,7 +25,8 @@ contiguous path ranges, one per usable core, on Linux and when no other
 thread is alive: the calling process runs the first range and a child made by
 ``os.fork`` runs each other one, sending its result back through a pipe.
 The output is bit-identical for any core count, and so is the error a
-failing run raises.
+failing run raises.  Given a ``rows`` function, each range's process also
+formats the range's rows, which come back beside its data.
 
 Paths are integrated in blocks, lane-major: a block of b paths holds its
 state as an (n, b) array, particle by path, and its n(n-1)/2 pair gaps as
@@ -162,6 +163,13 @@ class PathEnsemble:
     config: SimConfig
     kind: str
     clamp_events: int
+
+
+@dataclass(frozen=True)
+class _FormattedEnsemble(PathEnsemble):
+    """A PathEnsemble with what ``rows`` returned for each path range."""
+
+    rows: tuple = ()
 
 
 def _path_bytes(n_steps: int, n: int) -> int:
@@ -547,12 +555,14 @@ def _simulate_range(cfg: SimConfig, kind: str, lo: int, hi: int):
     return np.concatenate([r[0] for r in results], axis=0), sum(r[1] for r in results)
 
 
-def _outcome(cfg: SimConfig, kind: str, lo: int, hi: int):
-    """``_simulate_range``'s result, or the StepUnstable it raised."""
+def _outcome(cfg: SimConfig, kind: str, lo: int, hi: int, rows):
+    """``_simulate_range``'s data and clamp count, with ``rows(cfg, data,
+    lo)`` (None without ``rows``), or the StepUnstable it raised."""
     try:
-        return _simulate_range(cfg, kind, lo, hi)
+        data, clamped = _simulate_range(cfg, kind, lo, hi)
     except StepUnstable as exc:
         return exc
+    return data, clamped, None if rows is None else rows(cfg, data, lo)
 
 
 def _shard_count(cfg: SimConfig) -> int:
@@ -566,8 +576,8 @@ def _shard_count(cfg: SimConfig) -> int:
     return max(1, min(_usable_cores(), cfg.paths // _SHARD_MIN_PATHS))
 
 
-def _fork_range(cfg: SimConfig, kind: str, lo: int, hi: int, mask):
-    """Start a child that runs paths [lo, hi), sends its outcome through a
+def _fork_range(cfg: SimConfig, kind: str, lo: int, hi: int, rows, mask):
+    """Start a child that sends ``_outcome`` of paths [lo, hi) through a
     pipe and exits; (pid, read end of the pipe), or None if no child could be
     started.  The child leaves by ``os._exit``, so it never flushes stdio
     buffers or runs cleanup it inherited from this process."""
@@ -585,7 +595,7 @@ def _fork_range(cfg: SimConfig, kind: str, lo: int, hi: int, mask):
         code = 1
         try:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            outcome = _outcome(cfg, kind, lo, hi)
+            outcome = _outcome(cfg, kind, lo, hi, rows)
             with open(w, "wb") as pipe:
                 pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
             code = 0
@@ -603,9 +613,12 @@ def _receive(pid: int, pipe):
     return pickle.loads(payload) if os.waitpid(pid, 0)[1] == 0 else None
 
 
-def _simulate(cfg: SimConfig, kind: str) -> PathEnsemble:
+def _simulate(cfg: SimConfig, kind: str, rows=None) -> PathEnsemble:
     """Run ``cfg``'s paths in ``_shard_count`` contiguous ranges: the first
     here and each other one in a forked child (none for a single range).
+
+    A Laguerre run's alpha and start are checked first.  Each range's
+    process also calls ``rows``, if given, on the range's data.
 
     A range whose child could not be started or exited without sending a
     result is run here, so the output never depends on a child.  If ranges
@@ -615,6 +628,10 @@ def _simulate(cfg: SimConfig, kind: str) -> PathEnsemble:
     returns or raises, and SIGINT is held off while they are forked, so an
     interrupt cannot leave one unrecorded.
     """
+    if kind == LAGUERRE:
+        check_real("alpha", cfg.alpha, 0.0)
+        if cfg.initial.roots[0] < 0.0:
+            raise InvalidParameter("Laguerre initial data must be nonnegative")
     shards = _shard_count(cfg)
     ranges = [(cfg.paths * w // shards, cfg.paths * (w + 1) // shards) for w in range(shards)]
     children = {}
@@ -623,14 +640,14 @@ def _simulate(cfg: SimConfig, kind: str) -> PathEnsemble:
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
                 for i, (lo, hi) in enumerate(ranges[1:], 1):
-                    children[i] = _fork_range(cfg, kind, lo, hi, mask)
+                    children[i] = _fork_range(cfg, kind, lo, hi, rows, mask)
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        outcomes = [_outcome(cfg, kind, *ranges[0])]
+        outcomes = [_outcome(cfg, kind, *ranges[0], rows)]
         for i, (lo, hi) in enumerate(ranges[1:], 1):
             outcome = _receive(*children[i]) if children[i] else None
             del children[i]
-            outcomes.append(_outcome(cfg, kind, lo, hi) if outcome is None else outcome)
+            outcomes.append(_outcome(cfg, kind, lo, hi, rows) if outcome is None else outcome)
     finally:
         for pid, pipe in filter(None, children.values()):
             pipe.close()
@@ -642,33 +659,36 @@ def _simulate(cfg: SimConfig, kind: str) -> PathEnsemble:
     if failures:
         raise min(failures, key=lambda exc: (exc.block, exc.step))
     data = outcomes[0][0] if shards == 1 else np.concatenate([o[0] for o in outcomes], axis=0)
-    return PathEnsemble(data, cfg, kind, sum(o[1] for o in outcomes))
+    clamped = sum(o[1] for o in outcomes)
+    if rows is None:
+        return PathEnsemble(data, cfg, kind, clamped)
+    return _FormattedEnsemble(data, cfg, kind, clamped, tuple(o[2] for o in outcomes))
 
 
-def simulate_dyson(cfg: SimConfig) -> PathEnsemble:
+def simulate_dyson(cfg: SimConfig, *, rows=None) -> PathEnsemble:
     """Euler-Maruyama paths of the beta Dyson system
     ``d lambda_i = sqrt(2/beta) db_i + sum_(j != i) dt / (lambda_i - lambda_j)``.
 
     Tuples are re-sorted after every step.  The output is a function of the
     config alone (its seed included): bit-identical however the paths are
     blocked or sharded over cores.  Raises :class:`StepUnstable` if any
-    coordinate passes 1e8 in magnitude or becomes NaN.
+    coordinate passes 1e8 in magnitude or becomes NaN.  ``rows(cfg, data,
+    lo)``, if given, runs on each path range [lo, lo + len(data)) in the
+    process that simulated it; the ensemble's ``rows`` holds the results.
     """
-    return _simulate(cfg, DYSON)
+    return _simulate(cfg, DYSON, rows)
 
 
-def simulate_laguerre(cfg: SimConfig) -> PathEnsemble:
+def simulate_laguerre(cfg: SimConfig, *, rows=None) -> PathEnsemble:
     """Euler-Maruyama paths of the beta Laguerre system
     ``d lambda_i = (2/sqrt(beta)) sqrt(lambda_i) db_i + alpha dt
     + sum_(j != i) 2 lambda_i dt / (lambda_i - lambda_j)``.
 
     Negative coordinates are reflected to their absolute value after each
-    step, keeping the paths entrywise nonnegative.
+    step, keeping the paths entrywise nonnegative.  ``rows`` is as for
+    :func:`simulate_dyson`.
     """
-    check_real("alpha", cfg.alpha, 0.0)
-    if cfg.initial.roots[0] < 0.0:
-        raise InvalidParameter("Laguerre initial data must be nonnegative")
-    return _simulate(cfg, LAGUERRE)
+    return _simulate(cfg, LAGUERRE, rows)
 
 
 def _chi_matrix(dofs: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:

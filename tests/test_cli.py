@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -321,6 +320,27 @@ def test_clt_primitive_json(kind, tmp_path):
     assert len(doc["variances"]) == 3 and doc["samples"] == 2000
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--kind", "dyson", "--n", "4", "--beta", "2", "--t", "0.01",
+         "--dt", "0.001", "--paths", "1000000000000000", "--seed", "1"],
+        ["clt", "--kind", "gaussian", "--n", "3", "--beta", "1e4",
+         "--samples", "1000000000000000", "--seed", "1"],
+        ["clt", "--kind", "gaussian", "--mode", "primitive", "--n", "3", "--beta", "1e4",
+         "--samples", "1000000000000000", "--seed", "1"],
+    ],
+    ids=["simulate", "clt-static", "clt-primitive"],
+)
+def test_request_too_large_for_memory_exit_2(argv, capsys, monkeypatch):
+    # these sizes fail before anything is allocated; one shard, so no fork
+    monkeypatch.setattr(stochastic, "_usable_cores", lambda: 1)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: not enough memory") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("mode", ["static", "primitive"])
 def test_clt_laguerre_without_alpha_exit_2(mode, tmp_path, capsys):
     out = tmp_path / "clt.json"
@@ -374,20 +394,21 @@ def test_simulate_csv_matches_per_row_template(tmp_path):
 
 def test_simulate_csv_matches_per_value_formatting(tmp_path, monkeypatch):
     # the row template must write every value exactly as _fmt does, including
-    # signed zeros, subnormals and values that need all 17 digits
+    # signed zeros, subnormals and values that need all 17 digits; the values
+    # are swapped in where the rows are formatted, in the process that
+    # simulated their paths
     special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.0 / 3.0, -0.1, 1e22, 123.0]
     rng = np.random.default_rng(3)
-    real = stochastic.simulate_dyson
-    ensembles = []
+    real = cli._particle_rows
+    blocks = []
 
-    def fake(cfg):
-        ens = real(cfg)
-        data = rng.choice(special, ens.data.shape) * rng.choice([1.0, np.pi], ens.data.shape)
+    def swapped(cfg, data, lo):
+        data = rng.choice(special, data.shape) * rng.choice([1.0, np.pi], data.shape)
         data[0, 0] = rng.standard_normal(cfg.n) * 10.0 ** rng.uniform(-300, 20, cfg.n)
-        ensembles.append(dataclasses.replace(ens, data=data))
-        return ensembles[-1]
+        blocks.append((lo, data))
+        return real(cfg, data, lo)
 
-    monkeypatch.setattr(stochastic, "simulate_dyson", fake)
+    monkeypatch.setattr(cli, "_particle_rows", swapped)
     out = tmp_path / "sim.csv"
     argv = [
         "simulate", "--kind", "dyson", "--n", "4", "--beta", "2", "--t", "0.1",
@@ -396,7 +417,8 @@ def test_simulate_csv_matches_per_value_formatting(tmp_path, monkeypatch):
     ]
     with np.errstate(all="ignore"):
         assert main(argv) == 0
-    data = ensembles[0].data
+    assert [lo for lo, _ in blocks] == [0]  # one range, formatted here
+    data = blocks[0][1]
     expect = [
         ",".join([_fmt(t), str(p)] + [_fmt(v) for v in data[p, slot]])
         for slot, t in enumerate((0.0, 0.05, 0.1))

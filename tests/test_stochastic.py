@@ -817,8 +817,9 @@ def test_sharded_step_unstable_is_the_serial_error(kind, paths, block, faults, s
 
 @pytest.mark.parametrize("death", ["exit", "signal"])
 def test_range_of_a_lost_child_is_run_by_the_caller(death, monkeypatch):
+    # the caller also formats the rows of the ranges it runs for lost children
     cfg = make_cfg(paths=32, beta=1.0, t_end=0.1, record_times=(0.05, 0.1))
-    ref = simulate_dyson(cfg)
+    ref = simulate_dyson(cfg, rows=cli._particle_rows)
     caller, real, ran_here = os.getpid(), stochastic._simulate_range, []
 
     def child_dies(cfg, kind, lo, hi):
@@ -831,9 +832,65 @@ def test_range_of_a_lost_child_is_run_by_the_caller(death, monkeypatch):
 
     monkeypatch.setattr(stochastic, "_simulate_range", child_dies)
     forks = force_shards(monkeypatch, 3)
-    ens = simulate_dyson(cfg)
+    ens = simulate_dyson(cfg, rows=cli._particle_rows)
     assert len(forks) == 2 and ran_here == [(0, 10), (10, 21), (21, 32)]
     assert np.array_equal(ens.data, ref.data) and ens.clamp_events == ref.clamp_events
+    assert len(ref.rows) == 1 and len(ens.rows) == 3
+    assert ["\n".join(slot) for slot in zip(*ens.rows)] == ref.rows[0]
+    assert_no_child_left()
+
+
+# 31 paths: no shard count of 2 or 3 divides them; the record slots repeat
+SHARDED_ARGV = {
+    "dyson": ["simulate", "--kind", "dyson", "--n", "3", "--beta", "1", "--t", "0.1",
+              "--dt", "0.001", "--paths", "31", "--seed", "8", "--record", "0.02,0.05,0.05,0.1"],
+    "laguerre": ["simulate", "--kind", "laguerre", "--n", "3", "--beta", "2", "--t", "0.1",
+                 "--dt", "0.001", "--paths", "31", "--seed", "8", "--alpha", "1.5",
+                 "--record", "0,0.05,0.05,0.1"],
+}
+
+
+def simulate_bytes(argv, path):
+    """The particle CSV and summary bytes of one ``cli.main`` run."""
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    return path.read_bytes(), path.with_name(path.name + ".summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["dyson", "laguerre"])
+def test_rows_formatted_by_the_shards_keep_the_bytes(kind, tmp_path, monkeypatch):
+    ref = simulate_bytes(SHARDED_ARGV[kind], tmp_path / "serial.csv")
+    assert ref[0].count(b"\n") == 2 + 4 * 31
+    for workers in (1, 2, 3):
+        with monkeypatch.context() as m:
+            forks = force_shards(m, workers)
+            got = simulate_bytes(SHARDED_ARGV[kind], tmp_path / f"sharded{workers}.csv")
+        assert len(forks) == workers - 1
+        assert got == ref
+        assert_no_child_left()
+
+
+def test_each_process_formats_the_rows_of_its_own_range(tmp_path, monkeypatch):
+    # a return to formatting every row in the calling process fails here by
+    # name, not only as a slower benchmark
+    log, real = tmp_path / "formatted.log", cli._particle_rows
+
+    def logged(cfg, data, lo):
+        with open(log, "a", encoding="utf-8") as fh:  # the child writes before it exits
+            fh.write(f"{os.getpid()} {lo} {data.shape[0] * data.shape[1]}\n")
+        return real(cfg, data, lo)
+
+    monkeypatch.setattr(cli, "_particle_rows", logged)
+    forks = force_shards(monkeypatch, 2)
+    csv, _ = simulate_bytes(SHARDED_ARGV["dyson"], tmp_path / "sim.csv")
+    assert len(forks) == 1
+    rows_by_pid = {}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        pid, lo, rows = map(int, line.split())
+        rows_by_pid.setdefault(pid, []).append((lo, rows))
+    # ranges [0, 15) and [15, 31), four record slots each
+    assert rows_by_pid.pop(os.getpid()) == [(0, 15 * 4)]
+    assert list(rows_by_pid.values()) == [[(15, 16 * 4)]]
+    assert csv.count(b"\n") == 2 + 31 * 4
     assert_no_child_left()
 
 

@@ -304,8 +304,14 @@ class MomentProcessEstimate:
     stderr: np.ndarray
 
 
+def _check_ensemble(ensemble) -> None:
+    if not isinstance(ensemble, PathEnsemble):
+        raise InvalidParameter(f"ensemble must be a PathEnsemble (got {type(ensemble).__name__})")
+
+
 def moment_process_estimate(ensemble: PathEnsemble, max_order: int) -> MomentProcessEstimate:
     """Ensemble means and standard errors of the empirical moment processes."""
+    _check_ensemble(ensemble)
     check_int("max_order", max_order, 0)
     data = ensemble.data
     m, r, _ = data.shape
@@ -344,6 +350,7 @@ def ek_drift_report(ensemble: PathEnsemble, bias_factor: float = 5.0) -> EkDrift
     check of both simulators.  ``bias_factor`` scales the allowance for the
     O(dt) discretisation bias: finite and >= 0.
     """
+    _check_ensemble(ensemble)
     check_real("bias_factor", bias_factor, 0.0, inclusive=True)
     cfg = ensemble.config
     if ensemble.kind == DYSON:
@@ -392,6 +399,7 @@ def process_clt_check(ensemble: PathEnsemble, max_order: int) -> ProcessCltRepor
     ``sqrt(beta N / 2)(<mu_t^(beta), Qtilde_n> - <mu_t, Qtilde_n>)`` with
     ``Qtilde_n(t, x) = t^((n+1)/2) Q_n(x / sqrt(t))``.
     """
+    _check_ensemble(ensemble)
     cfg = ensemble.config
     if ensemble.kind != DYSON:
         raise InvalidParameter("process-level statistics are defined for the Dyson engine")

@@ -12,28 +12,41 @@ ensemble metadata.
 Randomness is organized as per-path streams: path p owns one generator,
 seeded by ``SeedSequence(seed, spawn_key=(p,))`` (child p of
 ``SeedSequence(seed).spawn(paths)``), and draws its noise from it in chunks of
-``_NOISE_CHUNK_STEPS`` steps.  Successive draws continue one stream, so
-results are bit-identical however the paths are blocked or sharded and
-however long the chunks are, and a block's memory is bounded by chunk length
-times block width rather than by the horizon.  The generators' states are
-derived for a whole block in one pass (``_path_states``): numpy's
-SeedSequence hash, run on uint32 arrays of spawn keys, gives each path the
-state its SeedSequence would, with no SeedSequence built per path.
+steps.  Successive draws continue one stream, so results are bit-identical
+however the paths are blocked or sharded and however long the chunks are.  A
+chunk and the panel it is drawn through hold ``_NOISE_BYTES`` together, and
+the chunk at least ``_NOISE_CHUNK_STEPS`` steps: narrow blocks draw in few,
+long calls, and a block's memory is bounded by its width rather than by the
+horizon.  The paths are drawn 64 at a time, one call each, into that
+path-major panel, which is transposed at once into the step-major chunk, and
+the chunk is then scaled in one pass.  Chunks and panels live in anonymous
+mappings of their own (``_mapped``), so no run's noise stays in the heap
+after it.  The generators' states are derived for a whole block in one pass
+(``_path_states``): numpy's SeedSequence hash, run on uint32 arrays of spawn
+keys, gives each path the state its SeedSequence would, with no
+SeedSequence built per path.
 
-A run large enough to repay a fork (see ``_SHARD_WORK``) is cut into
-contiguous path ranges, one per usable core, on Linux and when no other
-thread is alive: the calling process runs the first range and a child made by
+A run large enough to repay a fork (see ``_SHARD_WORK``), on Linux and when
+no other thread is alive, takes one of two plans (``_plan``), whichever a
+cost model of its paths, particles, steps and record times predicts to end
+sooner.  The path plan cuts it into contiguous path ranges, one per usable
+core: the calling process runs the first range and a child made by
 ``os.fork`` runs each other one, sending its result back through a pipe.
-The output is bit-identical for any core count, and so is the error a
-failing run raises.  Given a ``rows`` function, each range's process also
-formats the range's rows, which come back beside its data.
+The stage plan suits narrow, long runs, whose steps cost mostly a fixed
+per-step overhead that every range pays in full: a forked drawer draws every
+path's noise into a ring of two slots in shared memory, handed back and forth
+by one-byte tokens on two pipes, while the caller steps all paths.  The
+output is bit-identical for either plan and any core count, and so is the
+error a failing run raises.  Given a ``rows`` function, each range's process
+also formats the range's rows, which come back beside its data.
 
 Paths are integrated in blocks, lane-major: a block of b paths holds its
 state as an (n, b) array, particle by path, and its n(n-1)/2 pair gaps as
 packed rows of b lanes, so every array operation runs over contiguous rows of
 paths.  The drift terms of a particle are added left to right, and the noise
-is scaled once as it is drawn; the tests keep a path-major formulation in
-the same order as the oracle, which the output equals bit for bit.
+is scaled once, before it is stepped over; the tests keep a path-major
+formulation in the same order as the oracle, which the output equals bit for
+bit.
 
 The start and every step end with one gather and one reduction: a single
 ``take`` reads the endpoints of every pair and of two sentinel pairs (the
@@ -57,6 +70,7 @@ sums, and that ``abs`` clears it.
 
 import contextlib
 import math
+import mmap
 import os
 import pickle
 import signal
@@ -80,12 +94,18 @@ __all__ = [
 
 EPS_GAP = 1e-8
 STABILITY_BOUND = 1e8
-_NOISE_CHUNK_STEPS = 128  # steps of noise each path draws per generator call
+# A block's noise is drawn in chunks of steps that fill _NOISE_BYTES (2 MB)
+# with their draw panel, and never fewer than _NOISE_CHUNK_STEPS: a
+# generator call costs about 0.75 us plus 12.6 ns per normal, so 128 steps at
+# n = 4 lose 10% to the call and 400 steps (100 paths' 2 MB) 3%.  The stage
+# plan's ring is the same budget, cut into two slots.
+_NOISE_BYTES = 1 << 21
+_NOISE_CHUNK_STEPS = 128
 _BLOCK_BYTES = 1 << 26  # working-memory budget of one block of paths (64 MB)
-_TRANSPOSE_LANES = 64  # paths per slice of the noise transpose
-# A run is sharded over the usable cores only if it holds at least
-# _SHARD_WORK paths x steps x n^2 (a path-step costs about n^2 pair terms) and
-# gives each shard at least _SHARD_MIN_PATHS paths.  Below either, the fork
+_PANEL_LANES = 64  # paths drawn into one panel, then transposed at once
+# A run forks, by either plan, only if it holds at least _SHARD_WORK
+# paths x steps x n^2 (a path-step costs about n^2 pair terms) and gives each
+# of two shards at least _SHARD_MIN_PATHS paths.  Below either, the fork
 # (about 3.5 ms) or the per-step cost that every shard pays in full outweighs
 # the split work.  On a 2-vCPU Xeon, n = 4 with 128-1024 paths broke even
 # near 2^16 path-steps (2^20 of this work) and gained 1.2-1.5x at twice that,
@@ -120,6 +140,8 @@ class SimConfig:
     def __post_init__(self):
         check_real("beta", self.beta, 1.0, inclusive=True)
         check_int("n", self.n, 1)
+        if not isinstance(self.initial, RootTuple):
+            raise InvalidParameter(f"initial must be a RootTuple (got {type(self.initial).__name__})")
         if self.initial.n != self.n:
             raise InvalidParameter("initial tuple must have length n")
         check_real("t_end", self.t_end, 0.0, inclusive=True)
@@ -128,9 +150,12 @@ class SimConfig:
         check_int("paths", self.paths, 1)
         if self.alpha is not None:  # checked where it is used; only finite here
             check_real("alpha", self.alpha, -math.inf)
-        for t in self.record_times:
+        if isinstance(self.record_times, (str, bytes)) or not hasattr(self.record_times, "__iter__"):
+            raise InvalidParameter(f"record_times must be a sequence of times (got {self.record_times!r})")
+        rec = tuple(self.record_times)
+        for t in rec:
             check_real("record time", t, 0.0, inclusive=True)
-        rec = tuple(float(t) for t in self.record_times) or (self.t_end,)
+        rec = tuple(float(t) for t in rec) or (self.t_end,)
         if any(b < a for a, b in zip(rec, rec[1:])):
             raise InvalidParameter("record_times must be sorted ascending")
         for t in (self.t_end, *rec):
@@ -175,7 +200,10 @@ class _FormattedEnsemble(PathEnsemble):
 def _path_bytes(n_steps: int, n: int) -> int:
     """Working memory of one path in a block, for P = n(n-1)/2 pairs:
 
-    - its noise chunk, drawn and then transposed: 2 x chunk x n
+    - its step-major noise chunk, chunk x n, at the shortest chunk
+      ``_NOISE_CHUNK_STEPS`` (a narrower block's longer chunk and its draw
+      panel hold ``_NOISE_BYTES`` together; at the shortest chunk, the panel
+      is 64 paths' chunks more)
     - its state frame with the two sentinels, n+2, and the diffusion and
       drift buffers, n each
     - its share of the pair buffers (``_PairWork``): 2(P+2) gathered
@@ -185,11 +213,37 @@ def _path_bytes(n_steps: int, n: int) -> int:
     The Laguerre constant is counted for both engines."""
     p = n * (n - 1) // 2
     chunk = min(max(n_steps, 1), _NOISE_CHUNK_STEPS)
-    return 8 * (2 * chunk * n + (3 * n + 2) + 2 * (2 * p + 4) + n * (n + 1)) + p
+    return 8 * (chunk * n + (3 * n + 2) + 2 * (2 * p + 4) + n * (n + 1)) + p
 
 
 def _block_size(paths: int, n_steps: int, n: int) -> int:
     return max(1, min(paths, _BLOCK_BYTES // _path_bytes(n_steps, n)))
+
+
+def _chunk_steps(n_steps: int, n: int, lanes: int, budget: int) -> int:
+    """Steps per noise chunk when ``lanes`` paths' chunks share ``budget``
+    bytes: as many as fill it, at least ``_NOISE_CHUNK_STEPS`` and at most
+    the run's steps."""
+    return max(1, min(n_steps, max(_NOISE_CHUNK_STEPS, budget // (8 * n * lanes))))
+
+
+def _mapped(shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array in an anonymous shared mapping of its
+    own: a forked child shares its pages, and they return to the system with
+    the array's last view.  A block's noise lives in one, because glibc
+    keeps a freed buffer of a few MB resident in the heap once its mmap
+    threshold has grown past that size, and the next job's buffers then come
+    on top: over the seven sde-ensembles configs run twice in one process,
+    peak RSS read 40.5-40.7 MB with mapped noise and 42.0-42.1 MB with heap
+    noise."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
+
+
+def _chunk_lengths(n_steps: int, chunk: int):
+    """The lengths of a run's successive noise chunks: ``chunk`` steps each
+    but a shorter last one."""
+    for start in range(0, n_steps, chunk):
+        yield min(chunk, n_steps - start)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4
@@ -439,43 +493,81 @@ def _check_state(frame: np.ndarray, work: _PairWork, step: int) -> None:
     work.gather_columns(frame, cols)
 
 
-def _simulate_block(cfg: SimConfig, kind: str, lo: int, hi: int):
-    """Simulate paths [lo, hi); returns (data block, clamp count).
+class _NoiseSource:
+    """The scaled Brownian increments of paths [lo, hi), drawn in step order.
+
+    Each path owns one generator for the whole block, a PCG64 set from its
+    row of ``_path_states``: the state ``SeedSequence(cfg.seed,
+    spawn_key=(p,))`` would give it, derived for every path of the block in
+    one pass.  Successive draws continue one stream, so neither the chunk
+    lengths nor the block decomposition change the output.  ``fill`` draws
+    the next chunk ``_PANEL_LANES`` paths at a time into a path-major panel,
+    one ``standard_normal`` call per path, transposes each panel at once
+    into the step-major chunk, and then scales the whole chunk by the
+    diffusion constant times sqrt(dt) in one contiguous pass.
+    """
+
+    def __init__(self, cfg: SimConfig, kind: str, lo: int, hi: int):
+        self.normals = [
+            np.random.Generator(np.random.PCG64(_StateRow(row))).standard_normal
+            for row in _path_states(cfg.seed, lo, hi)
+        ]
+        diffusion = math.sqrt(2.0 / cfg.beta) if kind == DYSON else 2.0 / math.sqrt(cfg.beta)
+        self.scale = diffusion * math.sqrt(cfg.dt)
+        self.panel = None
+
+    def fill(self, noise: np.ndarray) -> None:
+        """Draw the next k steps of every path into ``noise``, (k, n, b)."""
+        k, n, b = noise.shape
+        if self.panel is None or self.panel.shape[1] < k:
+            self.panel = _mapped((min(b, _PANEL_LANES), k, n))
+        panel = self.panel[:, :k]
+        for c in range(0, b, len(panel)):
+            lanes = min(len(panel), b - c)
+            for j, normal in enumerate(self.normals[c : c + lanes]):
+                normal((k, n), out=panel[j])
+            noise[:, :, c : c + lanes] = panel[:lanes].transpose(1, 2, 0)
+        np.multiply(noise, self.scale, noise)
+
+
+def _own_noise(cfg: SimConfig, kind: str, lo: int, hi: int):
+    """The noise chunks of paths [lo, hi), drawn in this process into one
+    buffer that each chunk reuses, which shares ``_NOISE_BYTES`` with the
+    draw panel."""
+    b = hi - lo
+    source = _NoiseSource(cfg, kind, lo, hi)
+    chunk = _chunk_steps(cfg.n_steps, cfg.n, b + min(b, _PANEL_LANES), _NOISE_BYTES)
+    noise = _mapped((chunk, cfg.n, b))
+    for k in _chunk_lengths(cfg.n_steps, chunk):
+        source.fill(noise[:k])
+        yield noise[:k]
+
+
+def _simulate_block(cfg: SimConfig, kind: str, lo: int, hi: int, chunks=None):
+    """Simulate paths [lo, hi) over the noise chunks ``chunks`` yields, (k,
+    n, b) arrays in step order that cover the run's steps, by default
+    ``_own_noise``; returns (data block, clamp count).  A chunk is read
+    before the next is asked for.
 
     The state is lane-major, shape (n, b): particle by path, so every ufunc
-    runs over contiguous rows of b paths.  Each path owns one generator for
-    the whole block, a PCG64 set from its row of ``_path_states``: the state
-    ``SeedSequence(cfg.seed, spawn_key=(p,))`` would give it, derived for
-    every path of the block in one pass.  It draws its noise in chunks of
-    ``_NOISE_CHUNK_STEPS`` steps; successive draws continue one stream, so
-    neither the chunk length nor the block decomposition changes the
-    output.  Each chunk is scaled by its diffusion constant times sqrt(dt)
-    as it is transposed to step-major, in slices of ``_TRANSPOSE_LANES``
-    paths that keep the strided reads within cache.
-
-    Each step ends with the gather the start has, ``_PairWork.gather``: one
-    ``take`` reads the endpoints of every pair and of the two sentinel
-    pairs, one ``subtract`` gives their gaps, and one reduction of the
-    smallest gap certifies that the state is sorted and in bounds and, at or
-    above the floor, unclamped.  Only a gap below the floor makes the next
-    drift count clamps, and only a negative or NaN one enters
-    ``_check_state``, before the step's record rows are stored.  The arrays,
-    the bound methods and the ufuncs of a step are looked up once per block.
+    runs over contiguous rows of b paths.  Each step ends with the gather
+    the start has, ``_PairWork.gather``: one ``take`` reads the endpoints of
+    every pair and of the two sentinel pairs, one ``subtract`` gives their
+    gaps, and one reduction of the smallest gap certifies that the state is
+    sorted and in bounds and, at or above the floor, unclamped.  Only a gap
+    below the floor makes the next drift count clamps, and only a negative or
+    NaN one enters ``_check_state``, before the step's record rows are
+    stored.  The arrays, the bound methods and the ufuncs of a step are
+    looked up once per block.
     """
+    if chunks is None:
+        chunks = _own_noise(cfg, kind, lo, hi)
     n, dt = cfg.n, cfg.dt
-    n_steps = cfg.n_steps
     record_steps = cfg.record_steps()
     slots = {}
     for slot, s in enumerate(record_steps):
         slots.setdefault(s, []).append(slot)
     b = hi - lo
-    gens = [
-        np.random.Generator(np.random.PCG64(_StateRow(row)))
-        for row in _path_states(cfg.seed, lo, hi)
-    ]
-    chunk = min(n_steps, _NOISE_CHUNK_STEPS)
-    drawn = np.empty((b, chunk, n))
-    noise = np.empty((chunk, n, b))
 
     frame = np.empty((n + 2, b))
     frame[0], frame[-1] = -STABILITY_BOUND, STABILITY_BOUND
@@ -487,8 +579,6 @@ def _simulate_block(cfg: SimConfig, kind: str, lo: int, hi: int):
     work = _PairWork(n, b, None if dyson else alpha + (n - 1))
     diffusion = np.empty((n, b))
     eps_eff = max(EPS_GAP, math.sqrt(dt))
-    diffusion_constant = math.sqrt(2.0 / cfg.beta) if dyson else 2.0 / math.sqrt(cfg.beta)
-    noise_scale = diffusion_constant * math.sqrt(dt)
     drift_dyson, drift_laguerre = _drift_dyson, _drift_laguerre
     take, ends_index, ends = frame.take, work.ends_index, work.ends
     subtract, ends_hi, ends_lo, gaps = np.subtract, work.ends_hi, work.ends_lo, work.gaps
@@ -502,15 +592,8 @@ def _simulate_block(cfg: SimConfig, kind: str, lo: int, hi: int):
     work.gather(frame)
     for slot in slots.get(step, ()):
         out[:, slot] = lam.T
-    while step < n_steps:
-        k = min(chunk, n_steps - step)
-        for col, gen in enumerate(gens):
-            gen.standard_normal((k, n), out=drawn[col, :k])
-        for c in range(0, b, _TRANSPOSE_LANES):
-            lanes = slice(c, c + _TRANSPOSE_LANES)
-            panel = drawn[lanes, :k].transpose(1, 2, 0)
-            np.multiply(noise_scale, panel, out=noise[:k, :, lanes])
-        for z in noise[:k]:
+    for noise in chunks:
+        for z in noise:
             if dyson:
                 drift, clamped = drift_dyson(lam, eps_eff, work)
                 multiply(drift, dt_array, drift)
@@ -539,41 +622,181 @@ def _simulate_block(cfg: SimConfig, kind: str, lo: int, hi: int):
     return out, clamp_total
 
 
-def _simulate_range(cfg: SimConfig, kind: str, lo: int, hi: int):
-    """Simulate paths [lo, hi) in the pieces the serial run's blocks cut them
-    into; returns (data, clamp count).  A :class:`StepUnstable` leaves with
-    the index of its block as ``block``, beside the ``step`` that failed."""
+def _block_cuts(cfg: SimConfig, lo: int, hi: int) -> list:
+    """The (start, end) of each piece of paths [lo, hi) that the serial run's
+    blocks cut it into."""
     block = _block_size(cfg.paths, cfg.n_steps, cfg.n)
     cuts = [lo, *range((lo // block + 1) * block, hi, block), hi]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _simulate_range(cfg: SimConfig, kind: str, lo: int, hi: int, drawer=None):
+    """Simulate paths [lo, hi) in the pieces the serial run's blocks cut them
+    into; returns (data, clamp count).  A :class:`StepUnstable` leaves with
+    the index of its block as ``block``, beside the ``step`` that failed.
+
+    Given a ``_Drawer``, each block steps over the noise it sends.  If the
+    drawer ends before it sends a chunk, the block is run again with noise
+    drawn here, and so is every later block."""
+    block = _block_size(cfg.paths, cfg.n_steps, cfg.n)
     results = []
-    for a, b in zip(cuts, cuts[1:]):
+    for a, b in _block_cuts(cfg, lo, hi):
         try:
-            results.append(_simulate_block(cfg, kind, a, b))
+            try:
+                chunks = None if drawer is None else drawer.chunks(cfg, a, b)
+                results.append(_simulate_block(cfg, kind, a, b, chunks))
+            except _PeerLost:
+                drawer = None
+                results.append(_simulate_block(cfg, kind, a, b))
         except StepUnstable as exc:
             exc.block = a // block
             raise
     return np.concatenate([r[0] for r in results], axis=0), sum(r[1] for r in results)
 
 
-def _outcome(cfg: SimConfig, kind: str, lo: int, hi: int, rows):
+def _outcome(cfg: SimConfig, kind: str, lo: int, hi: int, rows, drawer=None):
     """``_simulate_range``'s data and clamp count, with ``rows(cfg, data,
     lo)`` (None without ``rows``), or the StepUnstable it raised."""
     try:
-        data, clamped = _simulate_range(cfg, kind, lo, hi)
+        data, clamped = _simulate_range(cfg, kind, lo, hi, drawer)
     except StepUnstable as exc:
         return exc
     return data, clamped, None if rows is None else rows(cfg, data, lo)
 
 
-def _shard_count(cfg: SimConfig) -> int:
-    """Processes to run ``cfg`` on: one per usable core where forking is safe
-    (Linux, and no thread but this one alive) and the run is large enough to
-    repay the forks, else 1."""
+# Per-unit costs of the plan's model, in ns, measured on a 2-vCPU Xeon
+# (Python 3.11.7, numpy 2.4.6): a normal drawn, transposed and scaled (13.3-
+# 15.2 for blocks of 50-500 paths at n = 4 and 16); the fixed cost of one
+# step of a block, whatever its width, and one of a path-step's n^2 drift
+# terms, fitted to blocks of 1-400 paths stepped over given noise (4.4 us and
+# 1.6 ns for Dyson, 5.5 us and 2.2 ns for Laguerre at n = 4); and one
+# particle row formatted.
+_COST_NORMAL = 14.0
+_COST_STEP = 5000.0
+_COST_TERM = 1.9
+_COST_ROW = 2000.0
+
+
+def _plan(paths: int, n: int, steps: int, slots: int, cores: int) -> tuple:
+    """(path ranges, whether a drawer process draws their noise) for a run
+    of this shape on ``cores`` usable cores, where forking is safe.
+
+    A run forks only if it holds at least ``_SHARD_WORK`` paths x steps x
+    n^2 and gives each of two or more ranges ``_SHARD_MIN_PATHS`` paths.  It
+    then takes the plan with the shorter predicted critical path.  The path
+    plan runs one range per core, each process drawing and stepping its own
+    paths, so it pays every step's fixed cost in each range.  The stage plan
+    runs one range: a drawer child draws every path's noise while the caller
+    steps all of them, so the slower of the two stages sets its time, and
+    the caller formats every row.
+    """
+    ranges = min(cores, paths // _SHARD_MIN_PATHS)
+    if paths * steps * n**2 < _SHARD_WORK or ranges < 2:
+        return 1, False
+
+    def draw(p):
+        return p * n * steps * _COST_NORMAL
+
+    def step(p):
+        return steps * (_COST_STEP + p * n * n * _COST_TERM)
+
+    share = paths / ranges
+    path = draw(share) + step(share) + share * slots * _COST_ROW
+    stage = max(draw(paths), step(paths)) + paths * slots * _COST_ROW
+    return (1, True) if stage < path else (ranges, False)
+
+
+def _run_plan(cfg: SimConfig) -> tuple:
+    """``_plan`` for ``cfg`` where forking is safe (Linux, and no thread but
+    this one alive); else one range and no drawer."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() != 1 or cfg.paths * cfg.n_steps * cfg.n**2 < _SHARD_WORK:
-        return 1
-    return max(1, min(_usable_cores(), cfg.paths // _SHARD_MIN_PATHS))
+        return 1, False
+    if threading.active_count() != 1:  # fork is unsafe while another thread runs
+        return 1, False
+    return _plan(cfg.paths, cfg.n, cfg.n_steps, len(cfg.record_times), _usable_cores())
+
+
+class _PeerLost(Exception):
+    """The other end of a stage-plan pipe was closed: its process ended."""
+
+
+def _ring_chunks(cfg: SimConfig, ring: np.ndarray, lo: int, hi: int, receive: int, send: int):
+    """The ring slots that carry the noise chunks of paths [lo, hi), as (k,
+    n, b) views in step order.  Each slot's index is first read from the
+    pipe ``receive``, and is written to ``send`` when the next view is asked
+    for: the drawer takes free slots and passes them on filled, the caller
+    takes filled ones and hands them back free.  Raises ``_PeerLost`` at
+    end of file, and a ``send`` to an ended process is dropped, as the next
+    read then ends."""
+    n, b = cfg.n, hi - lo
+    chunk = _chunk_steps(cfg.n_steps, n, b, _NOISE_BYTES // 2)
+    for k in _chunk_lengths(cfg.n_steps, chunk):
+        token = os.read(receive, 1)
+        if not token:
+            raise _PeerLost
+        yield ring[token[0], : k * n * b].reshape(k, n, b)
+        with contextlib.suppress(BrokenPipeError):
+            os.write(send, token)
+
+
+class _Drawer:
+    """The caller's end of the stage plan: the ring, the read end of the
+    pipe that carries filled slots and the write end of the one that takes
+    them back."""
+
+    def __init__(self, ring: np.ndarray, filled: int, free: int):
+        self.ring, self.filled, self.free = ring, filled, free
+
+    def chunks(self, cfg: SimConfig, lo: int, hi: int):
+        return _ring_chunks(cfg, self.ring, lo, hi, self.filled, self.free)
+
+    def close(self) -> None:
+        os.close(self.filled)
+        os.close(self.free)
+
+
+def _fork_drawer(cfg: SimConfig, kind: str, mask):
+    """Start the stage plan's drawer, a child that draws the noise of every
+    block of the run into a ring of two slots in shared memory and exits;
+    (pid, ``_Drawer``), or None if it could not be started.
+
+    A slot holds the largest chunk of any block: half of ``_NOISE_BYTES``,
+    or more where a wide block's shortest chunk needs it.  Both slots start
+    free: their indices are written to the pipe the drawer takes them from
+    before it is forked.  Each process closes the pipe ends it does not use,
+    so either sees the other's end as end of file.  The child leaves by
+    ``os._exit``, as ``_fork_range``'s do.
+    """
+    widths = [b - a for a, b in _block_cuts(cfg, 0, cfg.paths)]
+    slot = max(_chunk_steps(cfg.n_steps, cfg.n, b, _NOISE_BYTES // 2) * cfg.n * b for b in widths)
+    fds = []
+    try:
+        ring = _mapped((2, slot))
+        fds += os.pipe()
+        fds += os.pipe()
+        os.write(fds[3], bytes([0, 1]))
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    filled_r, filled_w, free_r, free_w = fds
+    if pid == 0:
+        code = 1
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            os.close(filled_r)
+            os.close(free_w)
+            for lo, hi in _block_cuts(cfg, 0, cfg.paths):
+                source = _NoiseSource(cfg, kind, lo, hi)
+                for noise in _ring_chunks(cfg, ring, lo, hi, free_r, filled_w):
+                    source.fill(noise)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(filled_w)
+    os.close(free_r)
+    return pid, _Drawer(ring, filled_r, free_w)
 
 
 def _fork_range(cfg: SimConfig, kind: str, lo: int, hi: int, rows, mask):
@@ -614,36 +837,42 @@ def _receive(pid: int, pipe):
 
 
 def _simulate(cfg: SimConfig, kind: str, rows=None) -> PathEnsemble:
-    """Run ``cfg``'s paths in ``_shard_count`` contiguous ranges: the first
-    here and each other one in a forked child (none for a single range).
+    """Run ``cfg``'s paths by the plan ``_run_plan`` picks: in contiguous
+    ranges, the first here and each other one in a forked child (the path
+    plan, or the serial run for a single range), or in one range here over
+    the noise a forked drawer sends (the stage plan).
 
     A Laguerre run's alpha and start are checked first.  Each range's
     process also calls ``rows``, if given, on the range's data.
 
     A range whose child could not be started or exited without sending a
-    result is run here, so the output never depends on a child.  If ranges
-    raise StepUnstable, the one of the earliest block, and in it of the
-    earliest step, is raised: what the serial run raises.  Any other error
-    kills the children still running.  Every child is reaped before this
-    returns or raises, and SIGINT is held off while they are forked, so an
-    interrupt cannot leave one unrecorded.
+    result is run here, and so is the noise of a drawer that could not be
+    started or ended early, so the output never depends on a child.  If
+    ranges raise StepUnstable, the one of the earliest block, and in it of
+    the earliest step, is raised: what the serial run raises.  Any other
+    error kills the children still running.  Every child is reaped before
+    this returns or raises, and SIGINT is held off while they are forked, so
+    an interrupt cannot leave one unrecorded.
     """
     if kind == LAGUERRE:
         check_real("alpha", cfg.alpha, 0.0)
         if cfg.initial.roots[0] < 0.0:
             raise InvalidParameter("Laguerre initial data must be nonnegative")
-    shards = _shard_count(cfg)
+    shards, staged = _run_plan(cfg)
     ranges = [(cfg.paths * w // shards, cfg.paths * (w + 1) // shards) for w in range(shards)]
-    children = {}
+    children = {}  # range index, or 0 for the drawer: (pid, what to close)
     try:
-        if shards > 1:  # pthread_sigmask exists where _shard_count forks
+        if shards > 1 or staged:  # pthread_sigmask exists where _run_plan forks
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
+                if staged:
+                    children[0] = _fork_drawer(cfg, kind, mask)
                 for i, (lo, hi) in enumerate(ranges[1:], 1):
                     children[i] = _fork_range(cfg, kind, lo, hi, rows, mask)
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        outcomes = [_outcome(cfg, kind, *ranges[0], rows)]
+        drawer = children[0][1] if children.get(0) else None
+        outcomes = [_outcome(cfg, kind, *ranges[0], rows, drawer)]
         for i, (lo, hi) in enumerate(ranges[1:], 1):
             outcome = _receive(*children[i]) if children[i] else None
             del children[i]

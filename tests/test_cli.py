@@ -592,31 +592,32 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
 
 def test_sharded_simulate_prints_each_row_once():
     # the forked children must not flush the stdout buffer they inherit: text
-    # still buffered when the paths are sharded, and every row, appear once
+    # still buffered when the paths are sharded, and every row, appear once;
+    # the plans are (path ranges, whether a drawer draws the noise): the path
+    # plan forks two children here, the stage plan one drawer
     argv = ["simulate", "--kind", "dyson", "--n", "2", "--beta", "2", "--t", "0.01",
             "--dt", "0.001", "--paths", "90", "--seed", "3", "--record", "0.005,0.01",
             "--out", "-"]
-    script = (
-        "import os, sys\n"
-        "from freezing_dyson import cli, stochastic\n"
-        "stochastic._SHARD_WORK = 0\n"
-        "stochastic._SHARD_MIN_PATHS = 1\n"
-        "stochastic._usable_cores = lambda: 3\n"
-        "real_fork = os.fork\n"
-        "os.fork = lambda: (sys.stderr.write('fork\\n'), real_fork())[1]\n"
-        "sys.stdout.write('buffered before the run\\n')\n"
-        f"sys.exit(cli.main({argv!r}))\n"
-    )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "fork\n" * 2
-    lines = proc.stdout.splitlines()
-    assert lines.count("buffered before the run") == 1
-    rows = [line for line in lines if line[:1].isdigit()]
-    assert len(rows) == len({tuple(row.split(",")[:2]) for row in rows}) == 2 * 90
+    for plan, forks in (((3, False), 2), ((1, True), 1)):
+        script = (
+            "import os, sys\n"
+            "from freezing_dyson import cli, stochastic\n"
+            f"stochastic._plan = lambda *shape: {plan!r}\n"
+            "real_fork = os.fork\n"
+            "os.fork = lambda: (sys.stderr.write('fork\\n'), real_fork())[1]\n"
+            "sys.stdout.write('buffered before the run\\n')\n"
+            f"sys.exit(cli.main({argv!r}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "fork\n" * forks
+        lines = proc.stdout.splitlines()
+        assert lines.count("buffered before the run") == 1
+        rows = [line for line in lines if line[:1].isdigit()]
+        assert len(rows) == len({tuple(row.split(",")[:2]) for row in rows}) == 2 * 90
 
 
 @pytest.mark.parametrize("mode", ["static", "primitive"])

@@ -437,6 +437,14 @@ def test_process_clt_check_guards():
         process_clt_check(zens, 3)
 
 
+def test_ensemble_reports_reject_what_is_not_an_ensemble():
+    for bad in (None, np.zeros((4, 1, 3)), "ensemble"):
+        for report in (ek_drift_report, lambda e: process_clt_check(e, 1),
+                       lambda e: moment_process_estimate(e, 1)):
+            with pytest.raises(InvalidParameter, match="^ensemble must be a PathEnsemble"):
+                report(bad)
+
+
 # From a zero start, each engine's t = 1 marginal is the static ensemble of
 # the static CLT, so that report applies unchanged to the last record: the
 # rotated covariance's diagonal is 1/(k+1).  E[e_k] does not see the noise

@@ -26,12 +26,14 @@ from freezing_dyson.stochastic import (
 LAGUERRE_ZERO_START = {"alpha": 1.5, "initial": RootTuple((0.0, 0.0, 0.0))}
 
 
-def force_shards(monkeypatch, workers):
-    """Shard every run over ``workers`` processes; returns a list that
-    gains one entry per fork."""
-    monkeypatch.setattr(stochastic, "_usable_cores", lambda: workers)
-    monkeypatch.setattr(stochastic, "_SHARD_WORK", 0)
-    monkeypatch.setattr(stochastic, "_SHARD_MIN_PATHS", 1)
+# (path ranges, whether a drawer process draws the noise) of each plan
+PLANS = {"serial": (1, False), "path-2": (2, False), "path-3": (3, False), "stage": (1, True)}
+
+
+def force_plan(monkeypatch, plan):
+    """Run every run by ``plan``, a value of PLANS, where forking is safe;
+    returns a list that gains one entry per fork."""
+    monkeypatch.setattr(stochastic, "_plan", lambda *shape: plan)
     forks, real_fork = [], os.fork
 
     def counted_fork():
@@ -40,6 +42,16 @@ def force_shards(monkeypatch, workers):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     return forks
+
+
+def force_shards(monkeypatch, workers):
+    """Shard every run over ``workers`` processes by the path plan."""
+    return force_plan(monkeypatch, (workers, False))
+
+
+def forks_of(plan):
+    ranges, staged = plan
+    return ranges - 1 + staged
 
 
 def assert_no_child_left():
@@ -77,6 +89,15 @@ def test_sim_config_validation():
         make_cfg(record_times=(0.5, 0.25))  # unsorted
     with pytest.raises(InvalidParameter):
         make_cfg(initial=RootTuple((0.0, 1.0)))  # wrong length
+    # wrong types name their field
+    for bad in ([-1.0, 0.0, 1.0], (-1.0, 0.0, 1.0), None):
+        with pytest.raises(InvalidParameter, match="^initial must be a RootTuple"):
+            make_cfg(initial=bad)
+    for bad in (None, 0.1, "0.1", b"0.1"):
+        with pytest.raises(InvalidParameter, match="^record_times must be a sequence"):
+            make_cfg(record_times=bad)
+    assert make_cfg(record_times=[0.25, 0.5]).record_times == (0.25, 0.5)
+    assert make_cfg(record_times=np.array([0.25, 0.5])).record_times == (0.25, 0.5)
     for bad in (math.nan, math.inf, -math.inf):
         for field in ("beta", "dt", "t_end", "alpha"):
             with pytest.raises(InvalidParameter):
@@ -122,20 +143,21 @@ def test_zero_horizon_returns_initial():
 
 def test_output_invariant_to_worker_count(monkeypatch):
     # per-path streams: the output does not depend on how the paths are split
-    # over processes (1, 2 or 3) or over blocks (1 or 4 of them)
+    # over processes (1, 2 or 3), over blocks (1 or 4 of them), or between a
+    # drawer and a stepper
     for sim, extra in ((simulate_dyson, {}), (simulate_laguerre, LAGUERRE_ZERO_START)):
         cfg = make_cfg(paths=32, beta=1.0, t_end=0.1, record_times=(0.05, 0.1), **extra)
-        assert stochastic._shard_count(cfg) == 1  # small: one process by default
+        assert stochastic._run_plan(cfg) == PLANS["serial"]  # small: one process by default
         ref = sim(cfg)
         assert ref.clamp_events > 0
         ten_paths = 10 * stochastic._path_bytes(cfg.n_steps, cfg.n)
         for block_bytes in (stochastic._BLOCK_BYTES, ten_paths):
-            for workers in (1, 2, 3):
+            for plan in PLANS.values():
                 with monkeypatch.context() as m:
                     m.setattr(stochastic, "_BLOCK_BYTES", block_bytes)
-                    forks = force_shards(m, workers)
+                    forks = force_plan(m, plan)
                     ens = sim(cfg)
-                assert len(forks) == workers - 1
+                assert len(forks) == forks_of(plan)
                 assert np.array_equal(ens.data, ref.data)
                 assert ens.clamp_events == ref.clamp_events
                 assert_no_child_left()
@@ -148,20 +170,42 @@ def test_large_runs_shard_and_small_ones_do_not(monkeypatch):
     monkeypatch.setattr(stochastic, "_usable_cores", lambda: 2)
     big = make_cfg(paths=1000, n=4, t_end=1.0, initial=RootTuple((-1.0, 0.0, 0.5, 1.0)),
                    record_times=(1.0,))
-    assert stochastic._shard_count(big) == 2
+    assert stochastic._run_plan(big) == PLANS["path-2"]
     # too little work, too few paths per shard
-    assert stochastic._shard_count(make_cfg(paths=1000, t_end=0.01, record_times=())) == 1
-    assert stochastic._shard_count(make_cfg(paths=63, t_end=1e4, dt=1.0, record_times=())) == 1
+    assert stochastic._run_plan(make_cfg(paths=1000, t_end=0.01, record_times=())) == PLANS["serial"]
+    assert stochastic._run_plan(make_cfg(paths=63, t_end=1e4, dt=1.0, record_times=())) == PLANS["serial"]
     # forking is unsafe while another thread runs
     gate = threading.Event()
     worker = threading.Thread(target=gate.wait)
     worker.start()
     try:
-        assert stochastic._shard_count(big) == 1
+        assert stochastic._run_plan(big) == PLANS["serial"]
     finally:
         gate.set()
         worker.join(timeout=10)
     assert not worker.is_alive()
+
+
+# the seven sde-ensembles benchmark shapes, (paths, n, steps, record slots),
+# and their plans at 1, 2 and 4 usable cores: the narrow, long crit-8 runs
+# step every path in the caller over a drawer's noise at 2 cores, where two
+# path ranges would each pay all 10^4 steps' fixed cost
+BENCH_PLANS = {
+    "crit7-dyson": ((1000, 4, 1000, 5), ["serial", "path-2", (4, False)]),
+    "crit7-laguerre": ((1000, 4, 1000, 5), ["serial", "path-2", (4, False)]),
+    "crit8-dyson": ((200, 4, 10000, 1), ["serial", "stage", (4, False)]),
+    "crit8-laguerre": ((200, 4, 10000, 1), ["serial", "stage", (4, False)]),
+    "crit11-dyson": ((1000, 4, 1000, 2), ["serial", "path-2", (4, False)]),
+    "n16-dyson": ((100, 16, 1000, 1), ["serial", "path-2", "path-3"]),
+    "n16-laguerre": ((100, 16, 1000, 1), ["serial", "path-2", "path-3"]),
+}
+
+
+@pytest.mark.parametrize("name", BENCH_PLANS)
+def test_plan_of_the_benchmark_shapes(name):
+    shape, plans = BENCH_PLANS[name]
+    for cores, plan in zip((1, 2, 4), plans):
+        assert stochastic._plan(*shape, cores) == PLANS.get(plan, plan), cores
 
 
 @pytest.mark.parametrize(
@@ -664,7 +708,7 @@ def test_a_block_builds_no_seed_sequence(monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", counted)
     cfg = make_cfg(paths=1000, t_end=0.01, record_times=())
-    assert stochastic._shard_count(cfg) == 1
+    assert stochastic._run_plan(cfg) == PLANS["serial"]
     data, _ = stochastic._simulate_block(cfg, stochastic.DYSON, 0, cfg.paths)
     assert data.shape == (1000, 1, 3)
     assert built == []
@@ -672,15 +716,32 @@ def test_a_block_builds_no_seed_sequence(monkeypatch):
     assert len(built) == 1
 
 
+# (shortest chunk, noise budget in bytes) for 300 steps recorded at steps 0,
+# 100, 100 and 300: a one-step budget; a partial last chunk (42 x 7 + 6);
+# chunk edges on the record steps; one chunk, and one longer than the run; a
+# budget of a few steps, whose chunks differ in length between blocks of
+# different widths, and between the plans
+CHUNKINGS = [(1, 1), (7, 0), (100, 0), (300, 0), (350, 0), (1, 8 * 5 * 16 * 7)]
+
+
 @pytest.mark.parametrize("kind", [stochastic.DYSON, stochastic.LAGUERRE])
 def test_output_invariant_to_noise_chunk_length(kind, monkeypatch):
     cfg = oracle_cfg(kind, 5, "zeros", paths=7)
     ref = SIMULATORS[kind](cfg)
-    for chunk in (1, 7, cfg.n_steps, cfg.n_steps + 50):
-        monkeypatch.setattr(stochastic, "_NOISE_CHUNK_STEPS", chunk)
-        ens = SIMULATORS[kind](cfg)
-        assert np.array_equal(ens.data, ref.data)
-        assert ens.clamp_events == ref.clamp_events
+    for plan in ("serial", "path-2", "stage"):
+        with monkeypatch.context() as m:
+            forks = force_plan(m, PLANS[plan])
+            for shortest, budget in CHUNKINGS:
+                m.setattr(stochastic, "_NOISE_CHUNK_STEPS", shortest)
+                m.setattr(stochastic, "_NOISE_BYTES", budget)
+                three_paths = 3 * stochastic._path_bytes(cfg.n_steps, cfg.n)
+                for block_bytes in (1 << 26, three_paths):  # one block, or blocks of 3, 3 and 1
+                    m.setattr(stochastic, "_BLOCK_BYTES", block_bytes)
+                    ens = SIMULATORS[kind](cfg)
+                    assert np.array_equal(ens.data, ref.data)
+                    assert ens.clamp_events == ref.clamp_events
+        assert len(forks) == 2 * len(CHUNKINGS) * forks_of(PLANS[plan])
+        assert_no_child_left()
 
 
 @pytest.mark.parametrize("kind", [stochastic.DYSON, stochastic.LAGUERRE])
@@ -769,9 +830,9 @@ def inject_nan(monkeypatch, kind, faults):
     real_drift, real_block = getattr(stochastic, name), stochastic._simulate_block
     block = {}
 
-    def block_with_faults(cfg, kind, lo, hi):
+    def block_with_faults(cfg, kind, lo, hi, *chunks):
         block.update(lo=lo, hi=hi, calls=0)
-        return real_block(cfg, kind, lo, hi)
+        return real_block(cfg, kind, lo, hi, *chunks)
 
     def faulty_drift(lam, *args):
         drift, clamped = real_drift(lam, *args)
@@ -800,19 +861,23 @@ def inject_nan(monkeypatch, kind, faults):
     ],
 )
 def test_sharded_step_unstable_is_the_serial_error(kind, paths, block, faults, step, monkeypatch):
+    # in the stage plan, the caller steps every block in turn and the drawer
+    # is killed when the first failure stops it
     cfg = oracle_cfg(kind, 5, "spread", paths=paths)
     block_bytes = block * stochastic._path_bytes(cfg.n_steps, cfg.n)
     monkeypatch.setattr(stochastic, "_BLOCK_BYTES", block_bytes)
     inject_nan(monkeypatch, kind, faults)
     with pytest.raises(StepUnstable) as serial:
         SIMULATORS[kind](cfg)
-    forks = force_shards(monkeypatch, 2)
-    with pytest.raises(StepUnstable) as sharded:
-        SIMULATORS[kind](cfg)
-    assert len(forks) == 1
-    assert str(sharded.value) == str(serial.value)
     assert f"at step {step};" in str(serial.value)
-    assert_no_child_left()
+    for plan in ("path-2", "stage"):
+        with monkeypatch.context() as m:
+            forks = force_plan(m, PLANS[plan])
+            with pytest.raises(StepUnstable) as sharded:
+                SIMULATORS[kind](cfg)
+        assert len(forks) == 1
+        assert str(sharded.value) == str(serial.value)
+        assert_no_child_left()
 
 
 @pytest.mark.parametrize("death", ["exit", "signal"])
@@ -822,13 +887,13 @@ def test_range_of_a_lost_child_is_run_by_the_caller(death, monkeypatch):
     ref = simulate_dyson(cfg, rows=cli._particle_rows)
     caller, real, ran_here = os.getpid(), stochastic._simulate_range, []
 
-    def child_dies(cfg, kind, lo, hi):
+    def child_dies(cfg, kind, lo, hi, drawer=None):
         if os.getpid() != caller and death == "exit":
             os._exit(1)
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
         ran_here.append((lo, hi))
-        return real(cfg, kind, lo, hi)
+        return real(cfg, kind, lo, hi, drawer)
 
     monkeypatch.setattr(stochastic, "_simulate_range", child_dies)
     forks = force_shards(monkeypatch, 3)
@@ -837,6 +902,46 @@ def test_range_of_a_lost_child_is_run_by_the_caller(death, monkeypatch):
     assert np.array_equal(ens.data, ref.data) and ens.clamp_events == ref.clamp_events
     assert len(ref.rows) == 1 and len(ens.rows) == 3
     assert ["\n".join(slot) for slot in zip(*ens.rows)] == ref.rows[0]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("death, at_fill", [("exit", 1), ("signal", 20)])
+def test_noise_of_a_lost_drawer_is_drawn_by_the_caller(death, at_fill, monkeypatch):
+    # blocks of 10 paths, 15 chunks of noise each: a drawer that exits before
+    # its first chunk, or is killed while it fills the second block's fifth,
+    # leaves the caller to run that block again, and every later one, with
+    # noise it draws itself
+    cfg = make_cfg(paths=32, beta=1.0, t_end=0.1, record_times=(0.05, 0.1))
+    ref = simulate_dyson(cfg, rows=cli._particle_rows)
+    monkeypatch.setattr(stochastic, "_NOISE_CHUNK_STEPS", 7)
+    monkeypatch.setattr(stochastic, "_NOISE_BYTES", 0)
+    monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 10 * stochastic._path_bytes(cfg.n_steps, cfg.n))
+    caller, source = os.getpid(), stochastic._NoiseSource
+    real_init, real_fill, fills, drawn_here = source.__init__, source.fill, [], []
+
+    def init(self, cfg, kind, lo, hi):
+        if os.getpid() == caller:
+            drawn_here.append((lo, hi))
+        real_init(self, cfg, kind, lo, hi)
+
+    def fill(self, noise):
+        if os.getpid() != caller:
+            fills.append(None)
+            if len(fills) == at_fill and death == "exit":
+                os._exit(1)
+            if len(fills) == at_fill:
+                os.kill(os.getpid(), signal.SIGKILL)
+        real_fill(self, noise)
+
+    monkeypatch.setattr(source, "__init__", init)
+    monkeypatch.setattr(source, "fill", fill)
+    forks = force_plan(monkeypatch, PLANS["stage"])
+    ens = simulate_dyson(cfg, rows=cli._particle_rows)
+    assert len(forks) == 1
+    lost = 0 if at_fill == 1 else 1
+    assert drawn_here == [(0, 10), (10, 20), (20, 30), (30, 32)][lost:]
+    assert ens.data.tobytes() == ref.data.tobytes() and ens.clamp_events == ref.clamp_events
+    assert ens.rows == ref.rows
     assert_no_child_left()
 
 
@@ -860,11 +965,11 @@ def simulate_bytes(argv, path):
 def test_rows_formatted_by_the_shards_keep_the_bytes(kind, tmp_path, monkeypatch):
     ref = simulate_bytes(SHARDED_ARGV[kind], tmp_path / "serial.csv")
     assert ref[0].count(b"\n") == 2 + 4 * 31
-    for workers in (1, 2, 3):
+    for plan in PLANS:
         with monkeypatch.context() as m:
-            forks = force_shards(m, workers)
-            got = simulate_bytes(SHARDED_ARGV[kind], tmp_path / f"sharded{workers}.csv")
-        assert len(forks) == workers - 1
+            forks = force_plan(m, PLANS[plan])
+            got = simulate_bytes(SHARDED_ARGV[kind], tmp_path / f"{plan}.csv")
+        assert len(forks) == forks_of(PLANS[plan])
         assert got == ref
         assert_no_child_left()
 
@@ -897,18 +1002,23 @@ def test_each_process_formats_the_rows_of_its_own_range(tmp_path, monkeypatch):
 def test_interrupt_kills_and_reaps_the_children(monkeypatch):
     caller = os.getpid()
 
-    def interrupted(cfg, kind, lo, hi):
+    def interrupted(cfg, kind, lo, hi, drawer=None):
         if os.getpid() != caller:
             time.sleep(60)  # a child still running when the caller stops
         raise KeyboardInterrupt
 
+    def drawing(self, noise):
+        time.sleep(60)  # only a drawer gets here: the caller's range stops first
+
     monkeypatch.setattr(stochastic, "_simulate_range", interrupted)
-    force_shards(monkeypatch, 3)
-    t0 = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        simulate_dyson(make_cfg(paths=32))
-    assert time.monotonic() - t0 < 30
-    assert_no_child_left()
+    monkeypatch.setattr(stochastic._NoiseSource, "fill", drawing)
+    for plan in ("path-3", "stage"):
+        t0 = time.monotonic()
+        with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
+            force_plan(m, PLANS[plan])
+            simulate_dyson(make_cfg(paths=32))
+        assert time.monotonic() - t0 < 30
+        assert_no_child_left()
 
 
 def test_cli_exit_3_for_an_unstable_sharded_run(capsys, monkeypatch):
@@ -916,11 +1026,13 @@ def test_cli_exit_3_for_an_unstable_sharded_run(capsys, monkeypatch):
             "--t", "1e16", "--dt", "1e16", "--paths", "4", "--seed", "1"]
     assert cli.main(argv) == 3
     serial = capsys.readouterr()
-    forks = force_shards(monkeypatch, 2)
-    assert cli.main(argv) == 3
-    sharded = capsys.readouterr()
-    assert len(forks) == 1
-    assert sharded.out == serial.out == ""
-    assert sharded.err == serial.err
-    assert sharded.err.startswith("numerical failure: ") and sharded.err.count("\n") == 1
-    assert_no_child_left()
+    for plan in ("path-2", "stage"):
+        with monkeypatch.context() as m:
+            forks = force_plan(m, PLANS[plan])
+            assert cli.main(argv) == 3
+        sharded = capsys.readouterr()
+        assert len(forks) == 1
+        assert sharded.out == serial.out == ""
+        assert sharded.err == serial.err
+        assert sharded.err.startswith("numerical failure: ") and sharded.err.count("\n") == 1
+        assert_no_child_left()

@@ -71,8 +71,9 @@ class _Value:
 
 
 def _numbers(name: str, values, kind=float) -> tuple:
-    """``values`` as a tuple of ``kind`` (float or complex); InvalidParameter
-    for a str or bytes, or for an entry that ``kind`` refuses."""
+    """``values`` as a tuple of ``kind`` (float, complex or another
+    conversion); InvalidParameter for a str or bytes, or for an entry that
+    ``kind`` refuses."""
     if isinstance(values, (str, bytes)):
         raise InvalidParameter(f"{name} must be a sequence of numbers, not {type(values).__name__}")
     try:

@@ -23,7 +23,10 @@ from .dynamics import gaussian_gk, laguerre_gk
 from .elemsym import esp_rows
 from .errors import InvalidParameter, check_int, check_real
 from .orthopoly import (
+    OrthogonalSystem,
     _power_traces_batch,
+    _rational,
+    _round,
     dual_hermite_system,
     dual_laguerre_system,
     hermite_zeros,
@@ -83,20 +86,19 @@ def build_q_matrix_gaussian(n: int) -> np.ndarray:
 
     Rows are polynomial orders 0..N-1, columns zeros ascending; QQ^T = I
     because the dual orthonormal system is orthonormal under the uniform
-    measure on the zeros.
+    measure on the zeros.  Each row's norm is one sqrt of the exact N h_m.
     """
-    z = hermite_zeros(n).as_array()
-    sys = dual_hermite_system(n)
-    return np.array([sys.orthonormal_value(m, z) / math.sqrt(n) for m in range(n)])
+    z, sys = hermite_zeros(n).as_array(), dual_hermite_system(n)
+    norms = [math.sqrt(_round(n * h)) for h in sys.exact_norms]
+    return np.array([sys.value(m, z) / r for m, r in enumerate(norms)])
 
 
 def build_q_matrix_laguerre(n: int, alpha: float) -> np.ndarray:
     """Orthogonal matrix ``Q[m, i] = sqrt(z_i / (N(N+alpha-1))) qhat_m(z_i)``
-    over Laguerre zeros."""
-    z = laguerre_zeros(n, alpha).as_array()
-    sys = dual_laguerre_system(n, alpha)
-    w = np.sqrt(z / (n * (alpha + n - 1)))
-    return np.array([w * sys.orthonormal_value(m, z) for m in range(n)])
+    over Laguerre zeros; each row's norm is one sqrt of its exact square."""
+    z, sys = laguerre_zeros(n, alpha).as_array(), dual_laguerre_system(n, alpha)
+    norms = [math.sqrt(_round(n * (_rational(alpha) + n - 1) * h)) for h in sys.exact_norms]
+    return np.array([np.sqrt(z) * sys.value(m, z) / r for m, r in enumerate(norms)])
 
 
 @dataclass(frozen=True)
@@ -251,9 +253,9 @@ def _primitive_statistics(beta, n, samples, seed, kind, alpha):
 
     The batch is drawn with the samplers' random stream and centred at c, the
     mean of the centring zeros (0 for Hermite).  Each Q_m is expanded in
-    powers of x - c once, so all N statistics are one product of the
+    powers of x - c once, exactly, so all N statistics are one product of the
     (N+1, samples) power sums of J - c, less those of the zeros, with the
-    (N, N+1) coefficients.
+    (N, N+1) coefficients, each rounded once like the targets.
     """
     check_int("samples", samples, 2)
     check_int("seed", seed, 0)
@@ -262,37 +264,25 @@ def _primitive_statistics(beta, n, samples, seed, kind, alpha):
     rng = np.random.default_rng(seed)
     if kind == GAUSSIAN:
         z = hermite_zeros(n).as_array()
-        sys = dual_hermite_system(n)
-        targets = np.array([sys.squared_norms[m] / (m + 1) for m in range(n)])
-        c = 0.0
+        sys, scale, c = dual_hermite_system(n), 1, 0.0
         diag, off = gbe_tridiagonal_batch(beta, n, samples, rng)
     elif kind == LAGUERRE:
         check_real("alpha", alpha, 0.0)
         z = laguerre_zeros(n, alpha).as_array()
-        sys = dual_laguerre_system(n, alpha)
-        targets = np.array(
-            [(alpha + n - 1) * sys.squared_norms[m] / (m + 1) for m in range(n)]
-        )
-        c = float(np.mean(z))
+        sys, scale, c = dual_laguerre_system(n, alpha), _rational(alpha) + n - 1, float(np.mean(z))
         diag, off = ble_tridiagonal_batch(beta, alpha, n, samples, rng)
     else:
         raise InvalidParameter(f"unknown kind {kind!r}")
+    targets = np.array([_round(scale * h, m + 1) for m, h in enumerate(sys.exact_norms)])
     diag -= c
     traces = _power_traces_batch(diag, off, n)
     del diag, off
+    shifted = OrthogonalSystem([v - _rational(c) for v in sys.a], sys.b2)  # the q_m(y + c)
     coeffs = np.zeros((n + 1, n))
     for m in range(n):
-        coeffs[: m + 2, m] = _shifted(primitive(sys, m), c)
+        coeffs[: m + 2, m] = primitive(shifted, m)
     zsums = np.sum((z - c)[:, None] ** np.arange(n + 1), axis=0)
     return math.sqrt(beta * n / 2.0) * ((coeffs.T @ (traces.T - zsums[:, None])) / n), targets
-
-
-def _shifted(coeffs: np.ndarray, c: float) -> np.ndarray:
-    """Ascending coefficients of ``p(y + c)`` from those of p, by Horner's rule."""
-    out = np.zeros(len(coeffs))
-    for q in coeffs[::-1]:
-        out = c * out + np.append(q, out[:-1])
-    return out
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,12 @@ from freezing_dyson.orthopoly import (
     JacobiMatrix,
     OrthogonalSystem,
     SpectralMeasure,
+    christoffel_darboux_weights,
+    dual,
     dual_hermite_system,
     dual_laguerre_system,
+    dual_spectral_weights_cd,
+    eigen_tridiag,
     hermite_jacobi,
     hermite_zeros,
     laguerre_freezing_matrix,
@@ -39,6 +43,7 @@ from freezing_dyson.orthopoly import (
     laguerre_zeros,
     primitive,
     scaled_primitive,
+    spectral_measure,
 )
 from freezing_dyson.stats import (
     build_q_matrix_gaussian,
@@ -326,6 +331,7 @@ def test_head_reproducers():
 
 SEQUENCE = r"must be a sequence of numbers"
 POLYNOMIALS = r"g_k needs N >= 1 nonempty polynomials, g_0 a positive integer"
+RECURRENCE = r"an orthogonal system needs n >= 1 a and n - 1 positive b2"
 
 
 @pytest.mark.parametrize(
@@ -343,8 +349,15 @@ POLYNOMIALS = r"g_k needs N >= 1 nonempty polynomials, g_0 a positive integer"
         (lambda: JacobiMatrix((0.0, 0.0), [None]), rf"^offdiag {SEQUENCE} \(float\(\) argument"),
         (lambda: SpectralMeasure((0, 1), (0.5, 0.5)), r"^atoms must be a RootTuple \(got tuple\)$"),
         (lambda: SpectralMeasure(RootTuple((0.0,)), "1"), rf"^weights {SEQUENCE}, not str$"),
-        (lambda: OrthogonalSystem((0.0,), (1.0,)), r"^source must be a JacobiMatrix \(got tuple\)$"),
-        (lambda: OrthogonalSystem(hermite_jacobi(1), "1"), rf"^squared_norms {SEQUENCE}, not str$"),
+        (lambda: OrthogonalSystem(hermite_jacobi(2), ()),
+         rf"^a {SEQUENCE} \('JacobiMatrix' object is not iterable\)$"),
+        (lambda: OrthogonalSystem((0.0,), "1"), rf"^b2 {SEQUENCE}, not str$"),
+        (lambda: OrthogonalSystem((0.0, 1.0), (1.0, 1.0)), rf"^{RECURRENCE}$"),
+        (lambda: OrthogonalSystem((), ()), rf"^{RECURRENCE}$"),
+        (lambda: OrthogonalSystem((0.0, 1.0), (-1.0,)), rf"^{RECURRENCE}$"),
+        (lambda: OrthogonalSystem((0.0, 1.0), (0.0,)), rf"^{RECURRENCE}$"),
+        (lambda: OrthogonalSystem((0.0, 1.0), (math.nan,)), rf"^b2 {SEQUENCE} \(cannot convert NaN"),
+        (lambda: OrthogonalSystem((math.inf, 1.0), (1.0,)), rf"^a {SEQUENCE} \(cannot convert Inf"),
         (lambda: MKLift("12", 2), rf"^lift {SEQUENCE}, not str$"),
         (lambda: MKLift((1.0, "i"), 2), rf"^lift {SEQUENCE} \(complex\(\) arg is a malformed"),
         (lambda: MomentSequence((1.0,), 0), r"^n must be an integer >= 1 \(got 0\)$"),
@@ -361,7 +374,10 @@ POLYNOMIALS = r"g_k needs N >= 1 nonempty polynomials, g_0 a positive integer"
         "RootTuple-str", "RootTuple-bytes", "RootTuple-entry", "RootTuple-scalar",
         "RootTuple-overflow", "RootTuple.from_values-str", "MonicPolynomial-entry",
         "MonicPolynomial-str", "JacobiMatrix-str", "JacobiMatrix-entry", "SpectralMeasure-atoms",
-        "SpectralMeasure-str", "OrthogonalSystem-source", "OrthogonalSystem-str", "MKLift-str", "MKLift-entry", "MomentSequence-n",
+        "SpectralMeasure-str", "OrthogonalSystem-source", "OrthogonalSystem-str",
+        "OrthogonalSystem-length", "OrthogonalSystem-empty", "OrthogonalSystem-negative",
+        "OrthogonalSystem-zero", "OrthogonalSystem-nan", "OrthogonalSystem-inf",
+        "MKLift-str", "MKLift-entry", "MomentSequence-n",
         "MomentSequence-entry", "GkTrajectory-str", "GkTrajectory-str-entry",
         "GkTrajectory-float-entry", "GkTrajectory-no-g1", "GkTrajectory-zero-g0",
         "GkTrajectory-nonconstant-g0", "GkTrajectory-empty-g1",
@@ -373,6 +389,44 @@ def test_value_constructors_reject_malformed_input(build, message):
     # an AttributeError
     with pytest.raises(InvalidParameter, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: christoffel_darboux_weights(hermite_jacobi(3), RootTuple((0.0, 1.0))),
+         DimensionMismatch, r"^2 atoms for a Jacobi matrix of order 3$"),
+        (lambda: dual_spectral_weights_cd(hermite_jacobi(3), RootTuple((0.0, 1.0, 2.0, 3.0))),
+         DimensionMismatch, r"^4 atoms for a Jacobi matrix of order 3$"),
+        (lambda: christoffel_darboux_weights(hermite_jacobi(3), (-1.0, 0.0, 1.0)),
+         InvalidParameter, r"^atoms must be a RootTuple \(got tuple\)$"),
+        (lambda: dual("x"), InvalidParameter, r"^j must be a JacobiMatrix \(got str\)$"),
+        (lambda: eigen_tridiag("x"), InvalidParameter, r"^j must be a JacobiMatrix \(got str\)$"),
+        (lambda: spectral_measure("x"), InvalidParameter, r"^j must be a JacobiMatrix \(got str\)$"),
+        (lambda: christoffel_darboux_weights((0.0,)), InvalidParameter,
+         r"^j must be a JacobiMatrix \(got tuple\)$"),
+        (lambda: primitive("x", 0), InvalidParameter, r"^sys must be an OrthogonalSystem \(got str\)$"),
+        (lambda: SYSTEM.value(1, "abc"), InvalidParameter, r"^x must be a number or an array of numbers"),
+        (lambda: scaled_primitive(SYSTEM, 0, 1.0, "a"), InvalidParameter,
+         r"^x must be a number or an array of numbers"),
+        (lambda: scaled_primitive(SYSTEM, 0, 1.0, math.inf), InvalidParameter, r"^x must be finite$"),
+        (lambda: scaled_primitive(SYSTEM, 1, 1.0, [0.5, math.nan]), InvalidParameter,
+         r"^x must be finite$"),
+    ],
+    ids=[
+        "cd-weights-atoms-short", "dual-cd-weights-atoms-long", "cd-weights-tuple-atoms", "dual-str",
+        "eigen_tridiag-str", "spectral_measure-str", "cd-weights-tuple-matrix", "primitive-str",
+        "value-str", "scaled_primitive-str", "scaled_primitive-inf", "scaled_primitive-nan",
+    ],
+)
+def test_orthopoly_entry_points_refuse_bad_input(call, error, message):
+    # each once returned garbage (a -inf weight after a divide warning, four
+    # weights for three atoms, NaN after a RuntimeWarning) or ended in an
+    # AttributeError or a ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            call()
 
 
 @pytest.mark.parametrize(

@@ -185,12 +185,10 @@ VALUE_CASES = {
         "SpectralMeasure(atoms=RootTuple(roots=(0.0, 1.0)), weights=(0.25, 0.75))",
         ("atoms", "weights"),
     ),
-    "OrthogonalSystem": (
-        OrthogonalSystem(JACOBI, (1.0, 0.25)), OrthogonalSystem.from_jacobi(JACOBI),
-        OrthogonalSystem(JACOBI, (1.0, 0.5)),
-        "OrthogonalSystem(source=JacobiMatrix(diag=(0.0, 1.0), offdiag=(0.5,)),"
-        " squared_norms=(1.0, 0.25))",
-        ("source", "squared_norms"),
+    "OrthogonalSystem": (  # compares and shows the exact recurrence data
+        OrthogonalSystem((0, 1), (0.25,)), OrthogonalSystem.from_jacobi(JACOBI),
+        OrthogonalSystem((0, 1), (0.5,)), "OrthogonalSystem(a=(0, 1), b2=(Fraction(1, 4),))",
+        ("a", "b2"),
     ),
     "MKLift": (
         MKLift((1 + 2j, 3.0), 2), MKLift([1 + 2j, 3], 2), MKLift((1 - 2j, 3.0), 2),

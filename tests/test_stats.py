@@ -9,6 +9,7 @@ from freezing_dyson.dynamics import moment_sequence
 from freezing_dyson.elemsym import RootTuple
 from freezing_dyson.errors import InvalidParameter
 from freezing_dyson.orthopoly import (
+    OrthogonalSystem,
     dual_hermite_system,
     dual_laguerre_system,
     hermite_zeros,
@@ -125,6 +126,38 @@ def test_primitive_clt_gaussian_order0_exact():
     # orders 0 and 1 carry opposite parity: their correlation vanishes at any beta
     assert abs(rep.correlations[0, 1]) < 3.0 * rep.corr_stderr
 
+
+
+def exact_monic(a, b2):
+    """Ascending Fraction coefficients of the monic q_0 .. q_(n-1) of the
+    recurrence ``q_(m+1) = (x - a_m) q_m - b2_(m-1) q_(m-1)``."""
+    q = [[Fraction(1)]]
+    for m in range(len(b2)):
+        nxt = [Fraction(0)] + q[m]
+        for k, c in enumerate(q[m]):
+            nxt[k] -= a[m] * c
+        for k, c in enumerate(q[m - 1] if m else []):
+            nxt[k] -= b2[m - 1] * c
+        q.append(nxt)
+    return q
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5, 1 / 3], ids=repr)
+def test_primitives_of_the_shifted_system_are_the_exact_shift_rounded_once(alpha):
+    # the primitive statistics expand Q_m in powers of y = x - c as the
+    # primitives of the system whose a_m are shifted by c, which q_m(y + c) obey
+    for n in range(1, 13):
+        sys = dual_laguerre_system(n, alpha)
+        c = float(np.mean(laguerre_zeros(n, alpha).as_array()))
+        shifted_sys = OrthogonalSystem([v - Fraction(c) for v in sys.a], sys.b2)
+        for m, q in enumerate(exact_monic(sys.a, sys.b2)):
+            # Q(y + c) - Q(c), Q' = q_m, by the binomial expansion in Fractions
+            shifted = [
+                sum(q[k] * math.comb(k, j) * Fraction(c) ** (k - j) for k in range(j, len(q)))
+                for j in range(len(q))
+            ]
+            expect = [0.0] + [float(v / (j + 1)) for j, v in enumerate(shifted)]
+            assert primitive(shifted_sys, m).tolist() == expect
 
 
 def _centring(n, kind, alpha):

@@ -1036,3 +1036,30 @@ def test_cli_exit_3_for_an_unstable_sharded_run(capsys, monkeypatch):
         assert sharded.err == serial.err
         assert sharded.err.startswith("numerical failure: ") and sharded.err.count("\n") == 1
         assert_no_child_left()
+
+
+def usable_cpus(count):
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < count:
+        pytest.skip(f"needs {count} usable CPUs")
+    return cpus
+
+
+def test_output_identical_at_one_and_two_usable_cores():
+    # the real plan at each mask: serial on one core, forked on two
+    cpus = usable_cpus(2)
+    cfg = make_cfg(paths=400, n=4, t_end=0.5, initial=RootTuple((-1.2, -0.4, 0.3, 1.1)),
+                   record_times=(0.25, 0.5))
+    assert stochastic._plan(400, 4, cfg.n_steps, 2, 2) != PLANS["serial"]
+    runs = []
+    try:
+        for mask in ([cpus[0]], cpus[:2]):
+            os.sched_setaffinity(0, mask)
+            assert stochastic._run_plan(cfg) == stochastic._plan(400, 4, cfg.n_steps, 2, len(mask))
+            runs.append(simulate_dyson(cfg))
+            assert os.sched_getaffinity(0) == set(mask)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert runs[0].data.tobytes() == runs[1].data.tobytes()
+    assert runs[0].clamp_events == runs[1].clamp_events
+    assert_no_child_left()

@@ -6,22 +6,19 @@ and Laguerre families enter through explicit finite Jacobi matrices whose
 spectra are the polynomial zeros; their *duals* (index-reversed matrices)
 carry the orthogonal systems used by the fluctuation statistics.
 
-Two eigenvalue kernels serve two kinds of caller.  One matrix at a time
-(:func:`eigen_tridiag`, and through it the classical zeros) goes through a
-pure-Python implicit QL iteration, so the exact side of the library computes
-its zeros without loading numpy, and they depend on no numpy or LAPACK build.
-Batches of many matrices (:func:`eigen_tridiag_batch`, the Monte Carlo
-samplers) go through LAPACK's ``eigvalsh``, and ``eigh`` serves where
-spectral measures need the eigenvectors.  A batch of two or more chunks is
-split over the usable cores, with one chunk buffer of working memory per
-worker, and its output is bit-identical for any core count: each matrix meets
-the same LAPACK call on any thread; it is bit-reproducible under one
-numpy/LAPACK build, like the samplers.  Both kernels are backward stable, to
-a small multiple of n * eps * (matrix norm); the tests certify each classical
-Hermite and Laguerre zero within 1e-14 * max|z| of the exact zero by exact
-signs of the exact characteristic polynomial.  The classical zeros are cached
-per (n, alpha) and their types, as immutable root tuples, so that a cached
-``1`` never answers for ``True``.
+One eigenvalue kernel serves every caller: a pure-Python implicit QL
+iteration (:func:`eigen_tridiag`, and through it the classical zeros), so the
+exact side of the library computes its zeros without loading numpy.  Batches
+of many matrices (:func:`eigen_tridiag_batch`, the Monte Carlo samplers) run
+the same iteration lane-vectorized on numpy arrays, each matrix to the same
+bits as alone, so the batch output depends on no chunking, no core count and
+no numpy or LAPACK build; ``eigh`` serves only where spectral measures need
+the eigenvectors.  The kernel is backward stable, to a small multiple of
+n * eps * (matrix norm); the tests certify each classical Hermite and
+Laguerre zero within 1e-14 * max|z| of the exact zero by exact signs of the
+exact characteristic polynomial.  The classical zeros are cached per
+(n, alpha) and their types, as immutable root tuples, so that a cached ``1``
+never answers for ``True``.
 
 The dual orthogonal systems (:class:`OrthogonalSystem`) are held exactly:
 their recurrence data are ints or Fractions (a float alpha at its exact
@@ -46,7 +43,6 @@ import functools
 import itertools
 import math
 import operator
-import os
 
 from .elemsym import RootTuple, _Value, _numbers, _rounded
 from .errors import DimensionMismatch, InvalidParameter, NoConvergence, check_int, check_real, np
@@ -71,11 +67,16 @@ __all__ = [
     "scaled_primitive",
 ]
 
-# Float64 elements of one chunk of a batch kernel's working memory (1 MB): dense
-# matrices in eigen_tridiag_batch, banded powers in _power_traces_batch.  An
-# eigenvalue batch of two or more chunks is split over the usable cores, with
-# one chunk buffer per worker; its output is bit-identical for any core count.
+# Float64 elements of one chunk of _power_traces_batch's banded powers (1 MB).
 _CHUNK_ELEMS = 1 << 17
+# The batch eigenvalue kernel sweeps chunks of _LANES matrices lane-major and
+# runs fewer than _NARROW lanes in pure Python (measured in CHANGES.md).  In
+# a matrix scaled to entries below 1 no off-diagonal above _SAFE splits a
+# block, and _TINY bounds the sums of squares whose sqrt loses nothing.
+_LANES = 8192
+_NARROW = 24
+_SAFE = 2.0**-50
+_TINY = 2.0**-1000
 
 
 def _check_type(name: str, value, cls) -> None:
@@ -208,77 +209,115 @@ def _as_batch(diag, offdiag, what: str):
 def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     """Eigenvalues of a batch of Jacobi matrices, ascending per row.
 
-    ``diag`` is (M, n), ``offdiag`` is (M, n-1).  LAPACK's ``eigvalsh`` runs
-    on dense copies built in chunks of about ``_CHUNK_ELEMS`` floats.  A batch
-    of two or more chunks is cut into contiguous ranges of whole chunks, one
-    per usable core (at most one per chunk): the calling thread runs the
-    first and threads that live only for this call run the others, since
-    ``eigvalsh`` releases the GIL.  Each matrix goes through the same LAPACK
-    call on the same data whichever thread runs it, so the output is bit-
-    identical for any core count, and the working memory is one chunk buffer
-    per worker whatever M is.  Being backward stable, each eigenvalue is
-    within a small multiple of n * eps * (matrix norm) of exact.
-    Bit-reproducible under one numpy/LAPACK build (the CLI metadata records
-    numpy's version and the LAPACK build).  This kernel serves the Monte
-    Carlo batches; one matrix at a time goes through :func:`eigen_tridiag`.
+    ``diag`` is (M, n), ``offdiag`` is (M, n-1).  The QL iteration of
+    :func:`eigen_tridiag` runs lane-vectorized on chunks of ``_LANES``
+    matrices, and each lane's eigenvalues are the single-matrix kernel's bits,
+    so they depend on no other matrix, no chunking and no numpy or LAPACK
+    build.  Past 30 sweeps for one eigenvalue :class:`NoConvergence` is
+    raised.
     """
     diag, offdiag = _as_batch(diag, offdiag, "tridiagonal eigenvalues")
-    m, n = diag.shape
-    if n == 1:
+    if diag.shape[1] == 1:
         return diag.copy()
-    step = max(1, _CHUNK_ELEMS // (n * n))
-    chunks = -(-m // step)
-    workers = max(1, min(_usable_cores(), chunks))  # one for an empty batch
-    out = np.empty((m, n))
-    cuts = [min(m, step * (chunks * w // workers)) for w in range(workers + 1)]
-    # the buffers come from the calling thread: a worker's own allocations go
-    # to a per-thread malloc arena and raise the peak resident set
-    ranges = [
-        (diag[s:t], offdiag[s:t], out[s:t], np.zeros((min(t - s, step), n, n)), step)
-        for s, t in zip(cuts, cuts[1:])
-    ]
-    if workers == 1:
-        _eigvalsh_chunks(*ranges[0])
-        return out
-    # importing concurrent.futures costs several ms, which one-chunk callers
-    # would pay at start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    # leaving the block joins every worker, also when a range raises
-    with ThreadPoolExecutor(workers - 1) as pool:
-        rest = [pool.submit(_eigvalsh_chunks, *r) for r in ranges[1:]]
-        _eigvalsh_chunks(*ranges[0])
-        for f in rest:
-            f.result()
+    out = np.empty(diag.shape)
+    for s in range(0, len(diag), _LANES):
+        d = diag[s : s + _LANES].T.copy()
+        e = np.zeros(d.shape)
+        e[:-1] = offdiag[s : s + _LANES].T
+        # the scaling of _eigen_lane, lane by lane
+        k = np.frexp(np.maximum(np.abs(d).max(axis=0), np.abs(e).max(axis=0)))[1]
+        with np.errstate(divide="ignore", invalid="ignore"):  # lanes with r = 0 go to _ql
+            _ql_lanes(np.ldexp(d, -k, out=d), np.ldexp(e, -k, out=e))
+        out[s : s + _LANES] = np.sort(np.ldexp(d, k, out=d).T, axis=1, kind="stable")
     return out
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity where the platform
-    reports one, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+def _ql_lanes(d: np.ndarray, e: np.ndarray) -> None:
+    """:func:`_ql` on every lane (column) of the scaled lane-major ``d`` and
+    ``e`` ((n, w); e's last row unused), in place.  The lanes take each level
+    lo together: those whose test at row lo fails sweep rows lo..n-1 at once,
+    into the other of two work buffers.  :func:`_ql` itself runs, from the
+    state before, a lane with an off-diagonal below row lo at or under
+    ``_SAFE`` (its block may split there, or a rotation need the slow norm),
+    and a level of fewer than ``_NARROW`` lanes."""
+    n, w = d.shape
+    split = (np.abs(e[1 : n - 1]) <= _SAFE).any(axis=0) | (w < _NARROW)
+    _alone(d, e, np.flatnonzero(split), None, 0, 0, n)
+    lanes = np.flatnonzero(~split)
+    work = np.empty((2, 2, n, w))  # two (d, e) buffers, one written per sweep
+    tmp = np.empty((7, w))
+    flip = 0
+    cd = None  # rows lo..n-1 of the lanes ``at``, where not None
+    for lo in range(n - 1):
+        if cd is None:
+            at = lanes
+            cd, ce = (d[lo:], e[lo:]) if len(at) == w else (d[lo:].take(at, 1), e[lo:].take(at, 1))
+        for sweeps in range(31):
+            dd = np.abs(cd[0]) + np.abs(cd[1])
+            done = np.abs(ce[0]) + dd == dd
+            if done.all() and len(at) == len(lanes) and lo < n - 2:
+                d[lo, at] = cd[0]  # the other rows go on to the next level
+                cd, ce = cd[1:], ce[1:]
+                break
+            if done.any():
+                cols, keep = np.flatnonzero(done), np.flatnonzero(~done)
+                d[lo:, at[cols]], e[lo:, at[cols]] = cd.take(cols, 1), ce.take(cols, 1)
+                at, cd, ce = at[keep], cd.take(keep, 1), ce.take(keep, 1)
+            if len(at) < _NARROW:
+                _alone(d, e, at, (cd, ce), lo, sweeps, lo + 1)
+                cd = None
+                break
+            if sweeps == 30:
+                raise NoConvergence("tridiagonal eigenvalues: 30 sweeps without convergence")
+            nd, ne = work[flip, :, lo:, : len(at)]
+            flip ^= 1
+            _sweep_lanes(cd, ce, nd, ne, tmp[:, : len(at)])
+            new = ne[1:]  # every r of the sweep; above _SAFE, each took sqrt(f*f + g*g)
+            if not (new.min() > _SAFE and new.max() < math.inf):
+                bad = ~((new > _SAFE) & (new < math.inf)).all(axis=0)
+                cols, keep = np.flatnonzero(bad), np.flatnonzero(~bad)
+                _alone(d, e, at[cols], (cd.take(cols, 1), ce.take(cols, 1)), lo, sweeps, n)
+                lanes = np.setdiff1d(lanes, at[cols], assume_unique=True)
+                at, nd, ne = at[keep], nd.take(keep, 1), ne.take(keep, 1)
+            cd, ce = nd, ne
 
 
-def _eigvalsh_chunks(diag, offdiag, out, dense, step):
-    """Write the eigenvalues of the lanes of ``diag`` and ``offdiag`` into
-    ``out``, ``step`` lanes per ``eigvalsh`` call through the zeroed dense
-    buffer ``dense`` ((at least min(M, step), n, n)).  Calls no public
-    function of the library, so it may run on any thread."""
-    m, n = diag.shape
-    # eigvalsh reads only the lower triangle, so the buffer's upper part
-    # stays zero and only the two written diagonals change between chunks
-    i = np.arange(n)
-    for s in range(0, m, step):
-        t = dense[: min(step, m - s)]
-        t[:, i, i] = diag[s : s + step]
-        t[:, i[1:], i[:-1]] = offdiag[s : s + step]
-        try:
-            out[s : s + step] = np.linalg.eigvalsh(t, UPLO="L")
-        except np.linalg.LinAlgError as exc:  # LAPACK did not converge
-            raise NoConvergence(f"tridiagonal eigenvalues: {exc}") from exc
+def _alone(d, e, lanes, state, lo: int, sweeps: int, top: int) -> None:
+    """:func:`_ql` on ``lanes`` of ``d`` and ``e``, rows lo.. first set to ``state``."""
+    if state is not None:
+        d[lo:, lanes], e[lo:, lanes] = state
+    for j in lanes:
+        dj, ej = d[:, j].tolist(), e[:, j].tolist()
+        _ql(dj, ej, lo, sweeps, top)
+        d[:, j], e[:, j] = dj, ej
+
+
+def _sweep_lanes(cd, ce, nd, ne, tmp) -> None:
+    """One sweep of :func:`_ql` on every lane (an unreduced block lo..n-1) of
+    ``cd`` and ``ce``, into ``nd`` and ``ne``, in the scalar's order."""
+    mul, add, sub, div, sqrt = np.multiply, np.add, np.subtract, np.divide, np.sqrt
+    s, c, p, f, b, t, g = tmp
+    dr, er, ndr, ner = list(cd), list(ce), list(nd), list(ne)
+    div(sub(dr[1], dr[0], out=g), mul(er[0], 2.0, out=t), out=g)
+    sqrt(add(mul(g, g, out=t), 1.0, out=t), out=t)
+    div(er[0], add(g, np.copysign(t, g, out=t), out=t), out=t)
+    add(sub(dr[-1], dr[0], out=g), t, out=g)
+    s[...], c[...], p[...] = 1.0, 1.0, 0.0
+    for i in range(len(dr) - 2, -1, -1):
+        r = ner[i + 1]
+        mul(s, er[i], out=f)
+        mul(c, er[i], out=b)
+        sqrt(add(mul(f, f, out=r), mul(g, g, out=t), out=r), out=r)
+        div(f, r, out=s)
+        div(g, r, out=c)
+        sub(dr[i + 1], p, out=g)
+        mul(sub(dr[i], g, out=t), s, out=t)
+        add(t, mul(mul(c, 2.0, out=f), b, out=f), out=t)
+        mul(s, t, out=p)
+        add(g, p, out=ndr[i + 1])
+        sub(mul(c, t, out=g), b, out=g)
+    sub(dr[0], p, out=ndr[0])
+    ner[0][...] = g
 
 
 def _power_traces_batch(diag: np.ndarray, offdiag: np.ndarray, kmax: int) -> np.ndarray:
@@ -361,30 +400,44 @@ def eigen_tridiag(j: JacobiMatrix) -> RootTuple:
     Martin, Reinsch & Wilkinson, Numer. Math. 1968): each sweep chases a
     bulge from the bottom of the unreduced block to its first row, whose
     diagonal converges to an eigenvalue, and an off-diagonal that adds
-    nothing to the sum of its two diagonal neighbours splits the block.
-    The matrix is first scaled by a power of two to norm about 1, which is
-    exact and keeps every shift and rotation in the float range at any
-    entry size.  Backward stable like LAPACK's ``eigvalsh``, within a small
-    multiple of n * eps * (matrix norm) of exact, and with no numpy or
-    LAPACK call, so the result depends on no numpy build.  Each eigenvalue
-    gets at most 30 sweeps, as in LAPACK; past that :class:`NoConvergence`
-    is raised.  This kernel serves single matrices (the classical zeros);
-    batches go through :func:`eigen_tridiag_batch`.
+    nothing to the sum of its two diagonal neighbours splits the block.  The
+    matrix is first scaled exactly by a power of two to norm about 1.
+    Backward stable, within a small multiple of n * eps * (matrix norm) of
+    exact, with no numpy call; past 30 sweeps for one eigenvalue, as in
+    LAPACK, :class:`NoConvergence` is raised.  :func:`eigen_tridiag_batch`
+    runs the same kernel on many matrices at once, to the same bits.
     """
     _check_type("j", j, JacobiMatrix)
-    n = j.n
-    if n == 1:
-        return RootTuple(j.diag)
-    k = math.frexp(max(max(map(abs, j.diag)), max(j.offdiag)))[1]
-    d = [math.ldexp(a, -k) for a in j.diag]
-    e = [math.ldexp(b, -k) for b in j.offdiag] + [0.0]
-    hypot, copysign = math.hypot, math.copysign
-    for lo in range(n):
-        sweeps = 0
+    return RootTuple(tuple(_eigen_lane(j.diag, j.offdiag)))
+
+
+def _eigen_lane(diag, offdiag) -> list:
+    """Ascending eigenvalues of the float matrix ``diag``, ``offdiag``: :func:`_ql`
+    on it scaled by a power of two to a largest entry in [1/2, 1)."""
+    if len(diag) == 1:
+        return list(diag)
+    k = math.frexp(max(max(map(abs, diag)), max(map(abs, offdiag))))[1]
+    d = [math.ldexp(a, -k) for a in diag]
+    e = [math.ldexp(b, -k) for b in offdiag] + [0.0]
+    _ql(d, e, 0, 0, len(d))
+    return sorted(math.ldexp(a, k) for a in d)
+
+
+def _ql(d: list, e: list, lo: int, sweeps: int, top: int) -> None:
+    """QL sweeps on the scaled ``d`` and ``e`` (e[n-1] unused), in place, from
+    level ``lo``, where ``sweeps`` are spent, until ``d[:top]`` holds
+    eigenvalues.  A rotation's r is sqrt(f*f + g*g) while that sum lies in
+    [2^-1000, inf), else m sqrt(1 + (q/m)^2), m and q the larger and smaller
+    of |f| and |g|; the shift's g*g + 1 is in range, as |g| <= 2^52 while
+    e[lo] is not negligible."""
+    n = len(d)
+    sqrt, copysign, tiny, inf = math.sqrt, math.copysign, _TINY, math.inf
+    for lo in range(lo, top):
         while True:
-            m = lo  # the unreduced block is lo..m
+            m, below = lo, abs(d[lo])  # the unreduced block is lo..m
             while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
+                above, below = below, abs(d[m + 1])
+                dd = above + below
                 if abs(e[m]) + dd == dd:
                     break
                 m += 1
@@ -395,31 +448,38 @@ def eigen_tridiag(j: JacobiMatrix) -> RootTuple:
             sweeps += 1
             # shift: the eigenvalue of the leading 2 x 2 block nearer d[lo]
             g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
-            r = hypot(g, 1.0)
+            r = sqrt(g * g + 1.0)
             g = d[m] - d[lo] + e[lo] / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
             for i in range(m - 1, lo - 1, -1):
+                j = i + 1
                 f = s * e[i]
                 b = c * e[i]
-                r = hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:  # the block splits at i + 1: sweep again
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
+                r = f * f + g * g
+                if tiny <= r < inf:
+                    r = sqrt(r)
+                else:
+                    q, r = sorted((abs(f), abs(g)))
+                    if r == 0.0:  # the block splits at j: sweep again
+                        e[j] = r
+                        d[j] -= p
+                        e[m] = 0.0
+                        break
+                    r *= sqrt(1.0 + (q / r) * (q / r))
+                e[j] = r
                 s = f / r
                 c = g / r
-                g = d[i + 1] - p
+                g = d[j] - p
                 r = (d[i] - g) * s + 2.0 * c * b
                 p = s * r
-                d[i + 1] = g + p
+                d[j] = g + p
                 g = c * r - b
             else:
                 d[lo] -= p
                 e[lo] = g
                 e[m] = 0.0
-    return RootTuple(tuple(sorted(math.ldexp(a, k) for a in d)))
+        sweeps = 0
 
 
 @functools.lru_cache(maxsize=128, typed=True)

@@ -81,7 +81,7 @@ import numpy as np
 
 from .elemsym import RootTuple
 from .errors import InvalidParameter, StepUnstable, check_int, check_real
-from .orthopoly import _usable_cores, eigen_tridiag_batch
+from .orthopoly import eigen_tridiag_batch
 
 __all__ = [
     "SimConfig",
@@ -714,6 +714,15 @@ def _run_plan(cfg: SimConfig) -> tuple:
     if threading.active_count() != 1:  # fork is unsafe while another thread runs
         return 1, False
     return _plan(cfg.paths, cfg.n, cfg.n_steps, len(cfg.record_times), _usable_cores())
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 class _PeerLost(Exception):

@@ -27,13 +27,13 @@ GOLDEN = {
     "zeros --family hermite --n 3":
         "210bf04093ed824641b8dc481c44f6ec867d0a9d27efca13e725003d06969936",
     "zeros --family hermite --n 7 --t 0.5":
-        "a86ad542f34ae04678960ec923fae5abb815d5a7903fa122e8d8dbef60789f65",
+        "38954cb61ac05062287ce4f74bb36c40a0515b8cfc3d07ee4056b96226206cdd",
     "zeros --family hermite --n 30 --t 2":
-        "565f56f3bee4bae9888bb45b3062344451e36253073123c2d842d9495586184b",
+        "e08f5a0d0915a78fab6d395fa35398cc076724aa75f688d283824cb46cc91ec6",
     "zeros --family laguerre --n 4 --alpha 2.5":
-        "f9bdaa66d5508dc36300019b8d5a9a25e04f428cf6f299ddfb6ac93a340e1f10",
+        "10632ca4f3b53d43c879811a88d631c1a82ed4cc7918977974d734d761e321fa",
     "zeros --family laguerre --n 12 --alpha 0.75 --t 3":
-        "a43df7399739bfa826107238529c7aef1ad38d99459f4f84c87d9cfbb284fa1a",
+        "54ee5a421e3472b8ab3882d06fcc3f7902cec2abe1606016e214c98a438d6b97",
     "convolve --a start.csv --b other.csv":
         "2fd71db1e53a4f25ca97be3d71d302eae6a772eff7762bfd9aece21ae91e9754",
     "convolve --a laguerre.csv --b laguerre.csv":

@@ -1,8 +1,6 @@
-import concurrent.futures
 import dataclasses
 import functools
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +16,10 @@ from freezing_dyson.stats import clt_covariance_gaussian
 from freezing_dyson.stochastic import ble_tridiagonal_batch, gbe_tridiagonal_batch
 from freezing_dyson.orthopoly import (
     _CHUNK_ELEMS,
+    _NARROW,
+    _eigen_lane,
     _power_traces_batch,
+    _ql_lanes,
     JacobiMatrix,
     OrthogonalSystem,
     SpectralMeasure,
@@ -165,7 +166,7 @@ def test_eigen_tridiag_vs_bisection_oracle():
 
 def test_eigen_tridiag_batch_matches_scalar():
     # a matrix's eigenvalues do not depend on its neighbours in the batch, and
-    # the single-matrix QL kernel agrees with the batch within backward error
+    # the single-matrix QL kernel gives the batch's bits
     rng = np.random.default_rng(5)
     for n in (1, 2, 5, 11):
         diags = rng.normal(0, 1, (40, n))
@@ -175,8 +176,7 @@ def test_eigen_tridiag_batch_matches_scalar():
             alone = eigen_tridiag_batch(diags[i : i + 1], offs[i : i + 1])
             assert np.array_equal(batch[i], alone[0])
             single = eigen_tridiag(JacobiMatrix(tuple(diags[i]), tuple(offs[i]))).as_array()
-            bound = backward_error_bound(diags[i : i + 1], offs[i : i + 1])[0]
-            assert np.all(np.abs(single - alone[0]) <= bound)
+            assert single.tobytes() == alone[0].tobytes()
 
 
 def test_hermite_char_poly_matches_explicit_expansion():
@@ -510,13 +510,14 @@ def test_classical_zeros_certified_by_exact_signs(n):
         assert all(_exact_sign(ints, l) * _exact_sign(ints, h) == -1 for l, h in zip(lo, hi))
 
 
-# The blocked kernel, eigen_tridiag_batch, builds its dense matrices chunk by
-# chunk in one reused buffer.  A classical matrix anywhere in a batch that
-# spans two chunks (at either end of each, the second one ragged) must give
-# its batch of one bit for bit, whatever rows surround it.
+# The batch kernel sweeps its matrices lane-vectorized, chunk by chunk.  A
+# classical matrix anywhere in a batch that spans two chunks (at either end
+# of each; the second, ragged one narrower than _NARROW, so it runs lane by
+# lane) must give its batch of one bit for bit, whatever rows surround it.
 @pytest.mark.parametrize("n", range(2, 81))
-def test_blocked_kernel_bit_identical_on_classical_matrices(n):
-    step = _CHUNK_ELEMS // (n * n)
+def test_blocked_kernel_bit_identical_on_classical_matrices(n, monkeypatch):
+    step = 64
+    monkeypatch.setattr(orthopoly, "_LANES", step)
     d, o = gbe_tridiagonal_batch(2.0, n, step + 7, np.random.default_rng(n))
     cases = [hermite_jacobi(n)] + [laguerre_jacobi(n, a) for a in LAGUERRE_ALPHAS]
     rows = (0, step - 1, step, step + 3, step + 6)
@@ -528,8 +529,8 @@ def test_blocked_kernel_bit_identical_on_classical_matrices(n):
         assert np.array_equal(got[row], alone[0])
 
 
-# M within one chunk of dense matrices, spanning two (a ragged second one),
-# and n = 1, which needs no eigensolver.
+# M within one chunk, below _NARROW, spanning two chunks at n = 20, and
+# n = 1, which needs no eigensolver.
 @pytest.mark.parametrize(
     "m,n",
     [(7, 9), (1000, 10), (4095, 3), (4097, 4), (5000, 6), (_CHUNK_ELEMS // 20**2 + 73, 20), (50, 1)],
@@ -617,70 +618,104 @@ def test_eigen_tridiag_batch_refuses_non_finite_entries(bad, where):
         eigen_tridiag_batch(d, o)
 
 
-# A batch of two or more chunks is split over the usable cores, and each
-# matrix meets the same LAPACK call on any thread: no matrix, one matrix,
-# exactly one chunk, one chunk and a lane, and about 3.5 chunks must give the
-# same bits with 1, 2 or 3 workers.
-@pytest.mark.parametrize("n", [2, 3, 16])
-def test_eigen_batch_bit_identical_for_any_core_count(n, monkeypatch):
-    step = _CHUNK_ELEMS // (n * n)
-    d, o = gbe_tridiagonal_batch(2.0, n, 7 * step // 2, np.random.default_rng(n))
-    for m in (0, 1, step, step + 1, 7 * step // 2):
-        got = []
-        for cores in (1, 2, 3):
-            monkeypatch.setattr(orthopoly, "_usable_cores", lambda cores=cores: cores)
-            got.append(eigen_tridiag_batch(d[:m], o[:m]))
-        assert got[0].shape == (m, n)
-        assert all(np.array_equal(g, got[0]) for g in got[1:])
+# The lane form of the QL kernel runs each lane's operations in the scalar's
+# order, so every lane equals the pure-Python kernel bit for bit: matrices
+# with entries spread over 10^+-8, off-diagonals down to 1e-300 (blocks that
+# split below their first row) and exactly 0.0 (tridiagonal matrices that are
+# block diagonal), in batches of any width, across chunk edges.
+_wide_batch = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-8.0, 8.0)).map(
+                lambda su: su[0] * 10.0 ** su[1]
+            ),
+            min_size=n,
+            max_size=n,
+        ),
+        st.lists(
+            st.one_of(
+                st.floats(-8.0, 8.0).map(lambda u: 10.0**u),
+                st.floats(-300.0, -8.0).map(lambda u: 10.0**u),
+                st.just(0.0),
+            ),
+            min_size=n - 1,
+            max_size=n - 1,
+        ),
+    )
+)
 
 
-def test_eigen_batch_failure_in_a_worker_range_joins_its_threads(monkeypatch):
-    # the marked lane lies in the last of three ranges, which a worker runs
-    n = 3
-    step = _CHUNK_ELEMS // (n * n)
-    d, o = gbe_tridiagonal_batch(2.0, n, 7 * step // 2, np.random.default_rng(0))
-    d[-1, 0] = 1234.5
-    eigvalsh = np.linalg.eigvalsh
-    failed_on = []
-
-    def failing(a, UPLO="L"):
-        if (a[:, 0, 0] == 1234.5).any():
-            failed_on.append(threading.current_thread())
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigvalsh(a, UPLO=UPLO)
-
-    monkeypatch.setattr(orthopoly, "_usable_cores", lambda: 3)
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-    before = threading.active_count()
-    with pytest.raises(NoConvergence, match="^tridiagonal eigenvalues: Eigenvalues did not converge$"):
-        eigen_tridiag_batch(d, o)
-    assert threading.active_count() == before
-    assert failed_on and failed_on[0] is not threading.main_thread()
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_wide_batch, min_size=1, max_size=24), st.integers(0, 2**32 - 1), st.sampled_from([5, 16, 8192]))
+def test_batch_lanes_equal_the_scalar_kernel_bit_for_bit(matrices, seed, lanes):
+    # one n per batch: each drawn matrix's n, the others' entries cycled in
+    n = len(matrices[0][0])
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 3 * _NARROW + 40))
+    picks = [matrices[i % len(matrices)] for i in range(m)]
+    d = np.array([(list(dg) * n)[:n] if len(dg) else [1.0] * n for dg, _ in picks])
+    o = np.array([(list(of) * n)[: n - 1] if len(of) else [0.5] * (n - 1) for _, of in picks]).reshape(m, n - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orthopoly, "_LANES", lanes)
+        got = eigen_tridiag_batch(d, o)
+    for i in range(m):
+        assert got[i].tobytes() == np.array(_eigen_lane(d[i].tolist(), o[i].tolist())).tobytes()
 
 
-def test_single_matrix_and_one_chunk_batch_make_no_executor(monkeypatch):
-    class Refused:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("executor constructed")
-
-    monkeypatch.setattr(orthopoly, "_usable_cores", lambda: 3)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Refused)
-    j = hermite_jacobi(40)
-    eigen_tridiag_batch(np.array([j.diag]), np.array([j.offdiag]))
-    n = 4
-    step = _CHUNK_ELEMS // (n * n)
-    d, o = gbe_tridiagonal_batch(2.0, n, step + 1, np.random.default_rng(1))
-    eigen_tridiag_batch(d[:step], o[:step])
-    with pytest.raises(AssertionError, match="executor constructed"):  # two chunks
-        eigen_tridiag_batch(d, o)
+# Zero diagonals beside off-diagonals of 1e-280 and below: each of these
+# takes the QL's r == 0 split (a rotation of two zeros) in the scalar kernel,
+# which every lane of a batch mixing them with sampled matrices must follow.
+R_ZERO = [
+    [2.58303320776236e-300, 5.755923336e-315, 1.1832371616146969e-07],
+    [1.3318260584198951e-281, 5.116640620636302e-306, 0.028590205828871635, 2.70913684e-316],
+    [5.588578464704615e-290, 2.93056302753536e-309, 8.12895710358085e-302, 6.151017978978845e-07],
+]
 
 
-def test_clt_covariance_report_bit_identical_at_one_and_two_workers(monkeypatch):
-    # n = 8: 5000 samples span three chunks of 2048 dense matrices
-    reports = []
-    for cores in (1, 2):
-        monkeypatch.setattr(orthopoly, "_usable_cores", lambda cores=cores: cores)
-        reports.append(clt_covariance_gaussian(1e4, 8, 5000, 11))
+@pytest.mark.parametrize("off", R_ZERO)
+def test_batch_lanes_take_the_scalar_split_path(off):
+    n = len(off) + 1
+    d, o = gbe_tridiagonal_batch(2.0, n, 3 * _NARROW, np.random.default_rng(n))
+    d[::3], o[::3] = 0.0, off
+    got = eigen_tridiag_batch(d, o)
+    for i in range(len(d)):
+        assert got[i].tobytes() == np.array(_eigen_lane(d[i].tolist(), o[i].tolist())).tobytes()
+
+
+# The lanes are independent, so the output does not depend on how the batch
+# is cut into chunks: chunks of one lane, of 7 lanes (below _NARROW, so lane
+# by lane in pure Python), of _NARROW + 1 and of 64 lanes must all give the
+# bits of one chunk, and an empty batch an empty result.  At beta = 2 the lanes converge after unequal sweep
+# counts, so the work set shrinks below _NARROW within a level.
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+def test_eigen_batch_bit_identical_whatever_the_chunking(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    for d, o in (gbe_tridiagonal_batch(2.0, n, 151, rng), ble_tridiagonal_batch(0.5, 1.5, n, 151, rng)):
+        whole = eigen_tridiag_batch(d, o)
+        for lanes in (1, 7, _NARROW + 1, 64):
+            monkeypatch.setattr(orthopoly, "_LANES", lanes)
+            assert eigen_tridiag_batch(d, o).tobytes() == whole.tobytes()
+            assert eigen_tridiag_batch(d[:0], o[:0]).shape == (0, n)
+        monkeypatch.undo()
+
+
+# A lane that never converges (NaN) stops the batch after 30 sweeps with the
+# scalar's message, in a chunk of the lane form and in one narrower than
+# _NARROW, where the lanes run in pure Python.
+@pytest.mark.parametrize("width", [_NARROW - 1, _NARROW, 3 * _NARROW])
+def test_lane_kernel_sweep_cap(width):
+    d = np.tile([[0.5], [-0.25], [0.75], [0.1]], width)
+    e = np.full((4, width), 0.5)
+    d[2, width // 2] = math.nan
+    with pytest.raises(NoConvergence, match="^tridiagonal eigenvalues: 30 sweeps without convergence$"):
+        _ql_lanes(d, e)
+
+
+def test_clt_covariance_report_bit_identical_for_any_lane_width(monkeypatch):
+    # n = 8: 5000 samples in one chunk, and in chunks of 1000 lanes
+    reports = [clt_covariance_gaussian(1e4, 8, 5000, 11)]
+    monkeypatch.setattr(orthopoly, "_LANES", 1000)
+    reports.append(clt_covariance_gaussian(1e4, 8, 5000, 11))
     for field in dataclasses.fields(reports[0]):
         assert np.array_equal(getattr(reports[0], field.name), getattr(reports[1], field.name)), field.name
 
@@ -811,7 +846,7 @@ _wide_jacobi = st.integers(1, 40).flatmap(
 def test_single_matrix_kernel_sorted_interlacing_trace_and_batch(jac):
     # the QL kernel's eigenvalues come back sorted, interlace with those of the
     # leading (n-1) x (n-1) block (Cauchy), sum to the trace and match the
-    # LAPACK batch, each within 8 n eps |J|_1
+    # batch, each within 8 n eps |J|_1
     diag, off = jac
     n = len(diag)
     norm = max(abs(a) + sum(off[max(i - 1, 0) : i + 1]) for i, a in enumerate(diag))

@@ -33,7 +33,6 @@ _PUBLIC = {
     "finfree": (
         "MKLift",
         "boxplus",
-        "convolve_esp",
         "hermite_roots",
         "laguerre_roots",
         "markov_krein_lift",
@@ -43,7 +42,6 @@ _PUBLIC = {
         "JacobiMatrix",
         "OrthogonalSystem",
         "SpectralMeasure",
-        "christoffel_darboux_weights",
         "dual",
         "dual_hermite_system",
         "dual_laguerre_system",
@@ -51,7 +49,6 @@ _PUBLIC = {
         "eigen_tridiag",
         "hermite_jacobi",
         "hermite_zeros",
-        "laguerre_freezing_matrix",
         "laguerre_jacobi",
         "laguerre_zeros",
         "primitive",
@@ -73,15 +70,12 @@ _PUBLIC = {
     "stochastic": (
         "PathEnsemble",
         "SimConfig",
-        "sample_ble",
-        "sample_gbe",
         "simulate_dyson",
         "simulate_laguerre",
     ),
     "stats": (
         "CovarianceReport",
         "EkDriftReport",
-        "MomentProcessEstimate",
         "PrimitiveCltReport",
         "ProcessCltReport",
         "build_q_matrix_gaussian",
@@ -89,7 +83,6 @@ _PUBLIC = {
         "clt_covariance_gaussian",
         "clt_covariance_laguerre",
         "ek_drift_report",
-        "moment_process_estimate",
         "primitive_clt_check",
         "process_clt_check",
         "within_tolerance",

@@ -60,8 +60,8 @@ class GkTrajectory(_Value):
     ``exact[k]`` holds the ascending t-coefficients of ``g_k(t)``, k = 0..N,
     as integers over ``exact[0][0] > 0``, the one coefficient of
     ``g_0 = 1``; ``g_k(0) = e_k(initial)``.  ``coeff_polys`` shows them
-    correctly rounded, and :meth:`value` and :meth:`coefficients_at` round
-    each g_k once from its exact value at the float t.
+    correctly rounded, and :meth:`coefficients_at` rounds each g_k once
+    from its exact value at the float t.
     """
 
     _compared = _shown = ("coeff_polys",)
@@ -81,15 +81,6 @@ class GkTrajectory(_Value):
     @property
     def n(self) -> int:
         return len(self.exact) - 1
-
-    def value(self, k: int, t: float) -> float:
-        """``g_k(t)`` for k = 0..N, correctly rounded."""
-        check_int("k", k, 0)
-        check_real("t", t, 0.0, inclusive=True)
-        if k > self.n:
-            raise InvalidParameter(f"k must be <= N = {self.n} (got {k!r})")
-        nums = self._scaled_at(t)
-        return _rounded(nums[k], nums[0])
 
     def coefficients_at(self, t: float) -> np.ndarray:
         """The signed elementary symmetric vector ``(g_0(t), ..., g_N(t))``,
@@ -253,14 +244,6 @@ class MomentSequence(_Value):
         check_int("n", n, 1)
         object.__setattr__(self, "u", _numbers("u", u))
         object.__setattr__(self, "n", n)
-
-    def moment_at(self, k: int, t: float) -> float:
-        """``m_k(t)`` for k = 0..max_order."""
-        check_int("k", k, 0)
-        check_real("t", t, 0.0, inclusive=True)
-        if k >= len(self.u):
-            raise InvalidParameter(f"k must be <= max_order = {len(self.u) - 1} (got {k!r})")
-        return self.u[k] * t ** (k / 2.0)
 
 
 def moment_sequence(n_sys: int, max_order: int) -> MomentSequence:

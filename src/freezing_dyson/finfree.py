@@ -2,8 +2,8 @@
 
 The convolution of two N-tuples is defined coefficient-wise on elementary
 symmetric values and preserves real-rootedness.  One exact integer kernel
-computes it for :func:`boxplus`, :func:`convolve_esp` and the deterministic
-limits (:mod:`freezing_dyson.dynamics`), and its results are exact
+computes it for :func:`boxplus` and the deterministic limits
+(:mod:`freezing_dyson.dynamics`), and its results are exact
 :class:`~freezing_dyson.elemsym.MonicPolynomial` values, solved by
 :func:`~freezing_dyson.elemsym.roots_of_monic`.  The Markov-Krein lift
 trades an N-tuple of reals for an N-tuple of complex numbers whose moment
@@ -20,8 +20,6 @@ from .elemsym import (
     _Value,
     _exact_esp,
     _numbers,
-    _rounded,
-    _scaled_ints,
     elementary_symmetric,
     newton_esp_from_power_sums,
     roots_of_monic,
@@ -29,7 +27,6 @@ from .elemsym import (
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
-    NonFiniteOutput,
     NotRealRooted,
     check_int,
     check_real,
@@ -40,7 +37,6 @@ from .orthopoly import hermite_zeros, laguerre_zeros
 __all__ = [
     "MKLift",
     "boxplus",
-    "convolve_esp",
     "hermite_roots",
     "laguerre_roots",
     "markov_krein_lift",
@@ -63,35 +59,6 @@ def _convolve_ints(a, b) -> list:
     out = [0] * (n + 1)
     for k in range(0, n + 1, step):
         out[k] = f[n] // f[n - k] * sum(fa[i] * fb[k - i] for i in range(0, k + 1, step))
-    return out
-
-
-def _esp_ints(name: str, e) -> list:
-    """Float coefficients ``(1, e_1, ..., e_n)`` as integers over entry 0."""
-    e = [float(c) for c in e]
-    if e[:1] != [1.0]:
-        raise InvalidParameter(f"{name} must start with exactly 1 (got {e[:1]})")
-    for k, c in enumerate(e):
-        if not math.isfinite(c):
-            raise InvalidParameter(f"{name}[{k}] must be finite (got {c!r})")
-    return _scaled_ints(e)
-
-
-def convolve_esp(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
-    """Elementary symmetric coefficients of the finite free convolution of
-    two float vectors ``(1, e_1, ..., e_n)``: the kernel runs on their dyadic
-    values, so each output is the float nearest the exact one, whatever the
-    argument order.  Non-finite entries or an entry 0 other than 1 raise
-    :class:`InvalidParameter`; an output past the float range raises
-    :class:`NonFiniteOutput` naming its index."""
-    a, b = _esp_ints("ea", ea), _esp_ints("eb", eb)
-    if len(a) != len(b):
-        raise DimensionMismatch("coefficient sequences must share a degree")
-    c = _convolve_ints(a, b)
-    out = np.array([_rounded(v, c[0]) for v in c])
-    for k, v in enumerate(out):
-        if not math.isfinite(v):
-            raise NonFiniteOutput(f"convolved coefficient [{k}] is past the float range")
     return out
 
 

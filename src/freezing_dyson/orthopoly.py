@@ -45,7 +45,15 @@ import math
 import operator
 
 from .elemsym import RootTuple, _Value, _numbers, _rounded
-from .errors import DimensionMismatch, InvalidParameter, NoConvergence, check_int, check_real, np
+from .errors import (
+    DimensionMismatch,
+    InvalidParameter,
+    NoConvergence,
+    NonFiniteOutput,
+    check_int,
+    check_real,
+    np,
+)
 
 __all__ = [
     "JacobiMatrix",
@@ -53,13 +61,11 @@ __all__ = [
     "OrthogonalSystem",
     "hermite_jacobi",
     "laguerre_jacobi",
-    "laguerre_freezing_matrix",
     "dual",
     "eigen_tridiag",
     "hermite_zeros",
     "laguerre_zeros",
     "spectral_measure",
-    "christoffel_darboux_weights",
     "dual_spectral_weights_cd",
     "dual_hermite_system",
     "dual_laguerre_system",
@@ -77,6 +83,7 @@ _LANES = 8192
 _NARROW = 24
 _SAFE = 2.0**-50
 _TINY = 2.0**-1000
+_PAST_RANGE = "tridiagonal eigenvalues: an eigenvalue is past the float range"
 
 
 def _check_type(name: str, value, cls) -> None:
@@ -166,25 +173,6 @@ def laguerre_jacobi(n: int, alpha: float) -> JacobiMatrix:
     return JacobiMatrix(diag, off)
 
 
-def laguerre_freezing_matrix(n: int, alpha: float) -> JacobiMatrix:
-    """Deterministic freezing limit of the Laguerre matrix model, as B B^T.
-
-    B is the lower bidiagonal matrix with diagonal
-    ``(sqrt(alpha+n-1), ..., sqrt(alpha))`` and subdiagonal
-    ``(sqrt(n-1), ..., 1)``.  The product is tridiagonal with the same
-    spectrum as :func:`laguerre_jacobi` (the Laguerre zeros).
-    """
-    check_int("n", n, 1)
-    check_real("alpha", alpha, 0.0)
-    bdiag = [math.sqrt(alpha + n - 1.0 - i) for i in range(n)]
-    bsub = [math.sqrt(n - 1.0 - i) for i in range(n - 1)]
-    diag = tuple(
-        bdiag[i] ** 2 + (bsub[i - 1] ** 2 if i > 0 else 0.0) for i in range(n)
-    )
-    off = tuple(bsub[i] * bdiag[i] for i in range(n - 1))
-    return JacobiMatrix(diag, off)
-
-
 def dual(j: JacobiMatrix) -> JacobiMatrix:
     """Index-reversed Jacobi matrix (both sequences reversed)."""
     _check_type("j", j, JacobiMatrix)
@@ -214,7 +202,8 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     matrices, and each lane's eigenvalues are the single-matrix kernel's bits,
     so they depend on no other matrix, no chunking and no numpy or LAPACK
     build.  Past 30 sweeps for one eigenvalue :class:`NoConvergence` is
-    raised.
+    raised, and for an eigenvalue past the float range
+    :class:`NonFiniteOutput`.
     """
     diag, offdiag = _as_batch(diag, offdiag, "tridiagonal eigenvalues")
     if diag.shape[1] == 1:
@@ -228,7 +217,11 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
         k = np.frexp(np.maximum(np.abs(d).max(axis=0), np.abs(e).max(axis=0)))[1]
         with np.errstate(divide="ignore", invalid="ignore"):  # lanes with r = 0 go to _ql
             _ql_lanes(np.ldexp(d, -k, out=d), np.ldexp(e, -k, out=e))
-        out[s : s + _LANES] = np.sort(np.ldexp(d, k, out=d).T, axis=1, kind="stable")
+        with np.errstate(over="ignore"):  # an overflow is raised below
+            np.ldexp(d, k, out=d)
+        if not np.isfinite(d).all():
+            raise NonFiniteOutput(_PAST_RANGE)
+        out[s : s + _LANES] = np.sort(d.T, axis=1, kind="stable")
     return out
 
 
@@ -404,8 +397,9 @@ def eigen_tridiag(j: JacobiMatrix) -> RootTuple:
     matrix is first scaled exactly by a power of two to norm about 1.
     Backward stable, within a small multiple of n * eps * (matrix norm) of
     exact, with no numpy call; past 30 sweeps for one eigenvalue, as in
-    LAPACK, :class:`NoConvergence` is raised.  :func:`eigen_tridiag_batch`
-    runs the same kernel on many matrices at once, to the same bits.
+    LAPACK, :class:`NoConvergence` is raised, and for an eigenvalue past the
+    float range :class:`NonFiniteOutput`.  :func:`eigen_tridiag_batch` runs
+    the same kernel on many matrices at once, to the same bits.
     """
     _check_type("j", j, JacobiMatrix)
     return RootTuple(tuple(_eigen_lane(j.diag, j.offdiag)))
@@ -420,7 +414,10 @@ def _eigen_lane(diag, offdiag) -> list:
     d = [math.ldexp(a, -k) for a in diag]
     e = [math.ldexp(b, -k) for b in offdiag] + [0.0]
     _ql(d, e, 0, 0, len(d))
-    return sorted(math.ldexp(a, k) for a in d)
+    try:
+        return sorted(math.ldexp(a, k) for a in d)
+    except OverflowError:
+        raise NonFiniteOutput(_PAST_RANGE) from None
 
 
 def _ql(d: list, e: list, lo: int, sweeps: int, top: int) -> None:
@@ -512,11 +509,17 @@ def spectral_measure(j: JacobiMatrix) -> SpectralMeasure:
     return SpectralMeasure(RootTuple(tuple(vals)), tuple(vecs[0] ** 2))
 
 
-def _cd_values(j: JacobiMatrix, atoms: RootTuple | None):
-    """Orthonormal ``(ptilde_(n-1), ptilde_n')`` at the atoms (default: the
-    spectrum of j), with the ``b_n := 1`` bookkeeping for the last step.
+def dual_spectral_weights_cd(j: JacobiMatrix, atoms: RootTuple | None = None) -> np.ndarray:
+    """Weights of the spectral measure of ``dual(j)`` via the
+    Christoffel-Darboux route ``w*_i = p_(n-1)(lambda_i) / p_n'(lambda_i)``,
+    at the atoms (default: the spectrum of j).
 
-    For n = 1 both are exactly 1, so both weight formulas give weight 1.
+    Expressed in the *primal* matrix's polynomials, whose roots interlace the
+    spectrum with healthy gaps; applying the plain weight formula to the dual
+    matrix itself is exponentially ill-conditioned at spectrum edges carrying
+    small primal weights.  Evaluated through the orthonormal recurrence
+    (``w*_i = ptilde_(n-1) / ptilde_n'`` with the ``b_n := 1`` bookkeeping
+    for the last step); for n = 1 both are exactly 1, so the weight is 1.
     """
     _check_type("j", j, JacobiMatrix)
     if atoms is None:
@@ -536,34 +539,7 @@ def _cd_values(j: JacobiMatrix, atoms: RootTuple | None):
         d_nxt = (p_cur + (x - a[m]) * d_cur - (b[m - 1] * d_prev if m >= 1 else 0.0)) / b[m]
         p_prev, p_cur = p_cur, p_nxt
         d_prev, d_cur = d_cur, d_nxt
-    return p_prev, d_cur
-
-
-def christoffel_darboux_weights(j: JacobiMatrix, atoms: RootTuple | None = None) -> np.ndarray:
-    """Spectral weights via the Christoffel-Darboux form
-    ``w_i = h_(n-1) / (p_(n-1)(lambda_i) p_n'(lambda_i))``.
-
-    Evaluated through the orthonormal recurrence (with the ``b_n := 1``
-    bookkeeping for the last step), where the formula reads
-    ``w_i = 1 / (ptilde_(n-1)(lambda_i) ptilde_n'(lambda_i))``; monic values
-    grow like ``lambda^n`` and would lose the small weights to cancellation.
-    """
-    p, dp = _cd_values(j, atoms)
-    return 1.0 / (p * dp)
-
-
-def dual_spectral_weights_cd(j: JacobiMatrix, atoms: RootTuple | None = None) -> np.ndarray:
-    """Weights of the spectral measure of ``dual(j)`` via the
-    Christoffel-Darboux route ``w*_i = p_(n-1)(lambda_i) / p_n'(lambda_i)``.
-
-    Expressed in the *primal* matrix's polynomials, whose roots interlace the
-    spectrum with healthy gaps; applying the plain weight formula to the dual
-    matrix itself is exponentially ill-conditioned at spectrum edges carrying
-    small primal weights.  Evaluated through the orthonormal recurrence
-    (``w*_i = ptilde_(n-1) / ptilde_n'`` with the ``b_n := 1`` bookkeeping).
-    """
-    p, dp = _cd_values(j, atoms)
-    return p / dp
+    return p_prev / d_cur
 
 
 def _rational(v):
@@ -616,10 +592,6 @@ class OrthogonalSystem(_Value):
         self._check_index(m)
         d, q = self._scaled
         return [_rounded(c, d ** (m - j) * (j + 1 if integral else 1)) for j, c in enumerate(q[m])]
-
-    @classmethod
-    def from_jacobi(cls, j: JacobiMatrix) -> "OrthogonalSystem":
-        return cls(j.diag, [b * b for b in map(_rational, j.offdiag)])
 
     @property
     def n(self) -> int:

@@ -45,7 +45,6 @@ from .stochastic import (
 
 __all__ = [
     "CovarianceReport",
-    "MomentProcessEstimate",
     "PrimitiveCltReport",
     "EkDriftReport",
     "ProcessCltReport",
@@ -55,7 +54,6 @@ __all__ = [
     "clt_covariance_gaussian",
     "clt_covariance_laguerre",
     "primitive_clt_check",
-    "moment_process_estimate",
     "ek_drift_report",
     "process_clt_check",
 ]
@@ -285,33 +283,9 @@ def _primitive_statistics(beta, n, samples, seed, kind, alpha):
     return math.sqrt(beta * n / 2.0) * ((coeffs.T @ (traces.T - zsums[:, None])) / n), targets
 
 
-@dataclass(frozen=True)
-class MomentProcessEstimate:
-    """Per-time, per-order moment estimates ``S_n(t) = (1/N) sum lambda_i^n``."""
-
-    times: tuple
-    s_hat: np.ndarray  # (times, orders+1)
-    stderr: np.ndarray
-
-
 def _check_ensemble(ensemble) -> None:
     if not isinstance(ensemble, PathEnsemble):
         raise InvalidParameter(f"ensemble must be a PathEnsemble (got {type(ensemble).__name__})")
-
-
-def moment_process_estimate(ensemble: PathEnsemble, max_order: int) -> MomentProcessEstimate:
-    """Ensemble means and standard errors of the empirical moment processes."""
-    _check_ensemble(ensemble)
-    check_int("max_order", max_order, 0)
-    data = ensemble.data
-    m, r, _ = data.shape
-    s_hat = np.empty((r, max_order + 1))
-    stderr = np.empty((r, max_order + 1))
-    for order in range(max_order + 1):
-        per_path = np.mean(data**order, axis=2)  # (M, R)
-        s_hat[:, order] = np.mean(per_path, axis=0)
-        stderr[:, order] = np.std(per_path, axis=0, ddof=1) / math.sqrt(m) if m > 1 else 0.0
-    return MomentProcessEstimate(ensemble.config.record_times, s_hat, stderr)
 
 
 @dataclass(frozen=True)

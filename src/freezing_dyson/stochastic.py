@@ -88,8 +88,6 @@ __all__ = [
     "PathEnsemble",
     "simulate_dyson",
     "simulate_laguerre",
-    "sample_gbe",
-    "sample_ble",
 ]
 
 EPS_GAP = 1e-8
@@ -943,7 +941,8 @@ def _chi_matrix(dofs: np.ndarray, rng: np.random.Generator, size: int) -> np.nda
 
 
 def gbe_tridiagonal_batch(beta: float, n: int, size: int, rng: np.random.Generator):
-    """Diagonals and off-diagonals of ``size`` Gaussian beta ensemble matrices."""
+    """Diagonals and off-diagonals of ``size`` Gaussian beta ensemble matrices:
+    N(0, 2)/sqrt(beta) diagonal, chi_((N-i) beta)/sqrt(beta) off-diagonal."""
     diag = rng.normal(0.0, math.sqrt(2.0), (size, n)) / math.sqrt(beta)
     if n == 1:
         return diag, np.empty((size, 0))
@@ -959,14 +958,6 @@ def sample_gbe_batch(beta: float, n: int, size: int, rng: np.random.Generator) -
     check_int("size", size, 0)
     diag, off = gbe_tridiagonal_batch(beta, n, size, rng)
     return eigen_tridiag_batch(diag, off)
-
-
-def sample_gbe(beta: float, n: int, seed: int) -> RootTuple:
-    """One Gaussian beta ensemble draw: sorted eigenvalues of the tridiagonal
-    model with N(0, 2)/sqrt(beta) diagonal and chi_((N-i) beta)/sqrt(beta)
-    off-diagonal."""
-    check_int("seed", seed, 0)
-    return RootTuple(tuple(sample_gbe_batch(beta, n, 1, np.random.default_rng(seed))[0]))
 
 
 def ble_tridiagonal_batch(beta: float, alpha: float, n: int, size: int, rng):
@@ -997,9 +988,3 @@ def sample_ble_batch(beta: float, alpha: float, n: int, size: int, rng) -> np.nd
     evs = eigen_tridiag_batch(diag, off)
     # Gram-matrix spectrum: clip the roundoff of exact zeros
     return np.maximum(evs, 0.0)
-
-
-def sample_ble(beta: float, alpha: float, n: int, seed: int) -> RootTuple:
-    """One beta Laguerre ensemble draw: sorted eigenvalues of B^T B."""
-    check_int("seed", seed, 0)
-    return RootTuple(tuple(sample_ble_batch(beta, alpha, n, 1, np.random.default_rng(seed))[0]))

@@ -24,13 +24,12 @@ from freezing_dyson.elemsym import (
     newton_esp_from_power_sums,
     partial_esp,
 )
-from freezing_dyson.errors import DimensionMismatch, InvalidParameter, NonFiniteOutput
-from freezing_dyson.finfree import MKLift, convolve_esp, hermite_roots, laguerre_roots
+from freezing_dyson.errors import DimensionMismatch, InvalidParameter
+from freezing_dyson.finfree import MKLift, hermite_roots, laguerre_roots
 from freezing_dyson.orthopoly import (
     JacobiMatrix,
     OrthogonalSystem,
     SpectralMeasure,
-    christoffel_darboux_weights,
     dual,
     dual_hermite_system,
     dual_laguerre_system,
@@ -38,7 +37,6 @@ from freezing_dyson.orthopoly import (
     eigen_tridiag,
     hermite_jacobi,
     hermite_zeros,
-    laguerre_freezing_matrix,
     laguerre_jacobi,
     laguerre_zeros,
     primitive,
@@ -51,16 +49,13 @@ from freezing_dyson.stats import (
     clt_covariance_gaussian,
     clt_covariance_laguerre,
     ek_drift_report,
-    moment_process_estimate,
     primitive_clt_check,
     process_clt_check,
     within_tolerance,
 )
 from freezing_dyson.stochastic import (
     SimConfig,
-    sample_ble,
     sample_ble_batch,
-    sample_gbe,
     sample_gbe_batch,
     simulate_dyson,
     simulate_laguerre,
@@ -68,7 +63,6 @@ from freezing_dyson.stochastic import (
 
 START = RootTuple((0.5, 1.0, 2.0))
 TRAJECTORY = gaussian_gk(START)
-MOMENTS = moment_sequence(3, 4)
 SYSTEM = dual_hermite_system(3)
 CONFIG = dict(
     beta=4.0, n=2, t_end=0.5, dt=0.25, initial=RootTuple((0.0, 0.0)),
@@ -94,7 +88,6 @@ ENTRY_POINTS = {
     "MKLift": (MKLift, dict(s=(1.0, 2.0), n=2)),
     "hermite_jacobi": (hermite_jacobi, dict(n=3)),
     "laguerre_jacobi": (laguerre_jacobi, dict(n=3, alpha=1.5)),
-    "laguerre_freezing_matrix": (laguerre_freezing_matrix, dict(n=3, alpha=1.5)),
     "hermite_zeros": (hermite_zeros, dict(n=3)),
     "laguerre_zeros": (laguerre_zeros, dict(n=3, alpha=1.5)),
     "dual_hermite_system": (dual_hermite_system, dict(n=3)),
@@ -109,18 +102,14 @@ ENTRY_POINTS = {
     "gaussian_limit_closed": (gaussian_limit_closed, dict(initial=START, t=0.5)),
     "laguerre_limit_closed": (laguerre_limit_closed, dict(initial=START, alpha=4.5, t=0.5)),
     "moment_sequence": (moment_sequence, dict(n_sys=3, max_order=4)),
-    "GkTrajectory.value": (TRAJECTORY.value, dict(k=1, t=0.5)),
     "GkTrajectory.coefficients_at": (TRAJECTORY.coefficients_at, dict(t=0.5)),
     "MomentSequence": (MomentSequence, dict(u=(1.0, 0.0, 3.0), n=3)),
-    "MomentSequence.moment_at": (MOMENTS.moment_at, dict(k=2, t=0.5)),
     "SimConfig": (_config, {}),
     "SimConfig.record_times": (lambda t: _config(record_times=(t,)), dict(t=0.25)),
     "simulate_laguerre": (
         lambda alpha: simulate_laguerre(_config(initial=RootTuple((0.5, 1.0)), alpha=alpha)),
         dict(alpha=1.5),
     ),
-    "sample_gbe": (sample_gbe, dict(beta=2.0, n=3, seed=1)),
-    "sample_ble": (sample_ble, dict(beta=2.0, alpha=1.5, n=3, seed=1)),
     "sample_gbe_batch": (
         lambda **kw: sample_gbe_batch(rng=np.random.default_rng(1), **kw),
         dict(beta=2.0, n=3, size=4),
@@ -142,7 +131,6 @@ ENTRY_POINTS = {
         dict(beta=2.0, n=3, samples=8, seed=1, kind="laguerre", alpha=1.5),
     ),
     "ek_drift_report": (ek_drift_report, dict(ensemble=ENSEMBLE, bias_factor=5.0)),
-    "moment_process_estimate": (moment_process_estimate, dict(ensemble=ENSEMBLE, max_order=2)),
     "process_clt_check": (process_clt_check, dict(ensemble=ENSEMBLE, max_order=1)),
     "within_tolerance": (
         within_tolerance, dict(estimate=1.0, target=1.0, stderr=0.5, rel_tol=0.5)
@@ -161,7 +149,6 @@ INTEGER_PARAMETERS = [
     ("MKLift", "n", "n"),
     ("hermite_jacobi", "n", "n"),
     ("laguerre_jacobi", "n", "n"),
-    ("laguerre_freezing_matrix", "n", "n"),
     ("hermite_zeros", "n", "n"),
     ("laguerre_zeros", "n", "n"),
     ("dual_hermite_system", "n", "n"),
@@ -173,16 +160,10 @@ INTEGER_PARAMETERS = [
     ("OrthogonalSystem.coefficients", "m", "m"),
     ("moment_sequence", "n_sys", "n_sys"),
     ("moment_sequence", "max_order", "max_order"),
-    ("GkTrajectory.value", "k", "k"),
     ("MomentSequence", "n", "n"),
-    ("MomentSequence.moment_at", "k", "k"),
     ("SimConfig", "n", "n"),
     ("SimConfig", "seed", "seed"),
     ("SimConfig", "paths", "paths"),
-    ("sample_gbe", "n", "n"),
-    ("sample_gbe", "seed", "seed"),
-    ("sample_ble", "n", "n"),
-    ("sample_ble", "seed", "seed"),
     ("sample_gbe_batch", "n", "n"),
     ("sample_gbe_batch", "size", "size"),
     ("sample_ble_batch", "n", "n"),
@@ -198,7 +179,6 @@ INTEGER_PARAMETERS = [
     ("primitive_clt_check", "n", "n"),
     ("primitive_clt_check", "samples", "samples"),
     ("primitive_clt_check", "seed", "seed"),
-    ("moment_process_estimate", "max_order", "max_order"),
     ("process_clt_check", "max_order", "max_order"),
 ]
 
@@ -207,14 +187,11 @@ REAL_PARAMETERS = [
     ("laguerre_roots", "alpha", "alpha"),
     ("laguerre_roots", "t", "t"),
     ("laguerre_jacobi", "alpha", "alpha"),
-    ("laguerre_freezing_matrix", "alpha", "alpha"),
     ("laguerre_zeros", "alpha", "alpha"),
     ("dual_laguerre_system", "alpha", "alpha"),
     ("scaled_primitive", "t", "t"),
     ("laguerre_gk", "alpha", "alpha"),
-    ("GkTrajectory.value", "t", "t"),
     ("GkTrajectory.coefficients_at", "t", "t"),
-    ("MomentSequence.moment_at", "t", "t"),
     ("limit_roots", "t", "time"),
     ("gaussian_limit_closed", "t", "time"),
     ("laguerre_limit_closed", "alpha", "alpha"),
@@ -225,9 +202,6 @@ REAL_PARAMETERS = [
     ("SimConfig", "alpha", "alpha"),
     ("SimConfig.record_times", "t", "record time"),
     ("simulate_laguerre", "alpha", "alpha"),
-    ("sample_gbe", "beta", "beta"),
-    ("sample_ble", "beta", "beta"),
-    ("sample_ble", "alpha", "alpha"),
     ("sample_gbe_batch", "beta", "beta"),
     ("sample_ble_batch", "beta", "beta"),
     ("sample_ble_batch", "alpha", "alpha"),
@@ -272,12 +246,12 @@ def test_real_parameter_rejected(entry, param, name, bad):
 
 
 def test_indices_above_their_range_rejected():
-    TRAJECTORY.value(3, 0.5)
-    with pytest.raises(InvalidParameter, match=r"^k must be <= N = 3 \(got 4\)$"):
-        TRAJECTORY.value(4, 0.5)
-    MOMENTS.moment_at(4, 0.5)
-    with pytest.raises(InvalidParameter, match=r"^k must be <= max_order = 4 \(got 5\)$"):
-        MOMENTS.moment_at(5, 0.5)
+    SYSTEM.coefficients(2)
+    with pytest.raises(InvalidParameter, match=r"^polynomial order 3 out of range 0\.\.2$"):
+        SYSTEM.coefficients(3)
+    primitive(SYSTEM, 2)
+    with pytest.raises(InvalidParameter, match=r"^polynomial order 3 out of range 0\.\.2$"):
+        primitive(SYSTEM, 3)
 
 
 def test_messages_name_the_value():
@@ -286,7 +260,7 @@ def test_messages_name_the_value():
     with pytest.raises(InvalidParameter, match=r"^alpha must be finite and > 0 \(got inf\)$"):
         laguerre_jacobi(3, math.inf)
     with pytest.raises(InvalidParameter, match=r"^seed must be an integer >= 0 \(got '3'\)$"):
-        sample_gbe(2.0, 3, "3")
+        _config(seed="3")
     with pytest.raises(InvalidParameter, match=r"^t must be finite and >= 0 \(got -0\.5\)$"):
         hermite_roots(3, -0.5)
 
@@ -310,19 +284,13 @@ def test_head_reproducers():
     # value or a silent NaN
     cases = [
         lambda: hermite_roots(2.5, 1),
-        lambda: sample_gbe(2.0, 2.5, 1),
+        lambda: sample_gbe_batch(2.0, 2.5, 1, np.random.default_rng(1)),
         lambda: clt_covariance_gaussian(1e4, 3, 100.5, 1),
         lambda: partial_esp(1.5, 1, START),
         lambda: _config(paths=2.5),
         lambda: moment_sequence(2.5, 4),
         lambda: moment_sequence(math.nan, 4),
         lambda: primitive_clt_check(2.0, 3, 8, 1, "laguerre"),
-        lambda: TRAJECTORY.value(-1, 1.0),
-        lambda: TRAJECTORY.value(True, 1.0),
-        lambda: MOMENTS.moment_at(-1, 1.0),
-        lambda: MOMENTS.moment_at(1, -1.0),
-        lambda: MOMENTS.moment_at(2, math.nan),
-        lambda: TRAJECTORY.value(2, math.nan),
     ]
     for case in cases:
         with pytest.raises(InvalidParameter):
@@ -394,16 +362,16 @@ def test_value_constructors_reject_malformed_input(build, message):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: christoffel_darboux_weights(hermite_jacobi(3), RootTuple((0.0, 1.0))),
+        (lambda: dual_spectral_weights_cd(hermite_jacobi(3), RootTuple((0.0, 1.0))),
          DimensionMismatch, r"^2 atoms for a Jacobi matrix of order 3$"),
         (lambda: dual_spectral_weights_cd(hermite_jacobi(3), RootTuple((0.0, 1.0, 2.0, 3.0))),
          DimensionMismatch, r"^4 atoms for a Jacobi matrix of order 3$"),
-        (lambda: christoffel_darboux_weights(hermite_jacobi(3), (-1.0, 0.0, 1.0)),
+        (lambda: dual_spectral_weights_cd(hermite_jacobi(3), (-1.0, 0.0, 1.0)),
          InvalidParameter, r"^atoms must be a RootTuple \(got tuple\)$"),
         (lambda: dual("x"), InvalidParameter, r"^j must be a JacobiMatrix \(got str\)$"),
         (lambda: eigen_tridiag("x"), InvalidParameter, r"^j must be a JacobiMatrix \(got str\)$"),
         (lambda: spectral_measure("x"), InvalidParameter, r"^j must be a JacobiMatrix \(got str\)$"),
-        (lambda: christoffel_darboux_weights((0.0,)), InvalidParameter,
+        (lambda: dual_spectral_weights_cd((0.0,)), InvalidParameter,
          r"^j must be a JacobiMatrix \(got tuple\)$"),
         (lambda: primitive("x", 0), InvalidParameter, r"^sys must be an OrthogonalSystem \(got str\)$"),
         (lambda: SYSTEM.value(1, "abc"), InvalidParameter, r"^x must be a number or an array of numbers"),
@@ -427,42 +395,6 @@ def test_orthopoly_entry_points_refuse_bad_input(call, error, message):
         warnings.simplefilter("error")
         with pytest.raises(error, match=message):
             call()
-
-
-@pytest.mark.parametrize(
-    "ea, message",
-    [
-        ([2.0, 1.0, 2.0], r"^ea must start with exactly 1 \(got \[2\.0\]\)$"),
-        ([], r"^ea must start with exactly 1 \(got \[\]\)$"),
-        ([1.0, math.nan, 0.0], r"^ea\[1\] must be finite \(got nan\)$"),
-        ([1.0, 0.0, math.inf], r"^ea\[2\] must be finite \(got inf\)$"),
-        ([1.0, -math.inf, 0.0], r"^ea\[1\] must be finite \(got -inf\)$"),
-    ],
-    ids=["e0-2", "empty", "nan", "inf", "-inf"],
-)
-def test_convolve_esp_rejects_bad_coefficients(ea, message):
-    # each once came out as NaN or inf, or with e_0 = 2 silently taken as 1
-    good = [1.0, 0.5, 0.25]
-    with pytest.raises(InvalidParameter, match=message):
-        convolve_esp(ea, good)
-    with pytest.raises(InvalidParameter, match=message.replace("ea", "eb")):
-        convolve_esp(good, ea)
-
-
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_convolve_esp_refuses_coefficients_past_the_float_range(sign):
-    # e_2 = 2e300 + e_1(a) e_1(b) / 2 rounded to +-inf, with no error
-    a = [1.0, 1e300, 1e300]
-    b = [1.0, sign * 1e300, 1e300]
-    with pytest.raises(NonFiniteOutput, match=r"^convolved coefficient \[2\] is past the float range$"):
-        convolve_esp(a, b)
-    big = [1.0, 2.0**511, 0.0]  # e_2 = 2^1021, inside the range
-    assert np.array_equal(convolve_esp(big, big), [1.0, 2.0**512, 2.0**1021])
-
-
-def test_convolve_esp_lengths_must_match():
-    with pytest.raises(DimensionMismatch):
-        convolve_esp([1.0, 0.5, 0.25], [1.0, 0.5])
 
 
 def test_process_clt_check_needs_two_paths():

@@ -39,7 +39,7 @@ def test_gaussian_gk_zero_init_closed_form():
         for t in (0.3, 1.0, 2.7):
             for k in range(n + 1):
                 if k % 2 == 1:
-                    assert traj.value(k, t) == 0.0
+                    assert traj.coefficients_at(t)[k] == 0.0
                 else:
                     m = k // 2
                     expect = (
@@ -49,15 +49,15 @@ def test_gaussian_gk_zero_init_closed_form():
                         * math.factorial(n)
                         / (math.factorial(m) * math.factorial(n - 2 * m))
                     )
-                    assert traj.value(k, t) == pytest.approx(expect, rel=1e-13)
+                    assert traj.coefficients_at(t)[k] == pytest.approx(expect, rel=1e-13)
 
 
 def test_gaussian_gk_n2_example():
     traj = gaussian_gk(RootTuple((0.0, 0.0)))
-    assert traj.value(2, 1.5) == pytest.approx(-1.5)
+    assert traj.coefficients_at(1.5)[2] == pytest.approx(-1.5)
     traj2 = gaussian_gk(RootTuple((1.0, 2.0)))
-    assert traj2.value(1, 9.9) == pytest.approx(3.0)
-    assert traj2.value(2, 0.7) == pytest.approx(2.0 - 0.7)
+    assert traj2.coefficients_at(9.9)[1] == pytest.approx(3.0)
+    assert traj2.coefficients_at(0.7)[2] == pytest.approx(2.0 - 0.7)
 
 
 def test_gaussian_gk_ode_identity():
@@ -83,15 +83,15 @@ def test_laguerre_gk_zero_init_closed_form():
                 for j in range(k):
                     prod *= (n - j) * (n - j + alpha - 1)
                 expect = t**k / math.factorial(k) * prod
-                assert traj.value(k, t) == pytest.approx(expect, rel=1e-13)
+                assert traj.coefficients_at(t)[k] == pytest.approx(expect, rel=1e-13)
     traj = laguerre_gk(RootTuple((0.0, 0.0)), 1.0)
-    assert traj.value(1, 0.9) == pytest.approx(4 * 0.9)
-    assert traj.value(2, 0.9) == pytest.approx(2 * 0.81)
+    assert traj.coefficients_at(0.9)[1] == pytest.approx(4 * 0.9)
+    assert traj.coefficients_at(0.9)[2] == pytest.approx(2 * 0.81)
 
 
 def test_laguerre_gk_single_particle():
     traj = laguerre_gk(RootTuple((1.0,)), 2.0)
-    assert traj.value(1, 0.5) == pytest.approx(1.0 + 2.0 * 0.5)
+    assert traj.coefficients_at(0.5)[1] == pytest.approx(1.0 + 2.0 * 0.5)
 
 
 def test_laguerre_gk_ode_identity():
@@ -167,7 +167,6 @@ def test_exact_side_floats_are_correctly_rounded(values, alpha, t, n_sys):
     ]:
         want = [float(g) for g in _gk_oracle(esp, t, a)]
         assert traj.coefficients_at(t).tolist() == want
-        assert [traj.value(k, t) for k in range(traj.n + 1)] == want
     n = gauss.n
     for i in range(1, n + 1):
         e = _esp_oracle(gauss.roots[: i - 1] + gauss.roots[i:])
@@ -448,7 +447,7 @@ def test_moment_sequence_matches_spectral_oracle():
         for k in range(11):
             expect = float(np.mean(z**k))
             assert abs(ms.u[k] - expect) <= 1e-9 * max(1.0, abs(expect))
-    assert moment_sequence(4, 2).moment_at(2, 2.5) == pytest.approx(3 * 2.5)
+    assert moment_sequence(4, 2).u[2] * 2.5 == pytest.approx(3 * 2.5)
 
 
 def test_moment_sequence_guards():

@@ -10,14 +10,15 @@ from freezing_dyson import elemsym
 from freezing_dyson.elemsym import (
     MonicPolynomial,
     RootTuple,
+    _scaled_ints,
     elementary_symmetric,
     roots_of_monic,
 )
 from freezing_dyson.errors import DimensionMismatch, InvalidParameter, NotRealRooted
 from freezing_dyson.finfree import (
     MKLift,
+    _convolve_ints,
     boxplus,
-    convolve_esp,
     hermite_roots,
     laguerre_roots,
     markov_krein_lift,
@@ -69,17 +70,25 @@ def test_boxplus_constant_tuple_shifts():
         assert boxplus(a, RootTuple((s,) * n)).roots == tuple(x + s for x in a.roots)
 
 
+def convolved(ea, eb) -> list:
+    """The library kernel's convolution of two float vectors ``(1, e_1, ...)``,
+    run on their dyadic values, as exact Fractions."""
+    c = _convolve_ints(_scaled_ints(ea), _scaled_ints(eb))
+    return [Fraction(v, c[0]) for v in c]
+
+
 def test_boxplus_matches_direct_formula_oracle():
     rng = np.random.default_rng(4)
     for _ in range(15):
         n = int(rng.integers(2, 8))
         a = np.sort(rng.uniform(-5, 5, n))
         b = np.sort(rng.uniform(-5, 5, n))
-        ec = convolve_esp(
+        ec = convolved(
             elementary_symmetric(RootTuple(tuple(a))),
             elementary_symmetric(RootTuple(tuple(b))),
         )
-        assert np.allclose(ec, direct_convolution_oracle(a, b), rtol=1e-12, atol=1e-12)
+        assert np.allclose(np.array(ec, dtype=float), direct_convolution_oracle(a, b),
+                           rtol=1e-12, atol=1e-12)
 
 
 def test_boxplus_commutative_and_shift_equivariant():
@@ -88,9 +97,9 @@ def test_boxplus_commutative_and_shift_equivariant():
         n = int(rng.integers(2, 9))
         a = RootTuple(tuple(np.sort(rng.uniform(-5, 5, n))))
         b = RootTuple(tuple(np.sort(rng.uniform(-5, 5, n))))
-        eab = convolve_esp(elementary_symmetric(a), elementary_symmetric(b))
-        eba = convolve_esp(elementary_symmetric(b), elementary_symmetric(a))
-        assert np.array_equal(eab, eba)  # exact in coefficient space
+        eab = convolved(elementary_symmetric(a), elementary_symmetric(b))
+        eba = convolved(elementary_symmetric(b), elementary_symmetric(a))
+        assert eab == eba  # exact in coefficient space
         # a.shifted(s) rounds each a_i + s, so this shift is not exact
         s = 0.75
         lhs = boxplus(a.shifted(s), b).as_array()
@@ -204,23 +213,23 @@ def exact_polynomial(alpha):
     return MonicPolynomial.from_integers([int(a * den) for a in alpha])
 
 
-def held_to_convolve_esp(ea, eb):
-    """The oracle's convolution of two float vectors, which ``convolve_esp``
-    must return correctly rounded."""
+def held_to_kernel(ea, eb):
+    """The oracle's convolution of two float vectors, which the library's
+    integer kernel must equal exactly."""
     exact = operator_convolution(ea, eb)
-    assert convolve_esp(np.array(ea), np.array(eb)).tolist() == [float(v) for v in exact]
+    assert convolved(ea, eb) == exact
     return exact
 
 
 def test_fff_examples():
     # x^2 - 1 -> 1 - D^2/2, and (x^2 - 1) boxplus (x^2 - 1) = x^2 - 2
     assert fourier([1.0, 0.0, -1.0]) == [1, 0, Fraction(-1, 2)]
-    assert held_to_convolve_esp([1.0, 0.0, -1.0], [1.0, 0.0, -1.0]) == [1, 0, -2]
+    assert held_to_kernel([1.0, 0.0, -1.0], [1.0, 0.0, -1.0]) == [1, 0, -2]
     # degree 1: x - a -> 1 - aD, and applying to x reproduces x - a
     op1 = fourier([1.0, 1.5])
     assert op1 == [1, Fraction(-3, 2)]
     assert apply_to_power(op1) == [1, Fraction(-3, 2)]
-    assert held_to_convolve_esp([1.0, 1.5], [1.0, 0.25]) == [1, Fraction(7, 4)]
+    assert held_to_kernel([1.0, 1.5], [1.0, 0.25]) == [1, Fraction(7, 4)]
 
 
 def test_fff_constant_shift_truncated_exponential():
@@ -238,7 +247,7 @@ def test_fff_constant_shift_truncated_exponential():
     other = (-1.5, 0.25, 0.5, 2.0, 3.0)
     shifted = exact_esp([Fraction(s) + Fraction(v) for v in other])
     assert operator_convolution(e, exact_esp(other)) == shifted
-    held_to_convolve_esp(p.alpha, elementary_symmetric(RootTuple(other)))
+    held_to_kernel(p.alpha, elementary_symmetric(RootTuple(other)))
 
 
 def test_fff_round_trip_symbolic():
@@ -253,7 +262,7 @@ def test_fff_round_trip_symbolic():
         assert p == exact_polynomial(e)
         # x^N, whose operator is 1, is the identity of the convolution
         zero = [1.0] + [0.0] * n
-        assert held_to_convolve_esp(p.alpha, zero) == [Fraction(a) for a in p.alpha]
+        assert held_to_kernel(p.alpha, zero) == [Fraction(a) for a in p.alpha]
 
 
 def test_fff_product_convolution_examples():
@@ -263,7 +272,7 @@ def test_fff_product_convolution_examples():
     assert roots_of_monic(c) == boxplus(pm, pm)
     a = RootTuple((-2.0, 0.5, 3.0))
     z = RootTuple((0.0, 0.0, 0.0))
-    exact = held_to_convolve_esp(elementary_symmetric(a), elementary_symmetric(z))
+    exact = held_to_kernel(elementary_symmetric(a), elementary_symmetric(z))
     assert exact == exact_esp(a.roots)
     assert roots_of_monic(exact_polynomial(exact)) == a == boxplus(a, z)
 
@@ -278,7 +287,7 @@ def test_fff_product_agrees_with_boxplus():
         b = RootTuple(tuple(np.sort(rng.uniform(-5, 5, n))))
         exact = operator_convolution(exact_esp(a.roots), exact_esp(b.roots))
         assert roots_of_monic(exact_polynomial(exact)) == boxplus(a, b)
-        held_to_convolve_esp(elementary_symmetric(a), elementary_symmetric(b))
+        held_to_kernel(elementary_symmetric(a), elementary_symmetric(b))
 
 
 def test_hermite_roots_examples():
@@ -369,7 +378,7 @@ def test_hermite_fff_scaling_identity():
     # Hermite zeros scaled by 1 and 1 convolve to scale sqrt(2), via the
     # operator route
     h = hermite_roots(3, 1.0)
-    held_to_convolve_esp(elementary_symmetric(h), elementary_symmetric(h))
+    held_to_kernel(elementary_symmetric(h), elementary_symmetric(h))
     lhs = roots_of_monic(exact_polynomial(operator_convolution(exact_esp(h.roots), exact_esp(h.roots))))
     assert lhs == boxplus(h, h)
     rhs = hermite_roots(3, 2.0).as_array()

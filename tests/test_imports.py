@@ -251,3 +251,28 @@ def test_exact_side_imports_no_dataclasses_or_typing():
         if _imports(node, ["dataclasses", "typing"])
     ]
     assert found == []
+
+
+def _referenced(tree) -> set:
+    """The identifiers that ``tree`` reads, as names or attributes."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_name_has_a_caller():
+    # a public name must be used by the library outside its own definition,
+    # or by an acceptance criterion; a name that neither reaches is a
+    # surface that no subcommand or criterion runs
+    import freezing_dyson
+
+    used = set()
+    for _, tree in parsed_modules():
+        for node in tree.body:  # a top-level definition's reads, less its own name
+            used |= _referenced(node) - {getattr(node, "name", None)}
+    with open(os.path.join(os.path.dirname(__file__), "test_acceptance.py"), encoding="utf-8") as fh:
+        used |= _referenced(ast.parse(fh.read()))
+    public = [name for names in freezing_dyson._PUBLIC.values() for name in names]
+    assert [name for name in public if name not in used] == []

@@ -25,7 +25,6 @@ from freezing_dyson.stats import (
     clt_covariance_gaussian,
     clt_covariance_laguerre,
     ek_drift_report,
-    moment_process_estimate,
     primitive_clt_check,
     process_clt_check,
     within_tolerance,
@@ -410,20 +409,23 @@ def test_moment_process_estimate_zero_init():
         paths=2000,
         record_times=(0.0, 0.5, 1.0),
     )
-    ens = simulate_dyson(cfg)
-    est = moment_process_estimate(ens, max_order=4)
-    ms = moment_sequence(4, 4)
+    data = simulate_dyson(cfg).data  # (paths, times, N)
+    u = moment_sequence(4, 4).u
+    # per-path moments S_k = (1/N) sum lambda_i^k, as (paths, times, k)
+    per_path = np.stack([np.mean(data**k, axis=2) for k in range(5)], axis=2)
+    s_hat = np.mean(per_path, axis=0)
+    stderr = np.std(per_path, axis=0, ddof=1) / math.sqrt(cfg.paths)
     # at t = 0 the estimate equals the initial moments exactly
-    assert np.array_equal(est.s_hat[0], [1.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(s_hat[0], [1.0, 0.0, 0.0, 0.0, 0.0])
     # S_2(t) tracks u_2 t, S_4(t) tracks u_4 t^2
     for slot, t in enumerate(cfg.record_times):
         if t == 0.0:
             continue
         for order in (2, 4):
-            target = ms.moment_at(order, t)
-            tol = 3.0 * est.stderr[slot, order] + 10.0 * cfg.dt * max(1.0, target)
-            assert abs(est.s_hat[slot, order] - target) < tol
-    assert np.allclose(est.s_hat[:, 0], 1.0)
+            target = u[order] * t ** (order / 2.0)
+            tol = 3.0 * stderr[slot, order] + 10.0 * cfg.dt * max(1.0, target)
+            assert abs(s_hat[slot, order] - target) < tol
+    assert np.allclose(s_hat[:, 0], 1.0)
 
 
 def test_ek_drift_report_both_kinds():
@@ -472,8 +474,7 @@ def test_process_clt_check_guards():
 
 def test_ensemble_reports_reject_what_is_not_an_ensemble():
     for bad in (None, np.zeros((4, 1, 3)), "ensemble"):
-        for report in (ek_drift_report, lambda e: process_clt_check(e, 1),
-                       lambda e: moment_process_estimate(e, 1)):
+        for report in (ek_drift_report, lambda e: process_clt_check(e, 1)):
             with pytest.raises(InvalidParameter, match="^ensemble must be a PathEnsemble"):
                 report(bad)
 

@@ -14,9 +14,7 @@ from freezing_dyson.finfree import hermite_roots, laguerre_roots
 from freezing_dyson.stochastic import (
     SimConfig,
     _chi_matrix,
-    sample_ble,
     sample_ble_batch,
-    sample_gbe,
     sample_gbe_batch,
     simulate_dyson,
     simulate_laguerre,
@@ -382,7 +380,7 @@ def test_ek_means_track_gk_quickly():
     for slot, t in enumerate(cfg.record_times):
         ek = esp_rows(ens.data[:, slot, :])
         for k in range(1, 4):
-            target = traj.value(k, t)
+            target = traj.coefficients_at(t)[k]
             stderr = np.std(ek[:, k], ddof=1) / math.sqrt(cfg.paths)
             tol = 3.0 * stderr + 5.0 * cfg.dt * max(1.0, abs(target))
             assert abs(np.mean(ek[:, k]) - target) < tol
@@ -477,9 +475,9 @@ def test_chi_sample_k2_is_exponential():
 
 
 def test_sample_gbe_basic():
-    t = sample_gbe(2.0, 5, seed=1)
-    assert t.n == 5
-    assert sample_gbe(2.0, 5, seed=1).roots == t.roots  # reproducible
+    t = sample_gbe_batch(2.0, 5, 1, np.random.default_rng(1))
+    assert t.shape == (1, 5)
+    assert np.array_equal(sample_gbe_batch(2.0, 5, 1, np.random.default_rng(1)), t)  # reproducible
     # N=1: plain normal with variance 2/beta
     rng = np.random.default_rng(3)
     draws = sample_gbe_batch(4.0, 1, 100000, rng)[:, 0]
@@ -489,7 +487,7 @@ def test_sample_gbe_basic():
 def test_sample_gbe_freezing_limit():
     z = hermite_roots(4, 1.0).as_array()
     for seed in range(5):
-        ev = sample_gbe(1e8, 4, seed=seed).as_array()
+        ev = sample_gbe_batch(1e8, 4, 1, np.random.default_rng(seed))[0]
         assert np.max(np.abs(ev - z)) < 1e-3
 
 
@@ -509,9 +507,9 @@ def test_sample_gbe_second_moment_vs_grid_oracle():
 
 
 def test_sample_ble_basic():
-    t = sample_ble(2.0, 1.5, 4, seed=5)
-    assert t.n == 4 and t.roots[0] >= 0.0
-    assert sample_ble(2.0, 1.5, 4, seed=5).roots == t.roots
+    t = sample_ble_batch(2.0, 1.5, 4, 1, np.random.default_rng(5))
+    assert t.shape == (1, 4) and t[0, 0] >= 0.0
+    assert np.array_equal(sample_ble_batch(2.0, 1.5, 4, 1, np.random.default_rng(5)), t)
     # N=1: chi^2_(beta alpha)/beta has mean alpha
     rng = np.random.default_rng(7)
     draws = sample_ble_batch(3.0, 2.0, 1, 100000, rng)[:, 0]
@@ -523,18 +521,18 @@ def test_sample_ble_basic():
 def test_sample_ble_freezing_limit():
     z = laguerre_roots(3, 2.0, 1.0).as_array()
     for seed in range(5):
-        ev = sample_ble(1e8, 2.0, 3, seed=seed).as_array()
+        ev = sample_ble_batch(1e8, 2.0, 3, 1, np.random.default_rng(seed))[0]
         assert np.max(np.abs(ev - z)) < 1e-3
 
 
 def test_sample_ble_rejects_bad_params():
-    with pytest.raises(InvalidParameter):
-        sample_ble(2.0, 0.0, 3, seed=1)
-    with pytest.raises(InvalidParameter, match="seed"):
-        sample_ble(2.0, 1.0, 3, seed=-1)
-    with pytest.raises(InvalidParameter, match="seed"):
-        sample_gbe(2.0, 3, seed=-1)
     rng = np.random.default_rng(1)
+    with pytest.raises(InvalidParameter):
+        sample_ble_batch(2.0, 0.0, 3, 1, rng)
+    with pytest.raises(InvalidParameter, match="size"):
+        sample_ble_batch(2.0, 1.0, 3, -1, rng)
+    with pytest.raises(InvalidParameter, match="size"):
+        sample_gbe_batch(2.0, 3, -1, rng)
     with pytest.raises(InvalidParameter):
         sample_gbe_batch(0.0, 3, 10, rng)
     bad = ((math.nan, 1.0, 3), (math.inf, 1.0, 3), (2.0, math.inf, 3), (2.0, 1.0, 0))

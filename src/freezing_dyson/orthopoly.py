@@ -15,8 +15,8 @@ bits as alone, so the batch output depends on no chunking, no core count and
 no numpy or LAPACK build; ``eigh`` serves only where spectral measures need
 the eigenvectors.  The kernel is backward stable, to a small multiple of
 n * eps * (matrix norm); the tests certify each classical Hermite and
-Laguerre zero within 1e-14 * max|z| of the exact zero by exact signs of the
-exact characteristic polynomial.  The classical zeros are cached per
+Laguerre zero within 32 ulps of max|z| of the exact zero by exact signs of
+the exact characteristic polynomial.  The classical zeros are cached per
 (n, alpha) and their types, as immutable root tuples, so that a cached ``1``
 never answers for ``True``.
 
@@ -25,11 +25,10 @@ their recurrence data are ints or Fractions (a float alpha at its exact
 rational), their squared norms are exact, and their monic coefficients are
 computed exactly on first use, on integers scaled by the data's common
 denominator; each is rounded once, so ``squared_norms``, ``coefficients``
-and :func:`primitive` are correctly rounded.  Evaluation at float points
-keeps one route, the three-term recurrence on the rounded data: at n = 16
-and the float zeros it stays within 3.4e-12 (Hermite) and 8.3e-8 (Laguerre,
-alpha = 0.3) of max|q_m| of exact evaluation, where Horner's rule on the
-correctly rounded coefficients loses 1.1e-10 and 6.0e-4.
+and :func:`primitive` are correctly rounded.  Their values at the zeros are
+never evaluated: those of the orthonormal polynomials are the entries of the
+unit eigenvectors of the dual Jacobi matrix (Golub-Welsch), which
+:func:`_eigenvectors` solves from one twisted factorization per zero.
 
 Linear statistics of a polynomial of degree k need no spectrum, only the
 power sums ``tr(J^k)``; :func:`_power_traces_batch` forms them for a batch
@@ -76,13 +75,13 @@ __all__ = [
 # Float64 elements of one chunk of _power_traces_batch's banded powers (1 MB).
 _CHUNK_ELEMS = 1 << 17
 # The batch eigenvalue kernel sweeps chunks of _LANES matrices lane-major and
-# runs fewer than _NARROW lanes in pure Python (measured in CHANGES.md).  In
-# a matrix scaled to entries below 1 no off-diagonal above _SAFE splits a
-# block, and _TINY bounds the sums of squares whose sqrt loses nothing.
+# runs fewer than _NARROW lanes in pure Python (measured in CHANGES.md).  An
+# e^2 at or under _SPLIT dd^2, dd the sum of its diagonal neighbours' |d|,
+# splits a block, so in a matrix scaled to entries below 1 none above _SAFE.
 _LANES = 8192
 _NARROW = 24
-_SAFE = 2.0**-50
-_TINY = 2.0**-1000
+_SAFE = 2.0**-100
+_SPLIT = 2.0**-106
 _PAST_RANGE = "tridiagonal eigenvalues: an eigenvalue is past the float range"
 
 
@@ -213,10 +212,11 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
         d = diag[s : s + _LANES].T.copy()
         e = np.zeros(d.shape)
         e[:-1] = offdiag[s : s + _LANES].T
-        # the scaling of _eigen_lane, lane by lane
+        # the scaling of _eigen_lane, lane by lane, and the squares
         k = np.frexp(np.maximum(np.abs(d).max(axis=0), np.abs(e).max(axis=0)))[1]
-        with np.errstate(divide="ignore", invalid="ignore"):  # lanes with r = 0 go to _ql
-            _ql_lanes(np.ldexp(d, -k, out=d), np.ldexp(e, -k, out=e))
+        np.ldexp(e, -k, out=e)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # c = 0: lanes go to _ql
+            _ql_lanes(np.ldexp(d, -k, out=d), np.multiply(e, e, out=e))
         with np.errstate(over="ignore"):  # an overflow is raised below
             np.ldexp(d, k, out=d)
         if not np.isfinite(d).all():
@@ -227,18 +227,18 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
 
 def _ql_lanes(d: np.ndarray, e: np.ndarray) -> None:
     """:func:`_ql` on every lane (column) of the scaled lane-major ``d`` and
-    ``e`` ((n, w); e's last row unused), in place.  The lanes take each level
-    lo together: those whose test at row lo fails sweep rows lo..n-1 at once,
-    into the other of two work buffers.  :func:`_ql` itself runs, from the
-    state before, a lane with an off-diagonal below row lo at or under
-    ``_SAFE`` (its block may split there, or a rotation need the slow norm),
-    and a level of fewer than ``_NARROW`` lanes."""
+    squared off-diagonals ``e`` ((n, w); e's last row unused), in place.  The
+    lanes take each level lo together: those whose test at row lo fails sweep
+    rows lo..n-1 at once, into the other of two work buffers.  :func:`_ql`
+    itself runs, from the state before, a lane with an e^2 below row lo at or
+    under ``_SAFE`` (its block may split there) or not finite (a rotation had
+    c = 0), and a level of fewer than ``_NARROW`` lanes."""
     n, w = d.shape
-    split = (np.abs(e[1 : n - 1]) <= _SAFE).any(axis=0) | (w < _NARROW)
+    split = (e[1 : n - 1] <= _SAFE).any(axis=0) | (w < _NARROW)
     _alone(d, e, np.flatnonzero(split), None, 0, 0, n)
     lanes = np.flatnonzero(~split)
     work = np.empty((2, 2, n, w))  # two (d, e) buffers, one written per sweep
-    tmp = np.empty((7, w))
+    tmp = np.empty((6, w))
     flip = 0
     cd = None  # rows lo..n-1 of the lanes ``at``, where not None
     for lo in range(n - 1):
@@ -247,7 +247,7 @@ def _ql_lanes(d: np.ndarray, e: np.ndarray) -> None:
             cd, ce = (d[lo:], e[lo:]) if len(at) == w else (d[lo:].take(at, 1), e[lo:].take(at, 1))
         for sweeps in range(31):
             dd = np.abs(cd[0]) + np.abs(cd[1])
-            done = np.abs(ce[0]) + dd == dd
+            done = ce[0] <= _SPLIT * (dd * dd)
             if done.all() and len(at) == len(lanes) and lo < n - 2:
                 d[lo, at] = cd[0]  # the other rows go on to the next level
                 cd, ce = cd[1:], ce[1:]
@@ -265,9 +265,10 @@ def _ql_lanes(d: np.ndarray, e: np.ndarray) -> None:
             nd, ne = work[flip, :, lo:, : len(at)]
             flip ^= 1
             _sweep_lanes(cd, ce, nd, ne, tmp[:, : len(at)])
-            new = ne[1:]  # every r of the sweep; above _SAFE, each took sqrt(f*f + g*g)
-            if not (new.min() > _SAFE and new.max() < math.inf):
-                bad = ~((new > _SAFE) & (new < math.inf)).all(axis=0)
+            # each e^2 the sweep wrote: above _SAFE below row lo (so not NaN;
+            # an inf there is followed by a NaN), and finite at row lo
+            if not (ne[1:-1].min(initial=math.inf) > _SAFE and ne[0].max() < math.inf):
+                bad = ~(ne[1:-1] > _SAFE).all(axis=0) | ~(ne[0] < math.inf)
                 cols, keep = np.flatnonzero(bad), np.flatnonzero(~bad)
                 _alone(d, e, at[cols], (cd.take(cols, 1), ce.take(cols, 1)), lo, sweeps, n)
                 lanes = np.setdiff1d(lanes, at[cols], assume_unique=True)
@@ -287,30 +288,30 @@ def _alone(d, e, lanes, state, lo: int, sweeps: int, top: int) -> None:
 
 def _sweep_lanes(cd, ce, nd, ne, tmp) -> None:
     """One sweep of :func:`_ql` on every lane (an unreduced block lo..n-1) of
-    ``cd`` and ``ce``, into ``nd`` and ``ne``, in the scalar's order."""
+    ``cd`` and ``ce``, into ``nd`` and ``ne``, in the scalar's order; a lane
+    whose c is 0 writes inf or NaN."""
     mul, add, sub, div, sqrt = np.multiply, np.add, np.subtract, np.divide, np.sqrt
-    s, c, p, f, b, t, g = tmp
+    c, s, p, gamma, sigma, t = tmp
     dr, er, ndr, ner = list(cd), list(ce), list(nd), list(ne)
-    div(sub(dr[1], dr[0], out=g), mul(er[0], 2.0, out=t), out=g)
-    sqrt(add(mul(g, g, out=t), 1.0, out=t), out=t)
-    div(er[0], add(g, np.copysign(t, g, out=t), out=t), out=t)
-    add(sub(dr[-1], dr[0], out=g), t, out=g)
-    s[...], c[...], p[...] = 1.0, 1.0, 0.0
+    sqrt(er[0], out=p)
+    div(sub(dr[1], dr[0], out=sigma), mul(p, 2.0, out=t), out=sigma)
+    sqrt(add(mul(sigma, sigma, out=t), 1.0, out=t), out=t)
+    sub(dr[0], div(p, add(sigma, np.copysign(t, sigma, out=t), out=t), out=t), out=sigma)
+    sub(dr[-1], sigma, out=gamma)
+    mul(gamma, gamma, out=p)
     for i in range(len(dr) - 2, -1, -1):
-        r = ner[i + 1]
-        mul(s, er[i], out=f)
-        mul(c, er[i], out=b)
-        sqrt(add(mul(f, f, out=r), mul(g, g, out=t), out=r), out=r)
-        div(f, r, out=s)
-        div(g, r, out=c)
-        sub(dr[i + 1], p, out=g)
-        mul(sub(dr[i], g, out=t), s, out=t)
-        add(t, mul(mul(c, 2.0, out=f), b, out=f), out=t)
-        mul(s, t, out=p)
-        add(g, p, out=ndr[i + 1])
-        sub(mul(c, t, out=g), b, out=g)
-    sub(dr[0], p, out=ndr[0])
-    ner[0][...] = g
+        r = add(p, er[i], out=t)
+        if i < len(dr) - 2:
+            mul(s, r, out=ner[i + 1])
+        div(p, r, out=c)
+        div(er[i], r, out=s)
+        mul(s, gamma, out=p)  # gamma, the old one, goes into d[i+1] below
+        sub(mul(c, sub(dr[i], sigma, out=t), out=t), p, out=t)
+        add(gamma, sub(dr[i], t, out=p), out=ndr[i + 1])
+        gamma, t = t, gamma
+        div(mul(gamma, gamma, out=p), c, out=p)
+    mul(s, p, out=ner[0])
+    add(sigma, gamma, out=ndr[0])
 
 
 def _power_traces_batch(diag: np.ndarray, offdiag: np.ndarray, kmax: int) -> np.ndarray:
@@ -412,7 +413,7 @@ def _eigen_lane(diag, offdiag) -> list:
         return list(diag)
     k = math.frexp(max(max(map(abs, diag)), max(map(abs, offdiag))))[1]
     d = [math.ldexp(a, -k) for a in diag]
-    e = [math.ldexp(b, -k) for b in offdiag] + [0.0]
+    e = [s * s for s in (math.ldexp(b, -k) for b in offdiag)] + [0.0]
     _ql(d, e, 0, 0, len(d))
     try:
         return sorted(math.ldexp(a, k) for a in d)
@@ -421,21 +422,20 @@ def _eigen_lane(diag, offdiag) -> list:
 
 
 def _ql(d: list, e: list, lo: int, sweeps: int, top: int) -> None:
-    """QL sweeps on the scaled ``d`` and ``e`` (e[n-1] unused), in place, from
-    level ``lo``, where ``sweeps`` are spent, until ``d[:top]`` holds
-    eigenvalues.  A rotation's r is sqrt(f*f + g*g) while that sum lies in
-    [2^-1000, inf), else m sqrt(1 + (q/m)^2), m and q the larger and smaller
-    of |f| and |g|; the shift's g*g + 1 is in range, as |g| <= 2^52 while
-    e[lo] is not negligible."""
+    """Root-free QL sweeps (Pal, Walker and Kahan; LAPACK ``dsterf``) on the
+    scaled ``d`` and squared off-diagonals ``e`` (e[n-1] unused), in place,
+    from level ``lo``, where ``sweeps`` are spent, until ``d[:top]`` holds
+    eigenvalues.  A rotation takes no square root and divides by no 0 (each
+    e^2 in an unreduced block is above 0), and sigma*sigma + 1 is in range."""
     n = len(d)
-    sqrt, copysign, tiny, inf = math.sqrt, math.copysign, _TINY, math.inf
+    sqrt, copysign = math.sqrt, math.copysign
     for lo in range(lo, top):
         while True:
             m, below = lo, abs(d[lo])  # the unreduced block is lo..m
             while m < n - 1:
                 above, below = below, abs(d[m + 1])
                 dd = above + below
-                if abs(e[m]) + dd == dd:
+                if e[m] <= _SPLIT * (dd * dd):
                     break
                 m += 1
             if m == lo:
@@ -444,38 +444,21 @@ def _ql(d: list, e: list, lo: int, sweeps: int, top: int) -> None:
                 raise NoConvergence("tridiagonal eigenvalues: 30 sweeps without convergence")
             sweeps += 1
             # shift: the eigenvalue of the leading 2 x 2 block nearer d[lo]
-            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
-            r = sqrt(g * g + 1.0)
-            g = d[m] - d[lo] + e[lo] / (g + copysign(r, g))
-            s = c = 1.0
-            p = 0.0
+            rte = sqrt(e[lo])
+            sigma = (d[lo + 1] - d[lo]) / (2.0 * rte)
+            sigma = d[lo] - rte / (sigma + copysign(sqrt(sigma * sigma + 1.0), sigma))
+            gamma = d[m] - sigma
+            p, c = gamma * gamma, 1.0
             for i in range(m - 1, lo - 1, -1):
-                j = i + 1
-                f = s * e[i]
-                b = c * e[i]
-                r = f * f + g * g
-                if tiny <= r < inf:
-                    r = sqrt(r)
-                else:
-                    q, r = sorted((abs(f), abs(g)))
-                    if r == 0.0:  # the block splits at j: sweep again
-                        e[j] = r
-                        d[j] -= p
-                        e[m] = 0.0
-                        break
-                    r *= sqrt(1.0 + (q / r) * (q / r))
-                e[j] = r
-                s = f / r
-                c = g / r
-                g = d[j] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[j] = g + p
-                g = c * r - b
-            else:
-                d[lo] -= p
-                e[lo] = g
-                e[m] = 0.0
+                r = p + e[i]
+                if i < m - 1:
+                    e[i + 1] = s * r
+                oldc, c, s = c, p / r, e[i] / r
+                oldgam, gamma = gamma, c * (d[i] - sigma) - s * gamma
+                d[i + 1] = oldgam + (d[i] - gamma)
+                p = gamma * gamma / c if c != 0.0 else oldc * e[i]
+            e[lo] = s * p
+            d[lo] = sigma + gamma
         sweeps = 0
 
 
@@ -542,6 +525,34 @@ def dual_spectral_weights_cd(j: JacobiMatrix, atoms: RootTuple | None = None) ->
     return p_prev / d_cur
 
 
+def _eigenvectors(a, b2, lam) -> np.ndarray:
+    """Unit eigenvectors, first entries positive, as columns, of the Jacobi
+    matrix with diagonal ``a`` and squared off-diagonal ``b2`` (exact data is
+    rounded once) at its eigenvalues ``lam``: one twisted factorization each
+    (Fernando, SIAM J. Matrix Anal. Appl. 1997), lane-vectorized over ``lam``.
+    The LDL^T pivots of J - lam run down, the UDU^T pivots up, and a vector is
+    solved outward from its row r of smallest |gamma_r|, at z_r = 1.  A pivot
+    under pivmin in magnitude is taken as -pivmin, as in LAPACK, so a zero
+    pivot neither divides nor warns."""
+    a, b2 = np.asarray(a, dtype=float)[:, None], np.asarray(b2, dtype=float)[:, None]
+    n, pivmin = len(a), 2.0**-500 * b2.max(initial=1.0)
+    shifted = a - lam
+    down, up = shifted.copy(), shifted.copy()
+    for i in range(n):
+        if i:
+            down[i] -= b2[i - 1] / down[i - 1]
+            up[n - 1 - i] -= b2[n - 1 - i] / up[n - i]
+        for piv in (down[i], up[n - 1 - i]):
+            piv[np.abs(piv) < pivmin] = -pivmin
+    r = np.argmin(np.abs(down + up - shifted), axis=0)
+    b, z = np.sqrt(b2), np.ones_like(shifted)
+    for i in range(n - 2, -1, -1):
+        z[i] = np.where(i < r, -b[i] / down[i] * z[i + 1], 1.0)
+    for i in range(n - 1):
+        z[i + 1] = np.where(i < r, z[i + 1], -b[i] / up[i + 1] * z[i])
+    return z / np.copysign(np.sqrt(np.sum(z * z, axis=0)), z[0])
+
+
 def _rational(v):
     """``v`` exactly: an int, else a Fraction (a float is read exactly)."""
     from fractions import Fraction  # only the dual systems need it
@@ -572,7 +583,6 @@ class OrthogonalSystem(_Value):
             raise InvalidParameter("an orthogonal system needs n >= 1 a and n - 1 positive b2")
         h = tuple(itertools.accumulate(b2, operator.mul, initial=1))
         vars(self).update(a=a, b2=b2, exact_norms=h, squared_norms=tuple(map(_round, h)))
-        vars(self).update(_floats=(tuple(map(_round, a)), tuple(map(_round, b2))))
 
     @functools.cached_property
     def _scaled(self):
@@ -596,19 +606,6 @@ class OrthogonalSystem(_Value):
     @property
     def n(self) -> int:
         return len(self.a)
-
-    def value(self, m: int, x):
-        """q_m at x (scalar or array): the recurrence on the rounded a and b2."""
-        self._check_index(m)
-        a, b2 = self._floats
-        xv = _float_array("x", x)
-        prev, cur = np.zeros_like(xv), np.ones_like(xv)
-        for i in range(m):
-            prev, cur = cur, (xv - a[i]) * cur - (b2[i - 1] * prev if i >= 1 else 0.0)
-        return cur if cur.shape else float(cur)
-
-    def orthonormal_value(self, m: int, x):
-        return self.value(m, x) / math.sqrt(self.squared_norms[m])
 
     def coefficients(self, m: int) -> np.ndarray:
         """Coefficients of q_m in ascending powers, each rounded once."""

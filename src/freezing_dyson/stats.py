@@ -7,8 +7,9 @@ checks; ``CovarianceReport.diag_pass`` is relative only (each diagonal entry
 within ``rel_tol`` of its target); ``EkDriftReport`` allows 3 stderr plus an
 Euler bias budget, and ``ProcessCltReport`` 3 stderr.
 
-The central objects are the orthogonal rotation matrices built from dual
-orthonormal polynomials evaluated at classical zeros: the fluctuation
+The central objects are the orthogonal rotation matrices whose columns are
+the unit eigenvectors of the dual Jacobi matrices at the classical zeros, so
+whose entries are the dual orthonormal polynomials there: the fluctuation
 covariance of the static ensembles diagonalizes to ``diag(1/(n+1))`` in those
 coordinates, and the time-indexed primitive statistics of the Dyson process
 have covariance ``<q_n, q_n>/(n+1) (s ^ t)^(n+1)``.
@@ -24,6 +25,7 @@ from .elemsym import esp_rows
 from .errors import InvalidParameter, check_int, check_real
 from .orthopoly import (
     OrthogonalSystem,
+    _eigenvectors,
     _power_traces_batch,
     _rational,
     _round,
@@ -82,21 +84,20 @@ def _moments(x: np.ndarray) -> tuple:
 def build_q_matrix_gaussian(n: int) -> np.ndarray:
     """Orthogonal matrix ``Q[m, i] = qhat_m(z_i) / sqrt(N)`` over Hermite zeros.
 
-    Rows are polynomial orders 0..N-1, columns zeros ascending; QQ^T = I
-    because the dual orthonormal system is orthonormal under the uniform
-    measure on the zeros.  Each row's norm is one sqrt of the exact N h_m.
+    Rows are polynomial orders 0..N-1, columns zeros ascending: column i is
+    the unit eigenvector, first entry positive, of the dual Jacobi matrix at
+    z_i, as its spectral measure is uniform on the zeros (Golub-Welsch).
     """
     z, sys = hermite_zeros(n).as_array(), dual_hermite_system(n)
-    norms = [math.sqrt(_round(n * h)) for h in sys.exact_norms]
-    return np.array([sys.value(m, z) / r for m, r in enumerate(norms)])
+    return _eigenvectors(sys.a, sys.b2, z)
 
 
 def build_q_matrix_laguerre(n: int, alpha: float) -> np.ndarray:
     """Orthogonal matrix ``Q[m, i] = sqrt(z_i / (N(N+alpha-1))) qhat_m(z_i)``
-    over Laguerre zeros; each row's norm is one sqrt of its exact square."""
+    over Laguerre zeros: the dual matrix's eigenvectors, as its spectral
+    measure has these weights."""
     z, sys = laguerre_zeros(n, alpha).as_array(), dual_laguerre_system(n, alpha)
-    norms = [math.sqrt(_round(n * (_rational(alpha) + n - 1) * h)) for h in sys.exact_norms]
-    return np.array([np.sqrt(z) * sys.value(m, z) / r for m, r in enumerate(norms)])
+    return _eigenvectors(sys.a, sys.b2, z)
 
 
 @dataclass(frozen=True)

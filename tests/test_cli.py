@@ -285,6 +285,20 @@ def test_clt_static_json(tmp_path):
     assert doc["diag_pass"] is True
 
 
+def test_clt_static_report_at_n_24(tmp_path):
+    # a Q matrix from the dual polynomials evaluated at the float zeros was
+    # off by up to 3e2 here, and this run exited 0 with an off_diag_max of
+    # 264.5 and a diag_rel_err of 9e5; the eigenvector route reads 0.0081
+    out = tmp_path / "clt.json"
+    argv = [
+        "clt", "--kind", "laguerre", "--mode", "static", "--n", "24", "--alpha", "0.3",
+        "--beta", "1e4", "--samples", "4000", "--seed", "1", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["off_diag_max"] < 0.1 and max(doc["diag_rel_err"]) < 0.2
+
+
 @pytest.mark.parametrize("mode", ["static", "primitive"])
 def test_clt_gaussian_at_one_particle(mode, tmp_path):
     # He_1(x) = x: a 1 x 1 Jacobi matrix with the one zero 0, as the

@@ -94,8 +94,6 @@ ENTRY_POINTS = {
     "dual_laguerre_system": (dual_laguerre_system, dict(n=3, alpha=1.5)),
     "primitive": (primitive, dict(sys=SYSTEM, m=1)),
     "scaled_primitive": (scaled_primitive, dict(sys=SYSTEM, m=1, t=0.5, x=1.0)),
-    "OrthogonalSystem.value": (SYSTEM.value, dict(m=1, x=1.0)),
-    "OrthogonalSystem.orthonormal_value": (SYSTEM.orthonormal_value, dict(m=1, x=1.0)),
     "OrthogonalSystem.coefficients": (SYSTEM.coefficients, dict(m=1)),
     "laguerre_gk": (laguerre_gk, dict(initial=START, alpha=1.5)),
     "limit_roots": (limit_roots, dict(traj=gaussian_gk(START), t=0.5)),
@@ -155,8 +153,6 @@ INTEGER_PARAMETERS = [
     ("dual_laguerre_system", "n", "n"),
     ("primitive", "m", "m"),
     ("scaled_primitive", "m", "m"),
-    ("OrthogonalSystem.value", "m", "m"),
-    ("OrthogonalSystem.orthonormal_value", "m", "m"),
     ("OrthogonalSystem.coefficients", "m", "m"),
     ("moment_sequence", "n_sys", "n_sys"),
     ("moment_sequence", "max_order", "max_order"),
@@ -374,7 +370,6 @@ def test_value_constructors_reject_malformed_input(build, message):
         (lambda: dual_spectral_weights_cd((0.0,)), InvalidParameter,
          r"^j must be a JacobiMatrix \(got tuple\)$"),
         (lambda: primitive("x", 0), InvalidParameter, r"^sys must be an OrthogonalSystem \(got str\)$"),
-        (lambda: SYSTEM.value(1, "abc"), InvalidParameter, r"^x must be a number or an array of numbers"),
         (lambda: scaled_primitive(SYSTEM, 0, 1.0, "a"), InvalidParameter,
          r"^x must be a number or an array of numbers"),
         (lambda: scaled_primitive(SYSTEM, 0, 1.0, math.inf), InvalidParameter, r"^x must be finite$"),
@@ -384,7 +379,7 @@ def test_value_constructors_reject_malformed_input(build, message):
     ids=[
         "cd-weights-atoms-short", "dual-cd-weights-atoms-long", "cd-weights-tuple-atoms", "dual-str",
         "eigen_tridiag-str", "spectral_measure-str", "cd-weights-tuple-matrix", "primitive-str",
-        "value-str", "scaled_primitive-str", "scaled_primitive-inf", "scaled_primitive-nan",
+        "scaled_primitive-str", "scaled_primitive-inf", "scaled_primitive-nan",
     ],
 )
 def test_orthopoly_entry_points_refuse_bad_input(call, error, message):

@@ -27,13 +27,13 @@ GOLDEN = {
     "zeros --family hermite --n 3":
         "210bf04093ed824641b8dc481c44f6ec867d0a9d27efca13e725003d06969936",
     "zeros --family hermite --n 7 --t 0.5":
-        "38954cb61ac05062287ce4f74bb36c40a0515b8cfc3d07ee4056b96226206cdd",
+        "cd7d7e10c08e1c5db4459b3d7c4615e1c048e70a8fde362704e2bcdb582938f5",
     "zeros --family hermite --n 30 --t 2":
-        "e08f5a0d0915a78fab6d395fa35398cc076724aa75f688d283824cb46cc91ec6",
+        "247564409e71b641982caf6a16626417ef3a6905406d059887d623c512fbfed5",
     "zeros --family laguerre --n 4 --alpha 2.5":
-        "10632ca4f3b53d43c879811a88d631c1a82ed4cc7918977974d734d761e321fa",
+        "c64cecafba0ce044a4d18060ff5508f31985cbeccd94af271633112c69ab39e1",
     "zeros --family laguerre --n 12 --alpha 0.75 --t 3":
-        "54ee5a421e3472b8ab3882d06fcc3f7902cec2abe1606016e214c98a438d6b97",
+        "2e6174d2ae56076c1fac3bf3506d91c2ba5d755fe8620637cef7599cedd1266a",
     "convolve --a start.csv --b other.csv":
         "2fd71db1e53a4f25ca97be3d71d302eae6a772eff7762bfd9aece21ae91e9754",
     "convolve --a laguerre.csv --b laguerre.csv":

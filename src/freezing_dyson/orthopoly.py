@@ -162,13 +162,14 @@ def laguerre_jacobi(n: int, alpha: float) -> JacobiMatrix:
     """Jacobi matrix of the gamma-weight orthogonal (Laguerre) recurrence.
 
     diag ``(alpha, alpha+2, ..., alpha+2(n-1))``, off-diagonal
-    ``sqrt(i)*sqrt(alpha+i-1)`` for ``i = 1..n-1``; eigenvalues are the zeros
-    of the degree-n monic Laguerre polynomial with parameter alpha.
+    ``sqrt(i)*sqrt(alpha+(i-1))`` for ``i = 1..n-1`` (the integer added last,
+    so a small alpha is not cancelled); eigenvalues are the zeros of the
+    degree-n monic Laguerre polynomial with parameter alpha.
     """
     check_int("n", n, 1)
     check_real("alpha", alpha, 0.0)
     diag = tuple(alpha + 2.0 * i for i in range(n))
-    off = tuple(math.sqrt(i) * math.sqrt(alpha + i - 1.0) for i in range(1, n))
+    off = tuple(math.sqrt(i) * math.sqrt(alpha + (i - 1)) for i in range(1, n))
     return JacobiMatrix(diag, off)
 
 
@@ -200,80 +201,118 @@ def eigen_tridiag_batch(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     :func:`eigen_tridiag` runs lane-vectorized on chunks of ``_LANES``
     matrices, and each lane's eigenvalues are the single-matrix kernel's bits,
     so they depend on no other matrix, no chunking and no numpy or LAPACK
-    build.  Past 30 sweeps for one eigenvalue :class:`NoConvergence` is
-    raised, and for an eigenvalue past the float range
-    :class:`NonFiniteOutput`.
+    build.  Chunks are row slices of ``diag.T`` and ``offdiag.T``, and the
+    result is the (M, n) view of an (n, M) array.  Past 30 sweeps for one
+    eigenvalue :class:`NoConvergence` is raised, and for an eigenvalue past
+    the float range :class:`NonFiniteOutput`.
     """
     diag, offdiag = _as_batch(diag, offdiag, "tridiagonal eigenvalues")
-    if diag.shape[1] == 1:
+    m, n = diag.shape
+    if n == 1:
         return diag.copy()
-    out = np.empty(diag.shape)
-    for s in range(0, len(diag), _LANES):
-        d = diag[s : s + _LANES].T.copy()
-        e = np.zeros(d.shape)
-        e[:-1] = offdiag[s : s + _LANES].T
-        # the scaling of _eigen_lane, lane by lane, and the squares
-        k = np.frexp(np.maximum(np.abs(d).max(axis=0), np.abs(e).max(axis=0)))[1]
-        np.ldexp(e, -k, out=e)
+    out = np.empty((n, m))
+    for s in range(0, m, _LANES):
+        a, b = diag.T[:, s : s + _LANES], offdiag.T[:, s : s + _LANES]
+        d, e = de = np.zeros((2, *a.shape))
+        # _eigen_lane's scaling lane by lane (max |x| as max(max x, -min x)), and the squares
+        k = np.frexp(np.maximum(*(np.maximum(x.max(0), -x.min(0)) for x in (a, b))))[1]
+        np.ldexp(a, -k, out=d)
+        np.ldexp(b, -k, out=e[:-1])
+        np.multiply(e, e, out=e)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # c = 0: lanes go to _ql
-            _ql_lanes(np.ldexp(d, -k, out=d), np.multiply(e, e, out=e))
+            _ql_lanes(de)
         with np.errstate(over="ignore"):  # an overflow is raised below
             np.ldexp(d, k, out=d)
         if not np.isfinite(d).all():
             raise NonFiniteOutput(_PAST_RANGE)
-        out[s : s + _LANES] = np.sort(d.T, axis=1, kind="stable")
-    return out
+        # Batcher's network on whole rows; minimum and maximum do not keep a
+        # +0.0 and a -0.0 in order, so a lane holding a zero sorts stably
+        zero, rows, spare = np.flatnonzero(~d.all(axis=0)), list(d), e[0]
+        tied, minimum, maximum = np.sort(d[:, zero], axis=0, kind="stable"), np.minimum, np.maximum
+        for i, j in _network(n):
+            minimum(rows[i], rows[j], out=spare)
+            maximum(rows[i], rows[j], out=rows[j])
+            rows[i], spare = spare, rows[i]
+        out[:, s : s + _LANES] = rows
+        out[:, s + zero] = tied
+    return out.T
 
 
-def _ql_lanes(d: np.ndarray, e: np.ndarray) -> None:
-    """:func:`_ql` on every lane (column) of the scaled lane-major ``d`` and
-    squared off-diagonals ``e`` ((n, w); e's last row unused), in place.  The
-    lanes take each level lo together: those whose test at row lo fails sweep
-    rows lo..n-1 at once, into the other of two work buffers.  :func:`_ql`
-    itself runs, from the state before, a lane with an e^2 below row lo at or
-    under ``_SAFE`` (its block may split there) or not finite (a rotation had
-    c = 0), and a level of fewer than ``_NARROW`` lanes."""
-    n, w = d.shape
+@functools.lru_cache(maxsize=128)
+def _network(n: int) -> tuple:
+    """The comparators (i, j), i < j, of Batcher's odd-even merge sort of n
+    keys (AFIPS 1968), in order: 3 / 19 / 63 at n = 3 / 8 / 16."""
+    pairs, p = [], 1
+    while p < n:
+        for k in (p >> b for b in range(p.bit_length())):
+            for j in range(k % p, n - k, 2 * k):
+                hi = min(j + k, n - k)
+                pairs += [(i, i + k) for i in range(j, hi) if i // (2 * p) == (i + k) // (2 * p)]
+        p *= 2
+    return tuple(pairs)
+
+
+def _ql_lanes(de: np.ndarray) -> None:
+    """:func:`_ql` on every lane (column) of ``de``, the scaled lane-major d
+    and squared off-diagonals e ((2, n, w); e's last row unused), in place.
+    The lanes take each level lo together: those whose test at row lo fails
+    sweep rows lo..n-1 at once, each group that passes is parked in a block
+    of its own, and one copy joins the blocks to start the next level, less
+    row lo (which goes to d).  :func:`_ql` itself runs, from the state
+    before, a lane with an e^2 below row lo at or under ``_SAFE`` (its block
+    may split there) or not finite (a rotation had c = 0), and a level of
+    fewer than ``_NARROW`` lanes."""
+    (d, e), (_, n, w) = de, de.shape
+    stores = [np.empty(2 * n * w) for _ in range(3)]  # the block's, the parked lanes', a free one
+    tmp, done = np.empty((6, w)), np.empty(w, dtype=bool)
+    ops = np.multiply, np.add, np.subtract, np.divide, np.sqrt, np.copysign  # looked up once
+    (mul, add), absolute, less_equal, count = ops[:2], np.abs, np.less_equal, np.count_nonzero
     split = (e[1 : n - 1] <= _SAFE).any(axis=0) | (w < _NARROW)
     _alone(d, e, np.flatnonzero(split), None, 0, 0, n)
-    lanes = np.flatnonzero(~split)
-    work = np.empty((2, 2, n, w))  # two (d, e) buffers, one written per sweep
-    tmp = np.empty((6, w))
-    flip = 0
-    cd = None  # rows lo..n-1 of the lanes ``at``, where not None
+    at = np.flatnonzero(~split)
+
+    def block_in(i, rows, k):  # a C-contiguous (2, rows, k) array of d and e rows
+        return stores[i][: 2 * rows * k].reshape(2, rows, k)
+
+    block = de if len(at) == w else de[:, :, at]
     for lo in range(n - 1):
-        if cd is None:
-            at = lanes
-            cd, ce = (d[lo:], e[lo:]) if len(at) == w else (d[lo:].take(at, 1), e[lo:].take(at, 1))
-        for sweeps in range(31):
-            dd = np.abs(cd[0]) + np.abs(cd[1])
-            done = ce[0] <= _SPLIT * (dd * dd)
-            if done.all() and len(at) == len(lanes) and lo < n - 2:
-                d[lo, at] = cd[0]  # the other rows go on to the next level
-                cd, ce = cd[1:], ce[1:]
+        rows, parts, parted = n - lo, [], []  # the blocks parked in stores[1], and their lanes
+        for sweeps in itertools.count():
+            (cd, ce), k = block, len(at)
+            t, ok = tmp[0, :k], done[:k]
+            add(absolute(cd[0], out=t), absolute(cd[1], out=tmp[1, :k]), out=t)
+            passed = count(less_equal(ce[0], mul(mul(t, t, out=t), _SPLIT, out=t), out=ok))
+            if passed == k:  # the block joins the lanes parked before, if any
                 break
-            if done.any():
-                cols, keep = np.flatnonzero(done), np.flatnonzero(~done)
-                d[lo:, at[cols]], e[lo:, at[cols]] = cd.take(cols, 1), ce.take(cols, 1)
-                at, cd, ce = at[keep], cd.take(keep, 1), ce.take(keep, 1)
-            if len(at) < _NARROW:
-                _alone(d, e, at, (cd, ce), lo, sweeps, lo + 1)
-                cd = None
-                break
+            if passed:
+                cols, used = np.flatnonzero(ok), sum(part.size for part in parts)
+                part = stores[1][used : used + 2 * rows * passed].reshape(2, rows, passed)
+                parts.append(np.take(block, cols, 2, out=part, mode="clip"))
+                parted.append(at[cols])
+                at, keep = at[~ok], np.flatnonzero(~ok)
+                block = np.take(block, keep, 2, out=block_in(2, rows, len(at)), mode="clip")
+                (cd, ce), stores[0], stores[2] = block, stores[2], stores[0]
+            if len(at) < _NARROW:  # the scalar ends the level, and they pass
+                _alone(d, e, at, block, lo, sweeps, lo + 1)
+                block = np.stack((d[lo:, at], e[lo:, at]))
+                continue
             if sweeps == 30:
                 raise NoConvergence("tridiagonal eigenvalues: 30 sweeps without convergence")
-            nd, ne = work[flip, :, lo:, : len(at)]
-            flip ^= 1
-            _sweep_lanes(cd, ce, nd, ne, tmp[:, : len(at)])
+            block, stores[0], stores[2] = block_in(2, rows, len(at)), stores[2], stores[0]
+            _sweep_lanes(cd, ce, *block, tmp[:, : len(at)], ops)
             # each e^2 the sweep wrote: above _SAFE below row lo (so not NaN;
             # an inf there is followed by a NaN), and finite at row lo
-            if not (ne[1:-1].min(initial=math.inf) > _SAFE and ne[0].max() < math.inf):
-                bad = ~(ne[1:-1] > _SAFE).all(axis=0) | ~(ne[0] < math.inf)
-                cols, keep = np.flatnonzero(bad), np.flatnonzero(~bad)
-                _alone(d, e, at[cols], (cd.take(cols, 1), ce.take(cols, 1)), lo, sweeps, n)
-                lanes = np.setdiff1d(lanes, at[cols], assume_unique=True)
-                at, nd, ne = at[keep], nd.take(keep, 1), ne.take(keep, 1)
-            cd, ce = nd, ne
+            if not (block[1, 1:-1].min(initial=math.inf) > _SAFE and block[1, 0].max() < math.inf):
+                bad = ~(block[1, 1:-1] > _SAFE).all(axis=0) | ~(block[1, 0] < math.inf)
+                _alone(d, e, at[bad], (cd[:, bad], ce[:, bad]), lo, sweeps, n)
+                at, block = at[~bad], block[:, :, ~bad]
+        if parts:
+            at = np.concatenate([*parted, at])
+            block = np.concatenate([*parts, block], axis=2, out=block_in(2, rows, len(at)))
+            stores[0], stores[2] = stores[2], stores[0]
+        d[lo, at] = block[0, 0]
+        block = block[:, 1:]
+    d[-1, at] = block[0, 0]
 
 
 def _alone(d, e, lanes, state, lo: int, sweeps: int, top: int) -> None:
@@ -286,17 +325,17 @@ def _alone(d, e, lanes, state, lo: int, sweeps: int, top: int) -> None:
         d[:, j], e[:, j] = dj, ej
 
 
-def _sweep_lanes(cd, ce, nd, ne, tmp) -> None:
+def _sweep_lanes(cd, ce, nd, ne, tmp, ops) -> None:
     """One sweep of :func:`_ql` on every lane (an unreduced block lo..n-1) of
     ``cd`` and ``ce``, into ``nd`` and ``ne``, in the scalar's order; a lane
     whose c is 0 writes inf or NaN."""
-    mul, add, sub, div, sqrt = np.multiply, np.add, np.subtract, np.divide, np.sqrt
+    mul, add, sub, div, sqrt, copysign = ops
     c, s, p, gamma, sigma, t = tmp
     dr, er, ndr, ner = list(cd), list(ce), list(nd), list(ne)
     sqrt(er[0], out=p)
     div(sub(dr[1], dr[0], out=sigma), mul(p, 2.0, out=t), out=sigma)
     sqrt(add(mul(sigma, sigma, out=t), 1.0, out=t), out=t)
-    sub(dr[0], div(p, add(sigma, np.copysign(t, sigma, out=t), out=t), out=t), out=sigma)
+    sub(dr[0], div(p, add(sigma, copysign(t, sigma, out=t), out=t), out=t), out=sigma)
     sub(dr[-1], sigma, out=gamma)
     mul(gamma, gamma, out=p)
     for i in range(len(dr) - 2, -1, -1):
@@ -334,20 +373,19 @@ def _power_traces_batch(diag: np.ndarray, offdiag: np.ndarray, kmax: int) -> np.
     """
     diag, offdiag = _as_batch(diag, offdiag, "tridiagonal power traces")
     m, n = diag.shape
-    out = np.empty((m, kmax + 1))
+    out = np.empty((kmax + 1, m))
     step = max(1, _CHUNK_ELEMS // (n * n))
     for s in range(0, m, step):
-        a = np.ascontiguousarray(diag[s : s + step].T)
-        b = np.ascontiguousarray(offdiag[s : s + step].T)
-        power = [np.ones_like(a)]  # J^0
+        a, b = diag.T[:, s : s + step], offdiag.T[:, s : s + step]
+        power = [np.ones(a.shape)]  # J^0
         for k in range(kmax + 1):
             if k % 2 == 0:
-                out[s : s + step, k] = _frobenius(power, power)
+                out[k, s : s + step] = _frobenius(power, power)
             else:
                 nxt = _times_jacobi(power, a, b)
-                out[s : s + step, k] = _frobenius(power, nxt)
+                out[k, s : s + step] = _frobenius(power, nxt)
                 power = nxt
-    return out
+    return out.T
 
 
 def _times_jacobi(p: list, a: np.ndarray, b: np.ndarray) -> list:

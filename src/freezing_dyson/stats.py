@@ -163,7 +163,8 @@ def clt_covariance_gaussian(beta: float, n: int, samples: int, seed: int) -> Cov
     check_int("seed", seed, 0)
     evs = sample_gbe_batch(beta, n, samples, np.random.default_rng(seed))
     z = hermite_zeros(n).as_array()
-    v = math.sqrt(beta / 2.0) * np.subtract(evs.T, z[:, None], order="C")
+    v = np.subtract(evs.T, z[:, None], out=evs.T)  # lane-major, in place
+    v *= math.sqrt(beta / 2.0)
     return _covariance_report(v, build_q_matrix_gaussian(n), beta, GAUSSIAN)
 
 
@@ -176,7 +177,8 @@ def clt_covariance_laguerre(
     check_int("seed", seed, 0)
     evs = sample_ble_batch(beta, alpha, n, samples, np.random.default_rng(seed))
     z = laguerre_zeros(n, alpha).as_array()
-    v = math.sqrt(2.0 * beta) * np.subtract(np.sqrt(evs.T), np.sqrt(z)[:, None], order="C")
+    v = np.subtract(np.sqrt(evs.T, out=evs.T), np.sqrt(z)[:, None], out=evs.T)
+    v *= math.sqrt(2.0 * beta)
     return _covariance_report(v, build_q_matrix_laguerre(n, alpha), beta, LAGUERRE)
 
 

@@ -928,27 +928,28 @@ def simulate_laguerre(cfg: SimConfig, *, rows=None) -> PathEnsemble:
 
 
 def _chi_matrix(dofs: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, len(dofs)) chi draws, one column per degrees-of-freedom value.
+    """(len(dofs), size) chi draws, one row per degrees-of-freedom value.
 
     Each is the square root of a gamma(k/2, scale 2) draw; the generator's
     gamma sampler is the Marsaglia-Tsang rejection method, valid for every
     positive (including non-integer) shape.
     """
-    out = np.empty((size, len(dofs)))
-    for j, dof in enumerate(dofs):
-        out[:, j] = np.sqrt(2.0 * rng.standard_gamma(dof / 2.0, size))
-    return out
+    out = np.empty((len(dofs), size))
+    for row, dof in zip(out, dofs):
+        rng.standard_gamma(dof / 2.0, size, out=row)
+    return np.sqrt(np.multiply(out, 2.0, out=out), out=out)
 
 
 def gbe_tridiagonal_batch(beta: float, n: int, size: int, rng: np.random.Generator):
     """Diagonals and off-diagonals of ``size`` Gaussian beta ensemble matrices:
-    N(0, 2)/sqrt(beta) diagonal, chi_((N-i) beta)/sqrt(beta) off-diagonal."""
-    diag = rng.normal(0.0, math.sqrt(2.0), (size, n)) / math.sqrt(beta)
-    if n == 1:
-        return diag, np.empty((size, 0))
+    N(0, 2)/sqrt(beta) diagonal, chi_((N-i) beta)/sqrt(beta) off-diagonal, as
+    (size, n) and (size, n-1) views of lane-major arrays."""
+    diag = np.empty((n, size))
+    np.divide(rng.normal(0.0, math.sqrt(2.0), (size, n)).T, math.sqrt(beta), out=diag)
     dofs = np.array([(n - i) * beta for i in range(1, n)])
-    off = _chi_matrix(dofs, rng, size) / math.sqrt(beta)
-    return diag, off
+    off = _chi_matrix(dofs, rng, size)
+    off /= math.sqrt(beta)
+    return diag.T, off.T
 
 
 def sample_gbe_batch(beta: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -961,21 +962,20 @@ def sample_gbe_batch(beta: float, n: int, size: int, rng: np.random.Generator) -
 
 
 def ble_tridiagonal_batch(beta: float, alpha: float, n: int, size: int, rng):
-    """Tridiagonal factors B^T B of ``size`` beta Laguerre bidiagonal models.
+    """Tridiagonal factors B^T B of ``size`` beta Laguerre bidiagonal models
+    (views, as :func:`gbe_tridiagonal_batch` returns).
 
     B has chi_(beta(alpha+N-i)) diagonal and chi_(beta(N-i)) subdiagonal
     entries, each divided by sqrt(beta).
     """
-    bdiag_dofs = np.array([beta * (alpha + n - i) for i in range(1, n + 1)])
-    bdiag = _chi_matrix(bdiag_dofs, rng, size) / math.sqrt(beta)
-    if n == 1:
-        return bdiag**2, np.empty((size, 0))
-    bsub_dofs = np.array([beta * (n - i) for i in range(1, n)])
-    bsub = _chi_matrix(bsub_dofs, rng, size) / math.sqrt(beta)
-    diag = bdiag**2
-    diag[:, :-1] += bsub**2
-    off = bsub * bdiag[:, 1:]
-    return diag, off
+    bdiag = _chi_matrix(np.array([beta * (alpha + (n - i)) for i in range(1, n + 1)]), rng, size)
+    bdiag /= math.sqrt(beta)
+    bsub = _chi_matrix(np.array([beta * (n - i) for i in range(1, n)]), rng, size)
+    bsub /= math.sqrt(beta)
+    off = np.multiply(bsub, bdiag[1:])
+    diag = np.square(bdiag, out=bdiag)
+    diag[:-1] += np.square(bsub, out=bsub)
+    return diag.T, off.T
 
 
 def sample_ble_batch(beta: float, alpha: float, n: int, size: int, rng) -> np.ndarray:
@@ -987,4 +987,4 @@ def sample_ble_batch(beta: float, alpha: float, n: int, size: int, rng) -> np.nd
     diag, off = ble_tridiagonal_batch(beta, alpha, n, size, rng)
     evs = eigen_tridiag_batch(diag, off)
     # Gram-matrix spectrum: clip the roundoff of exact zeros
-    return np.maximum(evs, 0.0)
+    return np.maximum(evs, 0.0, out=evs)

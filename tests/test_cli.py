@@ -49,6 +49,14 @@ def test_zeros_laguerre(capsys):
     assert np.allclose(vals, [2.0, 6.0], atol=1e-12)
 
 
+def test_zeros_laguerre_tiny_alpha(capsys):
+    # alpha + i - 1.0 cancelled alpha = 1e-300 to a zero off-diagonal: exit 2
+    code, out, _ = run_cli(["zeros", "--family", "laguerre", "--n", "3", "--alpha", "1e-300"], capsys)
+    assert code == 0
+    vals = [float(v) for v in body_rows(out)[0].split(",")]
+    assert len(vals) == 3 and 0.0 < vals[0] < vals[1] < vals[2]
+
+
 def test_zeros_bad_params_exit_2(capsys):
     code, _, err = run_cli(["zeros", "--family", "laguerre", "--n", "2", "--alpha", "0"], capsys)
     assert code == 2

@@ -106,6 +106,21 @@ def test_hermite_jacobi_examples():
         hermite_jacobi(0)
 
 
+# The off-diagonal sqrt(i) sqrt(alpha + (i - 1)) adds the integer last, so the
+# sum rounds once, as from exact Fractions.  Left to right, alpha + i - 1.0
+# cancelled a small alpha: 1e-300 gave a zero off-diagonal (refused), 1e-10
+# moved the smallest zero by 1.7e-7 relative, and 0.3 was off by an ulp.
+@pytest.mark.parametrize("alpha", [1e-300, 1e-10, 0.3])
+def test_laguerre_jacobi_rounds_each_entry_once(alpha):
+    n, a = 6, Fraction(alpha)
+    exact = JacobiMatrix(
+        [float(a + 2 * i) for i in range(n)],
+        [math.sqrt(i) * math.sqrt(float(a + (i - 1))) for i in range(1, n)],
+    )
+    assert laguerre_jacobi(n, alpha) == exact
+    assert laguerre_zeros(n, alpha) == eigen_tridiag(exact)
+
+
 def test_laguerre_jacobi_examples():
     assert laguerre_jacobi(1, 2.0).diag == (2.0,)
     j = laguerre_jacobi(2, 1.0)
@@ -689,6 +704,49 @@ def test_root_free_lanes_hand_off_to_the_scalar_kernel(case, monkeypatch):
     assert sum(lanes) == (rows if route == "level" else _NARROW)
 
 
+# Each chunk is sorted by Batcher's network of np.minimum / np.maximum on
+# whole rows, and numpy gives -0.0 for both minimum(0.0, -0.0) and
+# maximum(0.0, -0.0); a lane holding zeros of both signs (zero diagonals of
+# either sign, zero off-diagonals), among sampled lanes over several chunks,
+# must still come back in the order of the scalar kernel's stable sorted.
+SIGNED_ZEROS = [
+    [0.0, -0.0],
+    [-0.0, 0.0],
+    [0.0, -0.0, 0.0, -0.0],
+    [-0.0, 1.5, 0.0, -2.0, -0.0],
+    [0.0, 0.0, -0.0, -0.0, 0.0, 0.25, -0.0, 0.0],
+]
+
+
+@pytest.mark.parametrize("diag", SIGNED_ZEROS)
+def test_signed_zero_ties_keep_the_scalar_order(diag, monkeypatch):
+    n = len(diag)
+    monkeypatch.setattr(orthopoly, "_LANES", 64)
+    d, o = gbe_tridiagonal_batch(2.0, n, 3 * 64 + 5, np.random.default_rng(n))
+    d[::7], o[::7] = diag, 0.0
+    got = eigen_tridiag_batch(d, o)
+    for i in range(len(d)):
+        assert got[i].tobytes() == np.array(_eigen_lane(d[i].tolist(), o[i].tolist())).tobytes()
+
+
+# The network sorts as sorted does: every 0-1 input up to n = 16 (the 0-1
+# principle), and repeated and distinct keys up to n = 40.
+@pytest.mark.parametrize("n", range(1, 41))
+def test_sorting_network_sorts(n):
+    pairs = orthopoly._network(n)
+    assert all(0 <= i < j < n for i, j in pairs)
+    rng = np.random.default_rng(n)
+    keys = [rng.integers(0, 3, (40, n)), rng.integers(0, n, (40, n)), rng.normal(size=(40, n))]
+    if n <= 16:
+        keys.append((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+    for batch in keys:
+        rows = list(batch.T.copy())
+        for i, j in pairs:
+            rows[i], rows[j] = np.minimum(rows[i], rows[j]), np.maximum(rows[i], rows[j])
+        assert np.array_equal(np.array(rows).T, np.sort(batch, axis=1))
+    assert len(pairs) == {3: 3, 8: 19, 16: 63}.get(n, len(pairs))
+
+
 # The lanes are independent, so the output does not depend on how the batch
 # is cut into chunks: chunks of one lane, of 7 lanes (below _NARROW, so lane
 # by lane in pure Python), of _NARROW + 1 and of 64 lanes must all give the
@@ -715,7 +773,7 @@ def test_lane_kernel_sweep_cap(width):
     e = np.full((4, width), 0.5)
     d[2, width // 2] = math.nan
     with pytest.raises(NoConvergence, match="^tridiagonal eigenvalues: 30 sweeps without convergence$"):
-        _ql_lanes(d, e)
+        _ql_lanes(np.stack((d, e)))
 
 
 def test_clt_covariance_report_bit_identical_for_any_lane_width(monkeypatch):

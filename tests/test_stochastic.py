@@ -3,6 +3,7 @@ import os
 import signal
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from freezing_dyson.finfree import hermite_roots, laguerre_roots
 from freezing_dyson.stochastic import (
     SimConfig,
     _chi_matrix,
+    ble_tridiagonal_batch,
     sample_ble_batch,
     sample_gbe_batch,
     simulate_dyson,
@@ -455,11 +457,34 @@ def test_laguerre_ek_law_holds_at_any_dt():
 def test_chi_sample_moments():
     rng = np.random.default_rng(11)
     for k in (0.7, 2.0, 5.3):
-        draws = _chi_matrix(np.array([k]), rng, 60000)[:, 0]
+        draws = _chi_matrix(np.array([k]), rng, 60000)[0]
         assert np.all(draws > 0.0)
         mean_sq = np.mean(draws**2) / k
         stderr = math.sqrt(2.0 / k) / math.sqrt(len(draws))
         assert abs(mean_sq - 1.0) < max(4.0 * stderr, 0.005)
+
+
+class _GammaShapes:
+    """A generator stand-in that records the gamma shapes it is asked for."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def standard_gamma(self, shape, size, out):
+        self.shapes.append(shape)
+        out[...] = 1.0
+
+
+# The bidiagonal chi_(beta(alpha+N-i)) adds the integer N - i last, so a
+# small alpha is not cancelled: the degrees of freedom are beta times the
+# once-rounded sum (beta = 2 here, so each shape is that sum).
+@pytest.mark.parametrize("alpha", [1e-300, 1e-10, 0.3])
+def test_ble_degrees_of_freedom_round_once(alpha):
+    rng, n = _GammaShapes(), 4
+    diag, off = ble_tridiagonal_batch(2.0, alpha, n, 3, rng)
+    assert diag.shape == (3, n) and off.shape == (3, n - 1)
+    exact = [float(Fraction(alpha) + (n - i)) for i in range(1, n + 1)]
+    assert rng.shapes == exact + [float(n - i) for i in range(1, n)]
 
 
 def test_chi_sample_k2_is_exponential():
@@ -467,7 +492,7 @@ def test_chi_sample_k2_is_exponential():
     # critical value 1.63/sqrt(n)
     rng = np.random.default_rng(13)
     n = 100000
-    draws = np.sort(_chi_matrix(np.array([2.0]), rng, n)[:, 0] ** 2)
+    draws = np.sort(_chi_matrix(np.array([2.0]), rng, n)[0] ** 2)
     cdf = 1.0 - np.exp(-draws / 2.0)
     grid = np.arange(1, n + 1) / n
     ks = max(np.max(np.abs(cdf - grid)), np.max(np.abs(cdf - (grid - 1.0 / n))))
